@@ -10,9 +10,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .perm import PermGroup, Permutation, orbit
+from .perm import PermGroup, Permutation, transitivity
 from .reports import CheckReport
-from .words import Letter, Word
 
 FORMAT_VERSION = 1
 
@@ -34,7 +33,7 @@ def check_subdirect(tg):
     passed = True
     for ci, comp in enumerate(tg.components, start=1):
         base = _base_generators(comp)
-        if len(orbit(base, 0)) != comp.base_degree:
+        if not transitivity(base)["transitive"]:
             witnesses.append({"component": ci,
                               "error": "base action is not transitive"})
             passed = False
@@ -71,8 +70,7 @@ def check_tail_injectivity(tg, radius, start=1, gens=None):
     seen = {}
     collisions = []
     for word in ball:
-        gword = Word([Letter(abs(s) - 1, 1 if s > 0 else -1) for s in word])
-        key = tuple(tg.evaluate_component(gword, ci).images for ci in tail)
+        key = tuple(tg.evaluate_component(word, ci).images for ci in tail)
         if key in seen:
             collisions.append({
                 "word": _signed_str(tg, word),

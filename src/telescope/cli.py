@@ -4,6 +4,9 @@ human-readable reporting, and certificate persistence.
 Configs are strict JSON: unknown keys are rejected so a typo cannot
 silently weaken a certificate.  Fixed config plus fixed seed reproduces
 identical stdout and byte-identical certificate files.
+
+Exit codes: 0 pass, 1 a check failed, 2 config or usage error, 3 a
+computation ran out of its budget (a non-contracting or non-torsion input).
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 
 from . import certify, tower
 from .perm import Permutation
-from .selfsim import WreathRecursion, grigorchuk, gupta_sidki_3
-from .words import Letter, TAU, Word, parse_word
+from .selfsim import BudgetExceeded, WreathRecursion, grigorchuk, gupta_sidki_3
+from .words import Word, parse_signed, parse_word
 
 SAMPLER_NAME = "mt19937-reduced-words-v1"
 
@@ -45,6 +48,11 @@ class RunConfig:
     horizon_factor: int
     output_path: str
     raw_bytes: bytes
+
+
+def _natural(value, least=0):
+    """Whether a JSON value is an integer >= ``least``; booleans are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _expect_keys(mapping, required, optional, where):
@@ -89,7 +97,7 @@ def _parse_recursion(spec, where):
                  [], where)
     arity = spec["arity"]
     names = spec["generators"]
-    if not isinstance(arity, int) or arity < 2:
+    if not _natural(arity, 2):
         raise ConfigError("arity must be an integer >= 2")
     if (not isinstance(names, list) or not names
             or not all(isinstance(n, str) and n for n in names)):
@@ -103,23 +111,19 @@ def _parse_recursion(spec, where):
     index = {name: i + 1 for i, name in enumerate(names)}
 
     def section_word(text):
-        word = []
-        for token in text.split():
-            body, sign = token, 1
-            if token.endswith("^-1"):
-                body, sign = token[:-3], -1
-            if body not in index:
-                raise ConfigError(f"section word uses unknown generator {token!r}")
-            word.append(sign * index[body])
-        return tuple(word)
+        try:
+            return parse_signed(text, index.get)
+        except ValueError as exc:
+            raise ConfigError(f"section word: {exc}") from exc
 
     root_perms = []
     section_rows = []
     for name in names:
         root_perms.append(parse_cycles(roots[name], arity))
         row = sections[name]
-        if not isinstance(row, list) or len(row) != arity:
-            raise ConfigError(f"sections[{name!r}] needs exactly {arity} entries")
+        if (not isinstance(row, list) or len(row) != arity
+                or not all(isinstance(entry, str) for entry in row)):
+            raise ConfigError(f"sections[{name!r}] needs exactly {arity} word strings")
         section_rows.append(tuple(section_word(entry) for entry in row))
     contracting = spec["contracting"]
     if not isinstance(contracting, bool):
@@ -149,7 +153,7 @@ def load_config(path):
 
     levels = doc["levels"]
     if (not isinstance(levels, list) or not levels
-            or not all(isinstance(l, int) and l >= 1 for l in levels)):
+            or not all(_natural(l, 1) for l in levels)):
         raise ConfigError("levels must be a nonempty list of naturals >= 1")
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise ConfigError("levels must be strictly increasing")
@@ -157,8 +161,7 @@ def load_config(path):
     basepoints = doc.get("basepoints", "identity")
     if basepoints == "identity":
         basepoints = [0] * len(levels)
-    elif (isinstance(basepoints, list)
-          and all(isinstance(b, int) and b >= 0 for b in basepoints)):
+    elif isinstance(basepoints, list) and all(_natural(b) for b in basepoints):
         if len(basepoints) != len(levels):
             raise ConfigError("basepoints must match levels in length")
     else:
@@ -168,7 +171,7 @@ def load_config(path):
             raise ConfigError(f"basepoint {point} out of range for level {level}")
 
     ball_radius = doc.get("ball_radius", 2)
-    if not isinstance(ball_radius, int) or ball_radius < 0:
+    if not _natural(ball_radius):
         raise ConfigError("ball_radius must be a non-negative integer")
 
     sample = doc.get("word_sample", {"count": 100, "max_length": 4})
@@ -176,16 +179,16 @@ def load_config(path):
         raise ConfigError("word_sample must be an object")
     _expect_keys(sample, ["count", "max_length"], [], "word_sample")
     count, max_length = sample["count"], sample["max_length"]
-    if not isinstance(count, int) or count < 0:
+    if not _natural(count):
         raise ConfigError("word_sample.count must be a non-negative integer")
-    if not isinstance(max_length, int) or max_length < 1:
+    if not _natural(max_length, 1):
         raise ConfigError("word_sample.max_length must be a positive integer")
 
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _natural(seed):
         raise ConfigError("seed must be a non-negative integer")
     horizon_factor = doc.get("horizon_factor", 2)
-    if not isinstance(horizon_factor, int) or horizon_factor < 1:
+    if not _natural(horizon_factor, 1):
         raise ConfigError("horizon_factor must be a positive integer")
     output_path = doc.get("output_path", "certificate.json")
     if not isinstance(output_path, str) or not output_path:
@@ -214,25 +217,23 @@ def sample_words(count, max_length, gen_count, seed):
     previous one, so the sampled words are reduced by construction.
     """
     rng = random.Random(seed)
-    alphabet = [TAU]
-    for i in range(gen_count):
-        alphabet.append(Letter(i, 1))
-        alphabet.append(Letter(i, -1))
+    alphabet = [0]
+    for code in range(1, gen_count + 1):
+        alphabet.extend((code, -code))
     words = []
     for _ in range(count):
         length = 1 + int(rng.random() * max_length)
-        letters = []
-        while len(letters) < length:
-            choices = [l for l in alphabet
-                       if not letters or l != letters[-1].inverse()]
-            letters.append(choices[int(rng.random() * len(choices))])
-        words.append(Word(letters))
+        codes = []
+        while len(codes) < length:
+            choices = [c for c in alphabet if not codes or c != -codes[-1]]
+            codes.append(choices[int(rng.random() * len(choices))])
+        words.append(Word.from_codes(codes))
     return words
 
 
 def _gseq_sweep(gen_count):
     """All generator sequences of length 1 and 2 over single generators."""
-    singles = [Word([Letter(i)]) for i in range(gen_count)]
+    singles = [Word.from_codes((code,)) for code in range(1, gen_count + 1)]
     sweep = [[w] for w in singles]
     sweep.extend([u, v] for u in singles for v in singles)
     return sweep
@@ -431,3 +432,6 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (BudgetExceeded, RecursionError) as exc:
+        print(f"error: computation budget exceeded: {exc}", file=sys.stderr)
+        return 3

@@ -69,14 +69,10 @@ class Permutation:
             return NotImplemented
         if len(self.images) != len(other.images):
             raise ValueError("cannot compose permutations of different degrees")
-        imgs = self.images
-        return Permutation(tuple(imgs[x] for x in other.images))
+        return Permutation(_compose(self.images, other.images))
 
     def inverse(self):
-        inv = [0] * len(self.images)
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        return Permutation(inv)
+        return Permutation(_inverse(self.images))
 
     def __pow__(self, n):
         if n < 0:
@@ -170,6 +166,13 @@ def orbit(generators, point):
                     new.append(y)
         frontier = new
     return out
+
+
+def transitivity(generators):
+    """Witness fields for transitivity: the orbit size of point 0 against the degree."""
+    size = len(orbit(generators, 0))
+    degree = generators[0].degree
+    return {"orbit_of_0": size, "degree": degree, "transitive": size == degree}
 
 
 def _compose(p, q):

@@ -1,8 +1,9 @@
 """Self-similar groups given by wreath recursions on the d-ary rooted tree.
 
-Group elements are plain signed words over the generators: the tuple
-``(1, -2)`` stands for ``g1 * g2^{-1}``.  Words are only ever freely
-reduced; group identities become visible through the recursion itself.
+Group elements are signed code words over the generators (see ``words``):
+the tuple ``(1, -2)`` stands for ``g1 * g2^{-1}``; code 0, the
+transposition, never occurs here.  Words are only ever freely reduced;
+group identities become visible through the recursion itself.
 
 Equality and element orders are exact.  Both rely on the recursion being
 contracting (sections of long words eventually shrink), which the caller
@@ -16,6 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .perm import Permutation
+from .words import (compose_signed, evaluate_signed, invert_signed, letter_images,
+                    parse_signed, reduce_signed)
 
 
 class NotContracting(ValueError):
@@ -28,21 +31,6 @@ class BudgetExceeded(RuntimeError):
     This signals a non-contracting or non-torsion input rather than a
     recoverable condition.
     """
-
-
-def reduce_signed(word):
-    """Freely reduce a signed generator word."""
-    out = []
-    for s in word:
-        if out and out[-1] == -s:
-            out.pop()
-        else:
-            out.append(s)
-    return tuple(out)
-
-
-def invert_signed(word):
-    return tuple(-s for s in reversed(word))
 
 
 @dataclass(frozen=True)
@@ -94,8 +82,9 @@ class WreathRecursion:
         self.sections = sections
         self.contracting = bool(contracting)
         self.step_budget = step_budget
-        self._root_images = tuple(p.images for p in root_perms)
-        self._root_inv_images = tuple(p.inverse().images for p in root_perms)
+        # letter code -> its image tuple on the root's children
+        _, self._root = letter_images([s for g in range(1, k + 1) for s in (g, -g)],
+                                      root_perms)
         self._trivial = {}
         self._orders = {}
         self._levels = {}
@@ -106,37 +95,19 @@ class WreathRecursion:
 
     def parse(self, text):
         """Parse a whitespace-separated word of generator names (``name^-1`` inverts)."""
-        by_name = {name: i + 1 for i, name in enumerate(self.names)}
-        word = []
-        for token in text.split():
-            body, sign = token, 1
-            if token.endswith("^-1"):
-                body, sign = token[:-3], -1
-            if body not in by_name:
-                raise ValueError(f"unknown generator {token!r}")
-            word.append(sign * by_name[body])
-        return reduce_signed(word)
+        return parse_signed(text, {name: i + 1 for i, name in enumerate(self.names)}.get)
 
     # -- the recursion itself ------------------------------------------------
 
     def letter_section(self, letter, child):
         if letter > 0:
             return self.sections[letter - 1][child]
-        gen = -letter - 1
-        up = self._root_inv_images[gen][child]
-        return invert_signed(self.sections[gen][up])
+        up = self._root[letter][child]
+        return invert_signed(self.sections[-letter - 1][up])
 
     def top_images(self, word):
         """Image tuple of the word's action on the d children of the root."""
-        images = tuple(range(self.arity))
-        for letter in word:
-            table = (self._root_images[letter - 1] if letter > 0
-                     else self._root_inv_images[-letter - 1])
-            images = tuple(table[x] for x in images)
-        return images
-
-    def top_permutation(self, word):
-        return Permutation(self.top_images(word))
+        return compose_signed(word, self._root, self.arity)
 
     def section(self, word, child):
         """The section of the word at one child (rightmost letters act first)."""
@@ -144,61 +115,36 @@ class WreathRecursion:
         current = child
         for letter in reversed(word):
             parts.append(self.letter_section(letter, current))
-            table = (self._root_images[letter - 1] if letter > 0
-                     else self._root_inv_images[-letter - 1])
-            current = table[current]
+            current = self._root[letter][current]
         out = []
         for part in reversed(parts):
             out.extend(part)
         return reduce_signed(out)
 
-    def act(self, word, vertex):
-        """Apply the word to a vertex given as a tuple of tree letters."""
-        vertex = tuple(vertex)
-        for letter in reversed(word):
-            vertex = self._act_letter(letter, vertex)
-        return vertex
-
-    def _act_letter(self, letter, vertex):
-        if not vertex:
-            return vertex
-        x = vertex[0]
-        if letter > 0:
-            gen = letter - 1
-            y = self._root_images[gen][x]
-            section = self.sections[gen][x]
-        else:
-            gen = -letter - 1
-            y = self._root_inv_images[gen][x]
-            section = invert_signed(self.sections[gen][y])
-        return (y,) + self.act(section, vertex[1:])
-
     def level_action(self, level):
-        """The permutations of the d^level vertices induced by each generator."""
+        """The permutations of the d^level vertices induced by each generator.
+
+        Built from the level below by the recursion: a generator sends vertex
+        ``x*d^(level-1) + v`` to ``root(x)*d^(level-1) + s(v)``, where ``s`` is
+        the level-(level-1) image of its section at child ``x``.
+        """
         if level < 1:
             raise ValueError("levels start at 1")
         cached = self._levels.get(level)
         if cached is not None:
             return cached
-        d = self.arity
-        degree = d ** level
-        perms = []
-        for gen in range(self.generator_count):
-            images = []
-            for index in range(degree):
-                digits = []
-                value = index
-                for _ in range(level):
-                    value, digit = divmod(value, d)
-                    digits.append(digit)
-                vertex = tuple(reversed(digits))
-                moved = self.act((gen + 1,), vertex)
-                out = 0
-                for digit in moved:
-                    out = out * d + digit
-                images.append(out)
-            perms.append(Permutation(images))
-        action = LevelAction(level=level, degree=degree, perms=tuple(perms))
+        if level == 1:
+            perms = self.root_perms
+        else:
+            below = self.level_action(level - 1)
+            n = below.degree
+            perms = tuple(
+                Permutation([y * n + z
+                             for x, y in enumerate(self._root[gen + 1])
+                             for z in evaluate_signed(self.sections[gen][x],
+                                                      below.perms).images])
+                for gen in range(self.generator_count))
+        action = LevelAction(level=level, degree=self.arity ** level, perms=perms)
         self._levels[level] = action
         return action
 
@@ -322,12 +268,13 @@ class WreathRecursion:
 
     # -- balls and torsion growth ---------------------------------------------
 
-    def ball(self, radius, gens=None, hash_level=6):
+    def ball(self, radius, gens=None):
         """One reduced representative per group element of word length <= radius.
 
         Breadth-first over the Cayley graph with exact deduplication: words
-        are bucketed by their ``hash_level`` action and bucket collisions are
-        settled by ``equal``, so the result does not depend on ``hash_level``.
+        are bucketed by their action on the first level with at least 64
+        vertices and bucket collisions are settled by ``equal``, so the result
+        does not depend on that level.
         """
         if radius < 0:
             raise ValueError("ball radius must be non-negative")
@@ -337,11 +284,11 @@ class WreathRecursion:
         for g in gens:
             letters.append(g + 1)
             letters.append(-(g + 1))
+        hash_level = 1
+        while self.arity ** hash_level < 64:
+            hash_level += 1
         action = self.level_action(hash_level)
-        letter_images = {}
-        for g in gens:
-            letter_images[g + 1] = action.perms[g].images
-            letter_images[-(g + 1)] = action.perms[g].inverse().images
+        _, images_of = letter_images(letters, action.perms)
         identity = tuple(range(action.degree))
         reps = [()]
         images = {(): identity}
@@ -355,7 +302,7 @@ class WreathRecursion:
                     if word and word[-1] == -letter:
                         continue
                     grown = word + (letter,)
-                    image = tuple(base[x] for x in letter_images[letter])
+                    image = tuple(base[x] for x in images_of[letter])
                     bucket = buckets.get(image)
                     if bucket is not None:
                         if any(self.equal(grown, rep) for rep in bucket):

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .perm import Permutation, orbit
+from .perm import Permutation, transitivity
 from .reports import CheckReport
-from .selfsim import LevelAction, reduce_signed
-from .words import Word
+from .selfsim import LevelAction
+from .words import evaluate_signed, reduce_signed
 
 # Component indices in parameters and witnesses are 1-based throughout, so
 # "component i" matches the i-th factor of the product.
@@ -112,27 +112,13 @@ class TelescopeGroup:
         comp = self.components[ci]
         return list(comp.gen_images) + [comp.tau]
 
-    def evaluate_component(self, word, ci):
-        comp = self.components[ci]
-        result = Permutation.identity(comp.extended_degree)
-        inverses = {}
-        for letter in word:
-            if letter.gen is None:
-                image = comp.tau
-            else:
-                if letter.gen >= self.generator_count:
-                    raise ValueError(f"letter g{letter.gen + 1} has no generator")
-                image = comp.gen_images[letter.gen]
-                if letter.sign < 0:
-                    if letter.gen not in inverses:
-                        inverses[letter.gen] = image.inverse()
-                    image = inverses[letter.gen]
-            result = result * image
-        return result
+    def evaluate_component(self, codes, ci):
+        """Image of a signed code word on block ``ci`` (rightmost letter acting first)."""
+        return evaluate_signed(codes, self.components[ci].gen_images, self.components[ci].tau)
 
     def evaluate(self, word):
-        """Componentwise image of a word (rightmost letter acting first)."""
-        return tuple(self.evaluate_component(word, ci)
+        """Componentwise image of a Word (rightmost letter acting first)."""
+        return tuple(self.evaluate_component(word.codes, ci)
                      for ci in range(len(self.components)))
 
     def order_in_truncation(self, word):
@@ -147,30 +133,15 @@ class TelescopeGroup:
         return TelescopeGroup(self.components[:count], self.gen_names, self.rec)
 
 
-def _level_transitive(action):
-    return len(orbit(action.perms, 0)) == action.degree
-
-
 def transitivity_report(rec, levels):
     """Check that every requested level action is transitive."""
-    witnesses = []
-    passed = True
-    for index, level in enumerate(levels, start=1):
-        action = rec.level_action(level)
-        size = len(orbit(action.perms, 0))
-        ok = size == action.degree
-        witnesses.append({
-            "component": index,
-            "level": level,
-            "orbit_of_0": size,
-            "degree": action.degree,
-            "transitive": ok,
-        })
-        passed = passed and ok
+    witnesses = [{"component": index, "level": level,
+                  **transitivity(rec.level_action(level).perms)}
+                 for index, level in enumerate(levels, start=1)]
     return CheckReport(
         name="transitivity",
         parameters={"levels": list(levels)},
-        passed=passed,
+        passed=all(w["transitive"] for w in witnesses),
         witnesses=witnesses,
     )
 
@@ -194,7 +165,7 @@ def build_telescope(rec, levels, basepoints=None):
     components = []
     for level, basepoint in zip(levels, basepoints):
         action = rec.level_action(level)
-        if not _level_transitive(action):
+        if not transitivity(action.perms)["transitive"]:
             raise ValueError(f"level {level} action is not transitive")
         components.append(extend_action(action, basepoint))
     return TelescopeGroup(tuple(components), rec.names, rec)
@@ -203,35 +174,23 @@ def build_telescope(rec, levels, basepoints=None):
 # -- verifiers ----------------------------------------------------------------
 
 
-def _gword_to_signed(word):
-    signed = []
-    for letter in word:
-        if letter.gen is None:
-            raise ValueError("generator-sequence entries must not contain the transposition")
-        signed.append(letter.sign * (letter.gen + 1))
-    return reduce_signed(signed)
-
-
 def _atoms(tg, ci, gseq):
     """Component images of tau and of each generator-sequence entry."""
     tau = tg.components[ci].tau
-    images = [tg.evaluate_component(word, ci) for word in gseq]
+    images = [tg.evaluate_component(word.codes, ci) for word in gseq]
     return tau, images
 
 
 def _sequence_order(tg, ci, gseq, order_mode):
     """The order N of g1...gk, globally in the group or locally in one block."""
+    product = reduce_signed([code for word in gseq for code in word.codes])
     if order_mode == "global":
         if tg.rec is None:
             raise ValueError("global orders need the telescope's recursion")
-        signed = []
-        for word in gseq:
-            signed.extend(_gword_to_signed(word))
-        return tg.rec.element_order(reduce_signed(signed))
+        if any(0 in word.codes for word in gseq):
+            raise ValueError("generator-sequence entries must not contain the transposition")
+        return tg.rec.element_order(product)
     if order_mode == "local":
-        product = Word()
-        for word in gseq:
-            product = product * word
         return tg.evaluate_component(product, ci).order()
     raise ValueError(f"unknown order mode {order_mode!r}")
 
@@ -417,7 +376,7 @@ def verify_orbit_bound(tg, word, torsion_bound):
     witnesses = []
     passed = True
     for ci in range(len(tg.components)):
-        image = tg.evaluate_component(word, ci)
+        image = tg.evaluate_component(word.codes, ci)
         largest = max((len(c) for c in image.cycles()), default=1)
         entry = {"component": ci + 1, "largest_orbit": largest, "limit": limit}
         if largest > limit:

@@ -5,9 +5,21 @@ closure is plain breadth-first multiplication over image tuples, and
 element orders come from explicit permutation images at a deep tree level.
 """
 
+import os
 import re
+from pathlib import Path
 
 from telescope.perm import Permutation
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env():
+    """Environment for a child interpreter that imports the package from ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def brute_closure(generators):

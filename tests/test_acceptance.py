@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import brute_closure, level_image
+from conftest import brute_closure, level_image, src_env
 from telescope.certify import alt_cutoff, check_subdirect
 from telescope.cli import sample_words
 from telescope.perm import PermGroup, Permutation
@@ -223,7 +223,7 @@ def test_criterion_8_demo_certificates_are_byte_identical(tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "telescope", "verify",
              "--config", str(DEMO_CONFIG), "--out", str(out_path)],
-            capture_output=True, text=True, cwd=REPO)
+            capture_output=True, text=True, cwd=REPO, env=src_env())
         return result.stdout, out_path.read_bytes()
 
     first_out, first_bytes = run()

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import src_env
 from telescope.cli import (ConfigError, load_config, main, parse_cycles,
                            sample_words)
 from telescope.perm import Permutation
@@ -117,6 +118,39 @@ class TestConfig:
         assert config.recursion.sections[1] == ((1,), (2,))
 
 
+ADDING_MACHINE = {"arity": 2, "generators": ["a"],
+                  "root_perms": {"a": "(0 1)"}, "sections": {"a": ["", "a"]},
+                  "contracting": True}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"levels": [True, 2]},
+    {"basepoints": [0, False]},
+    {"ball_radius": True},
+    {"word_sample": {"count": True, "max_length": 2}},
+    {"word_sample": {"count": 3, "max_length": True}},
+    {"seed": False},
+    {"horizon_factor": True},
+    {"group": dict(ADDING_MACHINE, arity=True)},
+    {"group": dict(ADDING_MACHINE, sections={"a": ["", 1]})},
+])
+def test_mistyped_config_values_rejected(tmp_path, overrides):
+    doc = {"group": "grigorchuk", "levels": [1, 2]}
+    doc.update(overrides)
+    with pytest.raises(ConfigError):
+        load_config(write_config(tmp_path, doc))
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["word", "--word", "g1"]])
+def test_non_torsion_recursion_exits_3_without_traceback(tmp_path, capsys, argv):
+    path = write_config(tmp_path, {"group": ADDING_MACHINE, "levels": [1, 2],
+                                   "output_path": str(tmp_path / "cert.json")})
+    assert main([argv[0], "--config", str(path)] + argv[1:]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 class TestSampler:
     def test_deterministic(self):
         a = sample_words(50, 4, 2, seed=9)
@@ -218,7 +252,7 @@ class TestDeterminism:
         return subprocess.run(
             [sys.executable, "-m", "telescope", "verify",
              "--config", str(DEMO_CONFIG), "--out", str(out_path)],
-            capture_output=True, text=True, cwd=REPO)
+            capture_output=True, text=True, cwd=REPO, env=src_env())
 
     def test_verify_twice_is_byte_identical(self, tmp_path):
         out_path = tmp_path / "cert.json"

@@ -19,7 +19,52 @@ def gs3():
     return gupta_sidki_3()
 
 
+def walk(rec, word, vertex):
+    """Oracle: a signed word moves a vertex tuple through root perms and sections.
+
+    Uses only the recursion's data, never its level code; the rightmost
+    letter acts first and the first tree letter is the most significant digit.
+    """
+    for letter in reversed(word):
+        if not vertex:
+            break
+        gen, x = abs(letter) - 1, vertex[0]
+        root = rec.root_perms[gen].images
+        if letter > 0:
+            y, section = root[x], rec.sections[gen][x]
+        else:
+            y = root.index(x)
+            section = tuple(-s for s in reversed(rec.sections[gen][y]))
+        vertex = (y,) + walk(rec, section, vertex[1:])
+    return vertex
+
+
+def custom_arity_3():
+    """A recursion whose sections carry inverse letters and words of length 2."""
+    return WreathRecursion(
+        arity=3, names=("x", "y"),
+        root_perms=(Permutation((1, 2, 0)), Permutation((1, 0, 2))),
+        sections=(((-2,), (1, -2), ()), ((2, -1), (), (-1,))),
+        contracting=False)
+
+
 class TestLevelActions:
+    @pytest.mark.parametrize("make", [grigorchuk, gupta_sidki_3, custom_arity_3])
+    def test_matches_vertex_walk_oracle(self, make):
+        rec = make()
+        d = rec.arity
+        for level in range(1, 7):
+            action = rec.level_action(level)
+            vertices = list(itertools.product(range(d), repeat=level))
+            for gen, perm in enumerate(action.perms, start=1):
+                expected = []
+                for vertex in vertices:
+                    index = 0
+                    for digit in walk(rec, (gen,), vertex):
+                        index = index * d + digit
+                    expected.append(index)
+                assert perm.images == tuple(expected), (level, gen)
+
     def test_grigorchuk_level_1(self, grig):
         action = grig.level_action(1)
         assert action.perms[0] == Permutation((1, 0))

@@ -34,6 +34,22 @@ class TestReduction:
         assert len(Word([G1, G1])) == 2
 
 
+class TestCodes:
+    def test_codes_letters_and_str_agree(self):
+        w = Word([TAU, G1, G2.inverse(), Letter(2), TAU])
+        assert w.codes == (0, 1, -2, 3, 0)
+        assert w.letters == (TAU, G1, G2.inverse(), Letter(2), TAU)
+        assert [l.code for l in w.letters] == list(w.codes)
+        assert str(w) == " ".join(str(l) for l in w.letters) == "t g1 g2^-1 g3 t"
+        assert Word.from_codes(w.codes) == w
+        assert parse_word(str(w)).codes == w.codes
+
+    def test_tau_and_inverse_pairs_cancel_on_codes(self):
+        assert Word.from_codes((0, 0)).codes == ()
+        assert Word.from_codes((2, 1, -1, 0, 0, 3)).codes == (2, 3)
+        assert Word([G1, TAU, TAU, G1.inverse()]).codes == ()
+
+
 class TestTerminalSubword:
     def test_last_two(self):
         w = Word([G1, G2, Letter(2)])
