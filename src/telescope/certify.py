@@ -10,10 +10,11 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .perm import PermGroup, Permutation, transitivity
+from .perm import (PermGroup, Permutation, is_symmetric_by_transposition,
+                   normal_alternating_order, transitivity)
 from .reports import CheckReport
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _base_generators(component):
@@ -22,12 +23,24 @@ def _base_generators(component):
     return [Permutation(p.images[:n]) for p in component.gen_images]
 
 
+def _is_symmetric(tg, ci):
+    """Whether block ``ci`` (0-based) generates its full symmetric group.
+
+    The block group contains tau = (basepoint, fresh point), so the
+    transposition-orbit theorem decides it without a stabilizer chain.
+    """
+    comp = tg.components[ci]
+    return is_symmetric_by_transposition(
+        tg.component_generators(ci), comp.basepoint, comp.extra_point)
+
+
 def check_subdirect(tg):
     """Each block projection must be the full symmetric group of its degree.
 
     The base action must be transitive (precondition of the fresh-point
     extension); a non-transitive base is reported as a precondition failure
-    naming the component.
+    naming the component.  A full symmetric block reports order m!; any
+    other block falls back to the stabilizer chain for its exact order.
     """
     witnesses = []
     passed = True
@@ -38,9 +51,11 @@ def check_subdirect(tg):
                               "error": "base action is not transitive"})
             passed = False
             continue
-        group = PermGroup(tg.component_generators(ci - 1))
-        order = group.order()
-        full = group.is_full_symmetric()
+        full = _is_symmetric(tg, ci - 1)
+        if full:
+            order = math.factorial(comp.extended_degree)
+        else:
+            order = PermGroup(tg.component_generators(ci - 1)).order()
         witnesses.append({
             "component": ci,
             "extended_degree": comp.extended_degree,
@@ -141,24 +156,21 @@ def _tuple_sign(perms):
     return tuple(p.sign() for p in perms)
 
 
-def _union_permutation(perms):
-    images = []
-    offset = 0
-    for p in perms:
-        images.extend(offset + x for x in p.images)
-        offset += p.degree
-    return Permutation(images)
-
-
 def alt_cutoff(tg):
     """Least component index m so that beyond it the even-signed kernel
     projects onto the full alternating groups.
 
     The kernel K of the sign map is generated exactly by the Schreier
     generators over a breadth-first coset transversal of the finite sign
-    image; generators already inside the kernel group built so far are
-    dropped.  If even the last component fails the recognition, the cutoff
-    lies outside this truncation and the report says so.
+    image; trivial and repeated ones are dropped.  K is normal, so on a
+    block of degree n that is the full Sym(n) its projection is a subgroup
+    of Alt(n) normal in Sym(n), and ``normal_alternating_order`` decides it
+    from the projected generators.  (K also contains the commutator
+    subgroup, so such a projection is in fact always Alt(n); deciding it
+    from the generators checks the kernel that was computed.)  A block that
+    is not the full Sym(n) falls back to the stabilizer chain.  If even the
+    last component fails the recognition, the cutoff lies outside this
+    truncation and the report says so.
     """
     symbols = list(tg.gen_names) + ["t"]
     gens = [tg.gen_tuple(i) for i in range(tg.generator_count)] + [tg.tau_tuple()]
@@ -176,7 +188,6 @@ def alt_cutoff(tg):
                 queue.append(grown)
 
     kernel_gens = []
-    kernel_group = None
     for vector in sorted(transversal):
         rep = transversal[vector]
         for gen in gens:
@@ -185,29 +196,26 @@ def alt_cutoff(tg):
             candidate = _tuple_mul(product, tuple(p.inverse() for p in counter))
             if any(s != 1 for s in _tuple_sign(candidate)):
                 raise AssertionError("Schreier generator escaped the sign kernel")
-            union = _union_permutation(candidate)
-            if union.is_identity():
-                continue
-            if kernel_group is not None and kernel_group.contains(union):
-                continue
-            kernel_gens.append(candidate)
-            kernel_group = PermGroup([_union_permutation(e) for e in kernel_gens])
+            if not all(p.is_identity() for p in candidate):
+                kernel_gens.append(candidate)
+    kernel_gens = list(dict.fromkeys(kernel_gens))  # first occurrences, in order
 
     witnesses = []
     full_flags = []
     for ci, comp in enumerate(tg.components, start=1):
+        degree = comp.extended_degree
         projections = [e[ci - 1] for e in kernel_gens]
-        if not projections:
-            projections = [Permutation.identity(comp.extended_degree)]
-        group = PermGroup(projections)
-        order = group.order()
-        full = group.is_full_alternating()
+        if _is_symmetric(tg, ci - 1):
+            order = normal_alternating_order(degree, projections)
+        else:
+            order = PermGroup(projections or [Permutation.identity(degree)]).order()
+        full = order == math.factorial(degree) // 2
         full_flags.append(full)
         witnesses.append({
             "component": ci,
-            "extended_degree": comp.extended_degree,
+            "extended_degree": degree,
             "kernel_projection_order": order,
-            "alternating_order": math.factorial(comp.extended_degree) // 2,
+            "alternating_order": math.factorial(degree) // 2,
             "full_alternating": full,
         })
 
@@ -263,14 +271,22 @@ def check_perfect(group):
 
 
 def perfectness_scan(tg):
-    """Informational: perfectness of each finite base quotient."""
+    """Informational: perfectness of each finite base quotient.
+
+    Every level quotient of the telescope's recursion maps onto the level-1
+    quotient, the group of its root permutations, and quotients of perfect
+    groups are perfect.  So when that small group is not perfect, no base
+    quotient is, and ``check_perfect`` runs only when it is (or when the
+    telescope carries no recursion).  Quotient orders come from the chain.
+    """
+    root_perfect = tg.rec is None or check_perfect(PermGroup(tg.rec.root_perms))
     witnesses = []
     for ci, comp in enumerate(tg.components, start=1):
         group = PermGroup(_base_generators(comp))
         witnesses.append({
             "component": ci,
             "quotient_order": group.order(),
-            "perfect": check_perfect(group),
+            "perfect": root_perfect and check_perfect(group),
         })
     return CheckReport(
         name="perfectness_scan",

@@ -10,8 +10,14 @@ derived by hand (ord(ab) = 16, T(2) = 16, and the pigeonhole fact's exact
 counterexample set from an independent oracle), and each also records
 where the stated value went wrong.  See README, section "Corrected
 reference values".
+
+The last test is not a numbered criterion: it pins the Grigorchuk [1..6]
+rung, which the Sym/Alt recognition theorems brought within seconds.
 """
 
+import contextlib
+import io
+import json
 import math
 import random
 import subprocess
@@ -23,7 +29,7 @@ import pytest
 
 from conftest import brute_closure, level_image, src_env
 from telescope.certify import alt_cutoff, check_subdirect
-from telescope.cli import sample_words
+from telescope.cli import main, sample_words
 from telescope.perm import PermGroup, Permutation
 from telescope.selfsim import grigorchuk
 from telescope.tower import (build_telescope, divides_factorial, extend_action,
@@ -319,3 +325,42 @@ def test_criterion_8_demo_certificates_are_byte_identical(tmp_path):
     second_out, second_bytes = run()
     assert first_out == second_out
     assert first_bytes == second_bytes
+
+
+def test_grigorchuk_levels_1_to_6_verify(tmp_path):
+    """``verify`` on Grigorchuk [1..6]: every block is Sym(m) of order m!,
+    every kernel projection is Alt(m) of order m!/2, the cutoff is 1, and
+    the base quotients at levels 3..6 have the order 2^(5*2^(n-3)+2) of
+    |G/St(n)| (an oracle independent of the program)."""
+    config = tmp_path / "grigorchuk_1-6.json"
+    config.write_text(json.dumps({
+        "group": "grigorchuk", "levels": [1, 2, 3, 4, 5, 6],
+        "basepoints": "identity", "ball_radius": 2,
+        "word_sample": {"count": 100, "max_length": 4},
+        "seed": 7, "horizon_factor": 2}))
+    out_path = tmp_path / "cert.json"
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", "--config", str(config), "--out", str(out_path)])
+    elapsed = time.perf_counter() - started
+    doc = json.loads(out_path.read_bytes())
+    checks = {c["name"]: c for c in doc["checks"]}
+    degrees = [c["extended_degree"] for c in doc["components"]]
+    assert degrees == [2 ** level + 1 for level in range(1, 7)]
+    # trace_lemmas records the pigeonhole counterexamples (README,
+    # "Corrected reference values"); every other check passes
+    assert code == 1
+    assert [c["name"] for c in doc["checks"] if c["status"] != "pass"] == ["trace_lemmas"]
+
+    subdirect = checks["subdirect"]["witnesses"]
+    assert [w["order"] for w in subdirect] == [math.factorial(m) for m in degrees]
+    assert all(w["full_symmetric"] for w in subdirect)
+    assert doc["alt_cutoff"] == 1
+    kernel = checks["alt_cutoff"]["witnesses"][1:]
+    assert [w["kernel_projection_order"] for w in kernel] == \
+        [math.factorial(m) // 2 for m in degrees]
+    scan = checks["perfectness_scan"]["witnesses"]
+    assert [w["quotient_order"] for w in scan[2:]] == \
+        [2 ** (5 * 2 ** (level - 3) + 2) for level in range(3, 7)]
+    assert not any(w["perfect"] for w in scan)
+    assert elapsed < 60

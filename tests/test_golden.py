@@ -21,7 +21,7 @@ from telescope.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # config stem -> the configs ``verify`` runs on
-VERIFY_CASES = ("demo_c2", "grigorchuk_1-4", "gupta_sidki_1-3")
+VERIFY_CASES = ("demo_c2", "grigorchuk_1-4", "gupta_sidki_1-3", "gupta_sidki_1-4")
 
 # config stem -> the words ``word`` is queried with; they cover inverse
 # letters, t, free cancellation and the empty word
