@@ -10,8 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .perm import (PermGroup, Permutation, is_symmetric_by_transposition,
-                   normal_alternating_order, transitivity)
+from .perm import PermGroup, Permutation, normal_alternating_order, transitivity
 from .reports import CheckReport
 
 FORMAT_VERSION = 2
@@ -23,46 +22,41 @@ def _base_generators(component):
     return [Permutation(p.images[:n]) for p in component.gen_images]
 
 
-def _is_symmetric(tg, ci):
-    """Whether block ``ci`` (0-based) generates its full symmetric group.
+def _is_symmetric(comp):
+    """Whether a block's group, its generator images plus tau = (p q) with
+    p the basepoint and q the fresh point, is the full symmetric group.
 
-    The block group contains tau = (basepoint, fresh point), so the
-    transposition-orbit theorem decides it without a stabilizer chain.
+    Every generator image fixes q.  If the base action is transitive, some
+    base element g sends p to any base point x, and g tau g^-1 = (x q) lies
+    in the group; these transpositions form a star on all points and
+    generate the full symmetric group.  If it is not transitive, the orbit
+    of q is q plus the base orbit of p, so the group is not even transitive.
     """
-    comp = tg.components[ci]
-    return is_symmetric_by_transposition(
-        tg.component_generators(ci), comp.basepoint, comp.extra_point)
+    return transitivity(_base_generators(comp))["transitive"]
 
 
 def check_subdirect(tg):
     """Each block projection must be the full symmetric group of its degree.
 
-    The base action must be transitive (precondition of the fresh-point
-    extension); a non-transitive base is reported as a precondition failure
-    naming the component.  A full symmetric block reports order m!; any
-    other block falls back to the stabilizer chain for its exact order.
+    By ``_is_symmetric`` that holds exactly when the base action is
+    transitive (the precondition of the fresh-point extension), and the
+    block then reports order m!.  A non-transitive base is reported as a
+    precondition failure naming the component.
     """
     witnesses = []
     passed = True
     for ci, comp in enumerate(tg.components, start=1):
-        base = _base_generators(comp)
-        if not transitivity(base)["transitive"]:
+        if not _is_symmetric(comp):
             witnesses.append({"component": ci,
                               "error": "base action is not transitive"})
             passed = False
             continue
-        full = _is_symmetric(tg, ci - 1)
-        if full:
-            order = math.factorial(comp.extended_degree)
-        else:
-            order = PermGroup(tg.component_generators(ci - 1)).order()
         witnesses.append({
             "component": ci,
             "extended_degree": comp.extended_degree,
-            "order": order,
-            "full_symmetric": full,
+            "order": math.factorial(comp.extended_degree),
+            "full_symmetric": True,
         })
-        passed = passed and full
     return CheckReport(
         name="subdirect",
         parameters={"components": len(tg.components)},
@@ -164,15 +158,16 @@ def alt_cutoff(tg):
     generators over a breadth-first coset transversal of the finite sign
     image; trivial and repeated ones are dropped.  K is normal, so on a
     block of degree n that is the full Sym(n) its projection is a subgroup
-    of Alt(n) normal in Sym(n), and ``normal_alternating_order`` decides it
-    from the projected generators.  (K also contains the commutator
-    subgroup, so such a projection is in fact always Alt(n); deciding it
-    from the generators checks the kernel that was computed.)  A block that
-    is not the full Sym(n) falls back to the stabilizer chain.  If even the
-    last component fails the recognition, the cutoff lies outside this
-    truncation and the report says so.
+    of Alt(n) normal in Sym(n) (every candidate is checked to be even on
+    every block), and ``normal_alternating_order`` decides it from the
+    projected generators.  (K also contains the commutator subgroup, so
+    such a projection is in fact always Alt(n); deciding it from the
+    generators checks the kernel that was computed.)  A block that is not
+    the full Sym(n), which ``check_subdirect`` rejects and so only a
+    hand-built telescope reaches here, falls back to the stabilizer chain.
+    If even the last component fails the recognition, the cutoff lies
+    outside this truncation and the report says so.
     """
-    symbols = list(tg.gen_names) + ["t"]
     gens = [tg.gen_tuple(i) for i in range(tg.generator_count)] + [tg.tau_tuple()]
     identity = tuple(Permutation.identity(c.extended_degree) for c in tg.components)
 
@@ -205,7 +200,7 @@ def alt_cutoff(tg):
     for ci, comp in enumerate(tg.components, start=1):
         degree = comp.extended_degree
         projections = [e[ci - 1] for e in kernel_gens]
-        if _is_symmetric(tg, ci - 1):
+        if _is_symmetric(comp):
             order = normal_alternating_order(degree, projections)
         else:
             order = PermGroup(projections or [Permutation.identity(degree)]).order()

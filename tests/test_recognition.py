@@ -1,8 +1,9 @@
-"""Sym/Alt recognition theorems against the stabilizer chain and sympy.
+"""Sym/Alt recognition against the stabilizer chain and sympy.
 
-``is_symmetric_by_transposition`` and ``normal_alternating_order`` decide
-their groups without a chain.  Here random groups are decided both ways:
-by the theorem, by ``PermGroup``'s chain, and by
+``certify._is_symmetric`` decides a block group from its base action's
+transitivity and ``normal_alternating_order`` decides a normal subgroup of
+Sym(n) inside Alt(n), both without a chain.  Here random groups are
+decided both ways: by the theorem, by ``PermGroup``'s chain, and by
 ``sympy.combinatorics`` (a test-only oracle).  ``check_subdirect`` and
 ``alt_cutoff`` are checked on random telescopes the same way, and on the
 shipped presets they must build no chain at all.
@@ -18,8 +19,7 @@ from sympy.combinatorics import PermutationGroup as SympyGroup
 import telescope.certify as certify
 import telescope.perm as perm
 from telescope.certify import alt_cutoff, check_subdirect, perfectness_scan
-from telescope.perm import (PermGroup, Permutation, is_symmetric_by_transposition,
-                            normal_alternating_order, transitivity)
+from telescope.perm import PermGroup, Permutation, normal_alternating_order, transitivity
 from telescope.selfsim import WreathRecursion, grigorchuk, gupta_sidki_3
 from telescope.tower import TelescopeGroup, build_telescope, extend_action
 
@@ -40,62 +40,37 @@ def permutations(draw, degree):
 
 
 @st.composite
-def groups_with_transposition(draw):
-    """(generators, p, q): a transitive group that contains (p q) among its
-    generators, often imprimitive and so not the full symmetric group.
-
-    Points fall into k blocks by residue mod k.  The n-cycle x -> x + 1 and
-    every drawn blockwise permutation keep those blocks, and (p q) joins two
-    points of one block, so unless a free permutation is drawn too the
-    group lies in Sym(n/k) wr Sym(k).
-    """
-    n = draw(st.integers(2, 9))
-    k = draw(st.sampled_from([d for d in range(1, n) if n % d == 0]))
-    size = n // k
-    gens = [Permutation([(x + 1) % n for x in range(n)])]
-    for _ in range(draw(st.integers(0, 2))):
-        blocks = draw(st.permutations(range(k)))
-        inner = [draw(st.permutations(range(size))) for _ in range(k)]
-        gens.append(Permutation([blocks[x % k] + k * inner[x % k][x // k]
-                                 for x in range(n)]))
+def extended_actions(draw):
+    """A base action on 1..6 points plus one fresh point.  Half the time the
+    first generator is the long cycle, so the base is transitive; otherwise
+    the generators are drawn freely and often leave it intransitive."""
+    degree = draw(st.integers(1, 6))
+    perms = [draw(permutations(degree)) for _ in range(draw(st.integers(1, 2)))]
     if draw(st.booleans()):
-        gens.append(draw(permutations(n)))
-    p = draw(st.integers(0, n - 1))
-    q = draw(st.sampled_from([y for y in range(n) if y != p and (y - p) % k == 0]
-                             or [y for y in range(n) if y != p]))
-    gens.append(Permutation.transposition(n, p, q))
-    return gens, p, q
+        perms[0] = Permutation([(x + 1) % degree for x in range(degree)])
+    return extend_action(perms, draw(st.integers(0, degree - 1)))
 
 
 class TestSymmetricRecognition:
     @PROPERTY
-    @given(groups_with_transposition())
-    def test_matches_chain_and_sympy(self, case):
-        gens, p, q = case
-        assert transitivity(gens)["transitive"]
-        decided = is_symmetric_by_transposition(gens, p, q)
+    @given(extended_actions())
+    def test_matches_chain_and_sympy(self, comp):
+        gens = list(comp.gen_images) + [comp.tau]
+        decided = certify._is_symmetric(comp)
         assert decided == PermGroup(gens).is_full_symmetric()
-        assert decided == (sympy_order(gens) == math.factorial(gens[0].degree))
+        assert decided == (sympy_order(gens) == math.factorial(comp.extended_degree))
 
-    def test_dihedral_of_order_eight_is_not_symmetric(self):
-        gens = [cyc(4, (0, 1)), cyc(4, (0, 2), (1, 3))]
-        assert transitivity(gens)["transitive"]
-        assert not is_symmetric_by_transposition(gens, 0, 1)
-        assert PermGroup(gens).order() == sympy_order(gens) == 8
+    def test_intransitive_base_is_not_symmetric(self):
+        # (0 1) on 4 points with tau = (0 4): the group is Sym({0, 1, 4})
+        comp = extend_action([cyc(4, (0, 1))], 0)
+        assert not certify._is_symmetric(comp)
+        gens = list(comp.gen_images) + [comp.tau]
+        assert PermGroup(gens).order() == sympy_order(gens) == 6
 
-    def test_transposition_and_long_cycle(self):
-        # (0 q) with the n-cycle generates Sym(n) exactly when gcd(q, n) = 1
-        for n in range(2, 10):
-            shift = Permutation([(x + 1) % n for x in range(n)])
-            for q in range(1, n):
-                gens = [shift, Permutation.transposition(n, 0, q)]
-                assert is_symmetric_by_transposition(gens, 0, q) == (math.gcd(q, n) == 1)
-
-    def test_needs_a_real_transposition(self):
-        with pytest.raises(ValueError):
-            is_symmetric_by_transposition([cyc(3, (0, 1))], 1, 1)
-        with pytest.raises(ValueError):
-            is_symmetric_by_transposition([cyc(3, (0, 1)), cyc(4, (0, 1))], 0, 1)
+    def test_one_point_base_gives_sym_two(self):
+        comp = extend_action([Permutation.identity(1)], 0)
+        assert certify._is_symmetric(comp)
+        assert PermGroup([comp.tau]).order() == 2
 
 
 def conjugacy_class(h):
@@ -150,21 +125,19 @@ class TestAlternatingRecognition:
         assert self.check(5, [cyc(5, (0, 1), (2, 3))]) == 60
         assert self.check(5, [cyc(5, (0, 1, 2, 3, 4))]) == 60
 
-    def test_odd_generator_rejected(self):
-        with pytest.raises(ValueError):
-            normal_alternating_order(4, [cyc(4, (0, 1))])
-
 
 @st.composite
-def telescopes(draw):
-    """Up to three components over k shared generators, each a transitive
-    base action (the first generator is a long cycle) plus one fresh point."""
+def telescopes(draw, transitive=True):
+    """Up to three components over k shared generators, each a base action
+    plus one fresh point.  Unless ``transitive`` is false the first
+    generator is a long cycle on every block, so every base is transitive."""
     k = draw(st.integers(1, 2))
     components = []
     for degree in sorted(draw(st.lists(st.integers(2, 6), min_size=1, max_size=3,
                                        unique=True))):
-        shift = Permutation([(x + 1) % degree for x in range(degree)])
-        perms = [shift] + [draw(permutations(degree)) for _ in range(k - 1)]
+        perms = [draw(permutations(degree)) for _ in range(k)]
+        if transitive:
+            perms[0] = Permutation([(x + 1) % degree for x in range(degree)])
         components.append(extend_action(perms, draw(st.integers(0, degree - 1))))
     return TelescopeGroup(tuple(components), tuple(f"g{i + 1}" for i in range(k)))
 
@@ -172,17 +145,27 @@ def telescopes(draw):
 class TestCertifyAgainstChain:
     @PROPERTY
     @given(telescopes())
+    def test_transitive_blocks_pass_with_cutoff_one(self, tg):
+        assert check_subdirect(tg).passed
+        report, cutoff, _ = alt_cutoff(tg)
+        assert report.passed and cutoff == 1
+
+    @PROPERTY
+    @given(telescopes(transitive=False))
     def test_subdirect_and_kernel_orders(self, tg):
         subdirect = check_subdirect(tg)
         report, cutoff, kernel_gens = alt_cutoff(tg)
         for ci, (sym, alt) in enumerate(zip(subdirect.witnesses, report.witnesses[1:])):
             chain = PermGroup(tg.component_generators(ci))
-            assert sym["order"] == chain.order()
-            assert sym["full_symmetric"] == chain.is_full_symmetric()
+            if "error" in sym:
+                assert not chain.is_full_symmetric()
+            else:
+                assert sym["order"] == chain.order()
+                assert sym["full_symmetric"] and chain.is_full_symmetric()
             degree = tg.components[ci].extended_degree
             projections = [e[ci] for e in kernel_gens] or [Permutation.identity(degree)]
             assert alt["kernel_projection_order"] == PermGroup(projections).order()
-        assert subdirect.passed and cutoff == 1
+        assert subdirect.passed == all("error" not in w for w in subdirect.witnesses)
 
     def test_intransitive_block_falls_back_to_the_chain(self):
         # the second block's base (0 1) on 4 points is not transitive, so its
@@ -195,15 +178,6 @@ class TestCertifyAgainstChain:
             PermGroup(projections).order() == 3
         assert not report.witnesses[2]["full_alternating"]
         assert cutoff is None and not report.passed
-
-    def test_unrecognized_block_reports_its_chain_order(self, monkeypatch):
-        tg = TelescopeGroup((extend_action([cyc(3, (0, 1, 2))], 2),), ("r",))
-        monkeypatch.setattr(certify, "is_symmetric_by_transposition",
-                            lambda gens, p, q: False)
-        report = check_subdirect(tg)
-        assert report.witnesses[0]["order"] == 24
-        assert not report.witnesses[0]["full_symmetric"]
-        assert not report.passed
 
     @pytest.mark.parametrize("rec, levels", [(grigorchuk(), [1, 2, 3, 4]),
                                              (gupta_sidki_3(), [1, 2, 3])])
