@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import re
 import sys
@@ -387,12 +388,13 @@ def cmd_word(config, text):
         return 2
     tg = tower.build_telescope(config.recursion, config.levels, config.basepoints)
     print(f"word: {str(word) or '1'}  (reduced length {len(word)})")
-    images = tg.evaluate(word)
-    for ci, image in enumerate(images, start=1):
+    orders = []
+    for ci, image in enumerate(tg.evaluate(word), start=1):
         sizes = sorted((len(c) for c in image.cycles()), reverse=True) or [1]
+        orders.append(image.order())
         print(f"component {ci}: {image.cycle_string()}  "
-              f"order {image.order()}  orbit sizes {sizes}")
-    order = tg.order_in_truncation(word)
+              f"order {orders[-1]}  orbit sizes {sizes}")
+    order = math.lcm(*orders)
     print(f"order in truncation: {order}")
     if len(word) >= 1:
         growth = config.recursion.torsion_growth(len(word))

@@ -11,12 +11,18 @@ anything.  Every other group-level query (order, membership) goes through
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 
 class Permutation:
-    """An immutable bijection of {0, ..., degree-1}, stored as its image tuple."""
+    """An immutable bijection of {0, ..., degree-1}, stored as its image tuple.
 
-    __slots__ = ("images", "_hash")
+    The public constructors validate their input; ``_trusted`` skips that for
+    results that are permutations by construction (products, inverses).
+    The hash and the cycle decomposition are computed once, on first use.
+    """
+
+    __slots__ = ("images", "_hash", "_cycles")
 
     def __init__(self, images):
         images = tuple(images)
@@ -28,6 +34,16 @@ class Permutation:
             seen[x] = True
         self.images = images
         self._hash = None
+        self._cycles = None
+
+    @classmethod
+    def _trusted(cls, images):
+        """A permutation from an image tuple known to be a bijection; unchecked."""
+        perm = object.__new__(cls)
+        perm.images = images
+        perm._hash = None
+        perm._cycles = None
+        return perm
 
     @classmethod
     def identity(cls, degree):
@@ -70,10 +86,10 @@ class Permutation:
             return NotImplemented
         if len(self.images) != len(other.images):
             raise ValueError("cannot compose permutations of different degrees")
-        return Permutation(_compose(self.images, other.images))
+        return Permutation._trusted(_compose(self.images, other.images))
 
     def inverse(self):
-        return Permutation(_inverse(self.images))
+        return Permutation._trusted(_inverse(self.images))
 
     def __pow__(self, n):
         if n < 0:
@@ -92,6 +108,8 @@ class Permutation:
 
     def cycles(self):
         """Nontrivial cycles, each starting at its smallest point, sorted."""
+        if self._cycles is not None:
+            return self._cycles
         seen = set()
         out = []
         for start in range(len(self.images)):
@@ -105,7 +123,8 @@ class Permutation:
                 seen.add(point)
                 point = self.images[point]
             out.append(tuple(cycle))
-        return tuple(out)
+        self._cycles = tuple(out)
+        return self._cycles
 
     def order(self):
         """Least m >= 1 with p^m = identity: the lcm of the cycle lengths."""
@@ -126,7 +145,7 @@ class Permutation:
         """The same permutation on a larger domain, fixing the new top points."""
         if degree < len(self.images):
             raise ValueError("cannot shrink a permutation")
-        return Permutation(self.images + tuple(range(len(self.images), degree)))
+        return Permutation._trusted(self.images + tuple(range(len(self.images), degree)))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -195,6 +214,10 @@ def normal_alternating_order(degree, generators):
 
 
 def _compose(p, q):
+    """Image tuple of ``p`` after ``q``.  With one index ``itemgetter`` returns a
+    bare item, not a tuple, so degrees 0 and 1 take the plain loop."""
+    if len(q) > 1:
+        return itemgetter(*q)(p)
     return tuple(p[x] for x in q)
 
 

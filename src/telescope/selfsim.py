@@ -5,20 +5,29 @@ the tuple ``(1, -2)`` stands for ``g1 * g2^{-1}``; code 0, the
 transposition, never occurs here.  Words are only ever freely reduced;
 group identities become visible through the recursion itself.
 
+Every decision goes through one wreath decomposition,
+``split(w) = (top, sections)``, psi(w) = (w|0, ..., w|d-1) pi (Nekrashevych,
+*Self-Similar Groups*, 2005, 1.3), memoized per recursion next to the
+triviality, order and level caches.  Caches live as long as their
+recursion; nothing is shared between recursions.
+
 Equality and element orders are exact.  Both rely on the recursion being
 contracting (sections of long words eventually shrink), which the caller
 asserts when building a recursion; a step budget makes a bad recursion
-fail loudly instead of spinning.
+fail loudly instead of spinning.  Orders are cached by a conjugacy key
+(conjugates and inverses have equal orders), and balls skip letters that
+can only give duplicates; both are explained where they are used.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
-from .perm import Permutation
-from .words import (compose_signed, evaluate_signed, invert_signed, letter_images,
-                    parse_signed, reduce_signed)
+from .perm import Permutation, _compose
+from .words import compose_signed, invert_signed, letter_images, parse_signed, reduce_signed
 
 
 class NotContracting(ValueError):
@@ -85,6 +94,12 @@ class WreathRecursion:
         # letter code -> its image tuple on the root's children
         _, self._root = letter_images([s for g in range(1, k + 1) for s in (g, -g)],
                                       root_perms)
+        # letter code -> its section at each child; g^-1 at x is (g at g^-1(x))^-1
+        self._letter_sections = {}
+        for g, row in enumerate(sections, start=1):
+            self._letter_sections[g] = row
+            self._letter_sections[-g] = tuple(invert_signed(row[up]) for up in self._root[-g])
+        self._splits = {}
         self._trivial = {}
         self._orders = {}
         self._levels = {}
@@ -99,27 +114,29 @@ class WreathRecursion:
 
     # -- the recursion itself ------------------------------------------------
 
-    def letter_section(self, letter, child):
-        if letter > 0:
-            return self.sections[letter - 1][child]
-        up = self._root[letter][child]
-        return invert_signed(self.sections[-letter - 1][up])
+    def split(self, word):
+        """The wreath decomposition psi(w) = (w|0, ..., w|d-1) pi of a signed word.
 
-    def top_images(self, word):
-        """Image tuple of the word's action on the d children of the root."""
-        return compose_signed(word, self._root, self.arity)
-
-    def section(self, word, child):
-        """The section of the word at one child (rightmost letters act first)."""
-        parts = []
-        current = child
+        Returns ``(top, sections)``: ``top`` is the image tuple of pi on the
+        root's children and ``sections[x]`` the reduced section w|x.  One pass
+        from the rightmost letter moves every child's point and collects the
+        letter's section there (w|x lists the leftmost letter's section first).
+        Memoized per recursion.
+        """
+        cached = self._splits.get(word)
+        if cached is not None:
+            return cached
+        points = tuple(range(self.arity))
+        steps = []  # per letter, rightmost first: its section at each child's current point
         for letter in reversed(word):
-            parts.append(self.letter_section(letter, current))
-            current = self._root[letter][current]
-        out = []
-        for part in reversed(parts):
-            out.extend(part)
-        return reduce_signed(out)
+            at = itemgetter(*points)
+            steps.append(at(self._letter_sections[letter]))
+            points = at(self._root[letter])
+        steps.reverse()
+        columns = zip(*steps) if steps else [()] * self.arity
+        result = points, tuple(reduce_signed(chain.from_iterable(col)) for col in columns)
+        self._splits[word] = result
+        return result
 
     def level_action(self, level):
         """The permutations of the d^level vertices induced by each generator.
@@ -138,12 +155,17 @@ class WreathRecursion:
         else:
             below = self.level_action(level - 1)
             n = below.degree
-            perms = tuple(
-                Permutation([y * n + z
-                             for x, y in enumerate(self._root[gen + 1])
-                             for z in evaluate_signed(self.sections[gen][x],
-                                                      below.perms).images])
-                for gen in range(self.generator_count))
+            _, below_images = letter_images(self._root.keys(), below.perms)
+
+            def lift(gen):
+                images = []
+                for x, y in enumerate(self._root[gen]):
+                    offset = y * n
+                    images.extend([offset + z for z in compose_signed(
+                        self.sections[gen - 1][x], below_images, n)])
+                return Permutation._trusted(tuple(images))
+
+            perms = tuple(lift(gen) for gen in range(1, self.generator_count + 1))
         action = LevelAction(level=level, degree=self.arity ** level, perms=perms)
         self._levels[level] = action
         return action
@@ -176,12 +198,12 @@ class WreathRecursion:
             if steps > self.step_budget:
                 raise BudgetExceeded(
                     f"triviality closure exceeded {self.step_budget} states")
-            if self.top_images(current) != identity:
+            top, sections = self.split(current)
+            if top != identity:
                 self._trivial[current] = False
                 self._trivial[word] = False
                 return False
-            for child in range(self.arity):
-                section = self.section(current, child)
+            for section in sections:
                 if section and section not in seen and self._trivial.get(section) is not True:
                     seen.add(section)
                     stack.append(section)
@@ -200,13 +222,21 @@ class WreathRecursion:
         contributes c times the order of the product of the sections along
         it, and the order is the lcm of the contributions.
 
-        Section chains may revisit a pending word (Grigorchuk's b, c, d do).
+        Conjugates and inverses have equal orders, so every word is replaced
+        by a conjugacy key first: cyclically reduced, then the least rotation
+        of it or of its inverse.  The order cache and the pending frames are
+        keyed on it, so ab and ba, or a word and its inverse, are worked out
+        once.
+
+        Section chains may revisit a pending key (Grigorchuk's b, c, d do).
         A revisit reached only through length-1 cycles adds no constraint
         beyond the pending computation itself, so it contributes 1; values
         that relied on such a shortcut are provisional and are not cached
         until the pending frame resolves.  A revisit through a longer cycle
         would force the order to be a proper multiple of itself, so the
-        element is not torsion and we fail loudly.
+        element is not torsion and we fail loudly.  Both arguments use only
+        the revisited element's order, so they hold unchanged when the
+        revisit is a conjugate or an inverse of the pending word.
         """
         if not self.contracting:
             raise NotContracting("element orders need a contracting recursion")
@@ -215,6 +245,7 @@ class WreathRecursion:
         multipliers = []  # multipliers[d]: cycle length frame d is descending with
 
         def rec(w):
+            w = _conjugacy_key(w)
             cached = self._orders.get(w)
             if cached is not None:
                 return cached, math.inf
@@ -234,7 +265,7 @@ class WreathRecursion:
             depth = len(multipliers)
             depth_of[w] = depth
             multipliers.append(1)
-            top = self.top_images(w)
+            top, sections = self.split(w)
             seen = set()
             result = 1
             lowest_link = math.inf
@@ -248,10 +279,7 @@ class WreathRecursion:
                     cycle.append(point)
                     seen.add(point)
                     point = top[point]
-                parts = [self.section(w, p) for p in cycle]
-                around = []
-                for part in reversed(parts):
-                    around.extend(part)
+                around = [s for p in reversed(cycle) for s in sections[p]]
                 multipliers[depth] = len(cycle)
                 sub, link = rec(reduce_signed(around))
                 lowest_link = min(lowest_link, link)
@@ -275,6 +303,16 @@ class WreathRecursion:
         are bucketed by their action on the first level with at least 64
         vertices and bucket collisions are settled by ``equal``, so the result
         does not depend on that level.
+
+        Two kinds of candidates are skipped without a bucket lookup, because
+        each is equal to a word already kept and would be rejected anyway:
+        a letter equal in the group to an earlier letter (Grigorchuk's a^-1
+        = a), since the word with the earlier letter was tried first; and a
+        letter whose product with the word's last letter is trivial, since
+        the word then equals its own prefix.  Both facts are decided from the
+        bucketing images first, and by ``equal``/``is_trivial`` only when the
+        images agree, which is exactly when the full search would compare
+        them too.  The representatives and their order are unchanged.
         """
         if radius < 0:
             raise ValueError("ball radius must be non-negative")
@@ -290,6 +328,12 @@ class WreathRecursion:
         action = self.level_action(hash_level)
         _, images_of = letter_images(letters, action.perms)
         identity = tuple(range(action.degree))
+        if radius:
+            letters = [letter for i, letter in enumerate(letters)
+                       if not any(images_of[letter] == images_of[earlier]
+                                  and self.equal((letter,), (earlier,))
+                                  for earlier in letters[:i])]
+        undoes = {}  # (last letter, letter) -> whether the pair cancels in the group
         reps = [()]
         images = {(): identity}
         buckets = {identity: [()]}
@@ -299,10 +343,18 @@ class WreathRecursion:
             for word in frontier:
                 base = images[word]
                 for letter in letters:
-                    if word and word[-1] == -letter:
-                        continue
+                    if word:
+                        pair = (word[-1], letter)
+                        cancels = undoes.get(pair)
+                        if cancels is None:
+                            cancels = undoes[pair] = (
+                                pair[0] == -letter
+                                or (_compose(images_of[pair[0]], images_of[letter]) == identity
+                                    and self.is_trivial(pair)))
+                        if cancels:
+                            continue
                     grown = word + (letter,)
-                    image = tuple(base[x] for x in images_of[letter])
+                    image = _compose(base, images_of[letter])
                     bucket = buckets.get(image)
                     if bucket is not None:
                         if any(self.equal(grown, rep) for rep in bucket):
@@ -325,6 +377,25 @@ class WreathRecursion:
     def __repr__(self):
         return (f"WreathRecursion(arity={self.arity}, "
                 f"generators={'/'.join(self.names)})")
+
+
+def _conjugacy_key(word):
+    """A key shared by a reduced word, its cyclic conjugates and its inverse.
+
+    The word is cyclically reduced, then the least rotation of it or of its
+    inverse is taken; only rotations that start with the least letter can be
+    that one.
+    """
+    start, end = 0, len(word)
+    while end - start >= 2 and word[start] == -word[end - 1]:
+        start += 1
+        end -= 1
+    core = tuple(word[start:end])
+    if not core:
+        return core
+    low = min(min(core), -max(core))
+    return min(w[i:] + w[:i] for w in (core, invert_signed(core))
+               for i, s in enumerate(w) if s == low)
 
 
 def grigorchuk():

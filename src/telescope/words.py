@@ -222,7 +222,7 @@ def evaluate_signed(codes, gen_perms, tau=None):
     degree, images = letter_images(codes, gen_perms, tau)
     if degree is None:
         raise ValueError("evaluation needs at least one assigned permutation")
-    return Permutation(compose_signed(codes, images, degree))
+    return Permutation._trusted(compose_signed(codes, images, degree))
 
 
 def evaluate_word(word, gen_perms, tau=None):

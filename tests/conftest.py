@@ -10,6 +10,7 @@ import re
 from pathlib import Path
 
 from telescope.perm import Permutation
+from telescope.selfsim import WreathRecursion
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -39,6 +40,15 @@ def brute_closure(generators):
                     new.append(product)
         frontier = new
     return elements
+
+
+def custom_arity_3():
+    """A recursion whose sections carry inverse letters and words of length 2."""
+    return WreathRecursion(
+        arity=3, names=("x", "y"),
+        root_perms=(Permutation((1, 2, 0)), Permutation((1, 0, 2))),
+        sections=(((-2,), (1, -2), ()), ((2, -1), (), (-1,))),
+        contracting=False)
 
 
 def level_image(rec, word, level):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import brute_closure
-from telescope.perm import PermGroup, Permutation, orbit
+from telescope.perm import PermGroup, Permutation, _compose, orbit
 
 
 def cyc(degree, *cycles):
@@ -32,6 +32,32 @@ class TestPermutation:
     def test_not_a_bijection(self):
         with pytest.raises(ValueError):
             Permutation((0, 0, 2))
+        with pytest.raises(ValueError):
+            Permutation((0, 0))
+
+    def test_raw_compose_at_degrees_zero_and_one(self):
+        # itemgetter with a single index returns a bare item, not a tuple
+        assert _compose((), ()) == ()
+        assert _compose((0,), (0,)) == (0,)
+        assert _compose((1, 0), (1, 0)) == (0, 1)
+
+    def test_degree_one(self):
+        one = Permutation((0,))
+        assert (one * one).images == (0,)
+        assert one.inverse() == one and hash(one.inverse()) == hash(one)
+        assert one.extended(3) == Permutation.identity(3)
+
+    def test_unchecked_results_match_checked_ones(self):
+        p, q = cyc(6, (0, 3, 1), (2, 5)), cyc(6, (1, 4))
+        for result in (p * q, p.inverse(), p.extended(8)):
+            assert result == Permutation(result.images)
+            assert hash(result) == hash(Permutation(result.images))
+
+    def test_cycles_walked_once(self):
+        p = cyc(7, (0, 3, 1), (2, 5))
+        assert p.cycles() is p.cycles()
+        assert p.cycle_string() == "(0 3 1)(2 5)"
+        assert p.order() == 6 and p.sign() == -1
 
     def test_degree_zero(self):
         empty = Permutation(())

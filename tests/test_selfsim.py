@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import level_image
+from conftest import custom_arity_3, level_image
 from telescope.perm import Permutation
 from telescope.selfsim import (BudgetExceeded, NotContracting, WreathRecursion,
                                grigorchuk, gupta_sidki_3, invert_signed,
@@ -37,15 +37,6 @@ def walk(rec, word, vertex):
             section = tuple(-s for s in reversed(rec.sections[gen][y]))
         vertex = (y,) + walk(rec, section, vertex[1:])
     return vertex
-
-
-def custom_arity_3():
-    """A recursion whose sections carry inverse letters and words of length 2."""
-    return WreathRecursion(
-        arity=3, names=("x", "y"),
-        root_perms=(Permutation((1, 2, 0)), Permutation((1, 0, 2))),
-        sections=(((-2,), (1, -2), ()), ((2, -1), (), (-1,))),
-        contracting=False)
 
 
 class TestLevelActions:
