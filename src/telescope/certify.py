@@ -1,6 +1,10 @@
 """Product-level certification: subdirectness onto full symmetric groups,
 tail injectivity probes, the sign-kernel alternating cutoff, perfectness
 scans, and deterministic certificate emission.
+
+Subdirectness and the alternating cutoff are decided by theorems from each
+block's base transitivity, without a stabilizer chain; only the perfectness
+scan builds chains.
 """
 
 from __future__ import annotations
@@ -10,10 +14,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .perm import PermGroup, Permutation, normal_alternating_order, transitivity
+from .perm import PermGroup, Permutation, transitivity
 from .reports import CheckReport
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _base_generators(component):
@@ -110,19 +114,17 @@ def _signed_str(tg, word):
 def sign_vectors(tg):
     """Componentwise signs of every generator tuple and the size they generate.
 
-    The image group sits inside {+1, -1}^t, so its size is a power of two,
-    computed by rank over GF(2).
+    ``vectors`` is a tuple aligned with the report's ``symbols``: one vector
+    per generator, then tau's (named "t").  The image group sits inside
+    {+1, -1}^t, so its size is a power of two, computed by rank over GF(2).
     """
     symbols = list(tg.gen_names) + ["t"]
     tuples = [tg.gen_tuple(i) for i in range(tg.generator_count)] + [tg.tau_tuple()]
-    vectors = {}
-    witnesses = []
-    for symbol, perms in zip(symbols, tuples):
-        vector = tuple(p.sign() for p in perms)
-        vectors[symbol] = vector
-        witnesses.append({"symbol": symbol, "signs": list(vector)})
+    vectors = tuple(tuple(p.sign() for p in perms) for perms in tuples)
+    witnesses = [{"symbol": symbol, "signs": list(vector)}
+                 for symbol, vector in zip(symbols, vectors)]
     basis = []
-    for vector in vectors.values():
+    for vector in vectors:
         bits = 0
         for i, s in enumerate(vector):
             if s < 0:
@@ -142,99 +144,54 @@ def sign_vectors(tg):
     return vectors, image_size, report
 
 
-def _tuple_mul(a, b):
-    return tuple(x * y for x, y in zip(a, b))
-
-
-def _tuple_sign(perms):
-    return tuple(p.sign() for p in perms)
-
-
 def alt_cutoff(tg):
-    """Least component index m so that beyond it the even-signed kernel
-    projects onto the full alternating groups.
+    """Least component index m so that beyond it the kernel K of the
+    componentwise sign map projects onto the full alternating groups.
 
-    The kernel K of the sign map is generated exactly by the Schreier
-    generators over a breadth-first coset transversal of the finite sign
-    image; trivial and repeated ones are dropped.  K is normal, so on a
-    block of degree n that is the full Sym(n) its projection is a subgroup
-    of Alt(n) normal in Sym(n) (every candidate is checked to be even on
-    every block), and ``normal_alternating_order`` decides it from the
-    projected generators.  (K also contains the commutator subgroup, so
-    such a projection is in fact always Alt(n); deciding it from the
-    generators checks the kernel that was computed.)  A block that is not
-    the full Sym(n), which ``check_subdirect`` rejects and so only a
-    hand-built telescope reaches here, falls back to the stabilizer chain.
-    If even the last component fails the recognition, the cutoff lies
-    outside this truncation and the report says so.
+    Gamma/K embeds in {+1, -1}^t, so it is abelian and K contains the
+    commutator subgroup [Gamma, Gamma].  Every element of K is even on every
+    block, so on a block where Gamma projects onto Sym(n), K projects into
+    Alt(n) and onto [Sym(n), Sym(n)] = Alt(n).  A block that is not the
+    full Sym(n), which ``check_subdirect`` rejects and so only a hand-built
+    telescope reaches here, has a group G containing the odd tau, so its
+    even part has order |G|/2 < n!/2 and the block is never full
+    alternating.
+    The cutoff is one past the last such block; if that is the last
+    component, the cutoff lies outside this truncation and the report says
+    so.  The ``kernel_generators`` parameter counts the kernel elements
+    this check built: none since format 3.
     """
-    gens = [tg.gen_tuple(i) for i in range(tg.generator_count)] + [tg.tau_tuple()]
-    identity = tuple(Permutation.identity(c.extended_degree) for c in tg.components)
-
-    transversal = {_tuple_sign(identity): identity}
-    queue = [identity]
-    while queue:
-        element = queue.pop(0)
-        for gen in gens:
-            grown = _tuple_mul(element, gen)
-            vector = _tuple_sign(grown)
-            if vector not in transversal:
-                transversal[vector] = grown
-                queue.append(grown)
-
-    kernel_gens = []
-    for vector in sorted(transversal):
-        rep = transversal[vector]
-        for gen in gens:
-            product = _tuple_mul(rep, gen)
-            counter = transversal[_tuple_sign(product)]
-            candidate = _tuple_mul(product, tuple(p.inverse() for p in counter))
-            if any(s != 1 for s in _tuple_sign(candidate)):
-                raise AssertionError("Schreier generator escaped the sign kernel")
-            if not all(p.is_identity() for p in candidate):
-                kernel_gens.append(candidate)
-    kernel_gens = list(dict.fromkeys(kernel_gens))  # first occurrences, in order
-
     witnesses = []
-    full_flags = []
+    cutoff = 1
     for ci, comp in enumerate(tg.components, start=1):
-        degree = comp.extended_degree
-        projections = [e[ci - 1] for e in kernel_gens]
+        row = {"component": ci, "extended_degree": comp.extended_degree}
         if _is_symmetric(comp):
-            order = normal_alternating_order(degree, projections)
+            order = math.factorial(comp.extended_degree) // 2
+            row.update(kernel_projection_order=order, alternating_order=order,
+                       full_alternating=True)
         else:
-            order = PermGroup(projections or [Permutation.identity(degree)]).order()
-        full = order == math.factorial(degree) // 2
-        full_flags.append(full)
-        witnesses.append({
-            "component": ci,
-            "extended_degree": degree,
-            "kernel_projection_order": order,
-            "alternating_order": math.factorial(degree) // 2,
-            "full_alternating": full,
-        })
-
-    cutoff = None
-    for index in range(len(full_flags), 0, -1):
-        if full_flags[index - 1]:
-            cutoff = index
-        else:
-            break
+            row.update(error="block is not the full symmetric group",
+                       full_alternating=False)
+            cutoff = ci + 1
+        witnesses.append(row)
+    if cutoff > len(tg.components):
+        cutoff = None
     passed = cutoff is not None
     if passed:
         witnesses.insert(0, {"cutoff": cutoff})
     else:
         witnesses.insert(0, {"error": "cutoff exceeds truncation"})
+    _, image_size, _ = sign_vectors(tg)
     return CheckReport(
         name="alt_cutoff",
         parameters={
             "components": len(tg.components),
-            "kernel_generators": len(kernel_gens),
-            "sign_image_size": len(transversal),
+            "kernel_generators": 0,
+            "sign_image_size": image_size,
         },
         passed=passed,
         witnesses=witnesses,
-    ), cutoff, kernel_gens
+    ), cutoff
 
 
 def check_perfect(group):

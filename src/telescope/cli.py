@@ -373,7 +373,7 @@ def cmd_verify(config, out_path=None):
     checks.append(certify.check_tail_injectivity(tg, config.ball_radius).as_dict())
     _, _, sign_report = certify.sign_vectors(tg)
     checks.append(sign_report.as_dict())
-    cutoff_report, cutoff, _ = certify.alt_cutoff(tg)
+    cutoff_report, cutoff = certify.alt_cutoff(tg)
     checks.append(cutoff_report.as_dict())
     checks.append(certify.perfectness_scan(tg).as_dict())
 

@@ -2,10 +2,9 @@
 
 Permutations act on ``{0, ..., degree-1}`` on the left: ``(p * q)(x) =
 p(q(x))``, so in any product the rightmost factor is applied first.
-``normal_alternating_order`` decides a subgroup of Alt(n) normal in
-Sym(n) by the classification of such subgroups, without building
-anything.  Every other group-level query (order, membership) goes through
-``PermGroup``'s deterministic Schreier-Sims stabilizer chain.  All orders are exact Python integers.
+Group-level queries (order, membership) go through ``PermGroup``'s
+deterministic Schreier-Sims stabilizer chain.  All orders are exact Python
+integers.
 """
 
 from __future__ import annotations
@@ -193,24 +192,6 @@ def transitivity(generators):
     size = len(orbit(generators, 0))
     degree = generators[0].degree
     return {"orbit_of_0": size, "degree": degree, "transitive": size == degree}
-
-
-def normal_alternating_order(degree, generators):
-    """Order of the group generated by ``generators``, given that it is a
-    subgroup of Alt(degree) normal in Sym(degree).
-
-    The normal subgroups of Sym(n) inside Alt(n) are 1 and Alt(n), and for
-    n = 4 also the Klein four-group V4, whose elements are the identity and
-    the three double transpositions.  So the group is Alt(n) once some
-    generator is nontrivial, and for n = 4 once some generator is a 3-cycle.
-    Evenness and normality are the caller's guarantee; neither is checked.
-    """
-    moved = [g for g in generators if not g.is_identity()]
-    if not moved:
-        return 1
-    if degree == 4 and all(g.order() != 3 for g in moved):
-        return 4
-    return math.factorial(degree) // 2
 
 
 def _compose(p, q):

@@ -126,12 +126,6 @@ class TelescopeGroup:
         import math
         return math.lcm(*(p.order() for p in self.evaluate(word)))
 
-    def truncated(self, count):
-        """The telescope on the first ``count`` components."""
-        if not 1 <= count <= len(self.components):
-            raise ValueError("truncation length out of range")
-        return TelescopeGroup(self.components[:count], self.gen_names, self.rec)
-
 
 def transitivity_report(rec, levels):
     """Check that every requested level action is transitive."""

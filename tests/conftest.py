@@ -1,8 +1,9 @@
 """Shared test oracles and the acceptance-summary hook.
 
 The oracles here deliberately avoid the library's own code paths: group
-closure is plain breadth-first multiplication over image tuples, and
-element orders come from explicit permutation images at a deep tree level.
+closure is plain breadth-first multiplication over image tuples, element
+orders come from explicit permutation images at a deep tree level, and the
+kernel of the componentwise sign map is built from Schreier generators.
 """
 
 import os
@@ -61,6 +62,52 @@ def level_image(rec, word, level):
             perm = perm.inverse()
         result = result * perm
     return result
+
+
+def _tuple_mul(a, b):
+    return tuple(x * y for x, y in zip(a, b))
+
+
+def _tuple_sign(perms):
+    return tuple(p.sign() for p in perms)
+
+
+def schreier_sign_kernel(tg):
+    """Generators of the kernel K of the componentwise sign map, built
+    explicitly: a breadth-first coset transversal of the finite sign image,
+    then every Schreier generator, trivial and repeated ones dropped.
+
+    Returns ``(transversal, kernel_gens)``: the transversal maps each sign
+    vector of the image to its representative, so its size is the image
+    size, and ``kernel_gens`` are tuples of block permutations generating K.
+    """
+    gens = [tg.gen_tuple(i) for i in range(tg.generator_count)] + [tg.tau_tuple()]
+    identity = tuple(Permutation.identity(c.extended_degree) for c in tg.components)
+
+    transversal = {_tuple_sign(identity): identity}
+    queue = [identity]
+    while queue:
+        element = queue.pop(0)
+        for gen in gens:
+            grown = _tuple_mul(element, gen)
+            vector = _tuple_sign(grown)
+            if vector not in transversal:
+                transversal[vector] = grown
+                queue.append(grown)
+
+    kernel_gens = []
+    for vector in sorted(transversal):
+        rep = transversal[vector]
+        for gen in gens:
+            product = _tuple_mul(rep, gen)
+            counter = transversal[_tuple_sign(product)]
+            candidate = _tuple_mul(product, tuple(p.inverse() for p in counter))
+            if any(s != 1 for s in _tuple_sign(candidate)):
+                raise AssertionError("Schreier generator escaped the sign kernel")
+            if not all(p.is_identity() for p in candidate):
+                kernel_gens.append(candidate)
+    kernel_gens = list(dict.fromkeys(kernel_gens))  # first occurrences, in order
+    return transversal, kernel_gens
 
 
 _criteria = {}

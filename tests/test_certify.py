@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import brute_closure
+from conftest import brute_closure, schreier_sign_kernel
 from telescope.certify import (Certificate, alt_cutoff, check_perfect,
                                check_subdirect, check_tail_injectivity,
                                component_table, emit_certificate,
@@ -92,49 +92,63 @@ class TestTailInjectivity:
 
 class TestSignVectors:
     def test_tau_is_all_odd(self, grig123):
-        vectors, _, _ = sign_vectors(grig123)
-        assert vectors["t"] == (-1, -1, -1)
+        vectors, _, report = sign_vectors(grig123)
+        assert report.parameters["symbols"][-1] == "t"
+        assert vectors[-1] == (-1, -1, -1)
 
     def test_grigorchuk_level_pair(self, grig):
         tg = build_telescope(grig, [1, 2])
         vectors, size, report = sign_vectors(tg)
-        assert vectors["a"] == (-1, 1)
+        assert vectors[0] == (-1, 1)
         assert report.passed
 
     def test_even_generator_is_all_plus(self, grig123):
         vectors, _, _ = sign_vectors(grig123)
-        assert vectors["d"][0] == 1  # d acts trivially on the first block
+        assert vectors[3][0] == 1  # d acts trivially on the first block
 
     def test_image_size_is_power_of_two(self, grig1234):
         _, size, _ = sign_vectors(grig1234)
         assert size == 16
 
     def test_full_vector_table(self, grig1234):
-        vectors, _, _ = sign_vectors(grig1234)
-        assert vectors == {
-            "a": (-1, 1, 1, 1),
-            "b": (1, -1, -1, 1),
-            "c": (1, -1, 1, -1),
-            "d": (1, 1, -1, -1),
-            "t": (-1, -1, -1, -1),
-        }
+        vectors, _, report = sign_vectors(grig1234)
+        assert report.parameters["symbols"] == ["a", "b", "c", "d", "t"]
+        assert vectors == (
+            (-1, 1, 1, 1),
+            (1, -1, -1, 1),
+            (1, -1, 1, -1),
+            (1, 1, -1, -1),
+            (-1, -1, -1, -1),
+        )
+
+    def test_generator_named_t_keeps_its_vector(self, grig1234):
+        # Grigorchuk with a renamed t: the generator's vector and tau's are
+        # both counted, as in the Schreier transversal of the sign image
+        renamed = TelescopeGroup(grig1234.components, ("t", "b", "c", "d"),
+                                 grig1234.rec)
+        vectors, size, report = sign_vectors(renamed)
+        assert report.parameters["symbols"] == ["t", "b", "c", "d", "t"]
+        assert vectors[0] == (-1, 1, 1, 1) and vectors[-1] == (-1, -1, -1, -1)
+        transversal, _ = schreier_sign_kernel(renamed)
+        assert size == len(transversal) == 16
+        assert alt_cutoff(renamed)[0].parameters["sign_image_size"] == 16
 
 
 class TestAltCutoff:
     def test_sym3_kernel_is_alt3(self):
         tg = single_component([cyc(2, (0, 1))], 0, ["g"])
-        report, cutoff, gens = alt_cutoff(tg)
+        report, cutoff = alt_cutoff(tg)
         assert report.passed and cutoff == 1
         assert report.witnesses[1]["kernel_projection_order"] == 3
 
     def test_sym4_kernel_is_alt4(self):
         tg = single_component([cyc(3, (0, 1, 2))], 2, ["r"])
-        report, cutoff, gens = alt_cutoff(tg)
+        report, cutoff = alt_cutoff(tg)
         assert cutoff == 1
         assert report.witnesses[1]["kernel_projection_order"] == 12
 
     def test_grigorchuk_cutoff_exists(self, grig1234):
-        report, cutoff, gens = alt_cutoff(grig1234)
+        report, cutoff = alt_cutoff(grig1234)
         assert report.passed
         assert cutoff is not None
         for witness in report.witnesses[1:]:
@@ -144,14 +158,16 @@ class TestAltCutoff:
                 assert witness["kernel_projection_order"] == expected
 
     def test_kernel_generators_are_all_even(self, grig1234):
-        _, _, gens = alt_cutoff(grig1234)
+        # the kernel alt_cutoff argues about, built explicitly by the oracle
+        _, gens = schreier_sign_kernel(grig1234)
+        assert alt_cutoff(grig1234)[0].parameters["kernel_generators"] == 0
         assert gens
         for element in gens:
             assert all(p.sign() == 1 for p in element)
 
     def test_cutoff_monotone_under_prefix(self, grig123, grig1234):
-        _, small_cut, _ = alt_cutoff(grig123)
-        _, large_cut, _ = alt_cutoff(grig1234)
+        _, small_cut = alt_cutoff(grig123)
+        _, large_cut = alt_cutoff(grig1234)
         assert small_cut == large_cut == 1
 
 
@@ -197,7 +213,7 @@ class TestCertificate:
     def test_roundtrip_and_digest(self):
         cert = emit_certificate(b"{}", [], self.make_checks(), 1, [])
         doc = json.loads(cert.to_bytes())
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
         assert doc["config_digest"] == (
             "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a")
         assert doc["alt_cutoff"] == 1

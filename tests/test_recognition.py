@@ -1,12 +1,13 @@
 """Sym/Alt recognition against the stabilizer chain and sympy.
 
 ``certify._is_symmetric`` decides a block group from its base action's
-transitivity and ``normal_alternating_order`` decides a normal subgroup of
-Sym(n) inside Alt(n), both without a chain.  Here random groups are
-decided both ways: by the theorem, by ``PermGroup``'s chain, and by
-``sympy.combinatorics`` (a test-only oracle).  ``check_subdirect`` and
-``alt_cutoff`` are checked on random telescopes the same way, and on the
-shipped presets they must build no chain at all.
+transitivity, without a chain.  Here random groups are decided both ways:
+by the theorem, by ``PermGroup``'s chain, and by ``sympy.combinatorics``
+(a test-only oracle).  ``check_subdirect`` is checked on random telescopes
+the same way.  ``alt_cutoff`` rests on K >= [Gamma, Gamma] for the sign
+kernel K; it is checked against ``schreier_sign_kernel``, which builds K
+from Schreier generators, with chain orders of its block projections.  On
+every input, ``check_subdirect`` and ``alt_cutoff`` must build no chain.
 """
 
 import math
@@ -18,8 +19,9 @@ from sympy.combinatorics import PermutationGroup as SympyGroup
 
 import telescope.certify as certify
 import telescope.perm as perm
-from telescope.certify import alt_cutoff, check_subdirect, perfectness_scan
-from telescope.perm import PermGroup, Permutation, normal_alternating_order, transitivity
+from conftest import schreier_sign_kernel
+from telescope.certify import alt_cutoff, check_subdirect, perfectness_scan, sign_vectors
+from telescope.perm import PermGroup, Permutation, transitivity
 from telescope.selfsim import WreathRecursion, grigorchuk, gupta_sidki_3
 from telescope.tower import TelescopeGroup, build_telescope, extend_action
 
@@ -73,59 +75,6 @@ class TestSymmetricRecognition:
         assert PermGroup([comp.tau]).order() == 2
 
 
-def conjugacy_class(h):
-    """Every conjugate of ``h`` in Sym(n): closure under conjugation by the
-    generators (0 1) and (0 1 ... n-1) of Sym(n)."""
-    n = h.degree
-    movers = [Permutation.transposition(n, 0, 1),
-              Permutation([(x + 1) % n for x in range(n)])]
-    found = {h}
-    frontier = [h]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in movers:
-                y = g * x * g.inverse()
-                if y not in found:
-                    found.add(y)
-                    new.append(y)
-        frontier = new
-    return sorted(found, key=lambda g: g.images)
-
-
-class TestAlternatingRecognition:
-    """Generators of a normal subgroup of Sym(n) inside Alt(n): the
-    conjugacy classes of some even permutations."""
-
-    def check(self, degree, seeds):
-        gens = [c for h in seeds for c in conjugacy_class(h)]
-        decided = normal_alternating_order(degree, gens)
-        chain = PermGroup(gens or [Permutation.identity(degree)])
-        assert decided == chain.order()
-        assert decided == sympy_order(gens or [Permutation.identity(degree)])
-        assert (decided == math.factorial(degree) // 2) == chain.is_full_alternating()
-        return decided
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(3, 6).flatmap(
-        lambda n: st.lists(permutations(n), min_size=1, max_size=2)))
-    def test_matches_chain_and_sympy(self, drawn):
-        degree = drawn[0].degree
-        self.check(degree, [g for g in drawn if g.sign() == 1])
-
-    def test_degree_four_klein_and_alternating(self):
-        assert self.check(4, [cyc(4, (0, 1), (2, 3))]) == 4
-        assert self.check(4, [cyc(4, (0, 1, 2))]) == 12
-        assert self.check(4, [cyc(4, (0, 1), (2, 3)), cyc(4, (1, 2, 3))]) == 12
-        assert self.check(4, []) == 1
-
-    def test_degrees_two_three_and_five(self):
-        assert normal_alternating_order(2, [Permutation.identity(2)]) == 1
-        assert self.check(3, [cyc(3, (0, 1, 2))]) == 3
-        assert self.check(5, [cyc(5, (0, 1), (2, 3))]) == 60
-        assert self.check(5, [cyc(5, (0, 1, 2, 3, 4))]) == 60
-
-
 @st.composite
 def telescopes(draw, transitive=True):
     """Up to three components over k shared generators, each a base action
@@ -142,54 +91,108 @@ def telescopes(draw, transitive=True):
     return TelescopeGroup(tuple(components), tuple(f"g{i + 1}" for i in range(k)))
 
 
+def two_block_example():
+    """Sym(3), then a block whose base (0 1) on 4 points is not transitive,
+    so its group is Sym({0, 1, 4}), not Sym(5)."""
+    return TelescopeGroup((extend_action([cyc(2, (0, 1))], 0),
+                           extend_action([cyc(4, (0, 1))], 0)), ("g",))
+
+
+def kernel_projection_orders(tg, kernel_gens):
+    """Chain orders of the block projections of the oracle's sign kernel."""
+    orders = []
+    for ci, comp in enumerate(tg.components):
+        projections = ([e[ci] for e in kernel_gens]
+                       or [Permutation.identity(comp.extended_degree)])
+        orders.append(PermGroup(projections).order())
+    return orders
+
+
+def assert_matches_sign_kernel_oracle(tg):
+    """``alt_cutoff`` against the explicit Schreier sign kernel: the cutoff,
+    every ``full_alternating`` flag, every Sym row's order, and the sign
+    image size (also ``sign_vectors``') against the transversal's."""
+    transversal, kernel_gens = schreier_sign_kernel(tg)
+    report, cutoff = alt_cutoff(tg)
+    full = []
+    for comp, row, order in zip(tg.components, report.witnesses[1:],
+                                kernel_projection_orders(tg, kernel_gens)):
+        full.append(order == math.factorial(comp.extended_degree) // 2)
+        assert row["full_alternating"] == full[-1]
+        if "error" not in row:
+            assert row["kernel_projection_order"] == order
+    assert cutoff == next((i + 1 for i in range(len(full)) if all(full[i:])), None)
+    assert report.parameters["sign_image_size"] == len(transversal)
+    assert sign_vectors(tg)[1] == len(transversal)
+
+
+@pytest.fixture
+def refuse_chain(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a stabilizer chain was built")
+    monkeypatch.setattr(perm._StabilizerChain, "__init__", refuse)
+
+
 class TestCertifyAgainstChain:
     @PROPERTY
     @given(telescopes())
     def test_transitive_blocks_pass_with_cutoff_one(self, tg):
         assert check_subdirect(tg).passed
-        report, cutoff, _ = alt_cutoff(tg)
+        report, cutoff = alt_cutoff(tg)
         assert report.passed and cutoff == 1
+        assert_matches_sign_kernel_oracle(tg)
 
     @PROPERTY
     @given(telescopes(transitive=False))
     def test_subdirect_and_kernel_orders(self, tg):
         subdirect = check_subdirect(tg)
-        report, cutoff, kernel_gens = alt_cutoff(tg)
-        for ci, (sym, alt) in enumerate(zip(subdirect.witnesses, report.witnesses[1:])):
+        for ci, sym in enumerate(subdirect.witnesses):
             chain = PermGroup(tg.component_generators(ci))
             if "error" in sym:
                 assert not chain.is_full_symmetric()
             else:
                 assert sym["order"] == chain.order()
                 assert sym["full_symmetric"] and chain.is_full_symmetric()
-            degree = tg.components[ci].extended_degree
-            projections = [e[ci] for e in kernel_gens] or [Permutation.identity(degree)]
-            assert alt["kernel_projection_order"] == PermGroup(projections).order()
         assert subdirect.passed == all("error" not in w for w in subdirect.witnesses)
+        assert_matches_sign_kernel_oracle(tg)
 
     def test_intransitive_block_falls_back_to_the_chain(self):
-        # the second block's base (0 1) on 4 points is not transitive, so its
-        # group is not Sym(5) and the kernel projection needs the chain
-        tg = TelescopeGroup((extend_action([cyc(2, (0, 1))], 0),
-                             extend_action([cyc(4, (0, 1))], 0)), ("g",))
-        report, cutoff, kernel_gens = alt_cutoff(tg)
-        projections = [e[1] for e in kernel_gens]
-        assert report.witnesses[2]["kernel_projection_order"] == \
-            PermGroup(projections).order() == 3
-        assert not report.witnesses[2]["full_alternating"]
+        # the second block's group is not Sym(5); alt_cutoff decides it
+        # without a chain, and the oracle's kernel projects onto a group of
+        # order 3 there, far from Alt(5)
+        tg = two_block_example()
+        report, cutoff = alt_cutoff(tg)
+        assert kernel_projection_orders(tg, schreier_sign_kernel(tg)[1])[1] == 3
+        assert report.witnesses[2] == {
+            "component": 2, "extended_degree": 5,
+            "error": "block is not the full symmetric group",
+            "full_alternating": False}
         assert cutoff is None and not report.passed
+        assert_matches_sign_kernel_oracle(tg)
+
+    def test_oracle_catches_a_wrong_symmetric_decision(self, monkeypatch):
+        monkeypatch.setattr(certify, "_is_symmetric", lambda comp: True)
+        with pytest.raises(AssertionError):
+            assert_matches_sign_kernel_oracle(two_block_example())
+
+    @pytest.mark.parametrize("rec, levels", [(grigorchuk(), [1, 2, 3, 4, 5]),
+                                             (gupta_sidki_3(), [1, 2, 3])])
+    def test_presets_match_the_sign_kernel_oracle(self, rec, levels):
+        assert_matches_sign_kernel_oracle(build_telescope(rec, levels))
 
     @pytest.mark.parametrize("rec, levels", [(grigorchuk(), [1, 2, 3, 4]),
                                              (gupta_sidki_3(), [1, 2, 3])])
-    def test_presets_build_no_stabilizer_chain(self, rec, levels, monkeypatch):
+    def test_presets_build_no_stabilizer_chain(self, rec, levels, refuse_chain):
         tg = build_telescope(rec, levels)
-
-        def refuse(*args):
-            raise AssertionError("a stabilizer chain was built")
-        monkeypatch.setattr(perm._StabilizerChain, "__init__", refuse)
         assert check_subdirect(tg).passed
-        report, cutoff, _ = alt_cutoff(tg)
+        report, cutoff = alt_cutoff(tg)
         assert report.passed and cutoff == 1
+
+    def test_intransitive_example_builds_no_stabilizer_chain(self, refuse_chain):
+        tg = two_block_example()
+        assert not check_subdirect(tg).passed
+        report, cutoff = alt_cutoff(tg)
+        assert cutoff is None and not report.passed
 
 
 class TestPerfectnessShortcut:
