@@ -2,8 +2,11 @@
 tail injectivity probes, the sign-kernel alternating cutoff, perfectness
 scans, and deterministic certificate emission.
 
-Subdirectness and the alternating cutoff are decided by theorems from each
-block's base transitivity, without a stabilizer chain; only the perfectness
+Every component's base action is transitive (``tower.ExtendedAction``
+checks it on construction), so every block group is the full symmetric
+group and the sign kernel projects onto the full alternating group on
+every block.  Subdirectness and the alternating cutoff read those
+theorems off without a stabilizer chain or an orbit; only the perfectness
 scan builds chains.
 """
 
@@ -14,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .perm import PermGroup, Permutation, transitivity
+from .perm import PermGroup, Permutation
 from .reports import CheckReport
 
 FORMAT_VERSION = 3
@@ -26,45 +29,25 @@ def _base_generators(component):
     return [Permutation(p.images[:n]) for p in component.gen_images]
 
 
-def _is_symmetric(comp):
-    """Whether a block's group, its generator images plus tau = (p q) with
-    p the basepoint and q the fresh point, is the full symmetric group.
-
-    Every generator image fixes q.  If the base action is transitive, some
-    base element g sends p to any base point x, and g tau g^-1 = (x q) lies
-    in the group; these transpositions form a star on all points and
-    generate the full symmetric group.  If it is not transitive, the orbit
-    of q is q plus the base orbit of p, so the group is not even transitive.
-    """
-    return transitivity(_base_generators(comp))["transitive"]
-
-
 def check_subdirect(tg):
     """Each block projection must be the full symmetric group of its degree.
 
-    By ``_is_symmetric`` that holds exactly when the base action is
-    transitive (the precondition of the fresh-point extension), and the
-    block then reports order m!.  A non-transitive base is reported as a
-    precondition failure naming the component.
+    A block's group is its generator images, which fix the fresh point q,
+    plus tau = (p q) with p the basepoint.  The base action is transitive
+    (a component's invariant), so some base element g sends p to any base
+    point x, and g tau g^-1 = (x q) lies in the group; these transpositions
+    form a star on all points and generate Sym(m), of order m!.
     """
-    witnesses = []
-    passed = True
-    for ci, comp in enumerate(tg.components, start=1):
-        if not _is_symmetric(comp):
-            witnesses.append({"component": ci,
-                              "error": "base action is not transitive"})
-            passed = False
-            continue
-        witnesses.append({
-            "component": ci,
-            "extended_degree": comp.extended_degree,
-            "order": math.factorial(comp.extended_degree),
-            "full_symmetric": True,
-        })
+    witnesses = [{
+        "component": ci,
+        "extended_degree": comp.extended_degree,
+        "order": math.factorial(comp.extended_degree),
+        "full_symmetric": True,
+    } for ci, comp in enumerate(tg.components, start=1)]
     return CheckReport(
         name="subdirect",
         parameters={"components": len(tg.components)},
-        passed=passed,
+        passed=True,
         witnesses=witnesses,
     )
 
@@ -150,37 +133,17 @@ def alt_cutoff(tg):
 
     Gamma/K embeds in {+1, -1}^t, so it is abelian and K contains the
     commutator subgroup [Gamma, Gamma].  Every element of K is even on every
-    block, so on a block where Gamma projects onto Sym(n), K projects into
-    Alt(n) and onto [Sym(n), Sym(n)] = Alt(n).  A block that is not the
-    full Sym(n), which ``check_subdirect`` rejects and so only a hand-built
-    telescope reaches here, has a group G containing the odd tau, so its
-    even part has order |G|/2 < n!/2 and the block is never full
-    alternating.
-    The cutoff is one past the last such block; if that is the last
-    component, the cutoff lies outside this truncation and the report says
-    so.  The ``kernel_generators`` parameter counts the kernel elements
-    this check built: none since format 3.
+    block, and every block group is Sym(n) (``check_subdirect``), so K
+    projects into Alt(n) and onto [Sym(n), Sym(n)] = Alt(n) on every block:
+    the cutoff is 1.  The ``kernel_generators`` parameter counts the kernel
+    elements this check built: none since format 3.
     """
-    witnesses = []
-    cutoff = 1
+    witnesses = [{"cutoff": 1}]
     for ci, comp in enumerate(tg.components, start=1):
-        row = {"component": ci, "extended_degree": comp.extended_degree}
-        if _is_symmetric(comp):
-            order = math.factorial(comp.extended_degree) // 2
-            row.update(kernel_projection_order=order, alternating_order=order,
-                       full_alternating=True)
-        else:
-            row.update(error="block is not the full symmetric group",
-                       full_alternating=False)
-            cutoff = ci + 1
-        witnesses.append(row)
-    if cutoff > len(tg.components):
-        cutoff = None
-    passed = cutoff is not None
-    if passed:
-        witnesses.insert(0, {"cutoff": cutoff})
-    else:
-        witnesses.insert(0, {"error": "cutoff exceeds truncation"})
+        order = math.factorial(comp.extended_degree) // 2
+        witnesses.append({"component": ci, "extended_degree": comp.extended_degree,
+                          "kernel_projection_order": order, "alternating_order": order,
+                          "full_alternating": True})
     _, image_size, _ = sign_vectors(tg)
     return CheckReport(
         name="alt_cutoff",
@@ -189,9 +152,9 @@ def alt_cutoff(tg):
             "kernel_generators": 0,
             "sign_image_size": image_size,
         },
-        passed=passed,
+        passed=True,
         witnesses=witnesses,
-    ), cutoff
+    ), 1
 
 
 def check_perfect(group):

@@ -1,12 +1,13 @@
 """Command-line front end: config ingestion, the verification pipeline,
 human-readable reporting, and certificate persistence.
 
-Configs are strict JSON: unknown keys are rejected so a typo cannot
-silently weaken a certificate.  Fixed config plus fixed seed reproduces
+Configs are strict JSON: unknown and duplicate keys are rejected so a typo
+cannot silently weaken a certificate.  Fixed config plus fixed seed reproduces
 identical stdout and byte-identical certificate files.
 
 Exit codes: 0 pass, 1 a check failed, 2 config or usage error, 3 a
-computation ran out of its budget (a non-contracting or non-torsion input).
+computation ran out of its budget (a non-contracting or non-torsion input,
+or a level with more vertices than the step budget).
 """
 
 from __future__ import annotations
@@ -63,6 +64,16 @@ def _expect_keys(mapping, required, optional, where):
     for key in required:
         if key not in mapping:
             raise ConfigError(f"missing key {key!r} in {where}")
+
+
+def _unique_keys(pairs):
+    """``object_pairs_hook`` for ``json.loads``: a key may occur once per object."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
 
 
 _CYCLES_RE = re.compile(r"\s*(?:\(\s*(?:\d+\s*)*\)\s*)*")
@@ -140,7 +151,7 @@ def load_config(path):
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
@@ -168,7 +179,9 @@ def load_config(path):
     else:
         raise ConfigError('basepoints must be "identity" or a list of naturals')
     for level, point in zip(levels, basepoints):
-        if point >= recursion.arity ** level:
+        # arity ** level > point once level reaches point's bit length, so
+        # the power is formed only for small levels
+        if level < point.bit_length() and point >= recursion.arity ** level:
             raise ConfigError(f"basepoint {point} out of range for level {level}")
 
     ball_radius = doc.get("ball_radius", 2)

@@ -143,10 +143,16 @@ class WreathRecursion:
 
         Built from the level below by the recursion: a generator sends vertex
         ``x*d^(level-1) + v`` to ``root(x)*d^(level-1) + s(v)``, where ``s`` is
-        the level-(level-1) image of its section at child ``x``.
+        the level-(level-1) image of its section at child ``x``.  A level of
+        more than ``step_budget`` vertices raises BudgetExceeded.
         """
         if level < 1:
             raise ValueError("levels start at 1")
+        # arity >= 2, so a level past the budget's bit length is over budget
+        # and its vertex count is never formed
+        if level > self.step_budget.bit_length() or self.arity ** level > self.step_budget:
+            raise BudgetExceeded(
+                f"level {level} has more than {self.step_budget} vertices")
         cached = self._levels.get(level)
         if cached is not None:
             return cached

@@ -3,15 +3,18 @@
 Each component extends a finite transitive action by one fresh point q and
 the transposition tau = (p, q); the telescope group is generated, across
 all components at once, by the diagonal generator images and the tuple of
-transpositions.  Verifiers sweep whole components point by point, so
-extending the truncation only ever adds checks.
+transpositions.  A component checks that its base action is transitive
+when it is made, so every component in a telescope meets the
+construction's precondition and no later check decides it again.
+Verifiers sweep whole components point by point, so extending the
+truncation only ever adds checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .perm import Permutation, transitivity
+from .perm import Permutation, orbit, transitivity
 from .reports import CheckReport
 from .selfsim import LevelAction
 from .words import evaluate_signed, reduce_signed
@@ -22,7 +25,13 @@ from .words import evaluate_signed, reduce_signed
 
 @dataclass(frozen=True)
 class ExtendedAction:
-    """One component: a base action plus the fresh point and its transposition."""
+    """One component: a transitive base action plus the fresh point and its
+    transposition.
+
+    Construction rejects a base action that is not transitive.  The
+    generator images fix the fresh point, so the orbit of 0 stays in the
+    base; with no generator images only a one-point base is transitive.
+    """
 
     basepoint: int
     gen_images: tuple
@@ -40,6 +49,11 @@ class ExtendedAction:
         for p in self.gen_images:
             if p.degree != degree or p(extra) != extra:
                 raise ValueError("generator images must fix the fresh point")
+        reached = len(orbit(self.gen_images, 0)) if self.gen_images else 1
+        if reached != extra:
+            what = "base action" if self.level is None else f"level {self.level} action"
+            raise ValueError(f"{what} is not transitive: the orbit of 0 has "
+                             f"{reached} of {extra} points")
 
     @property
     def extended_degree(self):
@@ -57,7 +71,8 @@ class ExtendedAction:
 def extend_action(action, basepoint):
     """Append one fresh point to an action and adjoin tau = (basepoint, fresh).
 
-    ``action`` is a LevelAction or a plain sequence of permutations.
+    ``action`` is a LevelAction or a plain sequence of permutations; it
+    must be transitive (``ExtendedAction`` raises ValueError otherwise).
     """
     if isinstance(action, LevelAction):
         perms = action.perms
@@ -143,8 +158,8 @@ def transitivity_report(rec, levels):
 def build_telescope(rec, levels, basepoints=None):
     """Components from strictly increasing tree levels of one recursion.
 
-    Quotient sizes must strictly grow, hence the strict monotonicity; every
-    base action must be transitive (the fresh-point extension needs it).
+    Quotient sizes must strictly grow, hence the strict monotonicity; a
+    level whose action is not transitive makes ``extend_action`` raise.
     """
     levels = list(levels)
     if not levels:
@@ -156,13 +171,9 @@ def build_telescope(rec, levels, basepoints=None):
     basepoints = list(basepoints)
     if len(basepoints) != len(levels):
         raise ValueError("need exactly one basepoint per level")
-    components = []
-    for level, basepoint in zip(levels, basepoints):
-        action = rec.level_action(level)
-        if not transitivity(action.perms)["transitive"]:
-            raise ValueError(f"level {level} action is not transitive")
-        components.append(extend_action(action, basepoint))
-    return TelescopeGroup(tuple(components), rec.names, rec)
+    components = tuple(extend_action(rec.level_action(level), basepoint)
+                       for level, basepoint in zip(levels, basepoints))
+    return TelescopeGroup(components, rec.names, rec)
 
 
 # -- verifiers ----------------------------------------------------------------

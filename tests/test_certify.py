@@ -57,15 +57,6 @@ class TestSubdirect:
         orders = [w["order"] for w in report.witnesses]
         assert orders == [math.factorial(3), math.factorial(5), math.factorial(9)]
 
-    def test_intransitive_base_names_component(self):
-        # one-generator telescope whose second block has an intransitive base
-        intransitive = extend_action([cyc(4, (0, 1))], 0)
-        tg = TelescopeGroup((extend_action([cyc(2, (0, 1))], 0), intransitive), ("g",))
-        report = check_subdirect(tg)
-        assert not report.passed
-        bad = [w for w in report.witnesses if "error" in w]
-        assert bad and bad[0]["component"] == 2
-
 
 class TestTailInjectivity:
     def test_radius_zero_vacuous(self, grig123):

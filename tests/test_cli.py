@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,11 @@ def grig_config(tmp_path, **overrides):
     }
     doc.update(overrides)
     return write_config(tmp_path, doc)
+
+
+# one involution with trivial sections: transitive at level 1, not at level 2
+C2_INVOLUTION = {"arity": 2, "generators": ["g1"], "root_perms": {"g1": "(0 1)"},
+                 "sections": {"g1": ["", ""]}, "contracting": True}
 
 
 class TestParseCycles:
@@ -95,6 +101,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"group": "grigorchuk", "levels": [1, 2, 3], "levels": [1]}', "levels"),
+        ('{"group": "grigorchuk", "levels": [1],'
+         ' "word_sample": {"count": 1, "max_length": 1, "count": 2}}', "count"),
+        ('{"group": {"arity": 2, "generators": ["g1"], "root_perms": {"g1": "(0 1)"},'
+         ' "sections": {"g1": ["", ""], "g1": ["g1", ""]}, "contracting": true},'
+         ' "levels": [1]}', "g1"),
+    ], ids=["top", "word_sample", "sections"])
+    def test_duplicate_key_rejected(self, tmp_path, capsys, text, key):
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"duplicate key '{key}'"):
+            load_config(path)
+        assert main(["build", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: duplicate key '{key}'\n"
+
     def test_json_error_carries_line_number(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "group": "grigorchuk",\n  oops\n}')
@@ -149,6 +171,21 @@ def test_non_torsion_recursion_exits_3_without_traceback(tmp_path, capsys, argv)
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("levels", [[1, 40], [1, 10**30]])
+def test_level_past_the_budget_exits_3(tmp_path, levels):
+    # run under a 1.5 GB address-space cap: a level of 2^40 vertices must be
+    # refused by the step budget, not end in a MemoryError
+    path = write_config(tmp_path, {"group": "grigorchuk", "levels": levels})
+    cap = 1536 * 2**20
+    done = subprocess.run(
+        [sys.executable, "-m", "telescope", "build", "--config", str(path)],
+        capture_output=True, text=True, cwd=REPO, env=src_env(), timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert done.returncode == 3
+    assert done.stderr == (f"error: computation budget exceeded: level {levels[1]} "
+                           f"has more than 1000000 vertices\n")
 
 
 class TestSampler:
@@ -222,19 +259,22 @@ class TestCommands:
         assert [row["torsion_growth"] for row in doc["torsion_bound_table"]] == [2, 16, 16]
 
     def test_verify_intransitive_level_fails_closed(self, tmp_path, capsys):
-        # the C2 involution is transitive at level 1 but not at level 2
-        path = write_config(tmp_path, {
-            "group": {"arity": 2, "generators": ["g1"],
-                      "root_perms": {"g1": "(0 1)"},
-                      "sections": {"g1": ["", ""]},
-                      "contracting": True},
-            "levels": [1, 2],
-            "output_path": str(tmp_path / "cert.json")})
+        path = write_config(tmp_path, {"group": C2_INVOLUTION, "levels": [1, 2],
+                                       "output_path": str(tmp_path / "cert.json")})
         assert main(["verify", "--config", str(path)]) == 1
         doc = json.loads((tmp_path / "cert.json").read_text())
         statuses = {c["name"]: c["status"] for c in doc["checks"]}
         assert statuses["transitivity"] == "fail"
         assert statuses["subdirect"] == "skipped"
+
+    @pytest.mark.parametrize("argv", [["build"], ["word", "--word", "g1"]])
+    def test_build_and_word_on_intransitive_level_exit_2(self, tmp_path, capsys, argv):
+        path = write_config(tmp_path, {"group": C2_INVOLUTION, "levels": [1, 2]})
+        assert main([argv[0], "--config", str(path)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: level 2 action is not transitive: "
+                                "the orbit of 0 has 2 of 4 points\n")
 
     def test_certificate_embeds_sampler(self, tmp_path):
         out_path = tmp_path / "cert.json"

@@ -1,13 +1,18 @@
 """Sym/Alt recognition against the stabilizer chain and sympy.
 
-``certify._is_symmetric`` decides a block group from its base action's
-transitivity, without a chain.  Here random groups are decided both ways:
-by the theorem, by ``PermGroup``'s chain, and by ``sympy.combinatorics``
-(a test-only oracle).  ``check_subdirect`` is checked on random telescopes
-the same way.  ``alt_cutoff`` rests on K >= [Gamma, Gamma] for the sign
-kernel K; it is checked against ``schreier_sign_kernel``, which builds K
-from Schreier generators, with chain orders of its block projections.  On
-every input, ``check_subdirect`` and ``alt_cutoff`` must build no chain.
+A component's base action is transitive by construction: ``ExtendedAction``
+rejects any other.  From that invariant every block group is Sym(m) (a star
+of transpositions), so ``check_subdirect`` reports m! without a chain.
+Here freely drawn generators are checked three ways: construction succeeds
+exactly when a test-local BFS finds the base transitive, and then the
+reported order equals ``PermGroup``'s chain order and the order from
+``sympy.combinatorics`` (a test-only oracle).  ``alt_cutoff`` rests on
+K >= [Gamma, Gamma] for the sign kernel K; it is checked against
+``schreier_sign_kernel``, which builds K from Schreier generators, with
+chain orders of its block projections.  With the construction check
+patched away, an intransitive block slips through and that oracle must
+catch the wrong ``alt_cutoff`` row.  ``check_subdirect`` and ``alt_cutoff``
+must build no chain and compute no orbit.
 """
 
 import math
@@ -19,9 +24,10 @@ from sympy.combinatorics import PermutationGroup as SympyGroup
 
 import telescope.certify as certify
 import telescope.perm as perm
+import telescope.tower as tower
 from conftest import schreier_sign_kernel
 from telescope.certify import alt_cutoff, check_subdirect, perfectness_scan, sign_vectors
-from telescope.perm import PermGroup, Permutation, transitivity
+from telescope.perm import PermGroup, Permutation
 from telescope.selfsim import WreathRecursion, grigorchuk, gupta_sidki_3
 from telescope.tower import TelescopeGroup, build_telescope, extend_action
 
@@ -41,59 +47,76 @@ def permutations(draw, degree):
     return Permutation(draw(st.permutations(range(degree))))
 
 
+def base_is_transitive(perms):
+    """Test-local BFS from point 0 over the generators' image tuples."""
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for g in perms:
+            y = g.images[x]
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return len(seen) == perms[0].degree
+
+
 @st.composite
-def extended_actions(draw):
-    """A base action on 1..6 points plus one fresh point.  Half the time the
-    first generator is the long cycle, so the base is transitive; otherwise
-    the generators are drawn freely and often leave it intransitive."""
+def free_actions(draw):
+    """One or two freely drawn generators on 1..6 points and a basepoint;
+    the base is often not transitive."""
     degree = draw(st.integers(1, 6))
     perms = [draw(permutations(degree)) for _ in range(draw(st.integers(1, 2)))]
-    if draw(st.booleans()):
-        perms[0] = Permutation([(x + 1) % degree for x in range(degree)])
-    return extend_action(perms, draw(st.integers(0, degree - 1)))
+    return perms, draw(st.integers(0, degree - 1))
 
 
 class TestSymmetricRecognition:
     @PROPERTY
-    @given(extended_actions())
-    def test_matches_chain_and_sympy(self, comp):
+    @given(free_actions())
+    def test_matches_chain_and_sympy(self, drawn):
+        perms, basepoint = drawn
+        if not base_is_transitive(perms):
+            with pytest.raises(ValueError, match="not transitive"):
+                extend_action(perms, basepoint)
+            return
+        comp = extend_action(perms, basepoint)
+        tg = TelescopeGroup((comp,), tuple(f"g{i + 1}" for i in range(len(perms))))
+        report = check_subdirect(tg)
         gens = list(comp.gen_images) + [comp.tau]
-        decided = certify._is_symmetric(comp)
-        assert decided == PermGroup(gens).is_full_symmetric()
-        assert decided == (sympy_order(gens) == math.factorial(comp.extended_degree))
+        assert report.passed
+        assert report.witnesses[0]["order"] == PermGroup(gens).order() == sympy_order(gens)
 
-    def test_intransitive_base_is_not_symmetric(self):
-        # (0 1) on 4 points with tau = (0 4): the group is Sym({0, 1, 4})
-        comp = extend_action([cyc(4, (0, 1))], 0)
-        assert not certify._is_symmetric(comp)
-        gens = list(comp.gen_images) + [comp.tau]
-        assert PermGroup(gens).order() == sympy_order(gens) == 6
+    def test_intransitive_base_is_rejected(self):
+        # (0 1) on 4 points: the orbit of 0 is {0, 1}
+        with pytest.raises(ValueError, match="orbit of 0 has 2 of 4 points"):
+            extend_action([cyc(4, (0, 1))], 0)
 
     def test_one_point_base_gives_sym_two(self):
         comp = extend_action([Permutation.identity(1)], 0)
-        assert certify._is_symmetric(comp)
+        tg = TelescopeGroup((comp,), ("e",))
+        assert check_subdirect(tg).witnesses[0]["order"] == 2
         assert PermGroup([comp.tau]).order() == 2
 
 
 @st.composite
-def telescopes(draw, transitive=True):
+def telescopes(draw):
     """Up to three components over k shared generators, each a base action
-    plus one fresh point.  Unless ``transitive`` is false the first
-    generator is a long cycle on every block, so every base is transitive."""
+    plus one fresh point.  The first generator is a long cycle on every
+    block, so every base is transitive; the others are drawn freely."""
     k = draw(st.integers(1, 2))
     components = []
     for degree in sorted(draw(st.lists(st.integers(2, 6), min_size=1, max_size=3,
                                        unique=True))):
         perms = [draw(permutations(degree)) for _ in range(k)]
-        if transitive:
-            perms[0] = Permutation([(x + 1) % degree for x in range(degree)])
+        perms[0] = Permutation([(x + 1) % degree for x in range(degree)])
         components.append(extend_action(perms, draw(st.integers(0, degree - 1))))
     return TelescopeGroup(tuple(components), tuple(f"g{i + 1}" for i in range(k)))
 
 
 def two_block_example():
     """Sym(3), then a block whose base (0 1) on 4 points is not transitive,
-    so its group is Sym({0, 1, 4}), not Sym(5)."""
+    so its group would be Sym({0, 1, 4}), not Sym(5).  Construction rejects
+    it unless the check is patched away."""
     return TelescopeGroup((extend_action([cyc(2, (0, 1))], 0),
                            extend_action([cyc(4, (0, 1))], 0)), ("g",))
 
@@ -110,8 +133,8 @@ def kernel_projection_orders(tg, kernel_gens):
 
 def assert_matches_sign_kernel_oracle(tg):
     """``alt_cutoff`` against the explicit Schreier sign kernel: the cutoff,
-    every ``full_alternating`` flag, every Sym row's order, and the sign
-    image size (also ``sign_vectors``') against the transversal's."""
+    every ``full_alternating`` flag, every row's order, and the sign image
+    size (also ``sign_vectors``') against the transversal's."""
     transversal, kernel_gens = schreier_sign_kernel(tg)
     report, cutoff = alt_cutoff(tg)
     full = []
@@ -119,8 +142,7 @@ def assert_matches_sign_kernel_oracle(tg):
                                 kernel_projection_orders(tg, kernel_gens)):
         full.append(order == math.factorial(comp.extended_degree) // 2)
         assert row["full_alternating"] == full[-1]
-        if "error" not in row:
-            assert row["kernel_projection_order"] == order
+        assert row["kernel_projection_order"] == order
     assert cutoff == next((i + 1 for i in range(len(full)) if all(full[i:])), None)
     assert report.parameters["sign_image_size"] == len(transversal)
     assert sign_vectors(tg)[1] == len(transversal)
@@ -133,6 +155,15 @@ def refuse_chain(monkeypatch):
     monkeypatch.setattr(perm._StabilizerChain, "__init__", refuse)
 
 
+@pytest.fixture
+def refuse_orbit(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an orbit was computed")
+    for module in (perm, tower, certify):
+        for name in ("orbit", "transitivity"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+
+
 class TestCertifyAgainstChain:
     @PROPERTY
     @given(telescopes())
@@ -143,37 +174,24 @@ class TestCertifyAgainstChain:
         assert_matches_sign_kernel_oracle(tg)
 
     @PROPERTY
-    @given(telescopes(transitive=False))
+    @given(telescopes())
     def test_subdirect_and_kernel_orders(self, tg):
-        subdirect = check_subdirect(tg)
-        for ci, sym in enumerate(subdirect.witnesses):
+        for ci, sym in enumerate(check_subdirect(tg).witnesses):
             chain = PermGroup(tg.component_generators(ci))
-            if "error" in sym:
-                assert not chain.is_full_symmetric()
-            else:
-                assert sym["order"] == chain.order()
-                assert sym["full_symmetric"] and chain.is_full_symmetric()
-        assert subdirect.passed == all("error" not in w for w in subdirect.witnesses)
-        assert_matches_sign_kernel_oracle(tg)
-
-    def test_intransitive_block_falls_back_to_the_chain(self):
-        # the second block's group is not Sym(5); alt_cutoff decides it
-        # without a chain, and the oracle's kernel projects onto a group of
-        # order 3 there, far from Alt(5)
-        tg = two_block_example()
-        report, cutoff = alt_cutoff(tg)
-        assert kernel_projection_orders(tg, schreier_sign_kernel(tg)[1])[1] == 3
-        assert report.witnesses[2] == {
-            "component": 2, "extended_degree": 5,
-            "error": "block is not the full symmetric group",
-            "full_alternating": False}
-        assert cutoff is None and not report.passed
+            assert sym["order"] == chain.order()
+            assert sym["full_symmetric"] and chain.is_full_symmetric()
         assert_matches_sign_kernel_oracle(tg)
 
     def test_oracle_catches_a_wrong_symmetric_decision(self, monkeypatch):
-        monkeypatch.setattr(certify, "_is_symmetric", lambda comp: True)
+        # without the construction check the intransitive second block gets
+        # the theorem's rows, but the oracle's kernel projects onto a group
+        # of order 3 there, far from Alt(5)
+        monkeypatch.setattr(tower.ExtendedAction, "__post_init__", lambda self: None)
+        tg = two_block_example()
+        assert alt_cutoff(tg)[0].witnesses[2]["full_alternating"]
+        assert kernel_projection_orders(tg, schreier_sign_kernel(tg)[1])[1] == 3
         with pytest.raises(AssertionError):
-            assert_matches_sign_kernel_oracle(two_block_example())
+            assert_matches_sign_kernel_oracle(tg)
 
     @pytest.mark.parametrize("rec, levels", [(grigorchuk(), [1, 2, 3, 4, 5]),
                                              (gupta_sidki_3(), [1, 2, 3])])
@@ -182,17 +200,19 @@ class TestCertifyAgainstChain:
 
     @pytest.mark.parametrize("rec, levels", [(grigorchuk(), [1, 2, 3, 4]),
                                              (gupta_sidki_3(), [1, 2, 3])])
-    def test_presets_build_no_stabilizer_chain(self, rec, levels, refuse_chain):
+    def test_presets_build_no_stabilizer_chain(self, rec, levels, refuse_chain,
+                                               request):
         tg = build_telescope(rec, levels)
+        # construction checked transitivity; the checks compute no orbit
+        request.getfixturevalue("refuse_orbit")
         assert check_subdirect(tg).passed
         report, cutoff = alt_cutoff(tg)
         assert report.passed and cutoff == 1
 
     def test_intransitive_example_builds_no_stabilizer_chain(self, refuse_chain):
-        tg = two_block_example()
-        assert not check_subdirect(tg).passed
-        report, cutoff = alt_cutoff(tg)
-        assert cutoff is None and not report.passed
+        # construction decides transitivity by an orbit, not by a chain
+        with pytest.raises(ValueError, match="not transitive"):
+            two_block_example()
 
 
 class TestPerfectnessShortcut:

@@ -91,6 +91,16 @@ class TestLevelActions:
         with pytest.raises(ValueError):
             grig.level_action(0)
 
+    def test_level_past_the_step_budget_raises(self):
+        rec = WreathRecursion(
+            arity=2, names=("g",), root_perms=(Permutation((1, 0)),),
+            sections=(((), ()),), contracting=True, step_budget=100)
+        assert rec.level_action(6).degree == 64
+        with pytest.raises(BudgetExceeded, match="level 7"):
+            rec.level_action(7)
+        with pytest.raises(BudgetExceeded, match="level 1000000000000"):
+            rec.level_action(10**12)
+
 
 class TestEquality:
     def test_syntactic_equality(self, grig):

@@ -5,8 +5,8 @@ import pytest
 
 from telescope.perm import Permutation
 from telescope.selfsim import WreathRecursion, grigorchuk
-from telescope.tower import (TelescopeGroup, build_telescope, divides_factorial,
-                             extend_action, transitivity_report,
+from telescope.tower import (ExtendedAction, TelescopeGroup, build_telescope,
+                             divides_factorial, extend_action, transitivity_report,
                              verify_fundamental_general, verify_orbit_bound,
                              verify_torsion_bound, verify_trace_lemmas)
 from telescope.words import Letter, TAU, Word, parse_word
@@ -60,6 +60,14 @@ class TestExtendAction:
         with pytest.raises(ValueError):
             extend_action([Permutation((1, 0))], 2)
 
+    def test_no_generators_on_one_point(self):
+        ext = ExtendedAction(0, (), Permutation.transposition(2, 0, 1))
+        assert ext.base_degree == 1
+
+    def test_no_generators_on_three_points_rejected(self):
+        with pytest.raises(ValueError, match="not transitive: the orbit of 0 has 1 of 3"):
+            ExtendedAction(0, (), Permutation.transposition(4, 0, 3))
+
 
 class TestBuildTelescope:
     def test_single_level(self, grig):
@@ -91,7 +99,7 @@ class TestBuildTelescope:
         rec = WreathRecursion(
             arity=2, names=("e",), root_perms=(Permutation.identity(2),),
             sections=(((), ()),), contracting=True)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="level 1 action is not transitive"):
             build_telescope(rec, [1])
 
     def test_transitivity_report_flags_level_2(self):
