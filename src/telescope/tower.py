@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .perm import Permutation, orbit, transitivity
 from .reports import CheckReport
 from .selfsim import LevelAction
-from .words import evaluate_signed, reduce_signed
+from .words import LetterTable, compose_signed, reduce_signed
 
 # Component indices in parameters and witnesses are 1-based throughout, so
 # "component i" matches the i-th factor of the product.
@@ -31,12 +31,16 @@ class ExtendedAction:
     Construction rejects a base action that is not transitive.  The
     generator images fix the fresh point, so the orbit of 0 stays in the
     base; with no generator images only a one-point base is transitive.
+    ``letters`` is the component's letter table (tau, each generator, and
+    each inverse once it is first used), made once and shared by every
+    word evaluated on the component.
     """
 
     basepoint: int
     gen_images: tuple
     tau: Permutation
     level: object = None
+    letters: LetterTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         degree = self.tau.degree
@@ -54,6 +58,7 @@ class ExtendedAction:
             what = "base action" if self.level is None else f"level {self.level} action"
             raise ValueError(f"{what} is not transitive: the orbit of 0 has "
                              f"{reached} of {extra} points")
+        object.__setattr__(self, "letters", LetterTable(self.gen_images, self.tau))
 
     @property
     def extended_degree(self):
@@ -129,7 +134,8 @@ class TelescopeGroup:
 
     def evaluate_component(self, codes, ci):
         """Image of a signed code word on block ``ci`` (rightmost letter acting first)."""
-        return evaluate_signed(codes, self.components[ci].gen_images, self.components[ci].tau)
+        comp = self.components[ci]
+        return Permutation._trusted(compose_signed(codes, comp.letters, comp.extended_degree))
 
     def evaluate(self, word):
         """Componentwise image of a Word (rightmost letter acting first)."""
@@ -179,6 +185,13 @@ def build_telescope(rec, levels, basepoints=None):
 # -- verifiers ----------------------------------------------------------------
 
 
+def _check_component(tg, component):
+    if (isinstance(component, bool) or not isinstance(component, int)
+            or not 0 <= component < len(tg.components)):
+        raise ValueError(f"component index {component!r} outside "
+                         f"0..{len(tg.components) - 1}")
+
+
 def _atoms(tg, ci, gseq):
     """Component images of tau and of each generator-sequence entry."""
     tau = tg.components[ci].tau
@@ -208,13 +221,88 @@ def _block_permutation(tau, images):
     return result
 
 
+def _cycle_labels(perm):
+    """Per point: its cycle's name (the cycle's smallest point), its position
+    in that cycle and the cycle's length.  A fixed point is a cycle of
+    length 1 of its own."""
+    degree = perm.degree
+    name = list(range(degree))
+    position = [0] * degree
+    length = [1] * degree
+    for cycle in perm.cycles():
+        for index, point in enumerate(cycle):
+            name[point] = cycle[0]
+            position[point] = index
+            length[point] = len(cycle)
+    return name, position, length
+
+
+def _first_hits(tau, images, p, horizon, labels):
+    """``hits[j][x]``: the least i >= 1 such that the last i letters of
+    w(horizon, j) send x to p, or None when no terminal subword does.
+
+    ``labels`` are the ``_cycle_labels`` of the block t g1 ... t gk.  Read
+    from the word's end, w(horizon, j) is the partial tail g_j, t, ...,
+    g_1, t (walked directly), then ``horizon`` periods g_k, t, ..., g_1, t,
+    each of which acts as the block.  Let y_r be the point that the first r
+    atoms of a period send to p.  A point x that leaves the tail clear of p
+    meets p at 2k*m + r exactly when block^m(x) = y_r, and that m is x's
+    distance to y_r along its block cycle; the least such 2k*m + r with
+    m < horizon is the hit.  So a sweep costs O(degree * k) label lookups
+    plus the tails, whatever the horizon.
+    """
+    name, position, length = labels
+    k = len(images)
+    degree = tau.degree
+    undo = []  # inverses of a period's atoms, in acting order g_k, t, ..., g_1, t
+    for image in reversed(images):
+        undo += [image.inverse().images, tau.images]
+    pulls = []  # (r, y_r), r = 1..2k
+    for r in range(1, 2 * k + 1):
+        point = p
+        for inverse in reversed(undo[:r]):
+            point = inverse[point]
+        pulls.append((r, point))
+
+    periodic = []  # the first hit of each point entering the periodic part
+    for x in range(degree):
+        best = None
+        for r, y in pulls:
+            if name[y] == name[x]:
+                m = (position[y] - position[x]) % length[x]
+                hit = 2 * k * m + r
+                if m < horizon and (best is None or hit < best):
+                    best = hit
+        periodic.append(best)
+
+    hits = []
+    for j in range(k):
+        tail = [atom for jj in reversed(range(j)) for atom in (images[jj].images, tau.images)]
+        row = []
+        for x in range(degree):
+            current = x
+            for index, atom in enumerate(tail, start=1):
+                current = atom[current]
+                if current == p:
+                    row.append(index)
+                    break
+            else:
+                hit = periodic[current]
+                row.append(None if hit is None else len(tail) + hit)
+        hits.append(row)
+    return hits
+
+
 def verify_fundamental_general(tg, component, gseq, order_mode="global"):
     """Every point must return to itself within N*(k+1) block applications.
 
     For each point the least m >= 1 with  (t g1 ... t gk)^m . point = point
-    is its cycle length under the block permutation; the report lists the
-    (point, m) pairs and flags any that exceed the bound.
+    is its cycle length under the block permutation (1 for a fixed point),
+    read off the block's cycles in O(degree); the report lists the
+    (point, m) pairs and flags any that exceed the bound.  ``component``
+    is a 0-based index into ``tg.components``.
     """
+    _check_component(tg, component)
     gseq = list(gseq)
     if not gseq:
         raise ValueError("the generator sequence must be nonempty")
@@ -222,15 +310,10 @@ def verify_fundamental_general(tg, component, gseq, order_mode="global"):
     n = _sequence_order(tg, component, gseq, order_mode)
     bound = n * (k + 1)
     tau, images = _atoms(tg, component, gseq)
-    block = _block_permutation(tau, images)
+    _, _, lengths = _cycle_labels(_block_permutation(tau, images))
     witnesses = []
     passed = True
-    for point in range(block.degree):
-        m = 1
-        current = block(point)
-        while current != point:
-            current = block(current)
-            m += 1
+    for point, m in enumerate(lengths):
         entry = {"point": point, "m": m}
         if m > bound:
             entry["violation"] = True
@@ -261,7 +344,21 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
     3. a point whose trace hits p has two indices m1 < m2 < N(k+1) and some
        j' with  w(N(k+1),0).point = w(m1,j').p = w(m2,j').p.
 
-    The horizon is horizon_factor * N * (k+1) block repetitions.
+    The horizon is horizon_factor * N * (k+1) block repetitions;
+    ``horizon_factor`` must be an integer >= 1 and ``component`` a 0-based
+    index into ``tg.components``.
+
+    No trace is walked letter by letter.  Read from its end, w(horizon, j)
+    is a partial tail of 2j letters and then ``horizon`` periods of 2k
+    letters, each acting as the block.  So a point's first hit of p is its
+    tail hit, or else the tail length plus the least 2k*m + r (m < horizon)
+    for which the point lies m steps before y_r on its block cycle, y_r
+    being the point the first r letters of a period send to p
+    (``_first_hits``).  The rows w(m,j').p, m < N(k+1), walk one block
+    cycle each, so a value repeats in a row exactly when its distance d
+    from the row's start along the cycle, of length L, has d + L < N(k+1).
+    A sweep costs O(degree * k) cycle lookups plus the O(degree * k^2)
+    tails, whatever the horizon.
 
     Fact 3 is checked as stated, and as stated it is false in general.  On
     the one-involution action on {0, 1} extended by the fresh point 2 with
@@ -272,6 +369,10 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
     bound that fact 3 was meant to support is checked directly by
     ``verify_fundamental_general``.
     """
+    _check_component(tg, component)
+    if (isinstance(horizon_factor, bool) or not isinstance(horizon_factor, int)
+            or horizon_factor < 1):
+        raise ValueError(f"horizon_factor must be an integer >= 1, got {horizon_factor!r}")
     gseq = list(gseq)
     if not gseq:
         raise ValueError("the generator sequence must be nonempty")
@@ -284,52 +385,29 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
     p = comp.basepoint
     degree = comp.extended_degree
     block = _block_permutation(tau, images)
+    labels = _cycle_labels(block)
+    lengths = labels[2]
 
-    # w(m, j').p for all m < bound and 0 <= j' < k (j' = 0 means no partial
-    # block); w(m+1, j') prepends one block, so each row walks under `block`.
-    value_rows = []
+    # Values that occur twice in some row w(m, j').p, m < bound, 0 <= j' < k
+    # (j' = 0 means no partial block).  Row j' starts at the image s of p
+    # under t g1 ... t gj' and walks s's block cycle, of length L, so the
+    # value d steps from s occurs at m = d, d + L, ... and twice exactly
+    # when d + L < bound.
+    repeated = set()
     partial = Permutation.identity(degree)
     for j in range(k):
-        row = []
         current = partial(p)
-        for _ in range(bound):
-            row.append(current)
-            current = block(current)
-        value_rows.append(row)
+        for _ in range(min(lengths[current], bound - lengths[current])):
+            repeated.add(current)
+            current = block.images[current]
         partial = partial * tau * images[j]
-    full_return = block ** bound
-
-    # Trace scan: iterate atoms from the word's end; entry i is the image of
-    # the point under the last i atoms.  Only the first index hitting p matters.
-    reversed_block_atoms = []
-    for j in reversed(range(k)):
-        reversed_block_atoms.append(images[j])
-        reversed_block_atoms.append(tau)
-
-    def first_hit(point, j):
-        # reversed atoms of w(horizon, j): partial tail first, then the blocks
-        index = 0
-        current = point
-        for jj in reversed(range(j)):
-            for atom in (images[jj], tau):
-                index += 1
-                current = atom(current)
-                if current == p:
-                    return index
-        for _ in range(horizon):
-            for atom in reversed_block_atoms:
-                index += 1
-                current = atom(current)
-                if current == p:
-                    return index
-        return None
+    full_return = (block ** bound).images
 
     violations = []
     hits = 0
-    for j in range(k):
+    for j, row in enumerate(_first_hits(tau, images, p, horizon, labels)):
         coarse = 2 * (n * k + j)
-        for point in range(degree):
-            hit = first_hit(point, j)
+        for point, hit in enumerate(row):
             if hit is not None:
                 hits += 1
             if hit is not None and hit > coarse:
@@ -346,22 +424,13 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
                     "partial": j,
                     "first_hit": hit,
                 })
-            if hit is not None:
-                target = full_return(point)
-                witness = None
-                for jp in range(k):
-                    hits_at = [m for m, value in enumerate(value_rows[jp])
-                               if value == target]
-                    if len(hits_at) >= 2:
-                        witness = {"j": jp, "m1": hits_at[0], "m2": hits_at[1]}
-                        break
-                if witness is None:
-                    violations.append({
-                        "check": "pigeonhole_pair",
-                        "point": point,
-                        "partial": j,
-                        "target": target,
-                    })
+            if hit is not None and full_return[point] not in repeated:
+                violations.append({
+                    "check": "pigeonhole_pair",
+                    "point": point,
+                    "partial": j,
+                    "target": full_return[point],
+                })
     passed = not violations
     witnesses = violations if violations else [{
         "points": degree,

@@ -168,28 +168,47 @@ def _check_family_args(k, n, i):
         raise ValueError(f"partial index {i} outside 0..{k - 1}")
 
 
+class LetterTable(dict):
+    """Image tuples of the letters under one assignment, keyed by signed code.
+
+    ``gen_perms`` assigns generators g1, g2, ...; ``tau``, if given, assigns t.
+    An inverse letter's image is built on its first lookup and kept, so a
+    table made once serves every later word.  A letter with no assigned
+    permutation raises ValueError when it is looked up.
+    """
+
+    __slots__ = ("degree",)
+
+    def __init__(self, gen_perms, tau=None):
+        gen_perms = tuple(gen_perms)
+        perms = gen_perms + ((tau,) if tau is not None else ())
+        self.degree = perms[0].degree if perms else None
+        if any(p.degree != self.degree for p in perms):
+            raise ValueError("assigned permutations must share one degree")
+        super().__init__((code, p.images) for code, p in enumerate(gen_perms, start=1))
+        if tau is not None:
+            self[0] = tau.images
+
+    def __missing__(self, code):
+        if code == 0:
+            raise ValueError("word uses the transposition letter but none is assigned")
+        image = self.get(-code) if code < 0 else None
+        if image is None:
+            raise ValueError(f"letter {_code_str(code)} has no assigned permutation")
+        self[code] = image = _inverse(image)
+        return image
+
+
 def letter_images(codes, gen_perms, tau=None):
-    """The common degree of an assignment and the image tuple of each code used.
+    """The common degree of an assignment and its letter table, holding the
+    image tuple of each code used.
 
     ``gen_perms`` assigns generators g1, g2, ...; ``tau``, if given, assigns t.
     """
-    gen_perms = tuple(gen_perms)
-    perms = gen_perms + ((tau,) if tau is not None else ())
-    degree = perms[0].degree if perms else None
-    if any(p.degree != degree for p in perms):
-        raise ValueError("assigned permutations must share one degree")
-    images = {}
+    table = LetterTable(gen_perms, tau)
     for code in set(codes):
-        if code == 0:
-            if tau is None:
-                raise ValueError("word uses the transposition letter but none is assigned")
-            images[code] = tau.images
-        elif abs(code) > len(gen_perms):
-            raise ValueError(f"letter {_code_str(code)} has no assigned permutation")
-        else:
-            image = gen_perms[abs(code) - 1].images
-            images[code] = image if code > 0 else _inverse(image)
-    return degree, images
+        table[code]  # builds an inverse now, or raises for an unassigned letter
+    return table.degree, table
 
 
 def trace(word, point, gen_perms, tau=None):

@@ -2,15 +2,18 @@
 
 The oracles here deliberately avoid the library's own code paths: group
 closure is plain breadth-first multiplication over image tuples, element
-orders come from explicit permutation images at a deep tree level, and the
-kernel of the componentwise sign map is built from Schreier generators.
+orders come from explicit permutation images at a deep tree level, the
+kernel of the componentwise sign map is built from Schreier generators, and
+the trace and return-bound sweeps walk every point one letter at a time.
 """
 
 import os
 import re
 from pathlib import Path
 
+from telescope import tower
 from telescope.perm import Permutation
+from telescope.reports import CheckReport
 from telescope.selfsim import WreathRecursion
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -108,6 +111,123 @@ def schreier_sign_kernel(tg):
                 kernel_gens.append(candidate)
     kernel_gens = list(dict.fromkeys(kernel_gens))  # first occurrences, in order
     return transversal, kernel_gens
+
+
+def walk_first_hits(tau, images, p, horizon):
+    """``hits[j][x]``: the least i >= 1 such that the last i letters of
+    w(horizon, j) = (t g1 ... t gk)^horizon t g1 ... t gj send x to p, or
+    None, found by applying the letters to x one at a time."""
+    k = len(images)
+    reversed_block_atoms = []
+    for j in reversed(range(k)):
+        reversed_block_atoms.append(images[j])
+        reversed_block_atoms.append(tau)
+
+    def first_hit(point, j):
+        # reversed atoms of w(horizon, j): partial tail first, then the blocks
+        index = 0
+        current = point
+        for jj in reversed(range(j)):
+            for atom in (images[jj], tau):
+                index += 1
+                current = atom(current)
+                if current == p:
+                    return index
+        for _ in range(horizon):
+            for atom in reversed_block_atoms:
+                index += 1
+                current = atom(current)
+                if current == p:
+                    return index
+        return None
+
+    return [[first_hit(point, j) for point in range(tau.degree)] for j in range(k)]
+
+
+def walk_fundamental_general(tg, component, gseq, order_mode="global"):
+    """``verify_fundamental_general``'s report, each point's return time
+    found by applying the block until the point comes back."""
+    gseq = list(gseq)
+    k = len(gseq)
+    n = tower._sequence_order(tg, component, gseq, order_mode)
+    bound = n * (k + 1)
+    block = tower._block_permutation(*tower._atoms(tg, component, gseq))
+    witnesses = []
+    for point in range(block.degree):
+        m = 1
+        current = block(point)
+        while current != point:
+            current = block(current)
+            m += 1
+        entry = {"point": point, "m": m}
+        if m > bound:
+            entry["violation"] = True
+        witnesses.append(entry)
+    return CheckReport(
+        name="fundamental_general",
+        parameters={"component": component + 1, "gseq": [str(w) for w in gseq],
+                    "order_mode": order_mode, "order": n, "bound": bound},
+        passed=not any("violation" in w for w in witnesses),
+        witnesses=witnesses)
+
+
+def walk_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="global"):
+    """``verify_trace_lemmas``'s report from ``walk_first_hits`` and value
+    rows written out in full: for each hitting point, every row of length
+    N(k+1) is rescanned for two indices holding the point's full return."""
+    gseq = list(gseq)
+    k = len(gseq)
+    n = tower._sequence_order(tg, component, gseq, order_mode)
+    bound = n * (k + 1)
+    horizon = horizon_factor * bound
+    tau, images = tower._atoms(tg, component, gseq)
+    comp = tg.components[component]
+    p = comp.basepoint
+    degree = comp.extended_degree
+    block = tower._block_permutation(tau, images)
+
+    # w(m, j').p for all m < bound and 0 <= j' < k
+    value_rows = []
+    partial = Permutation.identity(degree)
+    for j in range(k):
+        row = []
+        current = partial(p)
+        for _ in range(bound):
+            row.append(current)
+            current = block(current)
+        value_rows.append(row)
+        partial = partial * tau * images[j]
+    full_return = block ** bound
+
+    violations = []
+    hits = 0
+    first_hits = walk_first_hits(tau, images, p, horizon)
+    for j in range(k):
+        coarse = 2 * (n * k + j)
+        for point in range(degree):
+            hit = first_hits[j][point]
+            if hit is not None:
+                hits += 1
+            if hit is not None and hit > coarse:
+                violations.append({"check": "trace_stays_clear", "point": point,
+                                   "partial": j, "first_hit": hit,
+                                   "allowed_prefix": coarse})
+            if point == p and (hit is None or hit > coarse):
+                violations.append({"check": "basepoint_returns", "partial": j,
+                                   "first_hit": hit})
+            if hit is not None:
+                target = full_return(point)
+                if not any(row.count(target) >= 2 for row in value_rows):
+                    violations.append({"check": "pigeonhole_pair", "point": point,
+                                       "partial": j, "target": target})
+    return CheckReport(
+        name="trace_lemmas",
+        parameters={"component": component + 1, "gseq": [str(w) for w in gseq],
+                    "order_mode": order_mode, "order": n, "bound": bound,
+                    "horizon": horizon},
+        passed=not violations,
+        witnesses=violations or [{"points": degree, "partials": k,
+                                  "traces_hitting_basepoint": hits}])
 
 
 _criteria = {}

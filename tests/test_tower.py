@@ -2,9 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import walk_first_hits, walk_fundamental_general, walk_trace_lemmas
+from telescope import tower
 from telescope.perm import Permutation
-from telescope.selfsim import WreathRecursion, grigorchuk
+from telescope.selfsim import WreathRecursion, grigorchuk, gupta_sidki_3
 from telescope.tower import (ExtendedAction, TelescopeGroup, build_telescope,
                              divides_factorial, extend_action, transitivity_report,
                              verify_fundamental_general, verify_orbit_bound,
@@ -124,6 +127,18 @@ class TestEvaluate:
     def test_unknown_generator_rejected(self, demo):
         with pytest.raises(ValueError):
             demo.evaluate(Word([Letter(5)]))
+        with pytest.raises(ValueError, match="g6\\^-1 has no assigned permutation"):
+            demo.evaluate(Word([Letter(5, -1)]))
+
+    def test_letter_table_builds_an_inverse_on_first_use(self):
+        g = Permutation.from_cycles(3, [(0, 1, 2)])
+        tg = TelescopeGroup((extend_action([g], 0),), ("g1",))
+        letters = tg.components[0].letters
+        assert sorted(letters) == [0, 1]
+        assert tg.evaluate_component((1, 0), 0) == g.extended(4) * tg.components[0].tau
+        assert sorted(letters) == [0, 1]
+        assert tg.evaluate_component((-1,), 0) == g.extended(4).inverse()
+        assert sorted(letters) == [-1, 0, 1]
 
     def test_homomorphism_on_random_pairs(self, grig):
         tg = build_telescope(grig, [1, 2])
@@ -224,6 +239,11 @@ class TestFundamentalGeneral:
         with pytest.raises(ValueError):
             verify_fundamental_general(demo, 0, [])
 
+    @pytest.mark.parametrize("component", [-1, 1, True, 0.0])
+    def test_component_outside_the_telescope_rejected(self, demo, component):
+        with pytest.raises(ValueError, match="outside 0..0"):
+            verify_fundamental_general(demo, component, [parse_word("g1")])
+
 
 class TestTraceLemmas:
     def test_c2_clear_and_return_checks_hold(self, demo):
@@ -271,6 +291,115 @@ class TestTraceLemmas:
     def test_horizon_parameter(self, demo):
         report = verify_trace_lemmas(demo, 0, [parse_word("g1")], horizon_factor=3)
         assert report.parameters["horizon"] == 3 * report.parameters["bound"]
+
+    @pytest.mark.parametrize("component", [-1, 1, True, 0.0])
+    def test_component_outside_the_telescope_rejected(self, demo, component):
+        with pytest.raises(ValueError, match="outside 0..0"):
+            verify_trace_lemmas(demo, component, [parse_word("g1")])
+
+    @pytest.mark.parametrize("factor", [0, -1, 1.5, "2", True, None])
+    def test_horizon_factor_must_be_a_positive_integer(self, demo, factor):
+        with pytest.raises(ValueError, match="horizon_factor must be an integer >= 1"):
+            verify_trace_lemmas(demo, 0, [parse_word("g1")], horizon_factor=factor)
+
+
+class _FixedOrder:
+    """Stands in for a recursion in global order mode: every product has
+    the same drawn order, which need not be its order in the block."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def element_order(self, word):
+        return self.order
+
+
+@st.composite
+def scan_cases(draw):
+    """A hand-built telescope of one or two components on 1..8 base points
+    over 1..3 generators, one of them an n-cycle so every base is
+    transitive, with a drawn basepoint per component, then a gseq of k =
+    1..3 words that may use inverse letters, a horizon factor and an order
+    mode."""
+    gen_count = draw(st.integers(1, 3))
+    cycle_at = draw(st.integers(0, gen_count - 1))
+    components = []
+    for _ in range(draw(st.integers(1, 2))):
+        degree = draw(st.integers(1, 8))
+        relabel = draw(st.permutations(range(degree)))
+        perms = [Permutation(draw(st.permutations(range(degree))))
+                 for _ in range(gen_count)]
+        perms[cycle_at] = Permutation.from_cycles(degree, [relabel])
+        components.append(extend_action(perms, draw(st.integers(0, degree - 1))))
+    letters = st.integers(1, gen_count).flatmap(lambda g: st.sampled_from((g, -g)))
+    gseq = [Word.from_codes(draw(st.lists(letters, min_size=1, max_size=3)))
+            for _ in range(draw(st.integers(1, 3)))]
+    tg = TelescopeGroup(tuple(components), tuple(f"g{i + 1}" for i in range(gen_count)),
+                        _FixedOrder(draw(st.integers(1, 6))))
+    return (tg, draw(st.integers(0, len(components) - 1)), gseq,
+            draw(st.integers(1, 3)), draw(st.sampled_from(("local", "global"))))
+
+
+def scan_first_hits(tg, ci, gseq, horizon):
+    tau, images = tower._atoms(tg, ci, gseq)
+    labels = tower._cycle_labels(tower._block_permutation(tau, images))
+    return tower._first_hits(tau, images, tg.components[ci].basepoint, horizon, labels)
+
+
+def assert_scan_matches_walker(tg, ci, gseq, factor, mode):
+    trace = verify_trace_lemmas(tg, ci, gseq, horizon_factor=factor, order_mode=mode)
+    assert trace == walk_trace_lemmas(tg, ci, gseq, factor, mode)
+    assert (verify_fundamental_general(tg, ci, gseq, order_mode=mode)
+            == walk_fundamental_general(tg, ci, gseq, mode))
+    tau, images = tower._atoms(tg, ci, gseq)
+    hits = scan_first_hits(tg, ci, gseq, trace.parameters["horizon"])
+    assert hits == walk_first_hits(tau, images, tg.components[ci].basepoint,
+                                   trace.parameters["horizon"])
+    return hits
+
+
+class TestScanMatchesWalker:
+    """The cycle-arithmetic sweeps against the conftest point walkers: the
+    whole reports, and the first hits, which no report shows unless a
+    trace fact fails."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scan_cases())
+    def test_hand_built_telescopes(self, case):
+        assert_scan_matches_walker(*case)
+
+    def test_traces_that_never_reach_the_basepoint(self, demo):
+        # [g1 g1] acts as the identity, so the block is t = (0 2) and the
+        # point 1 never meets p = 0
+        hits = assert_scan_matches_walker(demo, 0, [parse_word("g1 g1")], 1, "local")
+        assert hits == [[1, None, 2]]
+
+    def test_a_hit_beyond_the_horizon_is_none(self):
+        # g = (0 1 2) plus the fresh point 3, p = 0, and a stated order of 1:
+        # the horizon is 2 blocks, and the block t g = (0 1 2 3) brings 0
+        # back to p only at letter 5, in the third block
+        g = Permutation.from_cycles(3, [(0, 1, 2)])
+        tg = TelescopeGroup((extend_action([g], 0),), ("g1",), _FixedOrder(1))
+        hits = assert_scan_matches_walker(tg, 0, [parse_word("g1")], 1, "global")
+        assert hits == [[None, 3, 1, 2]]
+        assert scan_first_hits(tg, 0, [parse_word("g1")], 3) == [[5, 3, 1, 2]]
+        report = verify_trace_lemmas(tg, 0, [parse_word("g1")], horizon_factor=1)
+        assert {"check": "basepoint_returns", "partial": 0, "first_hit": None} in report.witnesses
+
+    @pytest.mark.parametrize("rec, levels", [(grigorchuk(), [1, 2, 3, 4]),
+                                             (gupta_sidki_3(), [1, 2, 3])])
+    def test_presets(self, rec, levels):
+        singles = [Word.from_codes((g,)) for g in range(1, rec.generator_count + 1)]
+        sweep = [[w] for w in singles] + [[u, v] for u in singles for v in singles]
+        rng = random.Random(8)
+        for basepoints in ([0] * len(levels),
+                           [rng.randrange(rec.arity ** level) for level in levels]):
+            tg = build_telescope(rec, levels, basepoints)
+            for ci in range(len(levels)):
+                for gseq in sweep:
+                    for factor in (1, 2, 3):
+                        for mode in ("local", "global"):
+                            assert_scan_matches_walker(tg, ci, gseq, factor, mode)
 
 
 class TestOrbitBound:
