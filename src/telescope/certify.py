@@ -208,7 +208,6 @@ def perfectness_scan(tg):
         parameters={"informational": True},
         passed=True,
         witnesses=witnesses,
-        informational=True,
     )
 
 

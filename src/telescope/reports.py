@@ -15,7 +15,6 @@ class CheckReport:
     parameters: dict
     passed: bool
     witnesses: list = field(default_factory=list)
-    informational: bool = False
 
     @property
     def status(self):

@@ -27,7 +27,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .perm import Permutation, _compose
-from .words import compose_signed, invert_signed, letter_images, parse_signed, reduce_signed
+from .words import LetterTable, compose_signed, invert_signed, parse_signed, reduce_signed
 
 
 class NotContracting(ValueError):
@@ -92,8 +92,7 @@ class WreathRecursion:
         self.contracting = bool(contracting)
         self.step_budget = step_budget
         # letter code -> its image tuple on the root's children
-        _, self._root = letter_images([s for g in range(1, k + 1) for s in (g, -g)],
-                                      root_perms)
+        self._root = LetterTable(root_perms)
         # letter code -> its section at each child; g^-1 at x is (g at g^-1(x))^-1
         self._letter_sections = {}
         for g, row in enumerate(sections, start=1):
@@ -161,7 +160,7 @@ class WreathRecursion:
         else:
             below = self.level_action(level - 1)
             n = below.degree
-            _, below_images = letter_images(self._root.keys(), below.perms)
+            below_images = LetterTable(below.perms)
 
             def lift(gen):
                 images = []
@@ -319,6 +318,9 @@ class WreathRecursion:
         bucketing images first, and by ``equal``/``is_trivial`` only when the
         images agree, which is exactly when the full search would compare
         them too.  The representatives and their order are unchanged.
+
+        Every letter tried after a kept word counts as one step; a search past
+        ``step_budget`` steps raises BudgetExceeded.
         """
         if radius < 0:
             raise ValueError("ball radius must be non-negative")
@@ -332,7 +334,7 @@ class WreathRecursion:
         while self.arity ** hash_level < 64:
             hash_level += 1
         action = self.level_action(hash_level)
-        _, images_of = letter_images(letters, action.perms)
+        images_of = LetterTable(action.perms)
         identity = tuple(range(action.degree))
         if radius:
             letters = [letter for i, letter in enumerate(letters)
@@ -344,11 +346,16 @@ class WreathRecursion:
         images = {(): identity}
         buckets = {identity: [()]}
         frontier = [()]
+        steps = 0
         for _ in range(radius):
             new_frontier = []
             for word in frontier:
                 base = images[word]
                 for letter in letters:
+                    steps += 1
+                    if steps > self.step_budget:
+                        raise BudgetExceeded(
+                            f"ball exceeded {self.step_budget} candidate words")
                     if word:
                         pair = (word[-1], letter)
                         cancels = undoes.get(pair)

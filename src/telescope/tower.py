@@ -12,6 +12,7 @@ truncation only ever adds checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .perm import Permutation, orbit, transitivity
@@ -141,11 +142,6 @@ class TelescopeGroup:
         """Componentwise image of a Word (rightmost letter acting first)."""
         return tuple(self.evaluate_component(word.codes, ci)
                      for ci in range(len(self.components)))
-
-    def order_in_truncation(self, word):
-        """lcm of the component orders of the word's image."""
-        import math
-        return math.lcm(*(p.order() for p in self.evaluate(word)))
 
 
 def transitivity_report(rec, levels):
@@ -452,16 +448,19 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
     )
 
 
-def verify_orbit_bound(tg, word, torsion_bound):
-    """Cyclic-orbit sizes of a word's image stay within torsion_bound*(len+1)."""
+def verify_orbit_bound(word, images, torsion_bound):
+    """Cyclic-orbit sizes of a word's block images stay within torsion_bound*(len+1).
+
+    ``images`` are the word's images on the blocks, as ``TelescopeGroup.evaluate``
+    gives them.
+    """
     length = len(word)
     limit = torsion_bound * (length + 1)
     witnesses = []
     passed = True
-    for ci in range(len(tg.components)):
-        image = tg.evaluate_component(word.codes, ci)
+    for ci, image in enumerate(images, start=1):
         largest = max((len(c) for c in image.cycles()), default=1)
-        entry = {"component": ci + 1, "largest_orbit": largest, "limit": limit}
+        entry = {"component": ci, "largest_orbit": largest, "limit": limit}
         if largest > limit:
             entry["violation"] = True
             passed = False
@@ -508,11 +507,12 @@ def divides_factorial(value, limit):
     return True
 
 
-def verify_torsion_bound(tg, word, torsion_bound):
-    """The word's truncation order divides (torsion_bound * (len+1))!."""
+def verify_torsion_bound(word, images, torsion_bound):
+    """The word's truncation order, the lcm of the orders of its block
+    ``images``, divides (torsion_bound * (len+1))!."""
     length = len(word)
     limit = torsion_bound * (length + 1)
-    order = tg.order_in_truncation(word)
+    order = math.lcm(*(image.order() for image in images))
     passed = divides_factorial(order, limit)
     return CheckReport(
         name="torsion_bound",

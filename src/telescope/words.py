@@ -199,27 +199,15 @@ class LetterTable(dict):
         return image
 
 
-def letter_images(codes, gen_perms, tau=None):
-    """The common degree of an assignment and its letter table, holding the
-    image tuple of each code used.
-
-    ``gen_perms`` assigns generators g1, g2, ...; ``tau``, if given, assigns t.
-    """
-    table = LetterTable(gen_perms, tau)
-    for code in set(codes):
-        table[code]  # builds an inverse now, or raises for an unassigned letter
-    return table.degree, table
-
-
 def trace(word, point, gen_perms, tau=None):
     """The trace of ``point``: images under the terminal subwords, shortest first.
 
     Entry ``i`` (1-based) is ``terminal_subword(word, i)`` applied to ``point``;
     the last entry is the full word applied to ``point``.
     """
-    degree, images = letter_images(word.codes, gen_perms, tau)
-    if degree is not None and not 0 <= point < degree:
-        raise ValueError(f"point {point} outside 0..{degree - 1}")
+    images = LetterTable(gen_perms, tau)
+    if images.degree is not None and not 0 <= point < images.degree:
+        raise ValueError(f"point {point} outside 0..{images.degree - 1}")
     out = []
     current = point
     for code in reversed(word.codes):
@@ -236,17 +224,12 @@ def compose_signed(codes, images, degree):
     return result
 
 
-def evaluate_signed(codes, gen_perms, tau=None):
-    """The permutation of a signed code word (rightmost letter acting first)."""
-    degree, images = letter_images(codes, gen_perms, tau)
-    if degree is None:
-        raise ValueError("evaluation needs at least one assigned permutation")
-    return Permutation._trusted(compose_signed(codes, images, degree))
-
-
 def evaluate_word(word, gen_perms, tau=None):
     """Interpret the word as a permutation (rightmost letter acting first)."""
-    return evaluate_signed(word.codes, gen_perms, tau)
+    images = LetterTable(gen_perms, tau)
+    if images.degree is None:
+        raise ValueError("evaluation needs at least one assigned permutation")
+    return Permutation._trusted(compose_signed(word.codes, images, images.degree))
 
 
 def parse_signed(text, code_of):
@@ -271,10 +254,12 @@ def parse_word(text, gen_count=None):
     def code_of(name):
         if name == "t":
             return 0
-        if not name.startswith("g") or not name[1:].isdigit() or int(name[1:]) < 1:
+        digits = name[1:]
+        # ASCII only: str.isdigit also admits digits such as '\u00b2' and '\u0661'
+        if name[:1] != "g" or not (digits.isascii() and digits.isdigit()) or int(digits) < 1:
             return None
-        if gen_count is not None and int(name[1:]) > gen_count:
+        if gen_count is not None and int(digits) > gen_count:
             raise ValueError(f"token {name!r} exceeds the {gen_count} available generators")
-        return int(name[1:])
+        return int(digits)
 
     return Word.from_codes(parse_signed(text, code_of))

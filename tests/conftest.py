@@ -2,11 +2,14 @@
 
 The oracles here deliberately avoid the library's own code paths: group
 closure is plain breadth-first multiplication over image tuples, element
-orders come from explicit permutation images at a deep tree level, the
-kernel of the componentwise sign map is built from Schreier generators, and
-the trace and return-bound sweeps walk every point one letter at a time.
+orders come from explicit permutation images at a deep tree level, words
+are evaluated on the blocks by multiplying permutations one letter at a
+time, the kernel of the componentwise sign map is built from Schreier
+generators, and the trace and return-bound sweeps walk every point one
+letter at a time.
 """
 
+import math
 import os
 import re
 from pathlib import Path
@@ -65,6 +68,54 @@ def level_image(rec, word, level):
             perm = perm.inverse()
         result = result * perm
     return result
+
+
+def block_images(tg, word):
+    """A word's image on each block, composed by hand from the component's
+    generator images and tau."""
+    images = []
+    for comp in tg.components:
+        result = Permutation.identity(comp.extended_degree)
+        for s in word.codes:
+            perm = comp.tau if s == 0 else comp.gen_images[abs(s) - 1]
+            if s < 0:
+                perm = perm.inverse()
+            result = result * perm
+        images.append(result)
+    return tuple(images)
+
+
+def oracle_bound_reports(word, images, torsion_bound):
+    """``verify_orbit_bound``'s and ``verify_torsion_bound``'s reports on a
+    word's block images: each point's cycle length found by applying the
+    image until the point comes back, the order as the lcm of those lengths,
+    and the factorial bound tested on the factorial itself."""
+    length = len(word)
+    limit = torsion_bound * (length + 1)
+    parameters = {"word": str(word), "length": length, "torsion_growth": torsion_bound}
+    witnesses = []
+    order = 1
+    for ci, image in enumerate(images, start=1):
+        largest = 1
+        for point in range(image.degree):
+            m = 1
+            current = image(point)
+            while current != point:
+                current = image(current)
+                m += 1
+            largest = max(largest, m)
+            order = math.lcm(order, m)
+        entry = {"component": ci, "largest_orbit": largest, "limit": limit}
+        if largest > limit:
+            entry["violation"] = True
+        witnesses.append(entry)
+    orbit = CheckReport(name="orbit_bound", parameters=parameters,
+                        passed=not any("violation" in w for w in witnesses),
+                        witnesses=witnesses)
+    torsion = CheckReport(name="torsion_bound", parameters=dict(parameters),
+                          passed=math.factorial(limit) % order == 0,
+                          witnesses=[{"order": order, "factorial_of": limit}])
+    return orbit, torsion
 
 
 def _tuple_mul(a, b):

@@ -186,7 +186,7 @@ class TestPerfect:
 
     def test_quotient_scan_is_informational(self, grig123):
         report = perfectness_scan(grig123)
-        assert report.informational
+        assert report.parameters == {"informational": True}
         assert report.passed
         assert [w["quotient_order"] for w in report.witnesses] == [2, 8, 128]
         assert not any(w["perfect"] for w in report.witnesses)

@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from conftest import src_env
+from telescope import cli
 from telescope.cli import (ConfigError, load_config, main, parse_cycles,
                            sample_words)
 from telescope.perm import Permutation
+from telescope.selfsim import gupta_sidki_3
 
 REPO = Path(__file__).resolve().parents[1]
 DEMO_CONFIG = REPO / "configs" / "demo_c2.json"
@@ -56,6 +58,11 @@ class TestParseCycles:
     def test_rejects_out_of_range(self):
         with pytest.raises(ConfigError):
             parse_cycles("(0 5)", 3)
+
+    @pytest.mark.parametrize("text", ["(\u0660 \u0661)", "(0 \u00b2)", "(\uff10 1)"])
+    def test_rejects_digits_that_are_not_ascii(self, text):
+        with pytest.raises(ConfigError, match="malformed cycle notation"):
+            parse_cycles(text, 3)
 
 
 class TestConfig:
@@ -237,6 +244,28 @@ class TestCommands:
     def test_word_parse_failure_names_token(self, capsys):
         assert main(["word", "--config", str(DEMO_CONFIG), "--word", "g9"]) == 2
         assert "g9" in capsys.readouterr().err
+
+    def test_word_digit_that_is_not_ascii_names_token(self, capsys):
+        assert main(["word", "--config", str(DEMO_CONFIG), "--word", "t g\u00b2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown word token 'g\u00b2'\n"
+
+    def test_word_past_the_ball_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        # T(10) needs a ball of 4,061 representatives, more than 1,000
+        # candidate words; nothing is printed before the budget runs out
+        def small_budget():
+            rec = gupta_sidki_3()
+            rec.step_budget = 1000
+            return rec
+
+        monkeypatch.setitem(cli.PRESETS, "gupta-sidki-3", small_budget)
+        path = write_config(tmp_path, {"group": "gupta-sidki-3", "levels": [1, 2]})
+        assert main(["word", "--config", str(path), "--word", "g1 g2 " * 5]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: computation budget exceeded: "
+                                "ball exceeded 1000 candidate words\n")
 
     def test_verify_writes_certificate(self, tmp_path, capsys):
         out_path = tmp_path / "cert.json"

@@ -11,7 +11,7 @@ from conftest import custom_arity_3, level_image
 from telescope.perm import Permutation
 from telescope.selfsim import (NotContracting, WreathRecursion, grigorchuk,
                                gupta_sidki_3, invert_signed, reduce_signed)
-from telescope.words import letter_images
+from telescope.words import LetterTable
 
 
 def oracle_ball(rec, radius, gens=None):
@@ -25,7 +25,7 @@ def oracle_ball(rec, radius, gens=None):
     while rec.arity ** hash_level < 64:
         hash_level += 1
     action = rec.level_action(hash_level)
-    _, images_of = letter_images(letters, action.perms)
+    images_of = LetterTable(action.perms)
     identity = tuple(range(action.degree))
     reps, images, buckets, frontier = [()], {(): identity}, {identity: [()]}, [()]
     for _ in range(radius):

@@ -16,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from telescope.cli import main
+from conftest import block_images, oracle_bound_reports
+from telescope import tower
+from telescope.cli import load_config, main, sample_words
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -67,6 +69,42 @@ def produce(stem, workdir):
 def test_golden_bytes(stem, tmp_path):
     for name, produced in produce(stem, tmp_path).items():
         assert produced == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("stem", ("grigorchuk_1-4", "gupta_sidki_1-3"))
+def test_sample_reports_match_oracle(stem, tmp_path, monkeypatch, capsys):
+    # the goldens keep only the case counts of the two sample checks, so
+    # each report ``verify`` builds is checked here against the oracle's
+    # report on the word's hand-composed block images
+    recorded = {"orbit": [], "torsion": []}
+
+    def recording(kind, verify):
+        def wrapper(word, images, torsion_bound):
+            report = verify(word, images, torsion_bound)
+            recorded[kind].append((word, torsion_bound, report))
+            return report
+        return wrapper
+
+    monkeypatch.setattr(tower, "verify_orbit_bound",
+                        recording("orbit", tower.verify_orbit_bound))
+    monkeypatch.setattr(tower, "verify_torsion_bound",
+                        recording("torsion", tower.verify_torsion_bound))
+    config_path = GOLDEN / f"{stem}.json"
+    assert main(["verify", "--config", str(config_path),
+                 "--out", str(tmp_path / "certificate.json")]) == 1
+    capsys.readouterr()
+
+    config = load_config(config_path)
+    rec = config.recursion
+    tg = tower.build_telescope(rec, config.levels, config.basepoints)
+    words = sample_words(config.sample_count, config.sample_max_length,
+                         rec.generator_count, config.seed)
+    for index, kind in enumerate(("orbit", "torsion")):
+        assert [word for word, _, _ in recorded[kind]] == words
+        for word, bound, report in recorded[kind]:
+            assert bound == rec.torsion_growth(len(word))
+            expected = oracle_bound_reports(word, block_images(tg, word), bound)[index]
+            assert report.as_dict() == expected.as_dict(), str(word)
 
 
 if __name__ == "__main__":

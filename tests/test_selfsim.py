@@ -211,6 +211,15 @@ class TestBall:
     def test_gupta_sidki_sizes(self, gs3):
         assert [len(gs3.ball(r)) for r in range(4)] == [1, 5, 13, 29]
 
+    def test_past_the_step_budget_raises(self, gs3):
+        # every letter tried after a kept word is a step: ball(5) tries 244
+        # candidates, ball(10) (4,061 representatives) 8,164
+        rec = gupta_sidki_3()
+        rec.step_budget = 1000
+        assert rec.ball(5) == gs3.ball(5)
+        with pytest.raises(BudgetExceeded, match="ball exceeded 1000 candidate words"):
+            rec.ball(10)
+
     def test_identity_comes_first(self, grig):
         assert grig.ball(2)[0] == ()
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from telescope.perm import Permutation
@@ -156,6 +158,16 @@ class TestParsing:
         for bad in ("g0", "gx", "x", "g1^2", "t^-1 g", "g-1"):
             with pytest.raises(ValueError):
                 parse_word(bad)
+
+    @pytest.mark.parametrize("token", ["g\u00b2", "g\u0661", "g\u0661^-1"])
+    def test_rejects_digits_that_are_not_ascii(self, token):
+        # str.isdigit accepts both; int() rejects the superscript two and
+        # reads the Arabic-Indic one as 1
+        message = re.escape(f"unknown word token {token!r}")
+        with pytest.raises(ValueError, match=message):
+            parse_word(token)
+        with pytest.raises(ValueError, match=message):
+            parse_word(f"t {token}", gen_count=4)
 
     def test_generator_bound(self):
         with pytest.raises(ValueError):
