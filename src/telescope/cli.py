@@ -75,7 +75,8 @@ def _unique_keys(pairs):
     return doc
 
 
-_CYCLES_RE = re.compile(r"\s*(?:\(\s*(?:[0-9]+\s*)*\)\s*)*")
+# points are canonical ASCII decimals: '(01 2)' is malformed, not (1 2)
+_CYCLES_RE = re.compile(r"\s*(?:\(\s*(?:(?:0|[1-9][0-9]*)\b\s*)*\)\s*)*")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -294,8 +295,7 @@ def _aggregate(name, parameters, reports, max_failures=20, per_case=True):
             "status": "pass" if passed else "fail", "witnesses": witnesses}
 
 
-def cmd_build(config):
-    tg = tower.build_telescope(config.recursion, config.levels, config.basepoints)
+def cmd_build(config, tg):
     print(f"group: {config.group_label}  (arity {config.recursion.arity}, "
           f"generators {' '.join(config.recursion.names)})")
     print("component  level  base_degree  extended_degree  basepoint")
@@ -305,46 +305,9 @@ def cmd_build(config):
     return 0
 
 
-def cmd_verify(config, out_path=None):
-    checks = []
-    order = ["transitivity", "trace_lemmas", "fundamental_general",
-             "orbit_bound_sample", "torsion_bound_sample", "subdirect",
-             "tail_injectivity", "sign_vectors", "alt_cutoff", "perfectness_scan"]
+def cmd_verify(config, tg, out_path):
     rec = config.recursion
-
-    def finalize(alt_cutoff_value=None, torsion_table=(), components=()):
-        named = {c["name"]: c for c in checks}
-        for name in order:
-            if name not in named:
-                checks.append({"name": name, "parameters": {},
-                               "status": "skipped", "witnesses": []})
-        checks.sort(key=lambda c: order.index(c["name"]))
-        certificate = certify.emit_certificate(
-            config.raw_bytes, components, checks, alt_cutoff_value, torsion_table)
-        path = out_path or config.output_path
-        with open(path, "wb") as handle:
-            handle.write(certificate.to_bytes())
-        failed = [c["name"] for c in checks
-                  if c["status"] == "fail" and not c["parameters"].get("informational")]
-        for check in checks:
-            print(f"{check['name']}: {check['status']}")
-        print(f"certificate written to {path}")
-        if failed:
-            print(f"FAILED checks: {', '.join(failed)}")
-            if _only_pigeonhole_failures(checks):
-                print("note: every failure is a counterexample to the stated "
-                      "pigeonhole trace fact (trace_lemmas check 3); "
-                      "see README for details")
-            return 1
-        return 0
-
-    trans = tower.transitivity_report(rec, config.levels)
-    checks.append(trans.as_dict())
-    if not trans.passed:
-        return finalize()
-
-    tg = tower.build_telescope(rec, config.levels, config.basepoints)
-    components = certify.component_table(tg, config.levels)
+    checks = [tower.transitivity_report(tg).as_dict()]
 
     sweep = _gseq_sweep(rec.generator_count)
     trace_reports = []
@@ -388,16 +351,35 @@ def cmd_verify(config, out_path=None):
     checks.append(cutoff_report.as_dict())
     checks.append(certify.perfectness_scan(tg).as_dict())
 
-    return finalize(cutoff, torsion_table, components)
-
-
-def cmd_word(config, text):
+    certificate = certify.emit_certificate(
+        config.raw_bytes, certify.component_table(tg, config.levels), checks,
+        cutoff, torsion_table)
+    path = out_path or config.output_path
+    # written before anything is printed, so a path that cannot be written
+    # leaves stdout empty
     try:
-        word = parse_word(text, config.recursion.generator_count)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with open(path, "wb") as handle:
+            handle.write(certificate.to_bytes())
+    except OSError as exc:
+        print(f"error: cannot write certificate {path}: {exc.strerror}", file=sys.stderr)
         return 2
-    tg = tower.build_telescope(config.recursion, config.levels, config.basepoints)
+    failed = [c["name"] for c in checks
+              if c["status"] == "fail" and not c["parameters"].get("informational")]
+    for check in checks:
+        print(f"{check['name']}: {check['status']}")
+    print(f"certificate written to {path}")
+    if failed:
+        print(f"FAILED checks: {', '.join(failed)}")
+        if _only_pigeonhole_failures(checks):
+            print("note: every failure is a counterexample to the stated "
+                  "pigeonhole trace fact (trace_lemmas check 3); "
+                  "see README for details")
+        return 1
+    return 0
+
+
+def cmd_word(config, tg, text):
+    word = parse_word(text, config.recursion.generator_count)
     # the ball behind the growth is the costly part; an exhausted budget
     # ends the query before anything is printed
     growth = config.recursion.torsion_growth(len(word)) if word else None
@@ -435,11 +417,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
+        tg = tower.build_telescope(config.recursion, config.levels, config.basepoints)
         if args.command == "build":
-            return cmd_build(config)
+            return cmd_build(config, tg)
         if args.command == "verify":
-            return cmd_verify(config, args.out)
-        return cmd_word(config, args.word)
+            return cmd_verify(config, tg, args.out)
+        return cmd_word(config, tg, args.word)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

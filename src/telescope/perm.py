@@ -187,13 +187,6 @@ def orbit(generators, point):
     return out
 
 
-def transitivity(generators):
-    """Witness fields for transitivity: the orbit size of point 0 against the degree."""
-    size = len(orbit(generators, 0))
-    degree = generators[0].degree
-    return {"orbit_of_0": size, "degree": degree, "transitive": size == degree}
-
-
 def _compose(p, q):
     """Image tuple of ``p`` after ``q``.  With one index ``itemgetter`` returns a
     bare item, not a tuple, so degrees 0 and 1 take the plain loop."""

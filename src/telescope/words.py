@@ -12,6 +12,7 @@ view over the codes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .perm import Permutation, _compose, _inverse
@@ -254,12 +255,14 @@ def parse_word(text, gen_count=None):
     def code_of(name):
         if name == "t":
             return 0
-        digits = name[1:]
-        # ASCII only: str.isdigit also admits digits such as '\u00b2' and '\u0661'
-        if name[:1] != "g" or not (digits.isascii() and digits.isdigit()) or int(digits) < 1:
+        # canonical ASCII decimals only: not '\u00b2' or '\u0661', and not
+        # 'g01', which int() would read as g1
+        match = re.fullmatch(r"g([1-9][0-9]*)", name)
+        if match is None:
             return None
-        if gen_count is not None and int(digits) > gen_count:
+        index = int(match.group(1))
+        if gen_count is not None and index > gen_count:
             raise ValueError(f"token {name!r} exceeds the {gen_count} available generators")
-        return int(digits)
+        return index
 
     return Word.from_codes(parse_signed(text, code_of))

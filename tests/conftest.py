@@ -1,10 +1,11 @@
 """Shared test oracles and the acceptance-summary hook.
 
 The oracles here deliberately avoid the library's own code paths: group
-closure is plain breadth-first multiplication over image tuples, element
-orders come from explicit permutation images at a deep tree level, words
-are evaluated on the blocks by multiplying permutations one letter at a
-time, the kernel of the componentwise sign map is built from Schreier
+closure is plain breadth-first multiplication over image tuples, level
+transitivity is a breadth-first orbit of point 0 over image tuples,
+element orders come from explicit permutation images at a deep tree level,
+words are evaluated on the blocks by multiplying permutations one letter at
+a time, the kernel of the componentwise sign map is built from Schreier
 generators, and the trace and return-bound sweeps walk every point one
 letter at a time.
 """
@@ -47,6 +48,24 @@ def brute_closure(generators):
                     new.append(product)
         frontier = new
     return elements
+
+
+def transitivity_oracle(generators):
+    """Breadth-first orbit of point 0 over the generators' image tuples,
+    against the degree: the witness fields of a ``transitivity`` row."""
+    degree = generators[0].degree
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in generators:
+                y = g.images[x]
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return {"orbit_of_0": len(seen), "degree": degree, "transitive": len(seen) == degree}
 
 
 def custom_arity_3():

@@ -1,4 +1,7 @@
+import errno
+import importlib
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -49,6 +52,7 @@ class TestParseCycles:
         assert parse_cycles("(0 1)", 2) == Permutation((1, 0))
         assert parse_cycles("(0 1 2)(3 4)", 5) == Permutation.from_cycles(
             5, [(0, 1, 2), (3, 4)])
+        assert parse_cycles("(0 10)", 11) == Permutation.from_cycles(11, [(0, 10)])
 
     def test_rejects_garbage(self):
         for bad in ("0 1", "(0 1", "(0 x)", "(0 1)(1 2)"):
@@ -58,6 +62,11 @@ class TestParseCycles:
     def test_rejects_out_of_range(self):
         with pytest.raises(ConfigError):
             parse_cycles("(0 5)", 3)
+
+    @pytest.mark.parametrize("text", ["(01 2)", "(0 01)", "(00 1)", "(1 2)(0 02)"])
+    def test_rejects_leading_zeros(self, text):
+        with pytest.raises(ConfigError, match="malformed cycle notation"):
+            parse_cycles(text, 3)
 
     @pytest.mark.parametrize("text", ["(\u0660 \u0661)", "(0 \u00b2)", "(\uff10 1)"])
     def test_rejects_digits_that_are_not_ascii(self, text):
@@ -245,6 +254,13 @@ class TestCommands:
         assert main(["word", "--config", str(DEMO_CONFIG), "--word", "g9"]) == 2
         assert "g9" in capsys.readouterr().err
 
+    def test_word_leading_zero_names_token(self, capsys):
+        # 'g01' is not read as g1: the transcript would not echo the input
+        assert main(["word", "--config", str(DEMO_CONFIG), "--word", "g01 t"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown word token 'g01'\n"
+
     def test_word_digit_that_is_not_ascii_names_token(self, capsys):
         assert main(["word", "--config", str(DEMO_CONFIG), "--word", "t g\u00b2"]) == 2
         captured = capsys.readouterr()
@@ -287,23 +303,28 @@ class TestCommands:
         assert doc["alt_cutoff"] == 1
         assert [row["torsion_growth"] for row in doc["torsion_bound_table"]] == [2, 16, 16]
 
-    def test_verify_intransitive_level_fails_closed(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"group": C2_INVOLUTION, "levels": [1, 2],
-                                       "output_path": str(tmp_path / "cert.json")})
-        assert main(["verify", "--config", str(path)]) == 1
-        doc = json.loads((tmp_path / "cert.json").read_text())
-        statuses = {c["name"]: c["status"] for c in doc["checks"]}
-        assert statuses["transitivity"] == "fail"
-        assert statuses["subdirect"] == "skipped"
-
-    @pytest.mark.parametrize("argv", [["build"], ["word", "--word", "g1"]])
+    # every command builds the telescope first, so the level is reported
+    # before a bad word token and verify writes no certificate
+    @pytest.mark.parametrize("argv", [["build"], ["word", "--word", "g1"], ["verify"],
+                                      ["word", "--word", "g9"]])
     def test_build_and_word_on_intransitive_level_exit_2(self, tmp_path, capsys, argv):
-        path = write_config(tmp_path, {"group": C2_INVOLUTION, "levels": [1, 2]})
+        out_path = tmp_path / "cert.json"
+        path = write_config(tmp_path, {"group": C2_INVOLUTION, "levels": [1, 2],
+                                       "output_path": str(out_path)})
         assert main([argv[0], "--config", str(path)] + argv[1:]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: level 2 action is not transitive: "
                                 "the orbit of 0 has 2 of 4 points\n")
+        assert not out_path.exists()
+
+    def test_verify_unwritable_certificate_path_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "cert.json"
+        assert main(["verify", "--config", str(DEMO_CONFIG), "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot write certificate {out_path}: "
+                                f"{os.strerror(errno.ENOENT)}\n")
 
     def test_certificate_embeds_sampler(self, tmp_path):
         out_path = tmp_path / "cert.json"
@@ -314,6 +335,14 @@ class TestCommands:
                             if c["name"] == "orbit_bound_sample")
         assert sample_check["parameters"]["sampler"] == "mt19937-reduced-words-v1"
         assert sample_check["parameters"]["seed"] == 7
+
+
+def test_console_script_targets_main():
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["telescope"]
+    module, _, attribute = target.partition(":")
+    assert getattr(importlib.import_module(module), attribute) is main
 
 
 class TestDeterminism:

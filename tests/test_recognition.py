@@ -4,15 +4,15 @@ A component's base action is transitive by construction: ``ExtendedAction``
 rejects any other.  From that invariant every block group is Sym(m) (a star
 of transpositions), so ``check_subdirect`` reports m! without a chain.
 Here freely drawn generators are checked three ways: construction succeeds
-exactly when a test-local BFS finds the base transitive, and then the
-reported order equals ``PermGroup``'s chain order and the order from
-``sympy.combinatorics`` (a test-only oracle).  ``alt_cutoff`` rests on
+exactly when the BFS ``transitivity_oracle`` finds the base transitive, and
+then the reported order equals ``PermGroup``'s chain order and the order
+from ``sympy.combinatorics`` (a test-only oracle).  ``alt_cutoff`` rests on
 K >= [Gamma, Gamma] for the sign kernel K; it is checked against
 ``schreier_sign_kernel``, which builds K from Schreier generators, with
 chain orders of its block projections.  With the construction check
 patched away, an intransitive block slips through and that oracle must
-catch the wrong ``alt_cutoff`` row.  ``check_subdirect`` and ``alt_cutoff``
-must build no chain and compute no orbit.
+catch the wrong ``alt_cutoff`` row.  ``check_subdirect``, ``alt_cutoff`` and
+``transitivity_report`` must build no chain and compute no orbit.
 """
 
 import math
@@ -25,11 +25,12 @@ from sympy.combinatorics import PermutationGroup as SympyGroup
 import telescope.certify as certify
 import telescope.perm as perm
 import telescope.tower as tower
-from conftest import schreier_sign_kernel
+from conftest import schreier_sign_kernel, transitivity_oracle
 from telescope.certify import alt_cutoff, check_subdirect, perfectness_scan, sign_vectors
 from telescope.perm import PermGroup, Permutation
 from telescope.selfsim import WreathRecursion, grigorchuk, gupta_sidki_3
-from telescope.tower import TelescopeGroup, build_telescope, extend_action
+from telescope.tower import (TelescopeGroup, build_telescope, extend_action,
+                             transitivity_report)
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -47,20 +48,6 @@ def permutations(draw, degree):
     return Permutation(draw(st.permutations(range(degree))))
 
 
-def base_is_transitive(perms):
-    """Test-local BFS from point 0 over the generators' image tuples."""
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in perms:
-            y = g.images[x]
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == perms[0].degree
-
-
 @st.composite
 def free_actions(draw):
     """One or two freely drawn generators on 1..6 points and a basepoint;
@@ -75,7 +62,7 @@ class TestSymmetricRecognition:
     @given(free_actions())
     def test_matches_chain_and_sympy(self, drawn):
         perms, basepoint = drawn
-        if not base_is_transitive(perms):
+        if not transitivity_oracle(perms)["transitive"]:
             with pytest.raises(ValueError, match="not transitive"):
                 extend_action(perms, basepoint)
             return
@@ -160,8 +147,7 @@ def refuse_orbit(monkeypatch):
     def refuse(*args):
         raise AssertionError("an orbit was computed")
     for module in (perm, tower, certify):
-        for name in ("orbit", "transitivity"):
-            monkeypatch.setattr(module, name, refuse, raising=False)
+        monkeypatch.setattr(module, "orbit", refuse, raising=False)
 
 
 class TestCertifyAgainstChain:
@@ -205,6 +191,7 @@ class TestCertifyAgainstChain:
         tg = build_telescope(rec, levels)
         # construction checked transitivity; the checks compute no orbit
         request.getfixturevalue("refuse_orbit")
+        assert transitivity_report(tg).passed
         assert check_subdirect(tg).passed
         report, cutoff = alt_cutoff(tg)
         assert report.passed and cutoff == 1

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import walk_first_hits, walk_fundamental_general, walk_trace_lemmas
+from conftest import (transitivity_oracle, walk_first_hits, walk_fundamental_general,
+                      walk_trace_lemmas)
 from telescope import tower
 from telescope.perm import Permutation
 from telescope.selfsim import WreathRecursion, grigorchuk, gupta_sidki_3
@@ -26,6 +27,23 @@ def truncation_order(tg, word):
     """The order ``verify_torsion_bound`` reports: the lcm of the orders of
     the word's block images."""
     return verify_torsion_bound(word, tg.evaluate(word), 1).witnesses[0]["order"]
+
+
+@st.composite
+def recursion_tables(draw):
+    """A random recursion (arity 2 or 3, 1 to 3 generators, sections of up
+    to 2 letters) and increasing levels among 1..3; its levels are often
+    not transitive."""
+    arity = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 3))
+    letters = st.sampled_from([code for i in range(1, k + 1) for code in (i, -i)])
+    roots = [Permutation(draw(st.permutations(range(arity)))) for _ in range(k)]
+    sections = [[draw(st.lists(letters, max_size=2)) for _ in range(arity)]
+                for _ in range(k)]
+    rec = WreathRecursion(arity, [f"g{i}" for i in range(1, k + 1)], roots, sections,
+                          contracting=False)
+    levels = sorted(draw(st.sets(st.integers(1, 3), min_size=1)))
+    return rec, levels
 
 
 @pytest.fixture(scope="module")
@@ -111,12 +129,24 @@ class TestBuildTelescope:
         with pytest.raises(ValueError, match="level 1 action is not transitive"):
             build_telescope(rec, [1])
 
-    def test_transitivity_report_flags_level_2(self):
-        # the C2 recursion is transitive at level 1 but splits level 2
-        report = transitivity_report(c2_recursion(), [1, 2])
-        assert not report.passed
-        flagged = [w for w in report.witnesses if not w["transitive"]]
-        assert [w["level"] for w in flagged] == [2]
+    @settings(max_examples=200, deadline=None)
+    @given(recursion_tables())
+    def test_transitivity_decision_matches_oracle(self, drawn):
+        # construction is the one transitivity check: it must reject exactly
+        # the telescopes with an intransitive level, naming the first one
+        rec, levels = drawn
+        rows = [{"component": ci, "level": level,
+                 **transitivity_oracle(rec.level_action(level).perms)}
+                for ci, level in enumerate(levels, start=1)]
+        first = next((row["level"] for row in rows if not row["transitive"]), None)
+        if first is not None:
+            with pytest.raises(ValueError, match=f"^level {first} action is not transitive"):
+                build_telescope(rec, levels)
+            return
+        report = transitivity_report(build_telescope(rec, levels))
+        assert report.passed
+        assert report.parameters == {"levels": levels}
+        assert report.witnesses == rows
 
 
 class TestEvaluate:

@@ -169,10 +169,17 @@ class TestParsing:
         with pytest.raises(ValueError, match=message):
             parse_word(f"t {token}", gen_count=4)
 
+    @pytest.mark.parametrize("token", ["g01", "g00", "g01^-1", "g007"])
+    def test_rejects_leading_zeros(self, token):
+        # int() would read 'g01' as g1
+        with pytest.raises(ValueError, match=re.escape(f"unknown word token {token!r}")):
+            parse_word(f"t {token}", gen_count=9)
+
     def test_generator_bound(self):
         with pytest.raises(ValueError):
             parse_word("g3", gen_count=2)
         assert parse_word("g2", gen_count=2) == Word([G2])
+        assert parse_word("g10 t", gen_count=10).codes == (10, 0)
 
     def test_parse_reduces(self):
         assert parse_word("g1 g1^-1 t t") == Word()
