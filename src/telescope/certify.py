@@ -6,8 +6,10 @@ Every component's base action is transitive (``tower.ExtendedAction``
 checks it on construction), so every block group is the full symmetric
 group and the sign kernel projects onto the full alternating group on
 every block.  Subdirectness and the alternating cutoff read those
-theorems off without a stabilizer chain or an orbit; only the perfectness
-scan builds chains.
+theorems off without a stabilizer chain or an orbit.  The perfectness scan
+reads its quotient orders off one induced polycyclic sequence of the
+recursion when the root group is cyclic of prime order, as in both presets;
+only on other telescopes does it build chains.
 """
 
 from __future__ import annotations
@@ -160,8 +162,11 @@ def alt_cutoff(tg):
 def check_perfect(group):
     """Whether the group equals its commutator subgroup.
 
-    The commutator subgroup is generated by the generator-pair commutators
-    together with their normal closure; equality is decided by exact order.
+    The commutator subgroup is the normal closure of the generator-pair
+    commutators.  Each round conjugates the elements the last round added
+    by every generator and rebuilds the subgroup once from those that are
+    not yet members; a round that adds nothing closes it.  Equality is
+    decided by exact order.
     """
     gens = group.generators
     current = []
@@ -173,36 +178,72 @@ def check_perfect(group):
     if not current:
         return group.order() == 1
     subgroup = PermGroup(current)
-    worklist = list(current)
-    while worklist:
-        h = worklist.pop(0)
-        for g in gens:
-            conjugate = g * h * g.inverse()
-            if not subgroup.contains(conjugate):
-                current.append(conjugate)
-                worklist.append(conjugate)
-                subgroup = PermGroup(current)
+    added = current
+    while added:
+        fresh = []
+        for h in added:
+            for g in gens:
+                conjugate = g * h * g.inverse()
+                if not subgroup.contains(conjugate):
+                    fresh.append(conjugate)
+        if fresh:
+            current = current + fresh
+            subgroup = PermGroup(current)
+        added = fresh
     return subgroup.order() == group.order()
 
 
+def _polycyclic_orders(tg):
+    """Each component's quotient order from the recursion's induced polycyclic
+    sequence, or None where that does not apply.
+
+    It applies when the telescope carries its recursion, the recursion has
+    a ``root_cycle`` (a prime arity p and root permutations that are powers
+    of one p-cycle), and every component is the action of a tree level of
+    it.  One pass at the deepest level gives every order.
+    """
+    rec = tg.rec
+    if rec is None or rec.root_cycle is None:
+        return None
+    levels = []
+    for comp in tg.components:
+        if comp.level is None or (
+                tuple(p.images[:comp.base_degree] for p in comp.gen_images)
+                != tuple(p.images for p in rec.level_action(comp.level).perms)):
+            return None
+        levels.append(comp.level)
+    orders = rec.quotient_orders(max(levels))
+    return [orders[level - 1] for level in levels]
+
+
 def perfectness_scan(tg):
-    """Informational: perfectness of each finite base quotient.
+    """Informational: the order and perfectness of each finite base quotient.
 
     Every level quotient of the telescope's recursion maps onto the level-1
     quotient, the group of its root permutations, and quotients of perfect
-    groups are perfect.  So when that small group is not perfect, no base
-    quotient is, and ``check_perfect`` runs only when it is (or when the
-    telescope carries no recursion).  Quotient orders come from the chain.
+    groups are perfect.  When the recursion's root group is cyclic of prime
+    order p, it is not perfect, so no base quotient is, and every quotient
+    order is read off one induced polycyclic sequence
+    (``WreathRecursion.quotient_orders``), with no stabilizer chain.  Any
+    other telescope (another root group, no recursion, or a component that
+    is not a tree level of it) gets its orders from a stabilizer chain per
+    component, and ``check_perfect`` runs only when the root group is perfect
+    or there is no recursion.
     """
-    root_perfect = tg.rec is None or check_perfect(PermGroup(tg.rec.root_perms))
-    witnesses = []
-    for ci, comp in enumerate(tg.components, start=1):
-        group = PermGroup(_base_generators(comp))
-        witnesses.append({
-            "component": ci,
-            "quotient_order": group.order(),
-            "perfect": root_perfect and check_perfect(group),
-        })
+    orders = _polycyclic_orders(tg)
+    if orders is not None:
+        witnesses = [{"component": ci, "quotient_order": order, "perfect": False}
+                     for ci, order in enumerate(orders, start=1)]
+    else:
+        root_perfect = tg.rec is None or check_perfect(PermGroup(tg.rec.root_perms))
+        witnesses = []
+        for ci, comp in enumerate(tg.components, start=1):
+            group = PermGroup(_base_generators(comp))
+            witnesses.append({
+                "component": ci,
+                "quotient_order": group.order(),
+                "perfect": root_perfect and check_perfect(group),
+            })
     return CheckReport(
         name="perfectness_scan",
         parameters={"informational": True},

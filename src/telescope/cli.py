@@ -149,7 +149,7 @@ def load_config(path):
         with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     try:
         doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:

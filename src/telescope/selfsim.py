@@ -9,7 +9,9 @@ Every decision goes through one wreath decomposition,
 ``split(w) = (top, sections)``, psi(w) = (w|0, ..., w|d-1) pi (Nekrashevych,
 *Self-Similar Groups*, 2005, 1.3), memoized per recursion next to the
 triviality, order and level caches.  Caches live as long as their
-recursion; nothing is shared between recursions.
+recursion; nothing is shared between recursions.  The orders of the level
+quotients come from one induced polycyclic sequence when the root group is
+cyclic of prime order (``quotient_orders``).
 
 Equality and element orders are exact.  Both rely on the recursion being
 contracting (sections of long words eventually shrink), which the caller
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from functools import cached_property
+from itertools import accumulate, chain, compress, count, islice
+from operator import itemgetter, ne
 
-from .perm import Permutation, _compose
+from .perm import Permutation, _compose, _inverse
 from .words import LetterTable, compose_signed, invert_signed, parse_signed, reduce_signed
 
 
@@ -102,10 +105,30 @@ class WreathRecursion:
         self._trivial = {}
         self._orders = {}
         self._levels = {}
+        self._quotient_orders = ()
 
     @property
     def generator_count(self):
         return len(self.names)
+
+    @cached_property
+    def root_cycle(self):
+        """The p-cycle whose powers are all the root permutations, or None.
+
+        None unless the arity p is prime and some root permutation moves a
+        point; the first such permutation must then have order p, which on
+        p points makes it a p-cycle, and every other one must be a power of
+        it.  ``quotient_orders`` needs it.
+        """
+        p = self.arity
+        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            return None
+        moving = [perm for perm in self.root_perms if not perm.is_identity()]
+        if not moving or moving[0].order() != p:
+            return None
+        cycle = moving[0]
+        powers = {cycle ** e for e in range(1, p)}
+        return cycle if all(perm in powers for perm in moving) else None
 
     def parse(self, text):
         """Parse a whitespace-separated word of generator names (``name^-1`` inverts)."""
@@ -174,6 +197,109 @@ class WreathRecursion:
         action = LevelAction(level=level, degree=self.arity ** level, perms=perms)
         self._levels[level] = action
         return action
+
+    def quotient_orders(self, level):
+        """The orders |G/St(k)| of the level quotients for k = 1..level.
+
+        Theorem (Kaloujnine, 1948): when the arity p is prime and every root
+        permutation is a power of one p-cycle c (``root_cycle``), every
+        section acts on the children of its vertex by a power of c, so the
+        level-n quotient G_n lies in the iterated wreath product
+        C_p wr ... wr C_p, a Sylow p-subgroup of Sym(p^n).  Its orders are
+        read off an induced polycyclic sequence (Holt, Eick and O'Brien,
+        *Handbook of Computational Group Theory*, 2005, 8.3).
+
+        Elements are leaf image tuples at ``level``, and vertices are ordered
+        top level first, left to right within a level.  An element's leader
+        is the first vertex at which it acts nontrivially: it fixes that
+        vertex and moves its children by some c^e.  Sifting divides out rows
+        by leader (noncommutative Gauss); a residue that is not the identity
+        becomes a new row, normalized to e = 1, and its p-th power and its
+        commutators with every other row are sifted in turn.  Once all of
+        them sift to the identity, the normal words in the rows form a
+        group, so |G_n| = p^(rows).  The rows whose leader lies at depth k
+        or deeper make up the stabilizer of level k, so G_k has order
+        p^(rows whose leader lies above depth k).
+
+        One pass at ``level`` gives every shallower order, and the deepest
+        pass so far is memoized.  Raises ValueError when ``root_cycle`` is
+        None, since G_n then need not be a p-group.
+        """
+        if level < 1:
+            raise ValueError("levels start at 1")
+        if self.root_cycle is None:
+            raise ValueError("polycyclic quotient orders need a prime arity p and "
+                             "root permutations that are powers of one p-cycle")
+        if level <= len(self._quotient_orders):
+            return self._quotient_orders[:level]
+        p = self.arity
+        n = p ** level
+        leaves = [p ** (level - 1 - d) for d in range(level)]  # under a depth d+1 vertex
+        # ancestors[d][x]: the depth-(d+1) vertex above leaf x
+        ancestors = [tuple(x // below for x in range(n)) for below in leaves]
+        unmoved = [tuple(range(p ** (d + 1))) for d in range(level)]
+        place = [0] * p  # place[x] = e with c^e(0) = x
+        point = 0
+        for e in range(p):
+            place[point] = e
+            point = self.root_cycle.images[point]
+        # leader (depth, vertex) -> (h, h^2, ..., h^(p-1)) and h^-1, h moving by c
+        rows = {}
+
+        def sift(depth, g):
+            """Divide rows out of ``g``, an element of St(depth): it fixes every
+            vertex at ``depth``.
+
+            Returns None for the identity, else the residue, its leader and
+            the exponent e of its move there.
+            """
+            start = 0  # the first depth-(depth+1) vertex not known to be fixed
+            while depth < level:
+                # g on the depth-(depth+1) vertices, read off their first leaves
+                action = _compose(ancestors[depth], g[::leaves[depth]])
+                fixed = unmoved[depth]
+                if action[start:] == fixed[start:]:
+                    depth, start = depth + 1, 0
+                    continue
+                # the first moved vertex is the first child of the leader
+                child = next(compress(count(start), map(ne, islice(action, start, None),
+                                                        islice(fixed, start, None))))
+                e = place[action[child] % p]
+                leader = (depth, child // p)
+                row = rows.get(leader)
+                if row is None:
+                    return g, leader, e
+                g = _compose(row[0][p - 1 - e], g)
+                start = child + p  # the residue also fixes the leader's children
+            return None
+
+        pending = [(0, perm.images) for perm in self.level_action(level).perms]
+        while pending:
+            found = sift(*pending.pop())
+            if found is None:
+                continue
+            g, (depth, vertex), e = found
+            h = g
+            for _ in range(pow(e, -1, p) - 1):
+                h = _compose(h, g)
+            powers = [h]
+            for _ in range(p - 2):
+                powers.append(_compose(h, powers[-1]))
+            h_inverse = _inverse(h)
+            # h lies in St(depth), which is normal in the wreath product and
+            # whose moves at that depth commute; so h^p lies in St(depth + 1),
+            # and its commutator with a row in St(d) lies in St(max(depth, d)),
+            # or in St(depth + 1) when d = depth
+            pending.append((depth + 1, _compose(h, powers[-1])))
+            for (d, _), (other, other_inverse) in rows.items():
+                pending.append((max(depth, d) + (d == depth), _compose(
+                    h_inverse, _compose(other_inverse, _compose(h, other[0])))))
+            rows[depth, vertex] = powers, h_inverse
+        per_depth = [0] * level
+        for depth, _ in rows:
+            per_depth[depth] += 1
+        self._quotient_orders = tuple(p ** rows_above for rows_above in accumulate(per_depth))
+        return self._quotient_orders
 
     # -- exact decisions -----------------------------------------------------
 

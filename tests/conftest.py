@@ -7,13 +7,17 @@ element orders come from explicit permutation images at a deep tree level,
 words are evaluated on the blocks by multiplying permutations one letter at
 a time, the kernel of the componentwise sign map is built from Schreier
 generators, and the trace and return-bound sweeps walk every point one
-letter at a time.
+letter at a time.  ``cyclic_root_recursions`` draws the recursions that
+``WreathRecursion.quotient_orders`` accepts, for the tests that check it
+against these oracles.
 """
 
 import math
 import os
 import re
 from pathlib import Path
+
+from hypothesis import assume, strategies as st
 
 from telescope import tower
 from telescope.perm import Permutation
@@ -66,6 +70,23 @@ def transitivity_oracle(generators):
                     new.append(y)
         frontier = new
     return {"orbit_of_0": len(seen), "degree": degree, "transitive": len(seen) == degree}
+
+
+@st.composite
+def cyclic_root_recursions(draw):
+    """A random recursion of prime arity p (2 or 3) whose root permutations
+    are powers of one drawn p-cycle, some of them not the identity, with 1
+    to 3 generators and sections of up to 2 letters; contracting or not,
+    and its levels are often not transitive."""
+    p = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(1, 3))
+    cycle = Permutation.from_cycles(p, [draw(st.permutations(range(p)))])
+    exponents = [draw(st.integers(0, p - 1)) for _ in range(k)]
+    assume(any(exponents))
+    letters = st.sampled_from([code for i in range(1, k + 1) for code in (i, -i)])
+    sections = [[draw(st.lists(letters, max_size=2)) for _ in range(p)] for _ in range(k)]
+    return WreathRecursion(p, [f"g{i}" for i in range(1, k + 1)],
+                           [cycle ** e for e in exponents], sections, contracting=False)
 
 
 def custom_arity_3():

@@ -2,6 +2,9 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy.combinatorics import Permutation as SympyPermutation
+from sympy.combinatorics import PermutationGroup as SympyGroup
 
 from conftest import brute_closure, schreier_sign_kernel
 from telescope.certify import (Certificate, alt_cutoff, check_perfect,
@@ -183,6 +186,15 @@ class TestPerfect:
                      [cyc(6, (0, 1, 2, 3, 4, 5))]):
             if any(g.sign() == -1 for g in gens):
                 assert not check_perfect(PermGroup(gens))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.lists(
+        st.tuples(st.permutations(range(n)), st.booleans()), min_size=1, max_size=3)))
+    def test_matches_sympy(self, drawn):
+        # squaring a generator makes it even, so perfect groups are drawn too
+        gens = [Permutation(images) ** (2 if square else 1) for images, square in drawn]
+        expected = SympyGroup([SympyPermutation(list(g.images)) for g in gens]).is_perfect
+        assert check_perfect(PermGroup(gens)) == expected
 
     def test_quotient_scan_is_informational(self, grig123):
         report = perfectness_scan(grig123)

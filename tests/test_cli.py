@@ -326,6 +326,16 @@ class TestCommands:
         assert captured.err == (f"error: cannot write certificate {out_path}: "
                                 f"{os.strerror(errno.ENOENT)}\n")
 
+    @pytest.mark.parametrize("command", [["build"], ["verify"], ["word", "--word", "g1"]])
+    def test_unreadable_config_names_its_path_once(self, tmp_path, capsys, command):
+        path = tmp_path / "no" / "such.json"
+        assert main([command[0], "--config", str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(str(path)) == 1
+        assert captured.err == (f"config error: cannot read config {path}: "
+                                f"{os.strerror(errno.ENOENT)}\n")
+
     def test_certificate_embeds_sampler(self, tmp_path):
         out_path = tmp_path / "cert.json"
         main(["verify", "--config", str(grig_config(tmp_path)),

@@ -12,21 +12,28 @@ K >= [Gamma, Gamma] for the sign kernel K; it is checked against
 chain orders of its block projections.  With the construction check
 patched away, an intransitive block slips through and that oracle must
 catch the wrong ``alt_cutoff`` row.  ``check_subdirect``, ``alt_cutoff`` and
-``transitivity_report`` must build no chain and compute no orbit.
+``transitivity_report`` must build no chain and compute no orbit.  On
+the presets ``perfectness_scan`` and a whole ``verify`` build no chain
+either: their root group is cyclic of prime order, so the quotient orders
+come from one induced polycyclic sequence.  Every other telescope keeps
+the chain, and its witnesses are pinned.
 """
 
+import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
 import telescope.certify as certify
 import telescope.perm as perm
 import telescope.tower as tower
-from conftest import schreier_sign_kernel, transitivity_oracle
+from conftest import (custom_arity_3, cyclic_root_recursions, schreier_sign_kernel,
+                      transitivity_oracle)
 from telescope.certify import alt_cutoff, check_subdirect, perfectness_scan, sign_vectors
+from telescope.cli import PRESETS, main
 from telescope.perm import PermGroup, Permutation
 from telescope.selfsim import WreathRecursion, grigorchuk, gupta_sidki_3
 from telescope.tower import (TelescopeGroup, build_telescope, extend_action,
@@ -135,11 +142,13 @@ def assert_matches_sign_kernel_oracle(tg):
     assert sign_vectors(tg)[1] == len(transversal)
 
 
+def refuse_chain_init(*args):
+    raise AssertionError("a stabilizer chain was built")
+
+
 @pytest.fixture
 def refuse_chain(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a stabilizer chain was built")
-    monkeypatch.setattr(perm._StabilizerChain, "__init__", refuse)
+    monkeypatch.setattr(perm._StabilizerChain, "__init__", refuse_chain_init)
 
 
 @pytest.fixture
@@ -187,7 +196,15 @@ class TestCertifyAgainstChain:
     @pytest.mark.parametrize("rec, levels", [(grigorchuk(), [1, 2, 3, 4]),
                                              (gupta_sidki_3(), [1, 2, 3])])
     def test_presets_build_no_stabilizer_chain(self, rec, levels, refuse_chain,
-                                               request):
+                                               request, tmp_path, capsys):
+        preset = next(name for name, make in PRESETS.items() if make().names == rec.names)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"group": preset, "levels": levels}))
+        out = tmp_path / "certificate.json"
+        # only the stated pigeonhole fact fails
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == 1
+        assert "note: every failure is a counterexample" in capsys.readouterr().out
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
         tg = build_telescope(rec, levels)
         # construction checked transitivity; the checks compute no orbit
         request.getfixturevalue("refuse_orbit")
@@ -195,6 +212,9 @@ class TestCertifyAgainstChain:
         assert check_subdirect(tg).passed
         report, cutoff = alt_cutoff(tg)
         assert report.passed and cutoff == 1
+        scan = perfectness_scan(tg)
+        assert scan.witnesses == checks["perfectness_scan"]["witnesses"]
+        assert not any(w["perfect"] for w in scan.witnesses)
 
     def test_intransitive_example_builds_no_stabilizer_chain(self, refuse_chain):
         # construction decides transitivity by an orbit, not by a chain
@@ -218,3 +238,80 @@ class TestPerfectnessShortcut:
             base = PermGroup(certify._base_generators(comp))
             assert witness["perfect"] == certify.check_perfect(base)
         assert witnesses[0] == {"component": 1, "quotient_order": 60, "perfect": True}
+
+
+@pytest.fixture
+def count_chains(monkeypatch):
+    """The number of stabilizer chains built so far, in a one-item list."""
+    built = [0]
+    original = perm._StabilizerChain.__init__
+
+    def counting(self, *args):
+        built[0] += 1
+        original(self, *args)
+    monkeypatch.setattr(perm._StabilizerChain, "__init__", counting)
+    return built
+
+
+def chain_scan(tg, root_perfect):
+    """The scan's witnesses from a stabilizer chain per component."""
+    witnesses = []
+    for ci, comp in enumerate(tg.components, start=1):
+        base = PermGroup(certify._base_generators(comp))
+        witnesses.append({"component": ci, "quotient_order": base.order(),
+                          "perfect": root_perfect and certify.check_perfect(base)})
+    return witnesses
+
+
+def unleveled_grigorchuk():
+    """Grigorchuk's level-3 action as a plain permutation list, so its
+    component records no level, on a telescope that carries the recursion."""
+    rec = grigorchuk()
+    return TelescopeGroup((extend_action(list(rec.level_action(3).perms), 0),),
+                          rec.names, rec)
+
+
+@st.composite
+def cyclic_root_telescopes(draw):
+    """A telescope on the transitive levels among 1..3 of a recursion drawn
+    by ``cyclic_root_recursions``."""
+    rec = draw(cyclic_root_recursions())
+    levels = [level for level in range(1, 4)
+              if transitivity_oracle(rec.level_action(level).perms)["transitive"]]
+    assume(levels)
+    return build_telescope(rec, levels)
+
+
+class TestPolycyclicScope:
+    @PROPERTY
+    @given(cyclic_root_telescopes())
+    def test_cyclic_root_scan_matches_the_chain(self, tg):
+        assert tg.rec.root_cycle is not None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(perm._StabilizerChain, "__init__", refuse_chain_init)
+            witnesses = perfectness_scan(tg).witnesses
+        assert witnesses == chain_scan(tg, False)
+
+    @pytest.mark.parametrize("tg, expected", [
+        # root group <(0 1 2 3)>: the arity is not prime
+        (build_telescope(WreathRecursion(
+            4, ("a", "b"), (cyc(4, (0, 1, 2, 3)), Permutation.identity(4)),
+            (((), (), (), (1,)), ((1,), (), (), (2,))), contracting=False), [1, 2, 3]),
+         [(4, False), (1024, False), (68719476736, False)]),
+        # root group Sym(3) = <(0 1 2), (0 1)>
+        (build_telescope(custom_arity_3(), [1, 2, 3]),
+         [(6, False), (648, False), (816293376, False)]),
+        # no recursion: Sym(3), then Alt(5)
+        (TelescopeGroup((extend_action([cyc(3, (0, 1, 2)), cyc(3, (0, 1))], 0),
+                         extend_action([cyc(5, (0, 1, 2, 3, 4)), cyc(5, (0, 1, 2))], 1)),
+                        ("g1", "g2")),
+         [(6, False), (60, True)]),
+        # Grigorchuk's recursion, but a component that records no level
+        (unleveled_grigorchuk(), [(128, False)]),
+    ], ids=["arity-4", "sym3-root", "no-recursion", "no-level"])
+    def test_other_telescopes_keep_the_chain(self, tg, expected, count_chains):
+        witnesses = perfectness_scan(tg).witnesses
+        assert [(w["quotient_order"], w["perfect"]) for w in witnesses] == expected
+        assert count_chains[0] >= len(tg.components)
+        root_perfect = tg.rec is None or certify.check_perfect(PermGroup(tg.rec.root_perms))
+        assert witnesses == chain_scan(tg, root_perfect)

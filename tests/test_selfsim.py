@@ -1,9 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from sympy.combinatorics import Permutation as SympyPermutation
+from sympy.combinatorics import PermutationGroup as SympyGroup
 
-from conftest import custom_arity_3, level_image
-from telescope.perm import Permutation
+from conftest import custom_arity_3, cyclic_root_recursions, level_image
+from telescope.perm import PermGroup, Permutation
 from telescope.selfsim import (BudgetExceeded, NotContracting, WreathRecursion,
                                grigorchuk, gupta_sidki_3, invert_signed,
                                reduce_signed)
@@ -100,6 +103,72 @@ class TestLevelActions:
             rec.level_action(7)
         with pytest.raises(BudgetExceeded, match="level 1000000000000"):
             rec.level_action(10**12)
+
+
+def grigorchuk_quotient_order(level):
+    """|G/St(n)| of the Grigorchuk group for n >= 3 (Grigorchuk, 1984)."""
+    return 2 ** (5 * 2 ** (level - 3) + 2)
+
+
+class TestQuotientOrders:
+    """The induced polycyclic sequence against the stabilizer chain, sympy
+    and the Grigorchuk formula.  The theorem behind it needs no transitive
+    level, so every level is compared."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cyclic_root_recursions())
+    def test_matches_chain_and_sympy(self, rec):
+        orders = rec.quotient_orders(4)
+        for level, order in enumerate(orders, start=1):
+            perms = rec.level_action(level).perms
+            assert order == PermGroup(perms).order(), level
+            if level <= 3:
+                assert order == SympyGroup(
+                    [SympyPermutation(list(g.images)) for g in perms]).order(), level
+
+    def test_grigorchuk_formula_at_levels_3_to_8(self):
+        rec = grigorchuk()
+        orders = rec.quotient_orders(8)
+        assert orders[:2] == (2, 8)
+        assert orders[2:] == tuple(grigorchuk_quotient_order(n) for n in range(3, 9))
+
+    def test_gupta_sidki_matches_chain(self, gs3):
+        assert gs3.quotient_orders(4) == tuple(
+            PermGroup(gs3.level_action(n).perms).order() for n in range(1, 5))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_odometer_is_cyclic_of_order_p_to_the_level(self, p):
+        # a = (1, ..., 1, a) c: its level-n quotient is cyclic of order p^n,
+        # and every row below the root comes from a p-th power
+        odometer = WreathRecursion(
+            p, ("a",), (Permutation([(x + 1) % p for x in range(p)]),),
+            (((),) * (p - 1) + ((1,),),), contracting=True)
+        assert odometer.quotient_orders(5) == tuple(p ** n for n in range(1, 6))
+
+    def test_shallower_levels_reuse_the_deepest_pass(self):
+        rec = grigorchuk()
+        deep = rec.quotient_orders(6)
+        assert rec.quotient_orders(4) == deep[:4] == grigorchuk().quotient_orders(4)
+        assert rec.quotient_orders(6) is deep
+
+    @pytest.mark.parametrize("rec", [
+        custom_arity_3(),  # root group Sym(3)
+        WreathRecursion(4, ("a",), (Permutation((1, 2, 3, 0)),), (((),) * 4,), False),
+        WreathRecursion(2, ("a",), (Permutation((0, 1)),), (((1,), ()),), False),
+        WreathRecursion(3, ("a",), (Permutation((1, 0, 2)),), (((), (), ()),), False),
+    ], ids=["sym3-root", "arity-4", "trivial-root", "transposition-root"])
+    def test_refused_outside_the_theorem(self, rec):
+        assert rec.root_cycle is None
+        with pytest.raises(ValueError, match="prime arity"):
+            rec.quotient_orders(2)
+
+    def test_root_cycle_of_presets(self, grig, gs3):
+        assert grig.root_cycle == Permutation((1, 0))
+        assert gs3.root_cycle == Permutation((1, 2, 0))
+
+    def test_level_starts_at_one(self, grig):
+        with pytest.raises(ValueError, match="levels start at 1"):
+            grig.quotient_orders(0)
 
 
 class TestEquality:
