@@ -109,18 +109,18 @@ class Permutation:
         """Nontrivial cycles, each starting at its smallest point, sorted."""
         if self._cycles is not None:
             return self._cycles
-        seen = set()
+        images = self.images
+        seen = bytearray(len(images))
         out = []
-        for start in range(len(self.images)):
-            if start in seen or self.images[start] == start:
+        for start, point in enumerate(images):
+            if seen[start] or point == start:
                 continue
             cycle = [start]
-            seen.add(start)
-            point = self.images[start]
+            seen[start] = 1
             while point != start:
                 cycle.append(point)
-                seen.add(point)
-                point = self.images[point]
+                seen[point] = 1
+                point = images[point]
             out.append(tuple(cycle))
         self._cycles = tuple(out)
         return self._cycles
@@ -138,7 +138,7 @@ class Permutation:
         cycles = self.cycles()
         if not cycles:
             return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+        return "".join(["(" + " ".join(map(str, c)) + ")" for c in cycles])
 
     def extended(self, degree):
         """The same permutation on a larger domain, fixing the new top points."""

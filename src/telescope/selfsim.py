@@ -11,7 +11,9 @@ Every decision goes through one wreath decomposition,
 triviality, order and level caches.  Caches live as long as their
 recursion; nothing is shared between recursions.  The orders of the level
 quotients come from one induced polycyclic sequence when the root group is
-cyclic of prime order (``quotient_orders``).
+cyclic of prime order (``quotient_orders``), and every level is shown
+transitive at once when the recursion is self-replicating
+(``level_transitive``).
 
 Equality and element orders are exact.  Both rely on the recursion being
 contracting (sections of long words eventually shrink), which the caller
@@ -106,6 +108,7 @@ class WreathRecursion:
         self._orders = {}
         self._levels = {}
         self._quotient_orders = ()
+        self._level_transitive = None  # the outcome of a decided test
 
     @property
     def generator_count(self):
@@ -189,8 +192,12 @@ class WreathRecursion:
                 images = []
                 for x, y in enumerate(self._root[gen]):
                     offset = y * n
-                    images.extend([offset + z for z in compose_signed(
-                        self.sections[gen - 1][x], below_images, n)])
+                    section = self.sections[gen - 1][x]
+                    if section:
+                        images.extend(map(offset.__add__,
+                                          compose_signed(section, below_images, n)))
+                    else:
+                        images.extend(range(offset, offset + n))
                 return Permutation._trusted(tuple(images))
 
             perms = tuple(lift(gen) for gen in range(1, self.generator_count + 1))
@@ -301,6 +308,72 @@ class WreathRecursion:
         self._quotient_orders = tuple(p ** rows_above for rows_above in accumulate(per_depth))
         return self._quotient_orders
 
+    def level_transitive(self, budget):
+        """Whether a theorem shows the action transitive on every level.
+
+        Theorem (Bartholdi, Grigorchuk and Šunić, "Branch groups", 2003;
+        Nekrashevych, *Self-Similar Groups*, 2005, 2.8): if G is transitive
+        on the first level and self-replicating, that is g -> g|0 maps the
+        stabilizer St(0) of vertex 0 onto G, then G is transitive on every
+        level.  St(0) then acts on the subtree below 0 as G does on the
+        whole tree, and the root orbit carries vertex 0 to every child.
+
+        The test takes a transversal of the root orbit of 0 as words, forms
+        the Schreier generators of St(0) from it and takes their sections
+        at 0.  By Schreier's lemma those sections generate the image of the
+        homomorphism g -> g|0 on St(0), a subgroup of G; the test passes
+        when every generator ``equal``s one of them, so the image is G.
+        That takes O(k*d) splits and usually no closure at all, since the
+        sections tend to be generator letters themselves.
+
+        False means the theorem does not apply, not that some level is
+        intransitive: the recursion is not contracting, the root group is
+        not transitive, a generator is no section, or the equality closures
+        need more than ``budget`` letters in all.  A decided test is
+        memoized; after an exhausted budget the next call runs it again.
+        """
+        if self._level_transitive is None:
+            try:
+                self._level_transitive = self._self_replicating(budget)
+            except BudgetExceeded:
+                return False
+        return self._level_transitive
+
+    def _self_replicating(self, budget):
+        """The test of ``level_transitive``; BudgetExceeded when its closures
+        need more than ``budget`` letters."""
+        if not self.contracting:
+            return False
+        gens = range(1, self.generator_count + 1)
+        reach = {0: ()}  # root orbit point x -> a word taking 0 to x
+        frontier = [0]
+        for x in frontier:  # the list grows while it is walked: breadth first
+            for g in gens:
+                y = self._root[g][x]
+                if y not in reach:
+                    reach[y] = (g,) + reach[x]
+                    frontier.append(y)
+        if len(reach) < self.arity:
+            return False
+        # the sections at 0 of the Schreier generators u_(g x)^-1 g u_x, in order
+        sections = dict.fromkeys(
+            self.split(reduce_signed(invert_signed(reach[self._root[g][x]]) + (g,) + u))[1][0]
+            for x, u in reach.items() for g in gens)
+        for g in gens:
+            if (g,) in sections:
+                continue
+            for section in sections:
+                if self.split(section)[0] != self._root[g]:
+                    continue
+                trivial, used = self._closure_trivial(
+                    reduce_signed((g,) + invert_signed(section)), budget, per_letter=True)
+                budget -= used
+                if trivial:
+                    break
+            else:
+                return False
+        return True
+
     # -- exact decisions -----------------------------------------------------
 
     def is_trivial(self, word):
@@ -315,32 +388,37 @@ class WreathRecursion:
         """
         if not self.contracting:
             raise NotContracting("equality needs a contracting recursion")
-        word = reduce_signed(word)
+        return self._closure_trivial(reduce_signed(word), self.step_budget)[0]
+
+    def _closure_trivial(self, word, budget, per_letter=False):
+        """``is_trivial`` on a reduced word within ``budget``: the verdict and
+        what it spent.  A closure state costs 1, or with ``per_letter`` its
+        length, since words may grow along the closure of a recursion that
+        is not contracting in truth.  Raises BudgetExceeded past the budget."""
         cached = self._trivial.get(word)
         if cached is not None:
-            return cached
+            return cached, 0
         identity = tuple(range(self.arity))
         seen = {word}
         stack = [word]
         steps = 0
         while stack:
             current = stack.pop()
-            steps += 1
-            if steps > self.step_budget:
-                raise BudgetExceeded(
-                    f"triviality closure exceeded {self.step_budget} states")
+            steps += len(current) if per_letter else 1
+            if steps > budget:
+                raise BudgetExceeded(f"triviality closure exceeded {budget} states")
             top, sections = self.split(current)
             if top != identity:
                 self._trivial[current] = False
                 self._trivial[word] = False
-                return False
+                return False, steps
             for section in sections:
                 if section and section not in seen and self._trivial.get(section) is not True:
                     seen.add(section)
                     stack.append(section)
         for state in seen:
             self._trivial[state] = True
-        return True
+        return True, steps
 
     def equal(self, u, v):
         """Exact equality of two signed words as group elements."""

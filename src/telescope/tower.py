@@ -3,9 +3,11 @@
 Each component extends a finite transitive action by one fresh point q and
 the transposition tau = (p, q); the telescope group is generated, across
 all components at once, by the diagonal generator images and the tuple of
-transpositions.  A component checks that its base action is transitive
-when it is made, so every component in a telescope meets the
-construction's precondition and no later check decides it again.
+transpositions.  Every component in a telescope meets the construction's
+precondition, so no later check decides it again.  ``build_telescope``
+settles it for all levels of a recursion at once when the recursion is
+self-replicating (``WreathRecursion.level_transitive``); any other
+component checks its base action by a breadth-first orbit when it is made.
 Verifiers sweep whole components point by point, so extending the
 truncation only ever adds checks.
 """
@@ -29,9 +31,12 @@ class ExtendedAction:
     """One component: a transitive base action plus the fresh point and its
     transposition.
 
-    Construction rejects a base action that is not transitive.  The
-    generator images fix the fresh point, so the orbit of 0 stays in the
-    base; with no generator images only a one-point base is transitive.
+    Construction rejects a base action that is not transitive, by the
+    orbit of 0; the generator images fix the fresh point, so that orbit
+    stays in the base, and with no generator images only a one-point base
+    is transitive.  ``_transitive`` (internal) skips the orbit when
+    ``build_telescope`` has shown every level of the recursion transitive.
+    Tau is checked by one comparison with the transposition's image tuple.
     ``letters`` is the component's letter table (tau, each generator, and
     each inverse once it is first used), made once and shared by every
     word evaluated on the component.
@@ -42,23 +47,24 @@ class ExtendedAction:
     tau: Permutation
     level: object = None
     letters: LetterTable = field(init=False, repr=False, compare=False)
+    _transitive: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         degree = self.tau.degree
         extra = degree - 1
         if not 0 <= self.basepoint < extra:
             raise ValueError("basepoint must lie in the base domain")
-        moved = [x for x in range(degree) if self.tau(x) != x]
-        if moved != sorted((self.basepoint, extra)):
+        if self.tau.images != _transposition(degree, self.basepoint, extra):
             raise ValueError("tau must swap exactly the basepoint and the fresh point")
         for p in self.gen_images:
             if p.degree != degree or p(extra) != extra:
                 raise ValueError("generator images must fix the fresh point")
-        reached = len(orbit(self.gen_images, 0)) if self.gen_images else 1
-        if reached != extra:
-            what = "base action" if self.level is None else f"level {self.level} action"
-            raise ValueError(f"{what} is not transitive: the orbit of 0 has "
-                             f"{reached} of {extra} points")
+        if not self._transitive:
+            reached = len(orbit(self.gen_images, 0)) if self.gen_images else 1
+            if reached != extra:
+                what = "base action" if self.level is None else f"level {self.level} action"
+                raise ValueError(f"{what} is not transitive: the orbit of 0 has "
+                                 f"{reached} of {extra} points")
         object.__setattr__(self, "letters", LetterTable(self.gen_images, self.tau))
 
     @property
@@ -74,11 +80,20 @@ class ExtendedAction:
         return self.tau.degree - 1
 
 
-def extend_action(action, basepoint):
+def _transposition(degree, a, b):
+    """The image tuple of the transposition (a b) on ``degree`` points."""
+    images = list(range(degree))
+    images[a], images[b] = b, a
+    return tuple(images)
+
+
+def extend_action(action, basepoint, *, _transitive=False):
     """Append one fresh point to an action and adjoin tau = (basepoint, fresh).
 
     ``action`` is a LevelAction or a plain sequence of permutations; it
     must be transitive (``ExtendedAction`` raises ValueError otherwise).
+    ``_transitive`` is internal: ``build_telescope`` sets it for the levels
+    of a recursion that ``level_transitive`` has shown transitive.
     """
     if isinstance(action, LevelAction):
         perms = action.perms
@@ -94,8 +109,9 @@ def extend_action(action, basepoint):
     if not 0 <= basepoint < degree:
         raise ValueError(f"basepoint {basepoint} outside 0..{degree - 1}")
     extended = tuple(p.extended(degree + 1) for p in perms)
-    tau = Permutation.transposition(degree + 1, basepoint, degree)
-    return ExtendedAction(basepoint=basepoint, gen_images=extended, tau=tau, level=level)
+    tau = Permutation._trusted(_transposition(degree + 1, basepoint, degree))
+    return ExtendedAction(basepoint=basepoint, gen_images=extended, tau=tau, level=level,
+                          _transitive=_transitive)
 
 
 @dataclass(frozen=True)
@@ -160,8 +176,12 @@ def transitivity_report(tg):
 def build_telescope(rec, levels, basepoints=None):
     """Components from strictly increasing tree levels of one recursion.
 
-    Quotient sizes must strictly grow, hence the strict monotonicity; a
-    level whose action is not transitive makes ``extend_action`` raise.
+    Quotient sizes must strictly grow, hence the strict monotonicity.
+    When ``rec.level_transitive`` shows every level transitive, no orbit is
+    computed; its equality closures may spend at most the vertex count of the
+    requested levels, so it never costs much more than the orbits.
+    Otherwise a level whose action is not transitive makes
+    ``extend_action`` raise, as its orbit finds.
     """
     levels = list(levels)
     if not levels:
@@ -173,7 +193,12 @@ def build_telescope(rec, levels, basepoints=None):
     basepoints = list(basepoints)
     if len(basepoints) != len(levels):
         raise ValueError("need exactly one basepoint per level")
-    components = tuple(extend_action(rec.level_action(level), basepoint)
+    # a level past the step budget counts as its bit length: level_action
+    # rejects it anyway, and its vertex count is never formed
+    cap = rec.step_budget.bit_length()
+    transitive = rec.level_transitive(sum(rec.arity ** min(level, cap) for level in levels))
+    components = tuple(extend_action(rec.level_action(level), basepoint,
+                                     _transitive=transitive)
                        for level, basepoint in zip(levels, basepoints))
     return TelescopeGroup(components, rec.names, rec)
 

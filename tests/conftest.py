@@ -9,7 +9,8 @@ a time, the kernel of the componentwise sign map is built from Schreier
 generators, and the trace and return-bound sweeps walk every point one
 letter at a time.  ``cyclic_root_recursions`` draws the recursions that
 ``WreathRecursion.quotient_orders`` accepts, for the tests that check it
-against these oracles.
+against these oracles.  The ``count_orbits`` fixture counts the orbits
+construction computes, so a test can tell which transitivity path it took.
 """
 
 import math
@@ -17,10 +18,11 @@ import os
 import re
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, strategies as st
 
 from telescope import tower
-from telescope.perm import Permutation
+from telescope.perm import Permutation, orbit
 from telescope.reports import CheckReport
 from telescope.selfsim import WreathRecursion
 
@@ -33,6 +35,18 @@ def src_env():
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return env
+
+
+@pytest.fixture
+def count_orbits(monkeypatch):
+    """The number of orbits construction has computed, in a one-item list."""
+    computed = [0]
+
+    def counting(*args):
+        computed[0] += 1
+        return orbit(*args)
+    monkeypatch.setattr(tower, "orbit", counting)
+    return computed
 
 
 def brute_closure(generators):

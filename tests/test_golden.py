@@ -32,6 +32,10 @@ WORD_CASES = {
         "t", "g1 g2", "g1^-1 t g4 g2 t g3^-1", "t g1 t g2 t g3",
         "g2 g1 g1^-1 t t g3", "g4^-1 g2^-1 g1", "",
     ),
+    # degree 1024 at the last level: the construction and cycle kernels at depth
+    "words_grigorchuk_1-10": (
+        "t", "g1 g2", "g1^-1 t g4 g2 t g3^-1", "t g1 t g2 t g3", "",
+    ),
     "words_gupta_sidki_1-4": (
         "t", "g1 g2", "g1^-1 t g2^-1", "t g1 t g2 t g1^-1",
         "g2 g2 g1", "g1 g1^-1 t t", "",

@@ -21,6 +21,7 @@ the chain, and its witnesses are pinned.
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -33,13 +34,14 @@ import telescope.tower as tower
 from conftest import (custom_arity_3, cyclic_root_recursions, schreier_sign_kernel,
                       transitivity_oracle)
 from telescope.certify import alt_cutoff, check_subdirect, perfectness_scan, sign_vectors
-from telescope.cli import PRESETS, main
+from telescope.cli import PRESETS, load_config, main
 from telescope.perm import PermGroup, Permutation
 from telescope.selfsim import WreathRecursion, grigorchuk, gupta_sidki_3
 from telescope.tower import (TelescopeGroup, build_telescope, extend_action,
                              transitivity_report)
 
 PROPERTY = settings(max_examples=150, deadline=None)
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo_c2.json"
 
 
 def cyc(degree, *cycles):
@@ -196,7 +198,9 @@ class TestCertifyAgainstChain:
     @pytest.mark.parametrize("rec, levels", [(grigorchuk(), [1, 2, 3, 4]),
                                              (gupta_sidki_3(), [1, 2, 3])])
     def test_presets_build_no_stabilizer_chain(self, rec, levels, refuse_chain,
-                                               request, tmp_path, capsys):
+                                               refuse_orbit, tmp_path, capsys):
+        # the theorem of ``level_transitive`` settles transitivity, so
+        # neither construction nor the checks compute an orbit
         preset = next(name for name, make in PRESETS.items() if make().names == rec.names)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"group": preset, "levels": levels}))
@@ -206,8 +210,6 @@ class TestCertifyAgainstChain:
         assert "note: every failure is a counterexample" in capsys.readouterr().out
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
         tg = build_telescope(rec, levels)
-        # construction checked transitivity; the checks compute no orbit
-        request.getfixturevalue("refuse_orbit")
         assert transitivity_report(tg).passed
         assert check_subdirect(tg).passed
         report, cutoff = alt_cutoff(tg)
@@ -215,6 +217,22 @@ class TestCertifyAgainstChain:
         scan = perfectness_scan(tg)
         assert scan.witnesses == checks["perfectness_scan"]["witnesses"]
         assert not any(w["perfect"] for w in scan.witnesses)
+
+    @pytest.mark.parametrize("make, levels", [(grigorchuk, range(1, 11)),
+                                              (gupta_sidki_3, range(1, 7))])
+    def test_deep_presets_build_without_orbits(self, make, levels, request):
+        # the telescopes of deep word queries, up to degree 1024 and 729,
+        # against components that an orbit accepted one by one
+        rec = make()
+        checked = tuple(extend_action(rec.level_action(level), 0) for level in levels)
+        request.getfixturevalue("refuse_orbit")
+        assert build_telescope(make(), levels).components == checked
+
+    def test_demo_config_still_computes_an_orbit(self, count_orbits):
+        # the demo's g1 has trivial sections, so the theorem does not apply
+        config = load_config(DEMO_CONFIG)
+        build_telescope(config.recursion, config.levels, config.basepoints)
+        assert count_orbits[0] == len(config.levels) == 1
 
     def test_intransitive_example_builds_no_stabilizer_chain(self, refuse_chain):
         # construction decides transitivity by an orbit, not by a chain

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from conftest import (transitivity_oracle, walk_first_hits, walk_fundamental_general,
                       walk_trace_lemmas)
@@ -44,6 +44,40 @@ def recursion_tables(draw):
                           contracting=False)
     levels = sorted(draw(st.sets(st.integers(1, 3), min_size=1)))
     return rec, levels
+
+
+@st.composite
+def declared_contracting_recursions(draw):
+    """A random recursion (arity 2 or 3, 1 to 3 generators, sections of up
+    to 2 letters, single letters drawn as often as empty and two-letter
+    sections) declared contracting with a small step budget, so
+    ``level_transitive`` runs its test.  The first root permutation is
+    often a full cycle, so the first level is transitive.  Some of these
+    are not contracting in truth, and a closure then runs out of budget."""
+    arity = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 3))
+    letters = st.sampled_from([code for i in range(1, k + 1) for code in (i, -i)])
+    roots = [Permutation(draw(st.permutations(range(arity)))) for _ in range(k)]
+    if draw(st.booleans()):
+        roots[0] = Permutation([(x + 1) % arity for x in range(arity)])
+    section = st.one_of(st.just(()), st.tuples(letters), st.tuples(letters, letters))
+    sections = [[draw(section) for _ in range(arity)] for _ in range(k)]
+    return WreathRecursion(arity, [f"g{i}" for i in range(1, k + 1)], roots, sections,
+                           contracting=True, step_budget=400)
+
+
+def grigorchuk_inverse_section():
+    """Grigorchuk's group, with d = (1, b^-1) in place of (1, b): b is an
+    involution, so the group is the same, but no section at 0 of a
+    Schreier generator is the letter b itself, and matching b takes closures."""
+    rec = grigorchuk()
+    sections = rec.sections[:3] + (((), (-2,)),)
+    return WreathRecursion(2, rec.names, rec.root_perms, sections, contracting=True)
+
+
+def bfs_components(rec, levels):
+    """The components ``extend_action`` makes one by one, each checked by an orbit."""
+    return tuple(extend_action(rec.level_action(level), 0) for level in levels)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +181,74 @@ class TestBuildTelescope:
         assert report.passed
         assert report.parameters == {"levels": levels}
         assert report.witnesses == rows
+
+
+class TestLevelTransitivityTheorem:
+    """``level_transitive`` against the orbits: where the theorem holds,
+    every level is transitive and construction computes no orbit; anywhere
+    else construction is the orbit check it always was.  The presets are
+    checked at depth in ``test_recognition.py``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(declared_contracting_recursions())
+    def test_theorem_agrees_with_oracle(self, rec):
+        # where the theorem holds every level is transitive; either way
+        # construction rejects the first intransitive level by its orbit and
+        # otherwise makes the components an orbit check accepts
+        proved = rec.level_transitive(rec.step_budget)
+        event(f"theorem holds: {proved}")
+        rows = [transitivity_oracle(rec.level_action(level).perms) for level in range(1, 5)]
+        if proved:
+            assert all(row["transitive"] for row in rows)
+        first = next((level for level, row in enumerate(rows, start=1)
+                      if not row["transitive"]), None)
+        if first is not None:
+            with pytest.raises(ValueError, match=f"^level {first} action is not transitive"):
+                build_telescope(rec, [1, 2, 3, 4])
+        else:
+            levels = [1, 2, 3, 4]
+            assert build_telescope(rec, levels).components == bfs_components(rec, levels)
+
+    def test_non_contracting_recursion_builds_by_orbits(self, count_orbits):
+        rec = grigorchuk()
+        rec = WreathRecursion(2, rec.names, rec.root_perms, rec.sections, contracting=False)
+        assert not rec.level_transitive(10**6)
+        tg = build_telescope(rec, [1, 2, 3])
+        assert count_orbits[0] == 3
+        assert tg.components == build_telescope(grigorchuk(), [1, 2, 3]).components
+
+    def test_exhausted_budget_builds_by_orbits(self, count_orbits):
+        rec = grigorchuk_inverse_section()
+        # levels [1] let the closures spend 2 letters, too few to match b
+        tg = build_telescope(rec, [1])
+        assert count_orbits[0] == 1
+        assert not rec.level_transitive(2)
+        assert tg.components == bfs_components(grigorchuk(), [1])
+        # the test is rerun with a larger budget, and then it holds
+        count_orbits[0] = 0
+        tg = build_telescope(rec, [1, 2, 3, 4, 5])
+        assert count_orbits[0] == 0
+        assert rec.level_transitive(2)
+        assert tg.components == bfs_components(grigorchuk(), [1, 2, 3, 4, 5])
+
+    def test_generator_that_is_no_section_falls_back(self, count_orbits):
+        # g1 swaps the two subtrees and has trivial sections: level 1 is
+        # transitive, but every section at 0 of the stabilizer is trivial,
+        # so skipping the generator check would claim level 2 transitive
+        rec = c2_recursion()
+        assert not rec.level_transitive(10**6)
+        with pytest.raises(ValueError, match="^level 2 action is not transitive: "
+                                             "the orbit of 0 has 2 of 4 points$"):
+            build_telescope(rec, [1, 2])
+        assert count_orbits[0] == 2
+
+    def test_intransitive_root_falls_back(self, count_orbits):
+        rec = WreathRecursion(3, ("g1",), (Permutation((1, 0, 2)),), (((), (), ()),),
+                              contracting=True)
+        assert not rec.level_transitive(10**6)
+        with pytest.raises(ValueError, match="^level 1 action is not transitive"):
+            build_telescope(rec, [1])
+        assert count_orbits[0] == 1
 
 
 class TestEvaluate:
