@@ -5,6 +5,11 @@ Configs are strict JSON: unknown and duplicate keys are rejected so a typo
 cannot silently weaken a certificate.  Fixed config plus fixed seed reproduces
 identical stdout and byte-identical certificate files.
 
+Each preset recursion is built once per process, on the first call that
+names it, and reused with its caches by every later call; a custom
+recursion table is built anew on every call.  Cached values are exact facts
+about the group, so a call prints the same whatever ran before it.
+
 Exit codes: 0 pass, 1 a check failed, 2 config or usage error, 3 a
 computation ran out of its budget (a non-contracting or non-torsion input,
 or a level with more vertices than the step budget).
@@ -13,6 +18,7 @@ or a level with more vertices than the step budget).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -97,12 +103,23 @@ def parse_cycles(text, degree):
         raise ConfigError(f"bad cycles {text!r}: {exc}") from exc
 
 
+@functools.cache
+def _preset_recursion(factory):
+    """The one recursion ``factory`` builds in this process, made on first use.
+
+    Keyed by the factory object, so a factory swapped into ``PRESETS`` gets
+    its own recursion.  Every value a recursion caches is an exact fact
+    about its group, so later calls see the same results, only sooner.
+    """
+    return factory()
+
+
 def _parse_recursion(spec, where):
     if isinstance(spec, str):
         if spec not in PRESETS:
             raise ConfigError(
                 f"unknown preset {spec!r}; available: {', '.join(sorted(PRESETS))}")
-        return PRESETS[spec](), spec
+        return _preset_recursion(PRESETS[spec]), spec
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be a preset name or a recursion table")
     _expect_keys(spec, ["arity", "generators", "root_perms", "sections", "contracting"],
@@ -401,7 +418,9 @@ def cmd_word(config, tg, text):
     return 0 if report.passed else 1
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command-line parser, built on the first call of ``main``."""
     parser = argparse.ArgumentParser(
         prog="telescope",
         description="Build and certify telescopes of extended finite actions.")
@@ -414,7 +433,11 @@ def main(argv=None):
         if "--word" in needs:
             p.add_argument("--word", required=True,
                            help="whitespace-separated tokens g<k>, g<k>^-1, t")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
         tg = tower.build_telescope(config.recursion, config.levels, config.basepoints)

@@ -8,11 +8,11 @@ group identities become visible through the recursion itself.
 Every decision goes through one wreath decomposition,
 ``split(w) = (top, sections)``, psi(w) = (w|0, ..., w|d-1) pi (Nekrashevych,
 *Self-Similar Groups*, 2005, 1.3), memoized per recursion next to the
-triviality, order and level caches.  Caches live as long as their
-recursion; nothing is shared between recursions.  The orders of the level
-quotients come from one induced polycyclic sequence when the root group is
-cyclic of prime order (``quotient_orders``), and every level is shown
-transitive at once when the recursion is self-replicating
+triviality, order, level and torsion-growth caches.  Caches live as long
+as their recursion; nothing is shared between recursions.  The orders of
+the level quotients come from one induced polycyclic sequence when the
+root group is cyclic of prime order (``quotient_orders``), and every level
+is shown transitive at once when the recursion is self-replicating
 (``level_transitive``).
 
 Equality and element orders are exact.  Both rely on the recursion being
@@ -108,6 +108,7 @@ class WreathRecursion:
         self._orders = {}
         self._levels = {}
         self._quotient_orders = ()
+        self._growth = {}  # radius -> torsion growth
         self._level_transitive = None  # the outcome of a decided test
 
     @property
@@ -585,11 +586,19 @@ class WreathRecursion:
             frontier = new_frontier
         return reps
 
-    def torsion_growth(self, radius, gens=None):
-        """Maximum element order over the ball of the given radius."""
+    def torsion_growth(self, radius):
+        """Maximum element order over the ball of the given radius.
+
+        Memoized per radius; a call that runs out of its budget stores
+        nothing, so the next call raises again.
+        """
         if radius < 1:
             raise ValueError("torsion growth starts at radius 1")
-        return max(self.element_order(word) for word in self.ball(radius, gens))
+        growth = self._growth.get(radius)
+        if growth is None:
+            growth = max(self.element_order(word) for word in self.ball(radius))
+            self._growth[radius] = growth
+        return growth
 
     def __repr__(self):
         return (f"WreathRecursion(arity={self.arity}, "

@@ -230,6 +230,14 @@ def test_criterion_4_torsion_bound_on_sampled_words(grig, grig1234):
     assert time.perf_counter() - started < 120
 
 
+def test_criterion_4_memoized_torsion_growth_matches_the_ball_scan():
+    # a second call reads the memo; both agree with the level-8 scan
+    rec = grigorchuk()
+    for radius in range(1, 5):
+        first = rec.torsion_growth(radius)
+        assert rec.torsion_growth(radius) == first == ball_scan_max_order(rec, radius)
+
+
 def test_criterion_4_stated_torsion_growth_at_radius_two(grig):
     """T(2) = 16; the stated value 8 is wrong.
 

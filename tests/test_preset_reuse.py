@@ -1,0 +1,168 @@
+"""A preset recursion lives as long as the process, and no output may show it.
+
+Every call on a preset reuses the recursion the first such call built,
+with all the splits, triviality verdicts, orders, level actions and torsion
+growths it has cached.  Those are exact facts about the group, so each call
+must print the same, exit the same and write the same certificate bytes as
+it does on a fresh recursion, whatever ran before it in the process, an
+exhausted budget included.
+"""
+
+import json
+
+import pytest
+
+from telescope import cli
+from telescope.cli import load_config, main, sample_words
+
+WORD_LEVELS = {"grigorchuk": [1, 2, 3, 4, 5, 6], "gupta-sidki-3": [1, 2, 3, 4]}
+VERIFY_LEVELS = {"grigorchuk": [1, 2, 3, 4], "gupta-sidki-3": [1, 2, 3]}
+GENERATORS = {"grigorchuk": 4, "gupta-sidki-3": 2}
+
+
+def write_config(tmp_path, name, doc):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def run(argv, capsys, out_path=None):
+    """Exit code, stdout, stderr and the certificate bytes of one call."""
+    if out_path is not None and out_path.exists():
+        out_path.unlink()
+    code = main(argv)
+    captured = capsys.readouterr()
+    certificate = out_path.read_bytes() if out_path is not None and out_path.exists() else None
+    return code, captured.out, captured.err, certificate
+
+
+def run_cold(argv, capsys, out_path=None):
+    """One call on recursions built for it alone."""
+    cli._preset_recursion.cache_clear()
+    return run(argv, capsys, out_path)
+
+
+def seeded_queries(tmp_path):
+    """Word queries on both presets, seeded: (length, argv) pairs."""
+    queries = []
+    for seed, preset in enumerate(sorted(WORD_LEVELS), start=11):
+        config = write_config(tmp_path, f"words-{preset}",
+                              {"group": preset, "levels": WORD_LEVELS[preset]})
+        for word in sample_words(16, 8, GENERATORS[preset], seed):
+            queries.append((len(word), ["word", "--config", config, "--word", str(word)]))
+    return queries
+
+
+def test_warm_calls_match_fresh_recursions(tmp_path, capsys):
+    out_path = tmp_path / "cert.json"
+    verifies = {
+        preset: ["verify", "--config",
+                 write_config(tmp_path, f"verify-{preset}",
+                              {"group": preset, "levels": levels,
+                               "word_sample": {"count": 40, "max_length": 5}}),
+                 "--out", str(out_path)]
+        for preset, levels in VERIFY_LEVELS.items()}
+    queries = seeded_queries(tmp_path)
+    cold = {tuple(argv): run_cold(argv, capsys) for _, argv in queries}
+    cold_verify = {preset: run_cold(argv, capsys, out_path)
+                   for preset, argv in verifies.items()}
+    assert {code for code, *_ in cold.values()} == {0}
+    assert all(result[3] for result in cold_verify.values())
+
+    cli._preset_recursion.cache_clear()
+    longest_first = [argv for _, argv in sorted(queries, key=lambda q: -q[0])]
+    shortest_first = [argv for _, argv in sorted(queries, key=lambda q: q[0])]
+    order = ([("verify", "grigorchuk")] + [("word", argv) for argv in longest_first]
+             + [("verify", "gupta-sidki-3")] + [("word", argv) for argv in shortest_first]
+             + [("verify", "grigorchuk"), ("verify", "gupta-sidki-3")])
+    for kind, what in order:
+        if kind == "verify":
+            assert run(verifies[what], capsys, out_path) == cold_verify[what], what
+        else:
+            assert run(what, capsys) == cold[tuple(what)], what
+
+
+def test_exhausted_level_budget_leaves_the_next_query_unchanged(tmp_path, capsys):
+    query = ["word", "--config",
+             write_config(tmp_path, "small", {"group": "grigorchuk", "levels": [1, 2, 3]}),
+             "--word", "g1 g2 t g3"]
+    too_deep = ["word", "--config",
+                write_config(tmp_path, "deep", {"group": "grigorchuk", "levels": [1, 20]}),
+                "--word", "g1 g2 t g3"]
+    expected = run_cold(query, capsys)
+    assert expected[0] == 0
+    cli._preset_recursion.cache_clear()
+    for _ in range(2):
+        assert run(too_deep, capsys) == (
+            3, "", "error: computation budget exceeded: "
+                   "level 20 has more than 1000000 vertices\n", None)
+        assert run(query, capsys) == expected
+
+
+def test_exhausted_ball_budget_leaves_the_next_query_unchanged(tmp_path, capsys,
+                                                               monkeypatch):
+    # the factory of test_cli's ball-budget test: T(10) needs more than
+    # 1,000 candidate words, T(2) does not
+    def small_budget():
+        rec = cli.gupta_sidki_3()
+        rec.step_budget = 1000
+        return rec
+
+    monkeypatch.setitem(cli.PRESETS, "gupta-sidki-3", small_budget)
+    config = write_config(tmp_path, "gs", {"group": "gupta-sidki-3", "levels": [1, 2]})
+    fits = ["word", "--config", config, "--word", "g1 g2"]
+    too_long = ["word", "--config", config, "--word", "g1 g2 " * 5]
+    expected = run_cold(fits, capsys)
+    assert expected[0] == 0
+    cli._preset_recursion.cache_clear()
+    for _ in range(2):
+        assert run(too_long, capsys) == (
+            3, "", "error: computation budget exceeded: "
+                   "ball exceeded 1000 candidate words\n", None)
+        assert run(fits, capsys) == expected
+
+
+def test_load_config_shares_a_preset_recursion_only(tmp_path):
+    first = write_config(tmp_path, "a", {"group": "grigorchuk", "levels": [1, 2]})
+    second = write_config(tmp_path, "b", {"group": "grigorchuk", "levels": [3]})
+    assert load_config(first).recursion is load_config(second).recursion
+    custom = write_config(tmp_path, "c", {"group": {
+        "arity": 2, "generators": ["g1"], "root_perms": {"g1": "(0 1)"},
+        "sections": {"g1": ["", "g1"]}, "contracting": True}, "levels": [1]})
+    assert load_config(custom).recursion is not load_config(custom).recursion
+
+
+def test_a_swapped_in_factory_gets_its_own_recursion(tmp_path, monkeypatch):
+    config = write_config(tmp_path, "gs", {"group": "gupta-sidki-3", "levels": [1]})
+    shipped = load_config(config).recursion
+    monkeypatch.setitem(cli.PRESETS, "gupta-sidki-3", lambda: cli.gupta_sidki_3())
+    swapped = load_config(config).recursion
+    assert swapped is not shipped
+    assert load_config(config).recursion is swapped
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    ([], 2, "usage: telescope [-h] {build,verify,word} ...\n"
+            "telescope: error: the following arguments are required: command\n"),
+    (["word", "--config", "x"], 2,
+     "usage: telescope word [-h] --config CONFIG --word WORD\n"
+     "telescope word: error: the following arguments are required: --word\n"),
+    (["verify"], 2, "usage: telescope verify [-h] --config CONFIG [--out OUT]\n"
+                    "telescope verify: error: the following arguments are required: "
+                    "--config\n"),
+    (["--help"], 0, None), (["word", "--help"], 0, None), (["build", "--help"], 0, None),
+    (["bogus"], 2, None),
+])
+def test_the_parser_built_once_prints_what_a_fresh_one_does(argv, code, err, capsys,
+                                                           monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    outputs = []
+    for parse in (cli._parser.__wrapped__().parse_args, main, main):
+        with pytest.raises(SystemExit) as exit_info:
+            parse(argv)
+        captured = capsys.readouterr()
+        outputs.append((exit_info.value.code, captured.out, captured.err))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0][0] == code
+    if err is not None:
+        assert outputs[0] == (code, "", err)

@@ -314,6 +314,25 @@ class TestTorsionGrowth:
         with pytest.raises(ValueError):
             grig.torsion_growth(0)
 
+    def test_memoized_per_radius(self):
+        rec = grigorchuk()
+        assert [rec.torsion_growth(r) for r in (3, 1, 3, 2, 1)] == [16, 2, 16, 16, 2]
+        assert rec._growth == {1: 2, 2: 16, 3: 16}
+
+    def test_exhausted_budget_raises_again(self):
+        # the radius-10 ball needs more than 1,000 candidate words
+        rec = gupta_sidki_3()
+        rec.step_budget = 1000
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded, match="ball exceeded 1000"):
+                rec.torsion_growth(10)
+        assert rec._growth == {}
+        assert rec.torsion_growth(2) == gupta_sidki_3().torsion_growth(2)
+
+    def test_presets_are_built_anew_on_each_call(self):
+        assert grigorchuk() is not grigorchuk()
+        assert gupta_sidki_3() is not gupta_sidki_3()
+
 
 class TestSignedWords:
     def test_reduce(self):
