@@ -54,7 +54,7 @@ def check_subdirect(tg):
     )
 
 
-def check_tail_injectivity(tg, radius, start=1, gens=None):
+def check_tail_injectivity(tg, radius, start=1):
     """Distinct ball elements must have distinct image tuples on components
     ``start..t`` (1-based).  A collision means the probed tail is too shallow
     for this ball, not that anything is broken upstream.
@@ -63,7 +63,7 @@ def check_tail_injectivity(tg, radius, start=1, gens=None):
         raise ValueError("tail injectivity needs the telescope's recursion")
     if not 1 <= start <= len(tg.components):
         raise ValueError("start component out of range")
-    ball = tg.rec.ball(radius, gens)
+    ball = tg.rec.ball(radius)
     tail = range(start - 1, len(tg.components))
     seen = {}
     collisions = []
@@ -280,18 +280,14 @@ class Certificate:
         return (json.dumps(self.as_dict(), indent=2, ensure_ascii=True) + "\n").encode("ascii")
 
 
-def component_table(tg, levels=None):
-    rows = []
-    for index, comp in enumerate(tg.components):
-        level = comp.level if levels is None else levels[index]
-        rows.append({
-            "component": index + 1,
-            "level": level,
-            "base_degree": comp.base_degree,
-            "extended_degree": comp.extended_degree,
-            "basepoint": comp.basepoint,
-        })
-    return rows
+def component_table(tg):
+    return [{
+        "component": index,
+        "level": comp.level,
+        "base_degree": comp.base_degree,
+        "extended_degree": comp.extended_degree,
+        "basepoint": comp.basepoint,
+    } for index, comp in enumerate(tg.components, start=1)]
 
 
 def emit_certificate(config_bytes, components, checks, alt_cutoff_value=None,

@@ -31,6 +31,8 @@ from .selfsim import BudgetExceeded, WreathRecursion, grigorchuk, gupta_sidki_3
 from .words import Word, parse_signed, parse_word
 
 SAMPLER_NAME = "mt19937-reduced-words-v1"
+# failing cases embedded per check, and failure rows per case
+MAX_FAILURES = 20
 
 PRESETS = {
     "grigorchuk": grigorchuk,
@@ -131,6 +133,11 @@ def _parse_recursion(spec, where):
     if (not isinstance(names, list) or not names
             or not all(isinstance(n, str) and n for n in names)):
         raise ConfigError("generators must be a nonempty list of names")
+    for name in names:
+        # a section word splits on whitespace and reads a trailing ^-1 as inversion
+        if name.split() != [name] or name.endswith("^-1"):
+            raise ConfigError(f"generator name {name!r} cannot be spelled in a word: "
+                              "it contains whitespace or ends in '^-1'")
     roots = spec["root_perms"]
     sections = spec["sections"]
     if not isinstance(roots, dict) or set(roots) != set(names):
@@ -285,7 +292,7 @@ def _only_pigeonhole_failures(checks):
     return saw_failure
 
 
-def _aggregate(name, parameters, reports, max_failures=20, per_case=True):
+def _aggregate(name, parameters, reports, per_case=True):
     """Fold per-case reports into one certificate check entry.
 
     With ``per_case`` every case contributes one witness row; otherwise only
@@ -298,9 +305,9 @@ def _aggregate(name, parameters, reports, max_failures=20, per_case=True):
     for report in reports:
         if not report.passed:
             passed = False
-            if len(failing) < max_failures:
+            if len(failing) < MAX_FAILURES:
                 failing.append({"parameters": report.parameters,
-                                "failures": report.witnesses[:max_failures]})
+                                "failures": report.witnesses[:MAX_FAILURES]})
         elif per_case:
             witnesses.append({"parameters": report.parameters, "status": "pass",
                               "witnesses": len(report.witnesses)})
@@ -316,7 +323,7 @@ def cmd_build(config, tg):
     print(f"group: {config.group_label}  (arity {config.recursion.arity}, "
           f"generators {' '.join(config.recursion.names)})")
     print("component  level  base_degree  extended_degree  basepoint")
-    for row in certify.component_table(tg, config.levels):
+    for row in certify.component_table(tg):
         print(f"{row['component']:>9}  {row['level']:>5}  {row['base_degree']:>11}  "
               f"{row['extended_degree']:>15}  {row['basepoint']:>9}")
     return 0
@@ -369,7 +376,7 @@ def cmd_verify(config, tg, out_path):
     checks.append(certify.perfectness_scan(tg).as_dict())
 
     certificate = certify.emit_certificate(
-        config.raw_bytes, certify.component_table(tg, config.levels), checks,
+        config.raw_bytes, certify.component_table(tg), checks,
         cutoff, torsion_table)
     path = out_path or config.output_path
     # written before anything is printed, so a path that cannot be written

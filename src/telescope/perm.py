@@ -54,7 +54,7 @@ class Permutation:
             raise ValueError(f"bad transposition ({a} {b}) on {degree} points")
         images = list(range(degree))
         images[a], images[b] = b, a
-        return cls(images)
+        return cls._trusted(tuple(images))
 
     @classmethod
     def from_cycles(cls, degree, cycles):
@@ -376,14 +376,6 @@ class PermGroup:
         if n <= 1:
             return self.order() == 1
         return self.order() == math.factorial(n)
-
-    def is_full_alternating(self):
-        n = self._degree
-        if n <= 2:
-            return self.order() == 1
-        return self.order() == math.factorial(n) // 2 and all(
-            g.sign() == 1 for g in self.generators
-        )
 
     def __repr__(self):
         gens = ", ".join(g.cycle_string() for g in self.generators)

@@ -12,8 +12,8 @@ triviality, order, level and torsion-growth caches.  Caches live as long
 as their recursion; nothing is shared between recursions.  The orders of
 the level quotients come from one induced polycyclic sequence when the
 root group is cyclic of prime order (``quotient_orders``), and every level
-is shown transitive at once when the recursion is self-replicating
-(``level_transitive``).
+is shown transitive at once when the recursion is self-replicating by its
+section letters alone (``level_transitive``).
 
 Equality and element orders are exact.  Both rely on the recursion being
 contracting (sections of long words eventually shrink), which the caller
@@ -109,7 +109,6 @@ class WreathRecursion:
         self._levels = {}
         self._quotient_orders = ()
         self._growth = {}  # radius -> torsion growth
-        self._level_transitive = None  # the outcome of a decided test
 
     @property
     def generator_count(self):
@@ -309,7 +308,8 @@ class WreathRecursion:
         self._quotient_orders = tuple(p ** rows_above for rows_above in accumulate(per_depth))
         return self._quotient_orders
 
-    def level_transitive(self, budget):
+    @cached_property
+    def level_transitive(self):
         """Whether a theorem shows the action transitive on every level.
 
         Theorem (Bartholdi, Grigorchuk and Šunić, "Branch groups", 2003;
@@ -323,28 +323,15 @@ class WreathRecursion:
         the Schreier generators of St(0) from it and takes their sections
         at 0.  By Schreier's lemma those sections generate the image of the
         homomorphism g -> g|0 on St(0), a subgroup of G; the test passes
-        when every generator ``equal``s one of them, so the image is G.
-        That takes O(k*d) splits and usually no closure at all, since the
-        sections tend to be generator letters themselves.
+        when every generator, or its inverse, is one of those sections
+        letter for letter, so the image is G.  It takes O(k*d) splits and
+        decides no equality, so it needs neither a contracting recursion
+        nor a budget.
 
         False means the theorem does not apply, not that some level is
-        intransitive: the recursion is not contracting, the root group is
-        not transitive, a generator is no section, or the equality closures
-        need more than ``budget`` letters in all.  A decided test is
-        memoized; after an exhausted budget the next call runs it again.
+        intransitive: the root group is not transitive, or some generator
+        is no section letter (it may still equal a longer section).
         """
-        if self._level_transitive is None:
-            try:
-                self._level_transitive = self._self_replicating(budget)
-            except BudgetExceeded:
-                return False
-        return self._level_transitive
-
-    def _self_replicating(self, budget):
-        """The test of ``level_transitive``; BudgetExceeded when its closures
-        need more than ``budget`` letters."""
-        if not self.contracting:
-            return False
         gens = range(1, self.generator_count + 1)
         reach = {0: ()}  # root orbit point x -> a word taking 0 to x
         frontier = [0]
@@ -356,24 +343,11 @@ class WreathRecursion:
                     frontier.append(y)
         if len(reach) < self.arity:
             return False
-        # the sections at 0 of the Schreier generators u_(g x)^-1 g u_x, in order
-        sections = dict.fromkeys(
+        # the sections at 0 of the Schreier generators u_(g x)^-1 g u_x
+        sections = {
             self.split(reduce_signed(invert_signed(reach[self._root[g][x]]) + (g,) + u))[1][0]
-            for x, u in reach.items() for g in gens)
-        for g in gens:
-            if (g,) in sections:
-                continue
-            for section in sections:
-                if self.split(section)[0] != self._root[g]:
-                    continue
-                trivial, used = self._closure_trivial(
-                    reduce_signed((g,) + invert_signed(section)), budget, per_letter=True)
-                budget -= used
-                if trivial:
-                    break
-            else:
-                return False
-        return True
+            for x, u in reach.items() for g in gens}
+        return all((g,) in sections or (-g,) in sections for g in gens)
 
     # -- exact decisions -----------------------------------------------------
 
@@ -385,41 +359,36 @@ class WreathRecursion:
         sections and inspect the root actions.  The closure may revisit a
         word through a cycle of sections; such cycles are trivial exactly
         when nothing in the closure moves the first level, which is what the
-        sweep decides.
+        sweep decides.  A closure of more than ``step_budget`` states raises
+        BudgetExceeded.
         """
         if not self.contracting:
             raise NotContracting("equality needs a contracting recursion")
-        return self._closure_trivial(reduce_signed(word), self.step_budget)[0]
-
-    def _closure_trivial(self, word, budget, per_letter=False):
-        """``is_trivial`` on a reduced word within ``budget``: the verdict and
-        what it spent.  A closure state costs 1, or with ``per_letter`` its
-        length, since words may grow along the closure of a recursion that
-        is not contracting in truth.  Raises BudgetExceeded past the budget."""
+        word = reduce_signed(word)
         cached = self._trivial.get(word)
         if cached is not None:
-            return cached, 0
+            return cached
         identity = tuple(range(self.arity))
         seen = {word}
         stack = [word]
         steps = 0
         while stack:
             current = stack.pop()
-            steps += len(current) if per_letter else 1
-            if steps > budget:
-                raise BudgetExceeded(f"triviality closure exceeded {budget} states")
+            steps += 1
+            if steps > self.step_budget:
+                raise BudgetExceeded(f"triviality closure exceeded {self.step_budget} states")
             top, sections = self.split(current)
             if top != identity:
                 self._trivial[current] = False
                 self._trivial[word] = False
-                return False, steps
+                return False
             for section in sections:
                 if section and section not in seen and self._trivial.get(section) is not True:
                     seen.add(section)
                     stack.append(section)
         for state in seen:
             self._trivial[state] = True
-        return True, steps
+        return True
 
     def equal(self, u, v):
         """Exact equality of two signed words as group elements."""
@@ -506,7 +475,7 @@ class WreathRecursion:
 
     # -- balls and torsion growth ---------------------------------------------
 
-    def ball(self, radius, gens=None):
+    def ball(self, radius):
         """One reduced representative per group element of word length <= radius.
 
         Breadth-first over the Cayley graph with exact deduplication: words
@@ -529,12 +498,7 @@ class WreathRecursion:
         """
         if radius < 0:
             raise ValueError("ball radius must be non-negative")
-        if gens is None:
-            gens = range(self.generator_count)
-        letters = []
-        for g in gens:
-            letters.append(g + 1)
-            letters.append(-(g + 1))
+        letters = [code for g in range(1, self.generator_count + 1) for code in (g, -g)]
         hash_level = 1
         while self.arity ** hash_level < 64:
             hash_level += 1

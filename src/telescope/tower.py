@@ -6,8 +6,9 @@ all components at once, by the diagonal generator images and the tuple of
 transpositions.  Every component in a telescope meets the construction's
 precondition, so no later check decides it again.  ``build_telescope``
 settles it for all levels of a recursion at once when the recursion is
-self-replicating (``WreathRecursion.level_transitive``); any other
-component checks its base action by a breadth-first orbit when it is made.
+self-replicating by its section letters alone
+(``WreathRecursion.level_transitive``); any other component checks its
+base action by a breadth-first orbit when it is made.
 Verifiers sweep whole components point by point, so extending the
 truncation only ever adds checks.
 """
@@ -54,7 +55,7 @@ class ExtendedAction:
         extra = degree - 1
         if not 0 <= self.basepoint < extra:
             raise ValueError("basepoint must lie in the base domain")
-        if self.tau.images != _transposition(degree, self.basepoint, extra):
+        if self.tau != Permutation.transposition(degree, self.basepoint, extra):
             raise ValueError("tau must swap exactly the basepoint and the fresh point")
         for p in self.gen_images:
             if p.degree != degree or p(extra) != extra:
@@ -80,13 +81,6 @@ class ExtendedAction:
         return self.tau.degree - 1
 
 
-def _transposition(degree, a, b):
-    """The image tuple of the transposition (a b) on ``degree`` points."""
-    images = list(range(degree))
-    images[a], images[b] = b, a
-    return tuple(images)
-
-
 def extend_action(action, basepoint, *, _transitive=False):
     """Append one fresh point to an action and adjoin tau = (basepoint, fresh).
 
@@ -109,7 +103,7 @@ def extend_action(action, basepoint, *, _transitive=False):
     if not 0 <= basepoint < degree:
         raise ValueError(f"basepoint {basepoint} outside 0..{degree - 1}")
     extended = tuple(p.extended(degree + 1) for p in perms)
-    tau = Permutation._trusted(_transposition(degree + 1, basepoint, degree))
+    tau = Permutation.transposition(degree + 1, basepoint, degree)
     return ExtendedAction(basepoint=basepoint, gen_images=extended, tau=tau, level=level,
                           _transitive=_transitive)
 
@@ -177,11 +171,9 @@ def build_telescope(rec, levels, basepoints=None):
     """Components from strictly increasing tree levels of one recursion.
 
     Quotient sizes must strictly grow, hence the strict monotonicity.
-    When ``rec.level_transitive`` shows every level transitive, no orbit is
-    computed; its equality closures may spend at most the vertex count of the
-    requested levels, so it never costs much more than the orbits.
-    Otherwise a level whose action is not transitive makes
-    ``extend_action`` raise, as its orbit finds.
+    When ``rec.level_transitive`` shows every level transitive, by letters
+    alone, no orbit is computed.  Otherwise a level whose action is not
+    transitive makes ``extend_action`` raise, as its orbit finds.
     """
     levels = list(levels)
     if not levels:
@@ -193,12 +185,8 @@ def build_telescope(rec, levels, basepoints=None):
     basepoints = list(basepoints)
     if len(basepoints) != len(levels):
         raise ValueError("need exactly one basepoint per level")
-    # a level past the step budget counts as its bit length: level_action
-    # rejects it anyway, and its vertex count is never formed
-    cap = rec.step_budget.bit_length()
-    transitive = rec.level_transitive(sum(rec.arity ** min(level, cap) for level in levels))
     components = tuple(extend_action(rec.level_action(level), basepoint,
-                                     _transitive=transitive)
+                                     _transitive=rec.level_transitive)
                        for level, basepoint in zip(levels, basepoints))
     return TelescopeGroup(components, rec.names, rec)
 

@@ -155,6 +155,34 @@ class TestConfig:
         assert config.recursion.names == ("x", "y")
         assert config.recursion.sections[1] == ((1,), (2,))
 
+    @pytest.mark.parametrize("bad", ["a b", "x\t", "x^-1"])
+    def test_generator_name_a_word_cannot_spell_rejected(self, tmp_path, capsys, bad):
+        # a section word splits on whitespace and reads a trailing ^-1 as an
+        # inverse, so neither name could be written in one
+        path = write_config(tmp_path, {
+            "group": {"arity": 2, "generators": [bad, "y"],
+                      "root_perms": {bad: "(0 1)", "y": ""},
+                      "sections": {bad: ["", ""], "y": ["", "y"]},
+                      "contracting": True},
+            "levels": [1]})
+        assert main(["build", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: generator name {bad!r} cannot be spelled "
+                                "in a word: it contains whitespace or ends in '^-1'\n")
+
+    def test_generator_names_valid_before_still_accepted(self, tmp_path):
+        names = ["t", "x^-1y", "b2", "g^2"]
+        path = write_config(tmp_path, {
+            "group": {"arity": 2, "generators": names,
+                      "root_perms": {name: "(0 1)" for name in names},
+                      "sections": {name: [name, ""] for name in names},
+                      "contracting": True},
+            "levels": [1]})
+        config = load_config(path)
+        assert config.recursion.names == tuple(names)
+        assert config.recursion.sections == tuple(((i,), ()) for i in range(1, 5))
+
 
 ADDING_MACHINE = {"arity": 2, "generators": ["a"],
                   "root_perms": {"a": "(0 1)"}, "sections": {"a": ["", "a"]},

@@ -14,13 +14,11 @@ from telescope.selfsim import (NotContracting, WreathRecursion, grigorchuk,
 from telescope.words import LetterTable
 
 
-def oracle_ball(rec, radius, gens=None):
+def oracle_ball(rec, radius):
     """The ball as a breadth-first search that tries every letter after every
     word (formal cancellation aside) and settles every bucket collision by
     ``equal``."""
-    if gens is None:
-        gens = range(rec.generator_count)
-    letters = [s for g in gens for s in (g + 1, -(g + 1))]
+    letters = [s for g in range(1, rec.generator_count + 1) for s in (g, -g)]
     hash_level = 1
     while rec.arity ** hash_level < 64:
         hash_level += 1
@@ -122,9 +120,6 @@ class TestBallAgainstOracle:
     def test_same_representatives_in_the_same_order(self, make, radius):
         for r in range(radius + 1):
             assert make().ball(r) == oracle_ball(make(), r), r
-
-    def test_generator_subset(self):
-        assert grigorchuk().ball(4, gens=[0, 3]) == oracle_ball(grigorchuk(), 4, gens=[0, 3])
 
     def test_non_contracting_recursion_needs_no_equality(self):
         rec = adding_machine()

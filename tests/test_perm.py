@@ -53,6 +53,16 @@ class TestPermutation:
             assert result == Permutation(result.images)
             assert hash(result) == hash(Permutation(result.images))
 
+    def test_transposition_matches_its_cycle(self):
+        swap = Permutation.transposition(6, 4, 1)
+        assert swap == cyc(6, (1, 4)) == Permutation(swap.images)
+        assert hash(swap) == hash(cyc(6, (1, 4)))
+
+    @pytest.mark.parametrize("a, b", [(2, 2), (-1, 0), (0, 3)])
+    def test_bad_transposition_rejected(self, a, b):
+        with pytest.raises(ValueError, match="bad transposition"):
+            Permutation.transposition(3, a, b)
+
     def test_cycles_walked_once(self):
         p = cyc(7, (0, 3, 1), (2, 5))
         assert p.cycles() is p.cycles()
@@ -220,26 +230,23 @@ class TestRecognition:
         assert not PermGroup([cyc(3, (0, 1))]).is_full_symmetric()
 
     def test_full_alternating(self):
-        assert PermGroup([cyc(3, (0, 1, 2))]).is_full_alternating()
+        assert PermGroup([cyc(3, (0, 1, 2))]).order() == math.factorial(3) // 2
         group = PermGroup([cyc(3, (0, 1))])
-        assert not group.is_full_alternating()
+        assert group.order() == 2
         assert not group.is_full_symmetric()
 
     def test_alt5(self):
         group = PermGroup([cyc(5, (0, 1, 2, 3, 4)), cyc(5, (0, 1, 2))])
         assert group.order() == 60
-        assert group.is_full_alternating()
         assert not group.is_full_symmetric()
 
     def test_tiny_degree_conventions(self):
         for degree in (0, 1):
             trivial = PermGroup([Permutation.identity(degree)])
             assert trivial.is_full_symmetric()
-            assert trivial.is_full_alternating()
         two = PermGroup([cyc(2, (0, 1))])
         assert two.is_full_symmetric()
-        assert not two.is_full_alternating()
-        assert PermGroup([Permutation.identity(2)]).is_full_alternating()
+        assert not PermGroup([Permutation.identity(2)]).is_full_symmetric()
 
     def test_exactness_against_factorial(self):
         group = PermGroup([cyc(6, (0, 1, 2, 3, 4, 5)), cyc(6, (0, 1))])
