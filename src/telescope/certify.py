@@ -54,26 +54,25 @@ def check_subdirect(tg):
     )
 
 
-def check_tail_injectivity(tg, radius, start=1):
-    """Distinct ball elements must have distinct image tuples on components
-    ``start..t`` (1-based).  A collision means the probed tail is too shallow
-    for this ball, not that anything is broken upstream.
+def check_tail_injectivity(tg, radius):
+    """Distinct ball elements must have distinct image tuples on the
+    components.  A collision means the probed tail is too shallow for this
+    ball, not that anything is broken upstream.  The tail always starts at
+    component 1, which the report records as its start.
     """
     if tg.rec is None:
         raise ValueError("tail injectivity needs the telescope's recursion")
-    if not 1 <= start <= len(tg.components):
-        raise ValueError("start component out of range")
     ball = tg.rec.ball(radius)
-    tail = range(start - 1, len(tg.components))
     seen = {}
     collisions = []
     for word in ball:
-        key = tuple(tg.evaluate_component(word, ci).images for ci in tail)
+        key = tuple(tg.evaluate_component(word, ci).images
+                    for ci in range(len(tg.components)))
         if key in seen:
             collisions.append({
                 "word": _signed_str(tg, word),
                 "collides_with": _signed_str(tg, seen[key]),
-                "tail_start": start,
+                "tail_start": 1,
             })
         else:
             seen[key] = word
@@ -82,7 +81,7 @@ def check_tail_injectivity(tg, radius, start=1):
                                                 "separated": len(seen)}]
     return CheckReport(
         name="tail_injectivity",
-        parameters={"ball_radius": radius, "start_component": start,
+        parameters={"ball_radius": radius, "start_component": 1,
                     "ball_size": len(ball)},
         passed=passed,
         witnesses=witnesses,

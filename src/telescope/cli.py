@@ -176,6 +176,9 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     try:
         doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                          f"at position {exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
@@ -330,6 +333,9 @@ def cmd_build(config, tg):
 
 
 def cmd_verify(config, tg, out_path):
+    path = config.output_path if out_path is None else out_path
+    if not path:
+        raise ValueError("--out must name a file, not an empty path")
     rec = config.recursion
     checks = [tower.transitivity_report(tg).as_dict()]
 
@@ -378,7 +384,6 @@ def cmd_verify(config, tg, out_path):
     certificate = certify.emit_certificate(
         config.raw_bytes, certify.component_table(tg), checks,
         cutoff, torsion_table)
-    path = out_path or config.output_path
     # written before anything is printed, so a path that cannot be written
     # leaves stdout empty
     try:

@@ -9,8 +9,10 @@ settles it for all levels of a recursion at once when the recursion is
 self-replicating by its section letters alone
 (``WreathRecursion.level_transitive``); any other component checks its
 base action by a breadth-first orbit when it is made.
-Verifiers sweep whole components point by point, so extending the
-truncation only ever adds checks.
+The return bound and the trace facts sweep whole components point by
+point, both from one case per component and generator sequence whose
+block t g1 ... t gk is evaluated as one word, so extending the truncation
+only ever adds checks.
 """
 
 from __future__ import annotations
@@ -194,40 +196,40 @@ def build_telescope(rec, levels, basepoints=None):
 # -- verifiers ----------------------------------------------------------------
 
 
-def _check_component(tg, component):
+def _sweep_case(tg, component, gseq, order_mode, horizon_factor=1):
+    """The one case both sweeps read: ``(gseq, N, N*(k+1), entry images,
+    block, block labels)``, the block  t g1 t g2 ... t gk  on block
+    ``component`` evaluated as one word and labelled by ``_cycle_labels``.
+
+    Checks, in this order, the 0-based component index, ``horizon_factor``
+    (an integer >= 1) and that gseq is nonempty.  N is the order of
+    g1...gk, globally in the group or locally in the block.
+    """
     if (isinstance(component, bool) or not isinstance(component, int)
             or not 0 <= component < len(tg.components)):
         raise ValueError(f"component index {component!r} outside "
                          f"0..{len(tg.components) - 1}")
-
-
-def _atoms(tg, ci, gseq):
-    """Component images of tau and of each generator-sequence entry."""
-    tau = tg.components[ci].tau
-    images = [tg.evaluate_component(word.codes, ci) for word in gseq]
-    return tau, images
-
-
-def _sequence_order(tg, ci, gseq, order_mode):
-    """The order N of g1...gk, globally in the group or locally in one block."""
+    if (isinstance(horizon_factor, bool) or not isinstance(horizon_factor, int)
+            or horizon_factor < 1):
+        raise ValueError(f"horizon_factor must be an integer >= 1, got {horizon_factor!r}")
+    gseq = list(gseq)
+    if not gseq:
+        raise ValueError("the generator sequence must be nonempty")
     product = reduce_signed([code for word in gseq for code in word.codes])
     if order_mode == "global":
         if tg.rec is None:
             raise ValueError("global orders need the telescope's recursion")
         if any(0 in word.codes for word in gseq):
             raise ValueError("generator-sequence entries must not contain the transposition")
-        return tg.rec.element_order(product)
-    if order_mode == "local":
-        return tg.evaluate_component(product, ci).order()
-    raise ValueError(f"unknown order mode {order_mode!r}")
-
-
-def _block_permutation(tau, images):
-    """Image of one block  t g1 t g2 ... t gk  (rightmost factor first)."""
-    result = Permutation.identity(tau.degree)
-    for image in images:
-        result = result * tau * image
-    return result
+        n = tg.rec.element_order(product)
+    elif order_mode == "local":
+        n = tg.evaluate_component(product, component).order()
+    else:
+        raise ValueError(f"unknown order mode {order_mode!r}")
+    images = [tg.evaluate_component(word.codes, component) for word in gseq]
+    block = tg.evaluate_component([code for word in gseq for code in (0, *word.codes)],
+                                  component)
+    return gseq, n, n * (len(gseq) + 1), images, block, _cycle_labels(block)
 
 
 def _cycle_labels(perm):
@@ -311,15 +313,7 @@ def verify_fundamental_general(tg, component, gseq, order_mode="global"):
     (point, m) pairs and flags any that exceed the bound.  ``component``
     is a 0-based index into ``tg.components``.
     """
-    _check_component(tg, component)
-    gseq = list(gseq)
-    if not gseq:
-        raise ValueError("the generator sequence must be nonempty")
-    k = len(gseq)
-    n = _sequence_order(tg, component, gseq, order_mode)
-    bound = n * (k + 1)
-    tau, images = _atoms(tg, component, gseq)
-    _, _, lengths = _cycle_labels(_block_permutation(tau, images))
+    gseq, n, bound, _, _, (_, _, lengths) = _sweep_case(tg, component, gseq, order_mode)
     witnesses = []
     passed = True
     for point, m in enumerate(lengths):
@@ -364,7 +358,8 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
     for which the point lies m steps before y_r on its block cycle, y_r
     being the point the first r letters of a period send to p
     (``_first_hits``).  The rows w(m,j').p, m < N(k+1), walk one block
-    cycle each, so a value repeats in a row exactly when its distance d
+    cycle each from the point p is walked to through the 2j' letters of
+    t g1 ... t gj', so a value repeats in a row exactly when its distance d
     from the row's start along the cycle, of length L, has d + L < N(k+1).
     A sweep costs O(degree * k) cycle lookups plus the O(degree * k^2)
     tails, whatever the horizon.
@@ -378,38 +373,27 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
     bound that fact 3 was meant to support is checked directly by
     ``verify_fundamental_general``.
     """
-    _check_component(tg, component)
-    if (isinstance(horizon_factor, bool) or not isinstance(horizon_factor, int)
-            or horizon_factor < 1):
-        raise ValueError(f"horizon_factor must be an integer >= 1, got {horizon_factor!r}")
-    gseq = list(gseq)
-    if not gseq:
-        raise ValueError("the generator sequence must be nonempty")
+    gseq, n, bound, images, block, labels = _sweep_case(tg, component, gseq, order_mode,
+                                                       horizon_factor)
     k = len(gseq)
-    n = _sequence_order(tg, component, gseq, order_mode)
-    bound = n * (k + 1)
     horizon = horizon_factor * bound
-    tau, images = _atoms(tg, component, gseq)
     comp = tg.components[component]
-    p = comp.basepoint
-    degree = comp.extended_degree
-    block = _block_permutation(tau, images)
-    labels = _cycle_labels(block)
+    tau, p, degree = comp.tau, comp.basepoint, comp.extended_degree
     lengths = labels[2]
 
     # Values that occur twice in some row w(m, j').p, m < bound, 0 <= j' < k
-    # (j' = 0 means no partial block).  Row j' starts at the image s of p
-    # under t g1 ... t gj' and walks s's block cycle, of length L, so the
-    # value d steps from s occurs at m = d, d + L, ... and twice exactly
-    # when d + L < bound.
+    # (j' = 0 means no partial block).  Row j' starts at the point s that
+    # t g1 ... t gj' sends p to, walked atom by atom from gj' back, and
+    # walks s's block cycle, of length L, so the value d steps from s
+    # occurs at m = d, d + L, ... and twice exactly when d + L < bound.
     repeated = set()
-    partial = Permutation.identity(degree)
     for j in range(k):
-        current = partial(p)
+        current = p
+        for image in reversed(images[:j]):
+            current = tau.images[image.images[current]]
         for _ in range(min(lengths[current], bound - lengths[current])):
             repeated.add(current)
             current = block.images[current]
-        partial = partial * tau * images[j]
     full_return = (block ** bound).images
 
     violations = []

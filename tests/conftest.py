@@ -6,8 +6,10 @@ transitivity is a breadth-first orbit of point 0 over image tuples,
 element orders come from explicit permutation images at a deep tree level,
 words are evaluated on the blocks by multiplying permutations one letter at
 a time, the kernel of the componentwise sign map is built from Schreier
-generators, and the trace and return-bound sweeps walk every point one
-letter at a time.  ``cyclic_root_recursions`` draws the recursions that
+generators, and the trace and return-bound sweeps compose tau, the
+entries and the block by hand (``hand_case``), take N from
+``element_order`` or from the hand-composed product, and walk every point
+one letter at a time.  ``cyclic_root_recursions`` draws the recursions that
 ``WreathRecursion.quotient_orders`` accepts, for the tests that check it
 against these oracles.  The ``count_orbits`` fixture counts the orbits
 construction computes, so a test can tell which transitivity path it took.
@@ -25,6 +27,7 @@ from telescope import tower
 from telescope.perm import Permutation, orbit
 from telescope.reports import CheckReport
 from telescope.selfsim import WreathRecursion
+from telescope.words import reduce_signed
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -249,21 +252,51 @@ def walk_first_hits(tau, images, p, horizon):
     return [[first_hit(point, j) for point in range(tau.degree)] for j in range(k)]
 
 
+def return_time(perm, point):
+    """The least m >= 1 with perm^m(point) = point, found by applying perm."""
+    m = 1
+    current = perm(point)
+    while current != point:
+        current = perm(current)
+        m += 1
+    return m
+
+
+def hand_case(tg, component, gseq, order_mode):
+    """N, tau, each entry's image and the block t g1 t g2 ... t gk on one
+    component, each image multiplied out one factor at a time from the
+    component's generator images.  N is ``tg.rec.element_order`` of
+    g1...gk (global) or the lcm of the return times of their product on
+    the block (local)."""
+    comp = tg.components[component]
+    identity = Permutation.identity(comp.extended_degree)
+    images = []
+    for word in gseq:
+        image = identity
+        for s in word.codes:
+            perm = comp.gen_images[abs(s) - 1]
+            image = image * (perm.inverse() if s < 0 else perm)
+        images.append(image)
+    product = block = identity
+    for image in images:
+        product = product * image
+        block = block * comp.tau * image
+    if order_mode == "global":
+        n = tg.rec.element_order(reduce_signed([s for word in gseq for s in word.codes]))
+    else:
+        n = math.lcm(*(return_time(product, x) for x in range(product.degree)))
+    return n, comp.tau, images, block
+
+
 def walk_fundamental_general(tg, component, gseq, order_mode="global"):
     """``verify_fundamental_general``'s report, each point's return time
-    found by applying the block until the point comes back."""
+    found by applying the hand-composed block until the point comes back."""
     gseq = list(gseq)
-    k = len(gseq)
-    n = tower._sequence_order(tg, component, gseq, order_mode)
-    bound = n * (k + 1)
-    block = tower._block_permutation(*tower._atoms(tg, component, gseq))
+    n, _, _, block = hand_case(tg, component, gseq, order_mode)
+    bound = n * (len(gseq) + 1)
     witnesses = []
     for point in range(block.degree):
-        m = 1
-        current = block(point)
-        while current != point:
-            current = block(current)
-            m += 1
+        m = return_time(block, point)
         entry = {"point": point, "m": m}
         if m > bound:
             entry["violation"] = True
@@ -282,14 +315,12 @@ def walk_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="global"
     N(k+1) is rescanned for two indices holding the point's full return."""
     gseq = list(gseq)
     k = len(gseq)
-    n = tower._sequence_order(tg, component, gseq, order_mode)
+    n, tau, images, block = hand_case(tg, component, gseq, order_mode)
     bound = n * (k + 1)
     horizon = horizon_factor * bound
-    tau, images = tower._atoms(tg, component, gseq)
     comp = tg.components[component]
     p = comp.basepoint
     degree = comp.extended_degree
-    block = tower._block_permutation(tau, images)
 
     # w(m, j').p for all m < bound and 0 <= j' < k
     value_rows = []

@@ -68,20 +68,16 @@ class TestTailInjectivity:
         assert report.witnesses[0]["ball_size"] == 1
 
     def test_deep_levels_separate(self, grig123):
-        report = check_tail_injectivity(grig123, 2, 1)
+        report = check_tail_injectivity(grig123, 2)
         assert report.passed
         assert report.witnesses[0] == {"ball_size": 11, "separated": 11}
 
     def test_level_one_collides(self, grig):
         tg = build_telescope(grig, [1])
-        report = check_tail_injectivity(tg, 1, 1)
+        report = check_tail_injectivity(tg, 1)
         assert not report.passed
         colliding = {w["word"] for w in report.witnesses}
         assert "b" in colliding  # b acts trivially on the two level-1 vertices
-
-    def test_tail_start_out_of_range(self, grig123):
-        with pytest.raises(ValueError):
-            check_tail_injectivity(grig123, 1, 4)
 
 
 class TestSignVectors:

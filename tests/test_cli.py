@@ -354,6 +354,28 @@ class TestCommands:
         assert captured.err == (f"error: cannot write certificate {out_path}: "
                                 f"{os.strerror(errno.ENOENT)}\n")
 
+    def test_verify_empty_out_exits_2(self, tmp_path, capsys, monkeypatch):
+        # an empty --out does not fall back to the config's output path
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, {"group": "grigorchuk", "levels": [1, 2]})
+        assert main(["verify", "--config", str(path), "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out must name a file, not an empty path\n"
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("command", [["build"], ["verify"], ["word", "--word", "g1"]])
+    def test_config_that_is_not_utf8_names_path_byte_and_position(self, tmp_path, capsys,
+                                                                  command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"group": "grigorchuk", "levels": [1], "seed": "\xe9"}'
+                         .encode("latin-1"))
+        assert main([command[0], "--config", str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: {path}: not UTF-8: byte 0xe9 at "
+                                f"position 48: invalid continuation byte\n")
+
     @pytest.mark.parametrize("command", [["build"], ["verify"], ["word", "--word", "g1"]])
     def test_unreadable_config_names_its_path_once(self, tmp_path, capsys, command):
         path = tmp_path / "no" / "such.json"

@@ -1,11 +1,12 @@
+import itertools
 import math
 import random
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import (transitivity_oracle, walk_first_hits, walk_fundamental_general,
-                      walk_trace_lemmas)
+from conftest import (hand_case, transitivity_oracle, walk_first_hits,
+                      walk_fundamental_general, walk_trace_lemmas)
 from telescope import tower
 from telescope.perm import Permutation
 from telescope.selfsim import WreathRecursion, grigorchuk, gupta_sidki_3
@@ -469,6 +470,14 @@ class TestTraceLemmas:
         with pytest.raises(ValueError, match="outside 0..0"):
             verify_trace_lemmas(demo, component, [parse_word("g1")])
 
+    def test_checks_run_component_then_horizon_then_gseq(self, demo):
+        with pytest.raises(ValueError, match="outside 0..0"):
+            verify_trace_lemmas(demo, 1, [], horizon_factor=0)
+        with pytest.raises(ValueError, match="horizon_factor"):
+            verify_trace_lemmas(demo, 0, [], horizon_factor=0)
+        with pytest.raises(ValueError, match="nonempty"):
+            verify_trace_lemmas(demo, 0, [])
+
     @pytest.mark.parametrize("factor", [0, -1, 1.5, "2", True, None])
     def test_horizon_factor_must_be_a_positive_integer(self, demo, factor):
         with pytest.raises(ValueError, match="horizon_factor must be an integer >= 1"):
@@ -513,8 +522,9 @@ def scan_cases(draw):
 
 
 def scan_first_hits(tg, ci, gseq, horizon):
-    tau, images = tower._atoms(tg, ci, gseq)
-    labels = tower._cycle_labels(tower._block_permutation(tau, images))
+    """``tower._first_hits`` on the hand-composed atoms and block."""
+    _, tau, images, block = hand_case(tg, ci, gseq, "local")
+    labels = tower._cycle_labels(block)
     return tower._first_hits(tau, images, tg.components[ci].basepoint, horizon, labels)
 
 
@@ -523,7 +533,7 @@ def assert_scan_matches_walker(tg, ci, gseq, factor, mode):
     assert trace == walk_trace_lemmas(tg, ci, gseq, factor, mode)
     assert (verify_fundamental_general(tg, ci, gseq, order_mode=mode)
             == walk_fundamental_general(tg, ci, gseq, mode))
-    tau, images = tower._atoms(tg, ci, gseq)
+    _, tau, images, _ = hand_case(tg, ci, gseq, mode)
     hits = scan_first_hits(tg, ci, gseq, trace.parameters["horizon"])
     assert hits == walk_first_hits(tau, images, tg.components[ci].basepoint,
                                    trace.parameters["horizon"])
@@ -572,6 +582,18 @@ class TestScanMatchesWalker:
                     for factor in (1, 2, 3):
                         for mode in ("local", "global"):
                             assert_scan_matches_walker(tg, ci, gseq, factor, mode)
+
+    @pytest.mark.parametrize("rec, levels", [(grigorchuk(), [1, 2, 3, 4]),
+                                             (gupta_sidki_3(), [1, 2, 3])])
+    def test_three_entry_rows(self, rec, levels):
+        # with k = 3 the row starts t g1 t g2 . p differ from t g2 t g1 . p,
+        # so the order in which p is walked through the atoms shows
+        singles = [Word.from_codes((g,)) for g in range(1, rec.generator_count + 1)]
+        tg = build_telescope(rec, levels)
+        for ci in range(len(levels)):
+            for gseq in itertools.product(singles, repeat=3):
+                for mode in ("local", "global"):
+                    assert_scan_matches_walker(tg, ci, list(gseq), 1, mode)
 
 
 class TestOrbitBound:
