@@ -6,9 +6,16 @@ cannot silently weaken a certificate.  Fixed config plus fixed seed reproduces
 identical stdout and byte-identical certificate files.
 
 Each preset recursion is built once per process, on the first call that
-names it, and reused with its caches by every later call; a custom
-recursion table is built anew on every call.  Cached values are exact facts
-about the group, so a call prints the same whatever ran before it.
+names it, and reused with its caches by every later call, the telescope
+components extended from its levels included; a custom recursion table is
+built anew on every call, and its caches and components go with it.
+Cached values are exact facts about the group, so a call prints the same
+whatever ran before it.
+
+``verify`` writes its certificate to a temporary file beside the target,
+made before any check runs, and renames it over the target only once the
+whole certificate is written: a path that cannot be written fails at once,
+and a failed call leaves no partial file and any older certificate intact.
 
 Exit codes: 0 pass, 1 a check failed, 2 config or usage error, 3 a
 computation ran out of its budget (a non-contracting or non-torsion input,
@@ -18,8 +25,12 @@ or a level with more vertices than the step budget).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import json
+import math
+import os
 import random
 import re
 import sys
@@ -332,10 +343,8 @@ def cmd_build(config, tg):
     return 0
 
 
-def cmd_verify(config, tg, out_path):
-    path = config.output_path if out_path is None else out_path
-    if not path:
-        raise ValueError("--out must name a file, not an empty path")
+def _verify_checks(config, tg):
+    """Every check of ``verify`` in certificate order, and the certificate."""
     rec = config.recursion
     checks = [tower.transitivity_report(tg).as_dict()]
 
@@ -381,17 +390,47 @@ def cmd_verify(config, tg, out_path):
     checks.append(cutoff_report.as_dict())
     checks.append(certify.perfectness_scan(tg).as_dict())
 
-    certificate = certify.emit_certificate(
+    return checks, certify.emit_certificate(
         config.raw_bytes, certify.component_table(tg), checks,
         cutoff, torsion_table)
-    # written before anything is printed, so a path that cannot be written
-    # leaves stdout empty
+
+
+def _remove(path):
+    with contextlib.suppress(OSError):
+        os.remove(path)
+
+
+def _cannot_write(path, reason):
+    # nothing is printed before the certificate is in place, so a path
+    # that cannot be written leaves stdout empty
+    print(f"error: cannot write certificate {path}: {reason}", file=sys.stderr)
+    return 2
+
+
+def cmd_verify(config, tg, out_path):
+    path = config.output_path if out_path is None else out_path
+    if not path:
+        raise ValueError("--out must name a file, not an empty path")
+    if os.path.isdir(path):
+        return _cannot_write(path, os.strerror(errno.EISDIR))
+    # made before any check runs, so a path that cannot be written fails at once
+    temp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "wb") as handle:
-            handle.write(certificate.to_bytes())
+        handle = open(temp, "wb")
     except OSError as exc:
-        print(f"error: cannot write certificate {path}: {exc.strerror}", file=sys.stderr)
-        return 2
+        return _cannot_write(path, exc.strerror)
+    try:
+        with handle:
+            checks, certificate = _verify_checks(config, tg)
+            handle.write(certificate.to_bytes())
+        os.replace(temp, path)
+    except OSError as exc:
+        # the checks touch no file: this is the write or the rename
+        _remove(temp)
+        return _cannot_write(path, exc.strerror)
+    except BaseException:
+        _remove(temp)
+        raise
     failed = [c["name"] for c in checks
               if c["status"] == "fail" and not c["parameters"].get("informational")]
     for check in checks:
@@ -415,9 +454,9 @@ def cmd_word(config, tg, text):
     images = tg.evaluate(word)
     print(f"word: {str(word) or '1'}  (reduced length {len(word)})")
     for ci, image in enumerate(images, start=1):
-        sizes = sorted((len(c) for c in image.cycles()), reverse=True) or [1]
+        sizes = sorted(map(len, image.cycles()), reverse=True) or [1]
         print(f"component {ci}: {image.cycle_string()}  "
-              f"order {image.order()}  orbit sizes {sizes}")
+              f"order {math.lcm(*sizes)}  orbit sizes {sizes}")
     if not word:
         print("order in truncation: 1")
         print("torsion bound: empty word, order 1 divides everything -> pass")

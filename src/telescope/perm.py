@@ -127,18 +127,23 @@ class Permutation:
 
     def order(self):
         """Least m >= 1 with p^m = identity: the lcm of the cycle lengths."""
-        return math.lcm(*(len(c) for c in self.cycles())) if self.images else 1
+        return math.lcm(*map(len, self.cycles()))
 
     def sign(self):
         """+1 for even permutations, -1 for odd; multiplicative."""
-        transpositions = sum(len(c) - 1 for c in self.cycles())
+        cycles = self.cycles()
+        transpositions = sum(map(len, cycles)) - len(cycles)
         return -1 if transpositions % 2 else 1
 
     def cycle_string(self):
+        """The cycles in their ``cycles`` order, e.g. ``(0 1)(2 3 4)``; ``()`` for
+        the identity."""
         cycles = self.cycles()
         if not cycles:
             return "()"
-        return "".join(["(" + " ".join(map(str, c)) + ")" for c in cycles])
+        # a nontrivial cycle has at least two points, so itemgetter gives a tuple
+        names = _point_names(len(self.images))
+        return "".join(["(" + " ".join(itemgetter(*c)(names)) + ")" for c in cycles])
 
     def extended(self, degree):
         """The same permutation on a larger domain, fixing the new top points."""
@@ -156,6 +161,17 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation[{self.degree}] {self.cycle_string()}"
+
+
+_names = ()  # the decimal strings of 0, 1, ..., for the largest degree formatted so far
+
+
+def _point_names(degree):
+    """A tuple whose entry x is ``str(x)`` for every point x < ``degree``."""
+    global _names
+    if len(_names) < degree:
+        _names = tuple(map(str, range(degree)))
+    return _names
 
 
 def orbit(generators, point):

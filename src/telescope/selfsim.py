@@ -8,12 +8,14 @@ group identities become visible through the recursion itself.
 Every decision goes through one wreath decomposition,
 ``split(w) = (top, sections)``, psi(w) = (w|0, ..., w|d-1) pi (Nekrashevych,
 *Self-Similar Groups*, 2005, 1.3), memoized per recursion next to the
-triviality, order, level and torsion-growth caches.  Caches live as long
-as their recursion; nothing is shared between recursions.  The orders of
-the level quotients come from one induced polycyclic sequence when the
-root group is cyclic of prime order (``quotient_orders``), and every level
-is shown transitive at once when the recursion is self-replicating by its
-section letters alone (``level_transitive``).
+triviality, order, level and torsion-growth caches and the telescope
+components that ``tower.build_telescope`` extends the levels to.  Caches
+live as long as their recursion; nothing is shared between recursions.
+The orders of the level quotients come from one induced polycyclic
+sequence when the root group is cyclic of prime order
+(``quotient_orders``), and every level is shown transitive at once when
+the recursion is self-replicating by its section letters alone
+(``level_transitive``).
 
 Equality and element orders are exact.  Both rely on the recursion being
 contracting (sections of long words eventually shrink), which the caller
@@ -107,6 +109,8 @@ class WreathRecursion:
         self._trivial = {}
         self._orders = {}
         self._levels = {}
+        # (level, basepoint) -> its tower.ExtendedAction, kept by build_telescope
+        self._components = {}
         self._quotient_orders = ()
         self._growth = {}  # radius -> torsion growth
 

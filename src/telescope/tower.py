@@ -8,7 +8,10 @@ precondition, so no later check decides it again.  ``build_telescope``
 settles it for all levels of a recursion at once when the recursion is
 self-replicating by its section letters alone
 (``WreathRecursion.level_transitive``); any other component checks its
-base action by a breadth-first orbit when it is made.
+base action by a breadth-first orbit when it is made.  A recursion keeps
+each component it was extended to, per level and basepoint, next to its
+level actions, so a component and its letter table are made and checked
+once and live exactly as long as their recursion.
 The return bound and the trace facts sweep whole components point by
 point, both from one case per component and generator sequence whose
 block t g1 ... t gk is evaluated as one word, so extending the truncation
@@ -42,7 +45,8 @@ class ExtendedAction:
     Tau is checked by one comparison with the transposition's image tuple.
     ``letters`` is the component's letter table (tau, each generator, and
     each inverse once it is first used), made once and shared by every
-    word evaluated on the component.
+    word evaluated on the component, in every telescope that
+    ``build_telescope`` makes from the same recursion.
     """
 
     basepoint: int
@@ -176,6 +180,10 @@ def build_telescope(rec, levels, basepoints=None):
     When ``rec.level_transitive`` shows every level transitive, by letters
     alone, no orbit is computed.  Otherwise a level whose action is not
     transitive makes ``extend_action`` raise, as its orbit finds.
+
+    Each component is made on the first call that names its level and
+    basepoint and kept on ``rec``; later calls reuse it.  A component that
+    fails its checks is not kept.
     """
     levels = list(levels)
     if not levels:
@@ -187,10 +195,16 @@ def build_telescope(rec, levels, basepoints=None):
     basepoints = list(basepoints)
     if len(basepoints) != len(levels):
         raise ValueError("need exactly one basepoint per level")
-    components = tuple(extend_action(rec.level_action(level), basepoint,
-                                     _transitive=rec.level_transitive)
-                       for level, basepoint in zip(levels, basepoints))
-    return TelescopeGroup(components, rec.names, rec)
+    made = rec._components
+    components = []
+    for key in zip(levels, basepoints):
+        comp = made.get(key)
+        if comp is None:
+            level, basepoint = key
+            comp = made[key] = extend_action(rec.level_action(level), basepoint,
+                                             _transitive=rec.level_transitive)
+        components.append(comp)
+    return TelescopeGroup(tuple(components), rec.names, rec)
 
 
 # -- verifiers ----------------------------------------------------------------
@@ -456,7 +470,7 @@ def verify_orbit_bound(word, images, torsion_bound):
     witnesses = []
     passed = True
     for ci, image in enumerate(images, start=1):
-        largest = max((len(c) for c in image.cycles()), default=1)
+        largest = max(map(len, image.cycles()), default=1)
         entry = {"component": ci, "largest_orbit": largest, "limit": limit}
         if largest > limit:
             entry["violation"] = True

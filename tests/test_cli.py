@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 from conftest import src_env
-from telescope import cli
+from telescope import certify, cli
 from telescope.cli import (ConfigError, load_config, main, parse_cycles,
                            sample_words)
 from telescope.perm import Permutation
-from telescope.selfsim import gupta_sidki_3
+from telescope.selfsim import BudgetExceeded, gupta_sidki_3
 
 REPO = Path(__file__).resolve().parents[1]
 DEMO_CONFIG = REPO / "configs" / "demo_c2.json"
@@ -363,6 +363,60 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == "error: --out must name a file, not an empty path\n"
         assert sorted(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("target, error", [("missing/cert.json", errno.ENOENT),
+                                               ("directory", errno.EISDIR)])
+    def test_verify_unwritable_path_fails_before_any_check(self, tmp_path, capsys,
+                                                         monkeypatch, target, error):
+        def refuse(tg):
+            raise AssertionError("a check ran before the path was known writable")
+
+        monkeypatch.setattr(cli.certify, "check_subdirect", refuse)
+        monkeypatch.setattr(cli.tower, "transitivity_report", refuse)
+        (tmp_path / "directory").mkdir()
+        out_path = tmp_path / target
+        config = grig_config(tmp_path)
+        assert main(["verify", "--config", str(config), "--out", str(out_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write certificate {out_path}: "
+                                           f"{os.strerror(error)}\n")
+        assert sorted(tmp_path.iterdir()) == [config, tmp_path / "directory"]
+        assert not any((tmp_path / "directory").iterdir())
+
+    @pytest.mark.parametrize("failure, code, err", [
+        (ValueError("injected"), 2, "error: injected\n"),
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), 2, None),
+        (BudgetExceeded("injected"), 3, "error: computation budget exceeded: injected\n"),
+    ])
+    def test_failed_serialization_leaves_no_file(self, tmp_path, capsys, monkeypatch,
+                                                 failure, code, err):
+        # an older certificate stays as it was, and no temporary file is left
+        config = grig_config(tmp_path)
+        out_path = tmp_path / "cert.json"
+        out_path.write_bytes(b"older certificate")
+
+        def fail(certificate):
+            raise failure
+
+        monkeypatch.setattr(certify.Certificate, "to_bytes", fail)
+        assert main(["verify", "--config", str(config), "--out", str(out_path)]) == code
+        if err is None:
+            err = (f"error: cannot write certificate {out_path}: "
+                   f"{os.strerror(errno.ENOSPC)}\n")
+        assert capsys.readouterr() == ("", err)
+        assert sorted(tmp_path.iterdir()) == [out_path, config]
+        assert out_path.read_bytes() == b"older certificate"
+
+    def test_verify_replaces_an_existing_certificate(self, tmp_path, capsys):
+        config = grig_config(tmp_path)
+        out_path = tmp_path / "cert.json"
+        assert main(["verify", "--config", str(config), "--out", str(out_path)]) == 1
+        first = capsys.readouterr()
+        fresh = out_path.read_bytes()
+        out_path.write_bytes(b"older certificate")
+        assert main(["verify", "--config", str(config), "--out", str(out_path)]) == 1
+        assert capsys.readouterr() == first
+        assert out_path.read_bytes() == fresh
+        assert sorted(tmp_path.iterdir()) == [out_path, config]
 
     @pytest.mark.parametrize("command", [["build"], ["verify"], ["word", "--word", "g1"]])
     def test_config_that_is_not_utf8_names_path_byte_and_position(self, tmp_path, capsys,

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy.combinatorics import Permutation as SympyPermutation
 
 from conftest import brute_closure
 from telescope.perm import PermGroup, Permutation, _compose, orbit
@@ -9,6 +11,40 @@ from telescope.perm import PermGroup, Permutation, _compose, orbit
 
 def cyc(degree, *cycles):
     return Permutation.from_cycles(degree, cycles)
+
+
+def reference_cycle_string(images):
+    """Cycles walked from each smallest unvisited moved point, points printed by ``str``."""
+    seen = set()
+    parts = []
+    for start, point in enumerate(images):
+        if start in seen or point == start:
+            continue
+        cycle = [start]
+        while point != start:
+            cycle.append(point)
+            point = images[point]
+        seen.update(cycle)
+        parts.append("(" + " ".join(str(x) for x in cycle) + ")")
+    return "".join(parts) or "()"
+
+
+@st.composite
+def permutation_images(draw):
+    """Degrees 0, 1, 2, small ones and ones past 1000 (points of 4 digits);
+    the identity, a shuffle of every point, or a few points moved among
+    themselves."""
+    degree = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 40),
+                            st.integers(1000, 1100)))
+    kind = draw(st.sampled_from(["identity", "shuffle", "sparse"]))
+    if kind == "shuffle":
+        return draw(st.permutations(range(degree)))
+    images = list(range(degree))
+    if kind == "sparse" and degree:
+        moved = draw(st.lists(st.integers(0, degree - 1), unique=True, max_size=12))
+        for point, image in zip(moved, draw(st.permutations(moved))):
+            images[point] = image
+    return images
 
 
 class TestPermutation:
@@ -68,6 +104,22 @@ class TestPermutation:
         assert p.cycles() is p.cycles()
         assert p.cycle_string() == "(0 3 1)(2 5)"
         assert p.order() == 6 and p.sign() == -1
+
+    @settings(max_examples=150, deadline=None)
+    @given(permutation_images())
+    def test_formatting_order_and_sign_match_references(self, images):
+        # the formatter's decimal names serve every degree, whichever was
+        # formatted first, so the drawn degrees interleave large and small
+        p = Permutation(images)
+        text = reference_cycle_string(images)
+        oracle = SympyPermutation(images)
+        assert p.cycle_string() == text
+        assert p.order() == oracle.order()
+        assert p.sign() == oracle.signature()
+        assert repr(p) == f"Permutation[{len(images)}] {text}"
+        inverse = reference_cycle_string(p.inverse().images)
+        assert repr(PermGroup([p, p.inverse()])) == (
+            f"PermGroup[{len(images)}] <{text}, {inverse}>")
 
     def test_degree_zero(self):
         empty = Permutation(())

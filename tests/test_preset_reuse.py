@@ -5,10 +5,15 @@ with all the splits, triviality verdicts, orders, level actions and torsion
 growths it has cached.  Those are exact facts about the group, so each call
 must print the same, exit the same and write the same certificate bytes as
 it does on a fresh recursion, whatever ran before it in the process, an
-exhausted budget included.
+exhausted budget included.  The recursion also keeps each telescope
+component it was extended to, per level and basepoint, so those must
+print as freshly made ones do, and a custom recursion's components must
+go with it.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -166,3 +171,115 @@ def test_the_parser_built_once_prints_what_a_fresh_one_does(argv, code, err, cap
     assert outputs[0][0] == code
     if err is not None:
         assert outputs[0] == (code, "", err)
+
+
+# -- telescope components, kept per (level, basepoint) by the recursion -------
+
+
+def word_argv(tmp_path, name, doc, word):
+    return ["word", "--config", write_config(tmp_path, name, doc), "--word", word]
+
+
+def test_warm_word_on_other_basepoints_matches_a_cold_one(tmp_path, capsys):
+    # levels 2, 4 and 6 were extended at basepoint 0 by the first call; the
+    # second names other basepoints and must not be given those components
+    first = word_argv(tmp_path, "identity", {"group": "grigorchuk",
+                                             "levels": [1, 2, 3, 4, 5, 6]}, "t g1 g2 t g3")
+    moved = word_argv(tmp_path, "moved", {"group": "grigorchuk", "levels": [2, 4, 6],
+                                          "basepoints": [1, 3, 5]}, "t g1 g2 t g3")
+    cold = run_cold(moved, capsys)
+    assert cold[0] == 0
+    first_cold = run_cold(first, capsys)
+    assert first_cold[0] == 0
+    cli._preset_recursion.cache_clear()
+    assert run(first, capsys) == first_cold
+    assert run(moved, capsys) == cold
+    assert run(first, capsys) == first_cold
+    made = cli._preset_recursion(cli.PRESETS["grigorchuk"])._components
+    assert sorted(made) == sorted([(level, 0) for level in range(1, 7)]
+                                  + [(2, 1), (4, 3), (6, 5)])
+    assert [made[2, 1].basepoint, made[4, 3].basepoint] == [1, 3]
+
+
+def test_verify_after_words_on_overlapping_levels_matches_a_cold_one(tmp_path, capsys):
+    out_path = tmp_path / "cert.json"
+    verify = ["verify", "--config",
+              write_config(tmp_path, "verify", {"group": "gupta-sidki-3", "levels": [2, 3, 4],
+                                                "word_sample": {"count": 20,
+                                                                "max_length": 4}}),
+              "--out", str(out_path)]
+    words = [word_argv(tmp_path, f"words{i}", {"group": "gupta-sidki-3", "levels": levels},
+                       "g1 t g2^-1 t")
+             for i, levels in enumerate([[1, 2, 3], [3, 4, 5], [2, 4]])]
+    cold = run_cold(verify, capsys, out_path)
+    assert cold[3]
+    cli._preset_recursion.cache_clear()
+    for argv in words:
+        assert run(argv, capsys)[0] == 0
+    assert run(verify, capsys, out_path) == cold
+
+
+CUSTOM_TABLES = {
+    # the Grigorchuk group and its mirror image, b = (c, a), c = (d, a),
+    # d = (b, 1): same arity, same levels, different level actions
+    "grigorchuk": {"arity": 2, "generators": ["a", "b", "c", "d"],
+                   "root_perms": {"a": "(0 1)", "b": "", "c": "", "d": ""},
+                   "sections": {"a": ["", ""], "b": ["a", "c"], "c": ["a", "d"],
+                                "d": ["", "b"]},
+                   "contracting": True},
+    "mirror": {"arity": 2, "generators": ["a", "b", "c", "d"],
+               "root_perms": {"a": "(0 1)", "b": "", "c": "", "d": ""},
+               "sections": {"a": ["", ""], "b": ["c", "a"], "c": ["d", "a"],
+                            "d": ["b", ""]},
+               "contracting": True},
+}
+
+
+def test_custom_tables_with_the_same_levels_keep_their_own_components(tmp_path, capsys):
+    argvs = {name: ["build", "--config", write_config(tmp_path, name,
+                                                       {"group": table, "levels": [1, 2, 3]})]
+             for name, table in CUSTOM_TABLES.items()}
+    argvs.update({f"{name} word": word_argv(tmp_path, f"{name}-word",
+                                            {"group": table, "levels": [1, 2, 3]},
+                                            "g1 g2 t g3")
+                  for name, table in CUSTOM_TABLES.items()})
+    cold = {name: run_cold(argv, capsys) for name, argv in argvs.items()}
+    assert {code for code, *_ in cold.values()} == {0}
+    assert cold["grigorchuk word"][1] != cold["mirror word"][1]
+    for _ in range(2):
+        for name, argv in argvs.items():
+            assert run(argv, capsys) == cold[name], name
+
+
+def test_exhausted_level_budget_keeps_no_component_past_it(tmp_path, capsys):
+    deep = word_argv(tmp_path, "deep", {"group": "grigorchuk", "levels": [1, 2, 20]}, "g1 t")
+    after = word_argv(tmp_path, "after", {"group": "grigorchuk", "levels": [1, 2, 3]},
+                      "g1 t g2")
+    expected = run_cold(after, capsys)
+    cli._preset_recursion.cache_clear()
+    assert run(deep, capsys) == (3, "", "error: computation budget exceeded: "
+                                        "level 20 has more than 1000000 vertices\n", None)
+    rec = cli._preset_recursion(cli.PRESETS["grigorchuk"])
+    # the levels before the one out of budget were made whole; nothing of level 20
+    assert sorted(rec._components) == [(1, 0), (2, 0)]
+    assert sorted(rec._levels) == [1, 2]
+    assert run(after, capsys) == expected
+
+
+def test_a_custom_recursion_and_its_components_die_with_its_call(tmp_path, capsys,
+                                                                monkeypatch):
+    made = []
+    build = cli.tower.build_telescope
+
+    def watched(rec, levels, basepoints=None):
+        tg = build(rec, levels, basepoints)
+        made.extend(weakref.ref(obj) for obj in (rec, *tg.components))
+        return tg
+
+    monkeypatch.setattr(cli.tower, "build_telescope", watched)
+    argv = word_argv(tmp_path, "custom", {"group": CUSTOM_TABLES["grigorchuk"],
+                                          "levels": [1, 2, 3]}, "g1 g2 t")
+    assert run(argv, capsys)[0] == 0
+    gc.collect()
+    assert len(made) == 4
+    assert [ref() for ref in made] == [None] * 4
