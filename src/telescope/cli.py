@@ -12,10 +12,13 @@ built anew on every call, and its caches and components go with it.
 Cached values are exact facts about the group, so a call prints the same
 whatever ran before it.
 
-``verify`` writes its certificate to a temporary file beside the target,
-made before any check runs, and renames it over the target only once the
-whole certificate is written: a path that cannot be written fails at once,
-and a failed call leaves no partial file and any older certificate intact.
+``verify`` refuses a target that is the config file itself.  It probes
+the target's directory before any check runs by making and removing a
+temporary file beside the target, so a path that cannot be written fails
+at once.  Only after the checks does it write the certificate to that
+temporary file and rename it over the target: a failed call, or one
+killed during the checks, leaves no partial file and any older
+certificate intact.
 
 Exit codes: 0 pass, 1 a check failed, 2 config or usage error, 3 a
 computation ran out of its budget (a non-contracting or non-torsion input,
@@ -353,9 +356,12 @@ def _verify_checks(config, tg):
     general_reports = []
     for ci in range(len(tg.components)):
         for gseq in sweep:
+            # one case per component and sequence, read by both sweeps
+            case = tower._sweep_case(tg, ci, gseq, "global")
             trace_reports.append(tower.verify_trace_lemmas(
-                tg, ci, gseq, horizon_factor=config.horizon_factor))
-            general_reports.append(tower.verify_fundamental_general(tg, ci, gseq))
+                tg, ci, gseq, horizon_factor=config.horizon_factor, case=case))
+            general_reports.append(tower.verify_fundamental_general(tg, ci, gseq,
+                                                                    case=case))
     checks.append(_aggregate("trace_lemmas",
                              {"horizon_factor": config.horizon_factor},
                              trace_reports))
@@ -371,12 +377,20 @@ def _verify_checks(config, tg):
                          rec.generator_count, config.seed)
     sampler = {"sampler": SAMPLER_NAME, "seed": config.seed,
                "count": config.sample_count, "max_length": config.sample_max_length}
+    # a word drawn again shares the reports of its first draw, and every
+    # draw is still counted
+    pairs = {}
     orbit_reports = []
     torsion_reports = []
     for word in words:
-        images = tg.evaluate(word)
-        orbit_reports.append(tower.verify_orbit_bound(word, images, growth[len(word)]))
-        torsion_reports.append(tower.verify_torsion_bound(word, images, growth[len(word)]))
+        pair = pairs.get(word.codes)
+        if pair is None:
+            images = tg.evaluate(word)
+            bound = growth[len(word)]
+            pair = pairs[word.codes] = (tower.verify_orbit_bound(word, images, bound),
+                                        tower.verify_torsion_bound(word, images, bound))
+        orbit_reports.append(pair[0])
+        torsion_reports.append(pair[1])
     checks.append(_aggregate("orbit_bound_sample", sampler, orbit_reports,
                              per_case=False))
     checks.append(_aggregate("torsion_bound_sample", sampler, torsion_reports,
@@ -407,25 +421,36 @@ def _cannot_write(path, reason):
     return 2
 
 
-def cmd_verify(config, tg, out_path):
+def _same_file(a, b):
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
+def cmd_verify(config, tg, out_path, config_path):
     path = config.output_path if out_path is None else out_path
     if not path:
         raise ValueError("--out must name a file, not an empty path")
     if os.path.isdir(path):
         return _cannot_write(path, os.strerror(errno.EISDIR))
-    # made before any check runs, so a path that cannot be written fails at once
+    if _same_file(path, config_path):
+        return _cannot_write(path, "it is the config file")
+    # made and removed before any check runs, so a path that cannot be
+    # written fails at once and a killed run leaves no file behind
     temp = f"{path}.{os.getpid()}.tmp"
     try:
-        handle = open(temp, "wb")
+        with open(temp, "wb"):
+            pass
+        os.remove(temp)
     except OSError as exc:
         return _cannot_write(path, exc.strerror)
+    checks, certificate = _verify_checks(config, tg)
     try:
-        with handle:
-            checks, certificate = _verify_checks(config, tg)
+        with open(temp, "wb") as handle:
             handle.write(certificate.to_bytes())
         os.replace(temp, path)
     except OSError as exc:
-        # the checks touch no file: this is the write or the rename
         _remove(temp)
         return _cannot_write(path, exc.strerror)
     except BaseException:
@@ -495,7 +520,7 @@ def main(argv=None):
         if args.command == "build":
             return cmd_build(config, tg)
         if args.command == "verify":
-            return cmd_verify(config, tg, args.out)
+            return cmd_verify(config, tg, args.out, args.config)
         return cmd_word(config, tg, args.word)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,8 +14,9 @@ level actions, so a component and its letter table are made and checked
 once and live exactly as long as their recursion.
 The return bound and the trace facts sweep whole components point by
 point, both from one case per component and generator sequence whose
-block t g1 ... t gk is evaluated as one word, so extending the truncation
-only ever adds checks.
+block t g1 ... t gk is evaluated as one word; ``verify`` builds each case
+once and hands it to both sweeps.  Extending the truncation only ever adds
+checks.
 """
 
 from __future__ import annotations
@@ -223,9 +224,7 @@ def _sweep_case(tg, component, gseq, order_mode, horizon_factor=1):
             or not 0 <= component < len(tg.components)):
         raise ValueError(f"component index {component!r} outside "
                          f"0..{len(tg.components) - 1}")
-    if (isinstance(horizon_factor, bool) or not isinstance(horizon_factor, int)
-            or horizon_factor < 1):
-        raise ValueError(f"horizon_factor must be an integer >= 1, got {horizon_factor!r}")
+    _check_horizon_factor(horizon_factor)
     gseq = list(gseq)
     if not gseq:
         raise ValueError("the generator sequence must be nonempty")
@@ -244,6 +243,23 @@ def _sweep_case(tg, component, gseq, order_mode, horizon_factor=1):
     block = tg.evaluate_component([code for word in gseq for code in (0, *word.codes)],
                                   component)
     return gseq, n, n * (len(gseq) + 1), images, block, _cycle_labels(block)
+
+
+def _check_horizon_factor(horizon_factor):
+    if (isinstance(horizon_factor, bool) or not isinstance(horizon_factor, int)
+            or horizon_factor < 1):
+        raise ValueError(f"horizon_factor must be an integer >= 1, got {horizon_factor!r}")
+
+
+def _power_images(perm, m):
+    """``(perm ** m).images`` (m >= 0) read off perm's cycles: a fixed point
+    maps to itself, any other point to its cycle's entry m steps on."""
+    images = list(range(perm.degree))
+    for cycle in perm.cycles():
+        shift = m % len(cycle)
+        for point, target in zip(cycle, cycle[shift:] + cycle[:shift]):
+            images[point] = target
+    return tuple(images)
 
 
 def _cycle_labels(perm):
@@ -318,16 +334,19 @@ def _first_hits(tau, images, p, horizon, labels):
     return hits
 
 
-def verify_fundamental_general(tg, component, gseq, order_mode="global"):
+def verify_fundamental_general(tg, component, gseq, order_mode="global", *, case=None):
     """Every point must return to itself within N*(k+1) block applications.
 
     For each point the least m >= 1 with  (t g1 ... t gk)^m . point = point
     is its cycle length under the block permutation (1 for a fixed point),
     read off the block's cycles in O(degree); the report lists the
     (point, m) pairs and flags any that exceed the bound.  ``component``
-    is a 0-based index into ``tg.components``.
+    is a 0-based index into ``tg.components``.  ``case``, when given, is
+    the ``_sweep_case`` of these arguments, built once for both sweeps.
     """
-    gseq, n, bound, _, _, (_, _, lengths) = _sweep_case(tg, component, gseq, order_mode)
+    if case is None:
+        case = _sweep_case(tg, component, gseq, order_mode)
+    gseq, n, bound, _, _, (_, _, lengths) = case
     witnesses = []
     passed = True
     for point, m in enumerate(lengths):
@@ -350,7 +369,8 @@ def verify_fundamental_general(tg, component, gseq, order_mode="global"):
     )
 
 
-def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="global"):
+def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="global", *,
+                        case=None):
     """The three trace facts behind the return bound, swept exhaustively.
 
     With N the order of g1...gk, the basepoint p and traces read along
@@ -363,7 +383,8 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
 
     The horizon is horizon_factor * N * (k+1) block repetitions;
     ``horizon_factor`` must be an integer >= 1 and ``component`` a 0-based
-    index into ``tg.components``.
+    index into ``tg.components``.  ``case``, when given, is the
+    ``_sweep_case`` of these arguments, built once for both sweeps.
 
     No trace is walked letter by letter.  Read from its end, w(horizon, j)
     is a partial tail of 2j letters and then ``horizon`` periods of 2k
@@ -387,8 +408,11 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
     bound that fact 3 was meant to support is checked directly by
     ``verify_fundamental_general``.
     """
-    gseq, n, bound, images, block, labels = _sweep_case(tg, component, gseq, order_mode,
-                                                       horizon_factor)
+    if case is None:
+        case = _sweep_case(tg, component, gseq, order_mode, horizon_factor)
+    else:
+        _check_horizon_factor(horizon_factor)
+    gseq, n, bound, images, block, labels = case
     k = len(gseq)
     horizon = horizon_factor * bound
     comp = tg.components[component]
@@ -408,7 +432,7 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
         for _ in range(min(lengths[current], bound - lengths[current])):
             repeated.add(current)
             current = block.images[current]
-    full_return = (block ** bound).images
+    full_return = _power_images(block, bound)
 
     violations = []
     hits = 0

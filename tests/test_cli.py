@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -406,6 +407,32 @@ class TestCommands:
         assert sorted(tmp_path.iterdir()) == [out_path, config]
         assert out_path.read_bytes() == b"older certificate"
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink", "output_path"])
+    def test_verify_refuses_the_config_as_certificate(self, tmp_path, capsys, monkeypatch,
+                                                      spelling):
+        def refuse(tg):
+            raise AssertionError("a check ran before the target was refused")
+
+        monkeypatch.setattr(cli.tower, "transitivity_report", refuse)
+        (tmp_path / "sub").mkdir()
+        config = grig_config(tmp_path)
+        if spelling == "output_path":
+            config = grig_config(tmp_path, output_path=str(config))
+        before = config.read_bytes()
+        out_path = {"same": config, "dotted": tmp_path / "sub" / ".." / config.name,
+                    "symlink": tmp_path / "link.json", "output_path": None}[spelling]
+        if spelling == "symlink":
+            out_path.symlink_to(config)
+        argv = ["verify", "--config", str(config)]
+        if out_path is not None:
+            argv += ["--out", str(out_path)]
+        assert main(argv) == 2
+        target = config if out_path is None else out_path
+        assert capsys.readouterr() == (
+            "", f"error: cannot write certificate {target}: it is the config file\n")
+        assert config.read_bytes() == before
+        assert not list(tmp_path.glob("**/*.tmp"))
+
     def test_verify_replaces_an_existing_certificate(self, tmp_path, capsys):
         config = grig_config(tmp_path)
         out_path = tmp_path / "cert.json"
@@ -457,6 +484,27 @@ def test_console_script_targets_main():
         target = tomllib.load(handle)["project"]["scripts"]["telescope"]
     module, _, attribute = target.partition(":")
     assert getattr(importlib.import_module(module), attribute) is main
+
+
+def test_verify_killed_by_sigterm_leaves_no_file(tmp_path):
+    # a word sample of length 40 keeps the torsion-growth ball running for
+    # minutes, so the signal arrives while the checks run; the temporary
+    # file is made only once they are done
+    config = grig_config(tmp_path, word_sample={"count": 30, "max_length": 40})
+    out_path = tmp_path / "cert.json"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "telescope", "verify", "--config", str(config),
+         "--out", str(out_path)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=src_env())
+    try:
+        with pytest.raises(subprocess.TimeoutExpired):
+            child.wait(timeout=1)
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=30) == -signal.SIGTERM
+    finally:
+        child.kill()
+        child.wait()
+    assert sorted(tmp_path.iterdir()) == [config]
 
 
 class TestDeterminism:

@@ -79,7 +79,10 @@ def test_golden_bytes(stem, tmp_path):
 def test_sample_reports_match_oracle(stem, tmp_path, monkeypatch, capsys):
     # the goldens keep only the case counts of the two sample checks, so
     # each report ``verify`` builds is checked here against the oracle's
-    # report on the word's hand-composed block images
+    # report on the word's hand-composed block images; a word drawn again
+    # reuses its first draw's reports, so each distinct word is verified
+    # exactly once, in first-draw order (the goldens pin the 200 counted
+    # draws)
     recorded = {"orbit": [], "torsion": []}
 
     def recording(kind, verify):
@@ -103,12 +106,36 @@ def test_sample_reports_match_oracle(stem, tmp_path, monkeypatch, capsys):
     tg = tower.build_telescope(rec, config.levels, config.basepoints)
     words = sample_words(config.sample_count, config.sample_max_length,
                          rec.generator_count, config.seed)
+    distinct = list(dict.fromkeys(word.codes for word in words))
+    assert len(distinct) < len(words)
     for index, kind in enumerate(("orbit", "torsion")):
-        assert [word for word, _, _ in recorded[kind]] == words
+        assert [word.codes for word, _, _ in recorded[kind]] == distinct
         for word, bound, report in recorded[kind]:
             assert bound == rec.torsion_growth(len(word))
             expected = oracle_bound_reports(word, block_images(tg, word), bound)[index]
             assert report.as_dict() == expected.as_dict(), str(word)
+
+
+@pytest.mark.parametrize("stem", VERIFY_CASES)
+def test_each_sweep_case_is_built_once(stem, tmp_path, monkeypatch, capsys):
+    # the trace and return-bound sweeps read one shared case per component
+    # and generator sequence, so a call builds components x sequences cases
+    built = []
+
+    def counting(tg, component, gseq, *args, **kwargs):
+        built.append((component, [word.codes for word in gseq]))
+        return sweep_case(tg, component, gseq, *args, **kwargs)
+
+    sweep_case = tower._sweep_case
+    monkeypatch.setattr(tower, "_sweep_case", counting)
+    config_path = GOLDEN / f"{stem}.json"
+    main(["verify", "--config", str(config_path),
+          "--out", str(tmp_path / "certificate.json")])
+    capsys.readouterr()
+    config = load_config(config_path)
+    gens = config.recursion.generator_count
+    assert len(built) == len(config.levels) * (gens + gens ** 2)
+    assert len({(ci, tuple(codes)) for ci, codes in built}) == len(built)
 
 
 if __name__ == "__main__":

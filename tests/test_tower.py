@@ -482,6 +482,11 @@ class TestTraceLemmas:
     def test_horizon_factor_must_be_a_positive_integer(self, demo, factor):
         with pytest.raises(ValueError, match="horizon_factor must be an integer >= 1"):
             verify_trace_lemmas(demo, 0, [parse_word("g1")], horizon_factor=factor)
+        # also when the case is built beforehand, without the factor
+        case = tower._sweep_case(demo, 0, [parse_word("g1")], "global")
+        with pytest.raises(ValueError, match="horizon_factor must be an integer >= 1"):
+            verify_trace_lemmas(demo, 0, [parse_word("g1")], horizon_factor=factor,
+                                case=case)
 
 
 class _FixedOrder:
@@ -531,8 +536,13 @@ def scan_first_hits(tg, ci, gseq, horizon):
 def assert_scan_matches_walker(tg, ci, gseq, factor, mode):
     trace = verify_trace_lemmas(tg, ci, gseq, horizon_factor=factor, order_mode=mode)
     assert trace == walk_trace_lemmas(tg, ci, gseq, factor, mode)
-    assert (verify_fundamental_general(tg, ci, gseq, order_mode=mode)
-            == walk_fundamental_general(tg, ci, gseq, mode))
+    general = verify_fundamental_general(tg, ci, gseq, order_mode=mode)
+    assert general == walk_fundamental_general(tg, ci, gseq, mode)
+    # one case built up front and handed to both sweeps, as ``verify`` does
+    case = tower._sweep_case(tg, ci, gseq, mode)
+    assert verify_trace_lemmas(tg, ci, gseq, horizon_factor=factor, order_mode=mode,
+                               case=case) == trace
+    assert verify_fundamental_general(tg, ci, gseq, order_mode=mode, case=case) == general
     _, tau, images, _ = hand_case(tg, ci, gseq, mode)
     hits = scan_first_hits(tg, ci, gseq, trace.parameters["horizon"])
     assert hits == walk_first_hits(tau, images, tg.components[ci].basepoint,
@@ -594,6 +604,32 @@ class TestScanMatchesWalker:
             for gseq in itertools.product(singles, repeat=3):
                 for mode in ("local", "global"):
                     assert_scan_matches_walker(tg, ci, list(gseq), 1, mode)
+
+
+class TestPowerImages:
+    """The trace sweep's N(k+1)-fold return map, read off the block's cycles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda degree: st.tuples(
+        st.permutations(range(degree)), st.integers(0, 3 * degree + 3))))
+    def test_matches_repeated_squaring(self, drawn):
+        images, m = drawn
+        perm = Permutation(images)
+        assert tower._power_images(perm, m) == (perm ** m).images
+
+    @given(st.integers(1, 12).flatmap(lambda degree: st.permutations(range(degree))))
+    def test_exponents_that_close_cycles(self, images):
+        # 0, 1, each cycle length and its multiples, and past the degree
+        perm = Permutation(images)
+        lengths = {len(cycle) for cycle in perm.cycles()}
+        degree = perm.degree
+        for m in {0, 1, degree + 1, 2 * degree + 5, perm.order(),
+                  *lengths, *(3 * length for length in lengths)}:
+            assert tower._power_images(perm, m) == (perm ** m).images, m
+
+    def test_degree_one(self):
+        for m in (0, 1, 2, 7):
+            assert tower._power_images(Permutation((0,)), m) == (0,)
 
 
 class TestOrbitBound:
