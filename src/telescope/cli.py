@@ -479,9 +479,10 @@ def cmd_word(config, tg, text):
     images = tg.evaluate(word)
     print(f"word: {str(word) or '1'}  (reduced length {len(word)})")
     for ci, image in enumerate(images, start=1):
-        sizes = sorted(map(len, image.cycles()), reverse=True) or [1]
-        print(f"component {ci}: {image.cycle_string()}  "
-              f"order {math.lcm(*sizes)}  orbit sizes {sizes}")
+        # the string's walk fills the cycle lengths the sizes and orders read
+        text = image.cycle_string()
+        sizes = sorted(image.cycle_lengths(), reverse=True) or [1]
+        print(f"component {ci}: {text}  order {math.lcm(*sizes)}  orbit sizes {sizes}")
     if not word:
         print("order in truncation: 1")
         print("torsion bound: empty word, order 1 divides everything -> pass")

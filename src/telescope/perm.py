@@ -5,6 +5,12 @@ p(q(x))``, so in any product the rightmost factor is applied first.
 Group-level queries (order, membership) go through ``PermGroup``'s
 deterministic Schreier-Sims stabilizer chain.  All orders are exact Python
 integers.
+
+A ``Permutation`` reads its cycles off its image tuple in one of two walks:
+``cycles()`` keeps int tuples for callers that index by point, and
+``cycle_string()`` formats the decimal names as it walks and caches no
+string.  Either walk fills the cycle type (``cycle_lengths()``) that the
+order and the sign are read from.
 """
 
 from __future__ import annotations
@@ -18,10 +24,15 @@ class Permutation:
 
     The public constructors validate their input; ``_trusted`` skips that for
     results that are permutations by construction (products, inverses).
-    The hash and the cycle decomposition are computed once, on first use.
+    The hash is computed once, on first use.  Two walks read the cycles off
+    ``images``: ``cycles()`` builds int tuples and keeps them, and
+    ``cycle_string()`` writes each point's decimal name as it goes and keeps
+    nothing but the cycle lengths, since a string is printed once.  Whichever
+    walk runs first fills the cycle type that ``cycle_lengths()``,
+    ``order()`` and ``sign()`` read, so none of them walks again.
     """
 
-    __slots__ = ("images", "_hash", "_cycles")
+    __slots__ = ("images", "_hash", "_cycles", "_lengths")
 
     def __init__(self, images):
         images = tuple(images)
@@ -34,6 +45,7 @@ class Permutation:
         self.images = images
         self._hash = None
         self._cycles = None
+        self._lengths = None
 
     @classmethod
     def _trusted(cls, images):
@@ -42,6 +54,7 @@ class Permutation:
         perm.images = images
         perm._hash = None
         perm._cycles = None
+        perm._lengths = None
         return perm
 
     @classmethod
@@ -58,11 +71,19 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, degree, cycles):
-        """Build a permutation from disjoint cycles, e.g. ``[(0, 1, 2), (3, 4)]``."""
+        """Build a permutation from disjoint cycles, e.g. ``[(0, 1, 2), (3, 4)]``.
+
+        Every point must be an int (not a bool) in ``0..degree-1``; Python
+        would otherwise read -1 as the last point and True as 1.
+        """
         images = list(range(degree))
         touched = set()
         for cycle in cycles:
             for point in cycle:
+                if (isinstance(point, bool) or not isinstance(point, int)
+                        or not 0 <= point < degree):
+                    raise ValueError(f"cycle point {point!r} is not a point of "
+                                     f"0..{degree - 1}")
                 if point in touched:
                     raise ValueError(f"cycles are not disjoint at point {point}")
                 touched.add(point)
@@ -123,27 +144,45 @@ class Permutation:
                 point = images[point]
             out.append(tuple(cycle))
         self._cycles = tuple(out)
+        self._lengths = tuple(map(len, out))
         return self._cycles
+
+    def cycle_lengths(self):
+        """The lengths of the nontrivial cycles, in their ``cycles`` order."""
+        if self._lengths is None:
+            self.cycles()
+        return self._lengths
 
     def order(self):
         """Least m >= 1 with p^m = identity: the lcm of the cycle lengths."""
-        return math.lcm(*map(len, self.cycles()))
+        return math.lcm(*self.cycle_lengths())
 
     def sign(self):
         """+1 for even permutations, -1 for odd; multiplicative."""
-        cycles = self.cycles()
-        transpositions = sum(map(len, cycles)) - len(cycles)
-        return -1 if transpositions % 2 else 1
+        lengths = self.cycle_lengths()
+        return -1 if (sum(lengths) - len(lengths)) % 2 else 1
 
     def cycle_string(self):
         """The cycles in their ``cycles`` order, e.g. ``(0 1)(2 3 4)``; ``()`` for
-        the identity."""
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        # a nontrivial cycle has at least two points, so itemgetter gives a tuple
-        names = _point_names(len(self.images))
-        return "".join(["(" + " ".join(itemgetter(*c)(names)) + ")" for c in cycles])
+        the identity.  Walks ``images`` itself and keeps only the cycle lengths."""
+        images = self.images
+        names = _point_names(len(images))
+        seen = bytearray(len(images))
+        parts = []
+        lengths = []
+        for start, point in enumerate(images):
+            if seen[start] or point == start:
+                continue
+            cycle = [names[start]]
+            seen[start] = 1
+            while point != start:
+                cycle.append(names[point])
+                seen[point] = 1
+                point = images[point]
+            parts.append(" ".join(cycle))
+            lengths.append(len(cycle))
+        self._lengths = tuple(lengths)
+        return "(" + ")(".join(parts) + ")"
 
     def extended(self, degree):
         """The same permutation on a larger domain, fixing the new top points."""

@@ -494,7 +494,7 @@ def verify_orbit_bound(word, images, torsion_bound):
     witnesses = []
     passed = True
     for ci, image in enumerate(images, start=1):
-        largest = max(map(len, image.cycles()), default=1)
+        largest = max(image.cycle_lengths(), default=1)
         entry = {"component": ci, "largest_orbit": largest, "limit": limit}
         if largest > limit:
             entry["violation"] = True

@@ -218,9 +218,12 @@ def trace(word, point, gen_perms, tau=None):
 
 
 def compose_signed(codes, images, degree):
-    """Image tuple of a code word from each letter's image tuple (rightmost acting first)."""
-    result = tuple(range(degree))
-    for code in codes:
+    """Image tuple of a code word from each letter's image tuple (rightmost acting
+    first); the empty word gives the identity."""
+    if not codes:
+        return tuple(range(degree))
+    result = images[codes[0]]
+    for code in codes[1:]:
         result = _compose(result, images[code])
     return result
 

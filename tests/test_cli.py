@@ -296,6 +296,35 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == "error: unknown word token 'g\u00b2'\n"
 
+    @pytest.mark.parametrize("preset, levels, words", [
+        ("grigorchuk", list(range(1, 11)), ["g1 g2 t g3 g1 t", "t", "g4^-1 t g2", ""]),
+        ("gupta-sidki-3", list(range(1, 7)), ["g1 t g2^-1", "t g1 t g2", "g2 g2", ""]),
+    ])
+    def test_word_walks_each_image_once(self, tmp_path, capsys, monkeypatch,
+                                        preset, levels, words):
+        # each component image is walked by its string alone, from a cold
+        # recursion on: the orbit sizes and every order read its cycle lengths
+        calls = {"cycles": 0, "cycle_string": 0}
+
+        def spy(name):
+            original = getattr(Permutation, name)
+
+            def counted(self):
+                calls[name] += 1
+                return original(self)
+            monkeypatch.setattr(Permutation, name, counted)
+
+        spy("cycles")
+        spy("cycle_string")
+        cli._preset_recursion.cache_clear()
+        path = write_config(tmp_path, {"group": preset, "levels": levels})
+        for text in words:
+            calls["cycle_string"] = 0
+            assert main(["word", "--config", str(path), "--word", text]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert sum(line.startswith("component ") for line in lines) == len(levels)
+            assert calls == {"cycles": 0, "cycle_string": len(levels)}, text
+
     def test_word_past_the_ball_budget_exits_3(self, tmp_path, capsys, monkeypatch):
         # T(10) needs a ball of 4,061 representatives, more than 1,000
         # candidate words; nothing is printed before the budget runs out

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,6 +121,59 @@ class TestPermutation:
         inverse = reference_cycle_string(p.inverse().images)
         assert repr(PermGroup([p, p.inverse()])) == (
             f"PermGroup[{len(images)}] <{text}, {inverse}>")
+
+    @settings(max_examples=150, deadline=None)
+    @given(permutation_images(), st.booleans())
+    def test_either_walk_fills_one_cycle_type(self, images, string_first):
+        # a fresh permutation reads the same cycle type whichever walk runs
+        # first, and the int walk's cycles stay what the string prints
+        p = Permutation(images)
+        if string_first:
+            text = p.cycle_string()
+            lengths = p.cycle_lengths()
+            cycles = p.cycles()
+        else:
+            cycles = p.cycles()
+            lengths = p.cycle_lengths()
+            text = p.cycle_string()
+        oracle = SympyPermutation(images)
+        assert text == reference_cycle_string(images)
+        assert lengths == tuple(map(len, cycles))
+        assert lengths == tuple(map(len, oracle.cyclic_form))
+        assert cycles == tuple(map(tuple, oracle.cyclic_form))
+        assert p.order() == oracle.order()
+        assert p.sign() == oracle.signature()
+        fresh = Permutation(images)
+        assert (fresh.cycle_lengths(), fresh.order(), fresh.sign()) == (
+            lengths, p.order(), p.sign())
+        assert fresh.cycle_string() == text
+
+    def test_cycle_string_is_not_cached(self):
+        p = cyc(5, (0, 3), (1, 4, 2))
+        assert p.cycle_string() == p.cycle_string() == "(0 3)(1 4 2)"
+        assert p.cycle_string() is not p.cycle_string()
+        assert p.cycle_lengths() == (2, 3)
+
+    @pytest.mark.parametrize("cycles, point", [
+        ([(2, -1)], "-1"),
+        ([(0, 5)], "5"),
+        ([(0, 3)], "3"),
+        ([(0, 1.0)], "1.0"),
+        ([(True, 2)], "True"),
+        ([(0, False)], "False"),
+        ([(0, "1")], "'1'"),
+        ([(0, 1), (2, None)], "None"),
+    ])
+    def test_from_cycles_rejects_bad_points(self, cycles, point):
+        with pytest.raises(ValueError, match=rf"cycle point {re.escape(point)} is not "
+                                             r"a point of 0\.\.2"):
+            Permutation.from_cycles(3, cycles)
+
+    def test_from_cycles_accepts_every_point_of_the_degree(self):
+        assert Permutation.from_cycles(3, [(2, 0, 1)]).images == (1, 2, 0)
+        assert Permutation.from_cycles(3, [(2,)]).is_identity()
+        with pytest.raises(ValueError, match="cycle point 0 is not a point of 0..-1"):
+            Permutation.from_cycles(0, [(0,)])
 
     def test_degree_zero(self):
         empty = Permutation(())
