@@ -35,12 +35,17 @@ class Permutation:
     __slots__ = ("images", "_hash", "_cycles", "_lengths")
 
     def __init__(self, images):
+        """Every image must be an int (not a bool) in ``0..n-1``, each once;
+        Python would otherwise read -1 as the last point and True as 1.
+        """
         images = tuple(images)
         n = len(images)
         seen = [False] * n
         for x in images:
-            if not isinstance(x, int) or not 0 <= x < n or seen[x]:
-                raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
+            if type(x) is not int or not 0 <= x < n or seen[x]:
+                reason = ("repeats" if type(x) is int and 0 <= x < n
+                          else f"is not a point of 0..{n - 1}")
+                raise ValueError(f"not a permutation: image {x!r} {reason}")
             seen[x] = True
         self.images = images
         self._hash = None
@@ -63,8 +68,9 @@ class Permutation:
 
     @classmethod
     def transposition(cls, degree, a, b):
-        if not (0 <= a < degree and 0 <= b < degree) or a == b:
-            raise ValueError(f"bad transposition ({a} {b}) on {degree} points")
+        if (type(a) is not int or type(b) is not int
+                or not (0 <= a < degree and 0 <= b < degree) or a == b):
+            raise ValueError(f"bad transposition ({a!r} {b!r}) on {degree} points")
         images = list(range(degree))
         images[a], images[b] = b, a
         return cls._trusted(tuple(images))

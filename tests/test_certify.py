@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
@@ -18,6 +18,36 @@ from telescope.tower import TelescopeGroup, build_telescope, extend_action
 
 def cyc(degree, *cycles):
     return Permutation.from_cycles(degree, cycles)
+
+
+def json_dumps_bytes(doc):
+    """The bytes ``Certificate.to_bytes`` promises, from the standard encoder."""
+    return (json.dumps(doc, indent=2, ensure_ascii=True) + "\n").encode("ascii")
+
+
+def holding(value):
+    """A certificate whose ``alt_cutoff`` slot holds ``value``."""
+    return Certificate(config_digest="0" * 64, components=[], checks=[],
+                       alt_cutoff=value)
+
+
+# strings with non-ASCII and control characters, lone surrogates, quotes,
+# backslashes and brackets; ints past a machine word, negative ones and ones
+# of 1,000 digits; empty containers as leaves, so they occur at every depth
+json_text = st.text(st.one_of(st.characters(blacklist_categories=()),
+                              st.sampled_from('"\\[]{}\n\t\x00\x1f\x7f')),
+                    max_size=8)
+json_ints = st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                      st.integers(10 ** 999, 10 ** 1000 - 1),
+                      st.integers(-(10 ** 1000 - 1), -(10 ** 999)))
+json_leaves = st.one_of(st.none(), st.booleans(), json_ints, json_text,
+                        st.sampled_from([{}, [], ()]))
+json_docs = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(json_text, children, max_size=4)),
+    max_leaves=40)
 
 
 def single_component(perms, basepoint, names):
@@ -233,6 +263,38 @@ class TestCertificate:
         doc = json.loads(cert.to_bytes())
         assert doc["checks"] == []
         assert len(doc["config_digest"]) == 64
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_docs)
+    @example([(), [{}], {"a": {}}, []])
+    @example(["\u00e9\U0001f600\ud800", "\"\\[{\x00", -1, 0, None, True, False])
+    def test_bytes_match_json_dumps(self, doc):
+        cert = holding(doc)
+        assert cert.to_bytes() == json_dumps_bytes(cert.as_dict())
+
+    # 10**4300 has 4,301 digits, one past the limit; a dict value and a list
+    # item are written by different lines of the writer
+    @pytest.mark.parametrize("doc", [{"order": 10 ** 4300}, [-(10 ** 4300)]])
+    def test_int_past_the_digit_limit_raises_as_json_dumps_does(self, doc):
+        cert = holding(doc)
+        with pytest.raises(ValueError) as oracle:
+            json_dumps_bytes(cert.as_dict())
+        with pytest.raises(ValueError) as written:
+            cert.to_bytes()
+        assert str(written.value) == str(oracle.value)
+        assert "4300" in str(written.value)
+
+    @pytest.mark.parametrize("value, message", [
+        (1.5, "values must be int, str, bool, None, dict, list or tuple, not float"),
+        ([0, {"x": 2.0}], "values must be int, str, bool, None, dict, list or tuple, not float"),
+        ({1, 2}, "values must be int, str, bool, None, dict, list or tuple, not set"),
+        (b"x", "values must be int, str, bool, None, dict, list or tuple, not bytes"),
+        ({1: 2}, "keys must be str, not int"),
+        ({"a": {(1, 2): 0}}, "keys must be str, not tuple"),
+    ])
+    def test_other_types_raise_type_error(self, value, message):
+        with pytest.raises(TypeError, match=rf"^certificate {message}$"):
+            holding(value).to_bytes()
 
     def test_component_table(self, grig123):
         rows = component_table(grig123)

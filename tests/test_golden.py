@@ -10,6 +10,7 @@ reproduce them exactly; an intended change to a certificate bumps
 
 import contextlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -136,6 +137,22 @@ def test_each_sweep_case_is_built_once(stem, tmp_path, monkeypatch, capsys):
     gens = config.recursion.generator_count
     assert len(built) == len(config.levels) * (gens + gens ** 2)
     assert len({(ci, tuple(codes)) for ci, codes in built}) == len(built)
+
+
+@pytest.mark.parametrize("stem", VERIFY_CASES + ("grigorchuk_1-6",))
+def test_certificate_is_its_own_json_dumps_encoding(stem, tmp_path, capsys):
+    # the certificate writer promises json.dumps's indent-2 ASCII bytes; it
+    # refuses floats, so a certificate written at all holds none
+    config = GOLDEN / f"{stem}.json"
+    if stem == "grigorchuk_1-6":
+        config = tmp_path / "config.json"
+        config.write_text('{"group": "grigorchuk", "levels": [1, 2, 3, 4, 5, 6]}')
+    out = tmp_path / "certificate.json"
+    assert main(["verify", "--config", str(config), "--out", str(out)]) in (0, 1)
+    capsys.readouterr()
+    written = out.read_bytes()
+    assert written == (json.dumps(json.loads(written), indent=2, ensure_ascii=True)
+                       + "\n").encode("ascii")
 
 
 if __name__ == "__main__":

@@ -95,10 +95,26 @@ class TestPermutation:
         assert swap == cyc(6, (1, 4)) == Permutation(swap.images)
         assert hash(swap) == hash(cyc(6, (1, 4)))
 
-    @pytest.mark.parametrize("a, b", [(2, 2), (-1, 0), (0, 3)])
+    @pytest.mark.parametrize("a, b", [(2, 2), (-1, 0), (0, 3), (True, 2), (0, False),
+                                      (1.0, 2), (0, "1"), (None, 1)])
     def test_bad_transposition_rejected(self, a, b):
-        with pytest.raises(ValueError, match="bad transposition"):
+        with pytest.raises(ValueError, match=re.escape(f"bad transposition ({a!r} {b!r}) "
+                                                       f"on 3 points")):
             Permutation.transposition(3, a, b)
+
+    @pytest.mark.parametrize("images, problem", [
+        ([True, False, 2], "True is not a point of 0..2"),
+        ([0, 2, False], "False is not a point of 0..2"),
+        ([0, 1.0, 2], "1.0 is not a point of 0..2"),
+        ([0, "1", 2], "'1' is not a point of 0..2"),
+        ([None, 0, 1], "None is not a point of 0..2"),
+        ([0, 3, 1], "3 is not a point of 0..2"),
+        ([-1, 0, 1], "-1 is not a point of 0..2"),
+        ([1, 0, 1], "1 repeats"),
+    ])
+    def test_constructor_rejects_bad_points(self, images, problem):
+        with pytest.raises(ValueError, match=rf"^not a permutation: image {re.escape(problem)}$"):
+            Permutation(images)
 
     def test_cycles_walked_once(self):
         p = cyc(7, (0, 3, 1), (2, 5))
