@@ -22,7 +22,8 @@ certificate intact.
 
 Exit codes: 0 pass, 1 a check failed, 2 config or usage error, 3 a
 computation ran out of its budget (a non-contracting or non-torsion input,
-or a level with more vertices than the step budget).
+a level with more vertices than the step budget, or a word sample of more
+draws than it).
 """
 
 from __future__ import annotations
@@ -269,19 +270,23 @@ def sample_words(count, max_length, gen_count, seed):
 
     Only ``Random.random()`` is consumed (its output is stable across Python
     releases); each next letter is drawn among those that do not cancel the
-    previous one, so the sampled words are reduced by construction.
+    previous one, so the sampled words are reduced by construction.  The
+    letters allowed after each letter, and first, are tabled once.
     """
     rng = random.Random(seed)
     alphabet = [0]
     for code in range(1, gen_count + 1):
         alphabet.extend((code, -code))
+    follows = {code: [c for c in alphabet if c != -code] for code in alphabet}
     words = []
     for _ in range(count):
         length = 1 + int(rng.random() * max_length)
         codes = []
-        while len(codes) < length:
-            choices = [c for c in alphabet if not codes or c != -codes[-1]]
-            codes.append(choices[int(rng.random() * len(choices))])
+        choices = alphabet
+        for _ in range(length):
+            code = choices[int(rng.random() * len(choices))]
+            codes.append(code)
+            choices = follows[code]
         words.append(Word.from_codes(codes))
     return words
 
@@ -349,6 +354,10 @@ def cmd_build(config, tg):
 def _verify_checks(config, tg):
     """Every check of ``verify`` in certificate order, and the certificate."""
     rec = config.recursion
+    # the sample is held in memory, so its draws count against the budget
+    # before anything is drawn or checked
+    if config.sample_count > rec.step_budget:
+        raise BudgetExceeded(f"word sample has more than {rec.step_budget} draws")
     checks = [tower.transitivity_report(tg).as_dict()]
 
     sweep = _gseq_sweep(rec.generator_count)
@@ -377,20 +386,40 @@ def _verify_checks(config, tg):
                          rec.generator_count, config.seed)
     sampler = {"sampler": SAMPLER_NAME, "seed": config.seed,
                "count": config.sample_count, "max_length": config.sample_max_length}
-    # a word drawn again shares the reports of its first draw, and every
-    # draw is still counted
-    pairs = {}
+    # An element is its tuple of block image tuples, kept with one images
+    # tuple so its cycles are walked once.  Both bounds read only those
+    # cycle lengths and the word's length, so each (element, length) is
+    # verified once, on its first word.  A passing pair stands for all its
+    # words, since only the counts of passing reports are embedded; a
+    # failing check is rebuilt for each word, so every embedded failure
+    # names its own word.  Every draw is counted.
+    interned = {}
+    by_pair = {}
+    by_word = {}
     orbit_reports = []
     torsion_reports = []
     for word in words:
-        pair = pairs.get(word.codes)
-        if pair is None:
+        reports = by_word.get(word.codes)
+        if reports is None:
             images = tg.evaluate(word)
+            element = tuple(image.images for image in images)
+            images = interned.setdefault(element, images)
             bound = growth[len(word)]
-            pair = pairs[word.codes] = (tower.verify_orbit_bound(word, images, bound),
-                                        tower.verify_torsion_bound(word, images, bound))
-        orbit_reports.append(pair[0])
-        torsion_reports.append(pair[1])
+            pair = (element, len(word))
+            first = by_pair.get(pair)
+            if first is None:
+                reports = by_pair[pair] = (
+                    tower.verify_orbit_bound(word, images, bound),
+                    tower.verify_torsion_bound(word, images, bound))
+            else:
+                reports = (
+                    first[0] if first[0].passed
+                    else tower.verify_orbit_bound(word, images, bound),
+                    first[1] if first[1].passed
+                    else tower.verify_torsion_bound(word, images, bound))
+            by_word[word.codes] = reports
+        orbit_reports.append(reports[0])
+        torsion_reports.append(reports[1])
     checks.append(_aggregate("orbit_bound_sample", sampler, orbit_reports,
                              per_case=False))
     checks.append(_aggregate("torsion_bound_sample", sampler, torsion_reports,

@@ -409,7 +409,10 @@ class WreathRecursion:
         by a conjugacy key first: cyclically reduced, then the least rotation
         of it or of its inverse.  The order cache and the pending frames are
         keyed on it, so ab and ba, or a word and its inverse, are worked out
-        once.
+        once.  The order of a top-level word is also kept under the reduced
+        word itself, which is looked up first, so asking again for the same
+        word builds no key; an order is exact for every word of the element,
+        so neither entry can go stale.
 
         Section chains may revisit a pending key (Grigorchuk's b, c, d do).
         A revisit reached only through length-1 cycles adds no constraint
@@ -474,7 +477,11 @@ class WreathRecursion:
                 return result, math.inf
             return result, lowest_link
 
-        value, _ = rec(reduce_signed(word))
+        word = reduce_signed(word)
+        value = self._orders.get(word)
+        if value is None:
+            # the top frame has no pending frame above it, so its value is final
+            value = self._orders[word] = rec(word)[0]
         return value
 
     # -- balls and torsion growth ---------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .perm import Permutation, orbit
+from .perm import Permutation, _compose, _inverse, orbit
 from .reports import CheckReport
 from .selfsim import LevelAction
 from .words import LetterTable, compose_signed, reduce_signed
@@ -213,8 +213,9 @@ def build_telescope(rec, levels, basepoints=None):
 
 def _sweep_case(tg, component, gseq, order_mode, horizon_factor=1):
     """The one case both sweeps read: ``(gseq, N, N*(k+1), entry images,
-    block, block labels)``, the block  t g1 t g2 ... t gk  on block
-    ``component`` evaluated as one word and labelled by ``_cycle_labels``.
+    block, return times)``, the block  t g1 t g2 ... t gk  on block
+    ``component`` evaluated as one word, and each point's cycle length
+    under it (``_return_times``).
 
     Checks, in this order, the 0-based component index, ``horizon_factor``
     (an integer >= 1) and that gseq is nonempty.  N is the order of
@@ -242,7 +243,7 @@ def _sweep_case(tg, component, gseq, order_mode, horizon_factor=1):
     images = [tg.evaluate_component(word.codes, component) for word in gseq]
     block = tg.evaluate_component([code for word in gseq for code in (0, *word.codes)],
                                   component)
-    return gseq, n, n * (len(gseq) + 1), images, block, _cycle_labels(block)
+    return gseq, n, n * (len(gseq) + 1), images, block, _return_times(block)
 
 
 def _check_horizon_factor(horizon_factor):
@@ -262,74 +263,78 @@ def _power_images(perm, m):
     return tuple(images)
 
 
-def _cycle_labels(perm):
-    """Per point: its cycle's name (the cycle's smallest point), its position
-    in that cycle and the cycle's length.  A fixed point is a cycle of
-    length 1 of its own."""
-    degree = perm.degree
-    name = list(range(degree))
-    position = [0] * degree
-    length = [1] * degree
+def _return_times(perm):
+    """Per point: the length of its cycle under ``perm``, 1 for a fixed point."""
+    times = [1] * perm.degree
     for cycle in perm.cycles():
-        for index, point in enumerate(cycle):
-            name[point] = cycle[0]
-            position[point] = index
-            length[point] = len(cycle)
-    return name, position, length
+        size = len(cycle)
+        for point in cycle:
+            times[point] = size
+    return times
 
 
-def _first_hits(tau, images, p, horizon, labels):
+def _first_hits(tau, images, p, horizon, block):
     """``hits[j][x]``: the least i >= 1 such that the last i letters of
     w(horizon, j) send x to p, or None when no terminal subword does.
 
-    ``labels`` are the ``_cycle_labels`` of the block t g1 ... t gk.  Read
-    from the word's end, w(horizon, j) is the partial tail g_j, t, ...,
-    g_1, t (walked directly), then ``horizon`` periods g_k, t, ..., g_1, t,
-    each of which acts as the block.  Let y_r be the point that the first r
-    atoms of a period send to p.  A point x that leaves the tail clear of p
-    meets p at 2k*m + r exactly when block^m(x) = y_r, and that m is x's
-    distance to y_r along its block cycle; the least such 2k*m + r with
-    m < horizon is the hit.  So a sweep costs O(degree * k) label lookups
-    plus the tails, whatever the horizon.
+    ``block`` is the block t g1 ... t gk.  Read from the word's end,
+    w(horizon, j) is the partial tail g_j, t, ..., g_1, t, then ``horizon``
+    periods g_k, t, ..., g_1, t, each of which acts as the block.  Let y_r
+    be the point that the first r atoms of a period send to p.  A point x
+    that leaves the tail clear of p meets p at 2k*m + r exactly when
+    block^m(x) = y_r, and that m is x's distance to y_r along its block
+    cycle.  Since r <= 2k, the least hit comes from the nearest y ahead of
+    x on its cycle, with the least r for that y, provided m < horizon; so
+    only the block cycles through some y_r are walked, once each,
+    backwards from a y.  Row j composes the tail into one map: a point
+    that the tail sends to a hitting point y hits at 2j plus y's hit, and
+    the at most 2j points that some prefix of the tail sends to p are
+    patched with the least such prefix length.  A row costs O(degree) in
+    composing plus the points on hit cycles, whatever the horizon.
     """
-    name, position, length = labels
     k = len(images)
-    degree = tau.degree
     undo = []  # inverses of a period's atoms, in acting order g_k, t, ..., g_1, t
     for image in reversed(images):
-        undo += [image.inverse().images, tau.images]
-    pulls = []  # (r, y_r), r = 1..2k
+        undo += [_inverse(image.images), tau.images]
+    least = {}  # y_r -> its least r, r = 1..2k
     for r in range(1, 2 * k + 1):
         point = p
         for inverse in reversed(undo[:r]):
             point = inverse[point]
-        pulls.append((r, point))
+        least.setdefault(point, r)
 
-    periodic = []  # the first hit of each point entering the periodic part
-    for x in range(degree):
-        best = None
-        for r, y in pulls:
-            if name[y] == name[x]:
-                m = (position[y] - position[x]) % length[x]
-                hit = 2 * k * m + r
-                if m < horizon and (best is None or hit < best):
-                    best = hit
-        periodic.append(best)
+    periodic = {}  # the first hit of each point entering the periodic part
+    for y in least:
+        if y in periodic:
+            continue
+        cycle = [y]  # y's block cycle, walked forwards from y
+        point = block.images[y]
+        while point != y:
+            cycle.append(point)
+            point = block.images[point]
+        m = r = 0
+        for x in cycle[:1] + cycle[:0:-1]:  # y, then backwards round the cycle
+            nearer = least.get(x)
+            if nearer is not None:
+                m, r = 0, nearer
+            if m < horizon:
+                periodic[x] = 2 * k * m + r
+            m += 1
 
     hits = []
+    untail = tuple(range(tau.degree))  # the inverse of the tail of row j
     for j in range(k):
-        tail = [atom for jj in reversed(range(j)) for atom in (images[jj].images, tau.images)]
-        row = []
-        for x in range(degree):
-            current = x
-            for index, atom in enumerate(tail, start=1):
-                current = atom[current]
-                if current == p:
-                    row.append(index)
-                    break
-            else:
-                hit = periodic[current]
-                row.append(None if hit is None else len(tail) + hit)
+        if j:
+            untail = _compose(undo[2 * (k - j)], _compose(tau.images, untail))
+        row = [None] * tau.degree
+        for y, hit in periodic.items():
+            row[untail[y]] = 2 * j + hit
+        tail_undo = undo[2 * (k - j):]  # inverses of the tail atoms g_j, t, ..., g_1, t
+        for i in range(2 * j, 0, -1):  # the least prefix length is written last
+            point = p
+            for inverse in reversed(tail_undo[:i]):
+                point = inverse[point]
+            row[point] = i
         hits.append(row)
     return hits
 
@@ -346,7 +351,7 @@ def verify_fundamental_general(tg, component, gseq, order_mode="global", *, case
     """
     if case is None:
         case = _sweep_case(tg, component, gseq, order_mode)
-    gseq, n, bound, _, _, (_, _, lengths) = case
+    gseq, n, bound, _, _, lengths = case
     witnesses = []
     passed = True
     for point, m in enumerate(lengths):
@@ -392,12 +397,14 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
     tail hit, or else the tail length plus the least 2k*m + r (m < horizon)
     for which the point lies m steps before y_r on its block cycle, y_r
     being the point the first r letters of a period send to p
-    (``_first_hits``).  The rows w(m,j').p, m < N(k+1), walk one block
-    cycle each from the point p is walked to through the 2j' letters of
-    t g1 ... t gj', so a value repeats in a row exactly when its distance d
-    from the row's start along the cycle, of length L, has d + L < N(k+1).
-    A sweep costs O(degree * k) cycle lookups plus the O(degree * k^2)
-    tails, whatever the horizon.
+    (``_first_hits``, which walks only the block cycles through some y_r
+    and maps each row's tail as one composed permutation).  The rows
+    w(m,j').p, m < N(k+1), walk one block cycle each from the point p is
+    walked to through the 2j' letters of t g1 ... t gj', so a value
+    repeats in a row exactly when its distance d from the row's start
+    along the cycle, of length L, has d + L < N(k+1).  A sweep costs, per
+    row, O(degree) in composing plus the points on the hit cycles,
+    whatever the horizon.
 
     Fact 3 is checked as stated, and as stated it is false in general.  On
     the one-involution action on {0, 1} extended by the fresh point 2 with
@@ -412,12 +419,11 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
         case = _sweep_case(tg, component, gseq, order_mode, horizon_factor)
     else:
         _check_horizon_factor(horizon_factor)
-    gseq, n, bound, images, block, labels = case
+    gseq, n, bound, images, block, lengths = case
     k = len(gseq)
     horizon = horizon_factor * bound
     comp = tg.components[component]
     tau, p, degree = comp.tau, comp.basepoint, comp.extended_degree
-    lengths = labels[2]
 
     # Values that occur twice in some row w(m, j').p, m < bound, 0 <= j' < k
     # (j' = 0 means no partial block).  Row j' starts at the point s that
@@ -436,7 +442,7 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
 
     violations = []
     hits = 0
-    for j, row in enumerate(_first_hits(tau, images, p, horizon, labels)):
+    for j, row in enumerate(_first_hits(tau, images, p, horizon, block)):
         coarse = 2 * (n * k + j)
         for point, hit in enumerate(row):
             if hit is not None:

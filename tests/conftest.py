@@ -9,7 +9,9 @@ a time, the kernel of the componentwise sign map is built from Schreier
 generators, and the trace and return-bound sweeps compose tau, the
 entries and the block by hand (``hand_case``), take N from
 ``element_order`` or from the hand-composed product, and walk every point
-one letter at a time.  ``cyclic_root_recursions`` draws the recursions that
+one letter at a time, and ``list_sample_words`` draws the seeded word
+sample by filtering the alphabet afresh for every letter.
+``cyclic_root_recursions`` draws the recursions that
 ``WreathRecursion.quotient_orders`` accepts, for the tests that check it
 against these oracles.  The ``count_orbits`` fixture counts the orbits
 construction computes, so a test can tell which transitivity path it took.
@@ -17,6 +19,7 @@ construction computes, so a test can tell which transitivity path it took.
 
 import math
 import os
+import random
 import re
 from pathlib import Path
 
@@ -27,7 +30,7 @@ from telescope import tower
 from telescope.perm import Permutation, orbit
 from telescope.reports import CheckReport
 from telescope.selfsim import WreathRecursion
-from telescope.words import reduce_signed
+from telescope.words import Word, reduce_signed
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -125,6 +128,25 @@ def level_image(rec, word, level):
             perm = perm.inverse()
         result = result * perm
     return result
+
+
+def list_sample_words(count, max_length, gen_count, seed):
+    """``cli.sample_words``'s draws: the alphabet t, g1, g1^-1, ... is
+    filtered for each next letter by a list comprehension that drops the
+    inverse of the previous letter, consuming ``Random.random()`` alike."""
+    rng = random.Random(seed)
+    alphabet = [0]
+    for code in range(1, gen_count + 1):
+        alphabet.extend((code, -code))
+    words = []
+    for _ in range(count):
+        length = 1 + int(rng.random() * max_length)
+        codes = []
+        while len(codes) < length:
+            choices = [c for c in alphabet if not codes or c != -codes[-1]]
+            codes.append(choices[int(rng.random() * len(choices))])
+        words.append(Word.from_codes(codes))
+    return words
 
 
 def block_images(tg, word):

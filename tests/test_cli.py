@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import src_env
+from conftest import list_sample_words, src_env
 from telescope import certify, cli
 from telescope.cli import (ConfigError, load_config, main, parse_cycles,
                            sample_words)
@@ -242,6 +242,32 @@ class TestSampler:
     def test_words_are_reduced_and_bounded(self):
         for word in sample_words(200, 5, 3, seed=3):
             assert 1 <= len(word) <= 5
+
+    def test_draws_match_the_list_comprehension_oracle(self):
+        # the tabled letter choices consume the generator exactly as the
+        # per-letter filter does, so every draw is the same word
+        for seed in range(50):
+            for gen_count in range(1, 5):
+                for max_length in range(1, 7):
+                    assert (sample_words(20, max_length, gen_count, seed)
+                            == list_sample_words(20, max_length, gen_count, seed))
+
+    def test_count_past_the_budget_exits_3_before_drawing(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # the whole sample is held at once, so a count above the step
+        # budget is refused before the first draw and before any check
+        drawn = []
+        monkeypatch.setattr(cli, "sample_words", lambda *args: drawn.append(args))
+        budget = load_config(grig_config(tmp_path)).recursion.step_budget
+        out_path = tmp_path / "cert.json"
+        path = grig_config(tmp_path, word_sample={"count": budget + 1, "max_length": 4})
+        assert main(["verify", "--config", str(path), "--out", str(out_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: computation budget exceeded: word sample "
+                                f"has more than {budget} draws\n")
+        assert drawn == []
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 class TestCommands:

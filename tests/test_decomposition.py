@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import custom_arity_3, level_image
+from telescope import selfsim
 from telescope.perm import Permutation
 from telescope.selfsim import (NotContracting, WreathRecursion, grigorchuk,
                                gupta_sidki_3, invert_signed, reduce_signed)
@@ -179,6 +180,41 @@ class TestOrders:
             assert make().element_order(word[shift:] + word[:shift]) == order
         assert make().element_order(invert_signed(word)) == order
         assert level_image(levels, word, level).order() == order
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(grigorchuk, 4, 8), (gupta_sidki_3, 2, 6)]).flatmap(
+        lambda case: st.tuples(st.just(case), words_over(case[1], case[2]))))
+    def test_warm_orders_match_cold(self, drawn):
+        # a word, each rotation and the inverse, asked twice of one recursion
+        # (the second pass answered from the word-keyed entries) and once
+        # each of a fresh recursion
+        (make, _, _), word = drawn
+        family = [word[shift:] + word[:shift] for shift in range(max(len(word), 1))]
+        family.append(invert_signed(word))
+        warm = make()
+        first = [warm.element_order(w) for w in family]
+        assert [warm.element_order(w) for w in family] == first
+        assert [make().element_order(w) for w in family] == first
+
+    def test_repeated_word_builds_no_conjugacy_key(self, monkeypatch):
+        # the sweep asks for the same product once per component: from the
+        # second call on, the order is read under the reduced word itself
+        keys = []
+
+        def counting(word):
+            keys.append(word)
+            return conjugacy_key(word)
+
+        conjugacy_key = selfsim._conjugacy_key
+        monkeypatch.setattr(selfsim, "_conjugacy_key", counting)
+        for make, word in ((grigorchuk, (1, 2)), (gupta_sidki_3, (1, 2, -1, 2))):
+            rec = make()
+            order = rec.element_order(word)
+            built = len(keys)
+            assert built > 0
+            assert [rec.element_order(word) for _ in range(5)] == [order] * 5
+            assert rec.element_order(word + (2, -2)) == order
+            assert len(keys) == built
 
     @pytest.mark.parametrize("make, levels, radius, level, size", [
         (grigorchuk, LEVEL_GRIG, 8, 10, 271), (gupta_sidki_3, LEVEL_GS, 6, 6, 253)])

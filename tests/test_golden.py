@@ -20,6 +20,8 @@ import pytest
 from conftest import block_images, oracle_bound_reports
 from telescope import tower
 from telescope.cli import load_config, main, sample_words
+from telescope.reports import CheckReport
+from telescope.words import Word
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -76,20 +78,15 @@ def test_golden_bytes(stem, tmp_path):
         assert produced == (GOLDEN / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("stem", ("grigorchuk_1-4", "gupta_sidki_1-3"))
-def test_sample_reports_match_oracle(stem, tmp_path, monkeypatch, capsys):
-    # the goldens keep only the case counts of the two sample checks, so
-    # each report ``verify`` builds is checked here against the oracle's
-    # report on the word's hand-composed block images; a word drawn again
-    # reuses its first draw's reports, so each distinct word is verified
-    # exactly once, in first-draw order (the goldens pin the 200 counted
-    # draws)
+def _recording(monkeypatch):
+    """Record every orbit- and torsion-bound report ``verify`` builds, as
+    (word, bound, images, report), by kind."""
     recorded = {"orbit": [], "torsion": []}
 
     def recording(kind, verify):
         def wrapper(word, images, torsion_bound):
             report = verify(word, images, torsion_bound)
-            recorded[kind].append((word, torsion_bound, report))
+            recorded[kind].append((word, torsion_bound, images, report))
             return report
         return wrapper
 
@@ -97,24 +94,102 @@ def test_sample_reports_match_oracle(stem, tmp_path, monkeypatch, capsys):
                         recording("orbit", tower.verify_orbit_bound))
     monkeypatch.setattr(tower, "verify_torsion_bound",
                         recording("torsion", tower.verify_torsion_bound))
-    config_path = GOLDEN / f"{stem}.json"
-    assert main(["verify", "--config", str(config_path),
+    return recorded
+
+
+def _sample(stem):
+    """The config, its telescope, and its drawn words with each word's
+    element: the tuple of its hand-composed block image tuples."""
+    config = load_config(GOLDEN / f"{stem}.json")
+    tg = tower.build_telescope(config.recursion, config.levels, config.basepoints)
+    words = sample_words(config.sample_count, config.sample_max_length,
+                         config.recursion.generator_count, config.seed)
+    elements = {word.codes: tuple(image.images for image in block_images(tg, word))
+                for word in words}
+    return config, tg, words, elements
+
+
+@pytest.mark.parametrize("stem", ("grigorchuk_1-4", "gupta_sidki_1-3"))
+def test_sample_reports_match_oracle(stem, tmp_path, monkeypatch, capsys):
+    # the goldens keep only the case counts of the two sample checks, so
+    # each report ``verify`` builds is checked here against the oracle's
+    # report on the word's hand-composed block images.  Words that name one
+    # element share its verification per length: each distinct (element,
+    # length) is verified once, on its first word, in first-draw order, and
+    # its verdict must be the oracle's verdict on every distinct word of
+    # that element and length, each on its own images (the goldens pin the
+    # 200 counted draws and no failing sample case)
+    recorded = _recording(monkeypatch)
+    assert main(["verify", "--config", str(GOLDEN / f"{stem}.json"),
                  "--out", str(tmp_path / "certificate.json")]) == 1
     capsys.readouterr()
 
-    config = load_config(config_path)
+    config, tg, words, elements = _sample(stem)
     rec = config.recursion
-    tg = tower.build_telescope(rec, config.levels, config.basepoints)
-    words = sample_words(config.sample_count, config.sample_max_length,
-                         rec.generator_count, config.seed)
+    first = {}  # (element, length) -> its first drawn word
+    for word in words:
+        first.setdefault((elements[word.codes], len(word)), word)
     distinct = list(dict.fromkeys(word.codes for word in words))
-    assert len(distinct) < len(words)
+    assert len(first) < len(distinct) < len(words)
     for index, kind in enumerate(("orbit", "torsion")):
-        assert [word.codes for word, _, _ in recorded[kind]] == distinct
-        for word, bound, report in recorded[kind]:
+        assert [word.codes for word, _, _, _ in recorded[kind]] == [
+            word.codes for word in first.values()]
+        verdicts = {}
+        for word, bound, images, report in recorded[kind]:
             assert bound == rec.torsion_growth(len(word))
             expected = oracle_bound_reports(word, block_images(tg, word), bound)[index]
             assert report.as_dict() == expected.as_dict(), str(word)
+            assert report.passed
+            verdicts[elements[word.codes], len(word)] = report.passed
+        for codes in distinct:
+            word = Word.from_codes(codes)
+            bound = rec.torsion_growth(len(word))
+            expected = oracle_bound_reports(word, block_images(tg, word), bound)[index]
+            assert verdicts[elements[codes], len(word)] == expected.passed, str(word)
+
+
+def test_a_failing_element_is_reported_for_each_of_its_words(tmp_path, monkeypatch,
+                                                             capsys):
+    # the orbit check is made to fail on the element with the most distinct
+    # words in the sample: each of those words is verified on its own, and
+    # every draw of it embeds a failure naming that word, in draw order
+    stem = "grigorchuk_1-4"
+    config, _, words, elements = _sample(stem)
+    distinct = list(dict.fromkeys(word.codes for word in words))
+    names = {}  # element -> its distinct words, in first-draw order
+    for codes in distinct:
+        names.setdefault(elements[codes], []).append(codes)
+    target = max(names, key=lambda element: len(names[element]))
+    assert len(names[target]) >= 2
+    recorded = _recording(monkeypatch)
+    verify_orbit_bound = tower.verify_orbit_bound
+
+    def failing_on_target(word, images, torsion_bound):
+        report = verify_orbit_bound(word, images, torsion_bound)
+        if tuple(image.images for image in images) != target:
+            return report
+        return CheckReport(report.name, report.parameters, False,
+                           [dict(w, violation=True) for w in report.witnesses])
+
+    monkeypatch.setattr(tower, "verify_orbit_bound", failing_on_target)
+    out_path = tmp_path / "certificate.json"
+    assert main(["verify", "--config", str(GOLDEN / f"{stem}.json"),
+                 "--out", str(out_path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAILED checks: trace_lemmas, orbit_bound_sample\n" in out
+
+    assert [word.codes for word, _, images, _ in recorded["orbit"]
+            if tuple(image.images for image in images) == target] == names[target]
+    checks = {check["name"]: check for check in json.loads(out_path.read_text())["checks"]}
+    orbit = checks["orbit_bound_sample"]
+    drawn = [str(word) for word in words if elements[word.codes] == target]
+    assert orbit["status"] == "fail"
+    assert orbit["witnesses"][0] == {"cases": len(words), "failed_cases": len(drawn)}
+    assert [case["parameters"]["word"] for case in orbit["witnesses"][1:]] == drawn[:20]
+    for case in orbit["witnesses"][1:]:
+        assert all(row["violation"] for row in case["failures"])
+    assert checks["torsion_bound_sample"]["witnesses"] == [
+        {"cases": len(words), "failed_cases": 0}]
 
 
 @pytest.mark.parametrize("stem", VERIFY_CASES)

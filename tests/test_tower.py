@@ -529,8 +529,7 @@ def scan_cases(draw):
 def scan_first_hits(tg, ci, gseq, horizon):
     """``tower._first_hits`` on the hand-composed atoms and block."""
     _, tau, images, block = hand_case(tg, ci, gseq, "local")
-    labels = tower._cycle_labels(block)
-    return tower._first_hits(tau, images, tg.components[ci].basepoint, horizon, labels)
+    return tower._first_hits(tau, images, tg.components[ci].basepoint, horizon, block)
 
 
 def assert_scan_matches_walker(tg, ci, gseq, factor, mode):
@@ -604,6 +603,15 @@ class TestScanMatchesWalker:
             for gseq in itertools.product(singles, repeat=3):
                 for mode in ("local", "global"):
                     assert_scan_matches_walker(tg, ci, list(gseq), 1, mode)
+
+    @pytest.mark.parametrize("gseq", [["g1"], ["g2", "g3"]])
+    def test_degree_1025(self, gseq):
+        # Grigorchuk level 10 plus the fresh point: the one-map tails and the
+        # walk over the hit cycles against the point walker at depth
+        tg = build_telescope(grigorchuk(), range(1, 11))
+        assert tg.components[9].extended_degree == 1025
+        for mode in ("local", "global"):
+            assert_scan_matches_walker(tg, 9, [parse_word(w) for w in gseq], 2, mode)
 
 
 class TestPowerImages:
