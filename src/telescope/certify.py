@@ -134,7 +134,7 @@ def sign_vectors(tg):
     return vectors, image_size, report
 
 
-def alt_cutoff(tg):
+def alt_cutoff(tg, sign_image_size=None):
     """Least component index m so that beyond it the kernel K of the
     componentwise sign map projects onto the full alternating groups.
 
@@ -143,7 +143,8 @@ def alt_cutoff(tg):
     block, and every block group is Sym(n) (``check_subdirect``), so K
     projects into Alt(n) and onto [Sym(n), Sym(n)] = Alt(n) on every block:
     the cutoff is 1.  The ``kernel_generators`` parameter counts the kernel
-    elements this check built: none since format 3.
+    elements this check built: none since format 3.  ``sign_image_size`` is
+    ``sign_vectors``' image size, computed here when not given.
     """
     witnesses = [{"cutoff": 1}]
     for ci, comp in enumerate(tg.components, start=1):
@@ -151,13 +152,14 @@ def alt_cutoff(tg):
         witnesses.append({"component": ci, "extended_degree": comp.extended_degree,
                           "kernel_projection_order": order, "alternating_order": order,
                           "full_alternating": True})
-    _, image_size, _ = sign_vectors(tg)
+    if sign_image_size is None:
+        sign_image_size = sign_vectors(tg)[1]
     return CheckReport(
         name="alt_cutoff",
         parameters={
             "components": len(tg.components),
             "kernel_generators": 0,
-            "sign_image_size": image_size,
+            "sign_image_size": sign_image_size,
         },
         passed=True,
         witnesses=witnesses,

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from . import certify, tower
 from .perm import Permutation
 from .selfsim import BudgetExceeded, WreathRecursion, grigorchuk, gupta_sidki_3
-from .words import Word, parse_signed, parse_word
+from .words import Word, compose_signed, parse_signed, parse_word
 
 SAMPLER_NAME = "mt19937-reduced-words-v1"
 # failing cases embedded per check, and failure rows per case
@@ -314,31 +314,28 @@ def _only_pigeonhole_failures(checks):
     return saw_failure
 
 
-def _aggregate(name, parameters, reports, per_case=True):
-    """Fold per-case reports into one certificate check entry.
+def _aggregate(name, parameters, cases, failures, passes=()):
+    """One certificate check entry: a count summary of ``cases`` cases, then
+    the ``passes`` rows, then the first failing cases.
 
-    With ``per_case`` every case contributes one witness row; otherwise only
-    a count summary and the failing cases are embedded (samples are already
-    reproducible from the recorded seed).
+    A passing case is counted and, for a check listed per case, given one
+    row of its parameters and witness count, so no report is built for it;
+    only the failing cases' reports, in case order, are built and embedded
+    (the sample checks list no passing case, as samples are reproducible
+    from the recorded seed).
     """
-    witnesses = []
-    failing = []
-    passed = True
-    for report in reports:
-        if not report.passed:
-            passed = False
-            if len(failing) < MAX_FAILURES:
-                failing.append({"parameters": report.parameters,
-                                "failures": report.witnesses[:MAX_FAILURES]})
-        elif per_case:
-            witnesses.append({"parameters": report.parameters, "status": "pass",
-                              "witnesses": len(report.witnesses)})
-    summary = {"cases": len(reports), "failed_cases":
-               sum(1 for r in reports if not r.passed)}
-    witnesses = [summary] + witnesses + failing
-    parameters = dict(parameters)
-    return {"name": name, "parameters": parameters,
-            "status": "pass" if passed else "fail", "witnesses": witnesses}
+    failing = [{"parameters": report.parameters,
+                "failures": report.witnesses[:MAX_FAILURES]}
+               for report in failures[:MAX_FAILURES]]
+    return {"name": name, "parameters": dict(parameters),
+            "status": "fail" if failures else "pass",
+            "witnesses": [{"cases": cases, "failed_cases": len(failures)},
+                          *passes, *failing]}
+
+
+def _pass_row(parameters, witnesses):
+    """The row of a passing case in a check listed per case."""
+    return {"parameters": parameters, "status": "pass", "witnesses": witnesses}
 
 
 def cmd_build(config, tg):
@@ -351,6 +348,94 @@ def cmd_build(config, tg):
     return 0
 
 
+def _sweep_checks(tg, horizon_factor):
+    """The ``trace_lemmas`` and ``fundamental_general`` check entries: one
+    case per component and generator sequence, built once for both sweeps.
+
+    Every trace case is swept in full.  A return-bound case that holds is a
+    row of its parameters and its point count; only a failing one gets its
+    per-point report.
+    """
+    sweep = [(gseq, [str(word) for word in gseq])
+             for gseq in _gseq_sweep(tg.generator_count)]
+    cases = len(tg.components) * len(sweep)
+    trace_passes, trace_failures = [], []
+    general_passes, general_failures = [], []
+    for ci in range(len(tg.components)):
+        for gseq, names in sweep:
+            case = tower._sweep_case(tg, ci, gseq, "global", names=names)
+            report = tower.verify_trace_lemmas(tg, ci, gseq, horizon_factor=horizon_factor,
+                                               case=case)
+            if report.passed:
+                trace_passes.append(_pass_row(report.parameters, len(report.witnesses)))
+            else:
+                trace_failures.append(report)
+            if tower.return_bound_holds(case):
+                general_passes.append(_pass_row(
+                    tower.sweep_parameters(ci, case, "global"), case.block.degree))
+            else:
+                general_failures.append(tower.verify_fundamental_general(tg, ci, gseq,
+                                                                         case=case))
+    return [_aggregate("trace_lemmas", {"horizon_factor": horizon_factor}, cases,
+                       trace_failures, trace_passes),
+            _aggregate("fundamental_general", {}, cases, general_failures,
+                       general_passes)]
+
+
+def _sample_checks(config, tg, growth):
+    """The ``orbit_bound_sample`` and ``torsion_bound_sample`` check entries
+    on the seeded word sample; ``growth`` maps each length to its torsion
+    growth.
+
+    Each distinct word is composed once per block from the block's letter
+    table, and its element, the tuple of those image tuples, is interned
+    before any permutation is made, so each element gets one permutation
+    per block and its cycles are walked once.  Both bounds read only those
+    cycle lengths and the word's length, so each (element, length) is
+    decided once, by the bounds' own helpers.  A passing draw is only
+    counted; a failing (element, length) runs the verifier once for each of
+    its distinct words, so every embedded failure names its own word.
+    Every draw is counted.
+    """
+    sampler = {"sampler": SAMPLER_NAME, "seed": config.seed,
+               "count": config.sample_count, "max_length": config.sample_max_length}
+    blocks = [(comp.letters, comp.extended_degree) for comp in tg.components]
+    elements = {}  # element -> its block images
+    verdicts = {}  # (element, length) -> (orbit bound holds, torsion bound holds)
+    by_word = {}  # codes -> failing (orbit, torsion) reports, None where a bound holds
+    orbit_failures, torsion_failures = [], []
+    for word in sample_words(config.sample_count, config.sample_max_length,
+                             tg.generator_count, config.seed):
+        codes = word.codes
+        failed = by_word.get(codes)
+        if failed is None:
+            element = tuple(compose_signed(codes, letters, degree)
+                            for letters, degree in blocks)
+            images = elements.get(element)
+            if images is None:
+                images = elements[element] = tuple(map(Permutation._trusted, element))
+            bound = growth[len(codes)]
+            pair = (element, len(codes))
+            verdict = verdicts.get(pair)
+            if verdict is None:
+                limit = bound * (len(codes) + 1)
+                verdict = verdicts[pair] = (
+                    not any(exceeds for _, exceeds
+                            in tower.orbit_bound_blocks(images, limit)),
+                    tower.torsion_bound_order(images, limit)[1])
+            failed = by_word[codes] = (
+                None if verdict[0] else tower.verify_orbit_bound(word, images, bound),
+                None if verdict[1] else tower.verify_torsion_bound(word, images, bound))
+        if failed[0] is not None:
+            orbit_failures.append(failed[0])
+        if failed[1] is not None:
+            torsion_failures.append(failed[1])
+    return [_aggregate("orbit_bound_sample", sampler, config.sample_count,
+                       orbit_failures),
+            _aggregate("torsion_bound_sample", sampler, config.sample_count,
+                       torsion_failures)]
+
+
 def _verify_checks(config, tg):
     """Every check of ``verify`` in certificate order, and the certificate."""
     rec = config.recursion
@@ -359,22 +444,7 @@ def _verify_checks(config, tg):
     if config.sample_count > rec.step_budget:
         raise BudgetExceeded(f"word sample has more than {rec.step_budget} draws")
     checks = [tower.transitivity_report(tg).as_dict()]
-
-    sweep = _gseq_sweep(rec.generator_count)
-    trace_reports = []
-    general_reports = []
-    for ci in range(len(tg.components)):
-        for gseq in sweep:
-            # one case per component and sequence, read by both sweeps
-            case = tower._sweep_case(tg, ci, gseq, "global")
-            trace_reports.append(tower.verify_trace_lemmas(
-                tg, ci, gseq, horizon_factor=config.horizon_factor, case=case))
-            general_reports.append(tower.verify_fundamental_general(tg, ci, gseq,
-                                                                    case=case))
-    checks.append(_aggregate("trace_lemmas",
-                             {"horizon_factor": config.horizon_factor},
-                             trace_reports))
-    checks.append(_aggregate("fundamental_general", {}, general_reports))
+    checks += _sweep_checks(tg, config.horizon_factor)
 
     growth = {n: rec.torsion_growth(n) for n in range(1, config.sample_max_length + 1)}
     torsion_table = [
@@ -382,54 +452,13 @@ def _verify_checks(config, tg):
          "bound": f"({growth[n]}*{n + 1})!"}
         for n in sorted(growth)
     ]
-    words = sample_words(config.sample_count, config.sample_max_length,
-                         rec.generator_count, config.seed)
-    sampler = {"sampler": SAMPLER_NAME, "seed": config.seed,
-               "count": config.sample_count, "max_length": config.sample_max_length}
-    # An element is its tuple of block image tuples, kept with one images
-    # tuple so its cycles are walked once.  Both bounds read only those
-    # cycle lengths and the word's length, so each (element, length) is
-    # verified once, on its first word.  A passing pair stands for all its
-    # words, since only the counts of passing reports are embedded; a
-    # failing check is rebuilt for each word, so every embedded failure
-    # names its own word.  Every draw is counted.
-    interned = {}
-    by_pair = {}
-    by_word = {}
-    orbit_reports = []
-    torsion_reports = []
-    for word in words:
-        reports = by_word.get(word.codes)
-        if reports is None:
-            images = tg.evaluate(word)
-            element = tuple(image.images for image in images)
-            images = interned.setdefault(element, images)
-            bound = growth[len(word)]
-            pair = (element, len(word))
-            first = by_pair.get(pair)
-            if first is None:
-                reports = by_pair[pair] = (
-                    tower.verify_orbit_bound(word, images, bound),
-                    tower.verify_torsion_bound(word, images, bound))
-            else:
-                reports = (
-                    first[0] if first[0].passed
-                    else tower.verify_orbit_bound(word, images, bound),
-                    first[1] if first[1].passed
-                    else tower.verify_torsion_bound(word, images, bound))
-            by_word[word.codes] = reports
-        orbit_reports.append(reports[0])
-        torsion_reports.append(reports[1])
-    checks.append(_aggregate("orbit_bound_sample", sampler, orbit_reports,
-                             per_case=False))
-    checks.append(_aggregate("torsion_bound_sample", sampler, torsion_reports,
-                             per_case=False))
+    checks += _sample_checks(config, tg, growth)
 
     checks.append(certify.check_subdirect(tg).as_dict())
     checks.append(certify.check_tail_injectivity(tg, config.ball_radius).as_dict())
-    _, _, sign_report = certify.sign_vectors(tg)
+    _, image_size, sign_report = certify.sign_vectors(tg)
     checks.append(sign_report.as_dict())
-    cutoff_report, cutoff = certify.alt_cutoff(tg)
+    cutoff_report, cutoff = certify.alt_cutoff(tg, sign_image_size=image_size)
     checks.append(cutoff_report.as_dict())
     checks.append(certify.perfectness_scan(tg).as_dict())
 

@@ -15,19 +15,24 @@ once and live exactly as long as their recursion.
 The return bound and the trace facts sweep whole components point by
 point, both from one case per component and generator sequence whose
 block t g1 ... t gk is evaluated as one word; ``verify`` builds each case
-once and hands it to both sweeps.  Extending the truncation only ever adds
-checks.
+once and hands it to both sweeps.  Each bound is decided in one place,
+which both its verifier and ``verify`` call: ``return_bound_holds``,
+``orbit_bound_blocks`` and ``torsion_bound_order``.  ``verify`` counts a
+passing case and builds a verifier's report only for a failing one.
+Extending the truncation only ever adds checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
-from .perm import Permutation, _compose, _inverse, orbit
+from .perm import Permutation, _compose, orbit
 from .reports import CheckReport
 from .selfsim import LevelAction
-from .words import LetterTable, compose_signed, reduce_signed
+from .words import LetterTable, compose_signed, invert_signed, reduce_signed
 
 # Component indices in parameters and witnesses are 1-based throughout, so
 # "component i" matches the i-th factor of the product.
@@ -211,15 +216,29 @@ def build_telescope(rec, levels, basepoints=None):
 # -- verifiers ----------------------------------------------------------------
 
 
-def _sweep_case(tg, component, gseq, order_mode, horizon_factor=1):
-    """The one case both sweeps read: ``(gseq, N, N*(k+1), entry images,
-    block, return times)``, the block  t g1 t g2 ... t gk  on block
-    ``component`` evaluated as one word, and each point's cycle length
-    under it (``_return_times``).
+class SweepCase(NamedTuple):
+    """The one case both sweeps read, per component and generator sequence."""
+
+    names: list  # each entry's name, as the reports print it
+    order: int  # N, the order of g1...gk
+    bound: int  # N*(k+1)
+    images: tuple  # each entry's image tuple on the block
+    inverses: tuple  # the image tuple of each entry's inverse
+    block: Permutation  # t g1 t g2 ... t gk
+    lengths: list  # each point's return time under the block (``_return_times``)
+
+
+def _sweep_case(tg, component, gseq, order_mode, horizon_factor=1, names=None):
+    """The ``SweepCase`` of block ``component`` and ``gseq``: the block
+    t g1 ... t gk is evaluated as one word, and each entry and its inverse
+    are composed from the component's letter table, so a one-letter entry
+    is a table lookup.
 
     Checks, in this order, the 0-based component index, ``horizon_factor``
     (an integer >= 1) and that gseq is nonempty.  N is the order of
-    g1...gk, globally in the group or locally in the block.
+    g1...gk, globally in the group or locally in the block.  ``names``,
+    when given, are the entries' names, formatted once per sequence by a
+    caller that sweeps it over every component.
     """
     if (isinstance(component, bool) or not isinstance(component, int)
             or not 0 <= component < len(tg.components)):
@@ -240,10 +259,34 @@ def _sweep_case(tg, component, gseq, order_mode, horizon_factor=1):
         n = tg.evaluate_component(product, component).order()
     else:
         raise ValueError(f"unknown order mode {order_mode!r}")
-    images = [tg.evaluate_component(word.codes, component) for word in gseq]
+    comp = tg.components[component]
+    letters, degree = comp.letters, comp.extended_degree
+    images = tuple(compose_signed(word.codes, letters, degree) for word in gseq)
+    inverses = tuple(compose_signed(invert_signed(word.codes), letters, degree)
+                     for word in gseq)
     block = tg.evaluate_component([code for word in gseq for code in (0, *word.codes)],
                                   component)
-    return gseq, n, n * (len(gseq) + 1), images, block, _return_times(block)
+    if names is None:
+        names = [str(word) for word in gseq]
+    return SweepCase(names, n, n * (len(gseq) + 1), images, inverses, block,
+                     _return_times(block))
+
+
+def sweep_parameters(component, case, order_mode):
+    """The parameters both sweeps report for ``case`` on 0-based ``component``."""
+    return {
+        "component": component + 1,
+        "gseq": case.names,
+        "order_mode": order_mode,
+        "order": case.order,
+        "bound": case.bound,
+    }
+
+
+def return_bound_holds(case):
+    """The return bound on ``case``: every point comes back within N*(k+1)
+    block applications, that is, no block cycle is longer."""
+    return max(case.block.cycle_lengths(), default=1) <= case.bound
 
 
 def _check_horizon_factor(horizon_factor):
@@ -273,11 +316,13 @@ def _return_times(perm):
     return times
 
 
-def _first_hits(tau, images, p, horizon, block):
-    """``hits[j][x]``: the least i >= 1 such that the last i letters of
-    w(horizon, j) send x to p, or None when no terminal subword does.
+def _first_hits(tau, inverses, p, horizon, block):
+    """Row j maps each point x that some terminal subword of w(horizon, j)
+    sends to p to the least i >= 1 such that the last i letters do; a
+    point that no terminal subword sends to p is absent from the row.
 
-    ``block`` is the block t g1 ... t gk.  Read from the word's end,
+    ``block`` is the block t g1 ... t gk and ``inverses`` are the image
+    tuples of g1^-1, ..., gk^-1.  Read from the word's end,
     w(horizon, j) is the partial tail g_j, t, ..., g_1, t, then ``horizon``
     periods g_k, t, ..., g_1, t, each of which acts as the block.  Let y_r
     be the point that the first r atoms of a period send to p.  A point x
@@ -290,12 +335,12 @@ def _first_hits(tau, images, p, horizon, block):
     that the tail sends to a hitting point y hits at 2j plus y's hit, and
     the at most 2j points that some prefix of the tail sends to p are
     patched with the least such prefix length.  A row costs O(degree) in
-    composing plus the points on hit cycles, whatever the horizon.
+    composing plus its hitting points, whatever the horizon.
     """
-    k = len(images)
+    k = len(inverses)
     undo = []  # inverses of a period's atoms, in acting order g_k, t, ..., g_1, t
-    for image in reversed(images):
-        undo += [_inverse(image.images), tau.images]
+    for inverse in reversed(inverses):
+        undo += [inverse, tau.images]
     least = {}  # y_r -> its least r, r = 1..2k
     for r in range(1, 2 * k + 1):
         point = p
@@ -321,14 +366,11 @@ def _first_hits(tau, images, p, horizon, block):
                 periodic[x] = 2 * k * m + r
             m += 1
 
-    hits = []
+    hits = [periodic]  # row 0 has no tail
     untail = tuple(range(tau.degree))  # the inverse of the tail of row j
-    for j in range(k):
-        if j:
-            untail = _compose(undo[2 * (k - j)], _compose(tau.images, untail))
-        row = [None] * tau.degree
-        for y, hit in periodic.items():
-            row[untail[y]] = 2 * j + hit
+    for j in range(1, k):
+        untail = _compose(undo[2 * (k - j)], _compose(tau.images, untail))
+        row = {untail[y]: 2 * j + hit for y, hit in periodic.items()}
         tail_undo = undo[2 * (k - j):]  # inverses of the tail atoms g_j, t, ..., g_1, t
         for i in range(2 * j, 0, -1):  # the least prefix length is written last
             point = p
@@ -345,31 +387,24 @@ def verify_fundamental_general(tg, component, gseq, order_mode="global", *, case
     For each point the least m >= 1 with  (t g1 ... t gk)^m . point = point
     is its cycle length under the block permutation (1 for a fixed point),
     read off the block's cycles in O(degree); the report lists the
-    (point, m) pairs and flags any that exceed the bound.  ``component``
-    is a 0-based index into ``tg.components``.  ``case``, when given, is
-    the ``_sweep_case`` of these arguments, built once for both sweeps.
+    (point, m) pairs and flags any that exceed the bound, and it passes
+    when ``return_bound_holds``.  ``component`` is a 0-based index into
+    ``tg.components``.  ``case``, when given, is the ``_sweep_case`` of
+    these arguments, built once for both sweeps.
     """
     if case is None:
         case = _sweep_case(tg, component, gseq, order_mode)
-    gseq, n, bound, _, _, lengths = case
+    bound = case.bound
     witnesses = []
-    passed = True
-    for point, m in enumerate(lengths):
+    for point, m in enumerate(case.lengths):
         entry = {"point": point, "m": m}
         if m > bound:
             entry["violation"] = True
-            passed = False
         witnesses.append(entry)
     return CheckReport(
         name="fundamental_general",
-        parameters={
-            "component": component + 1,
-            "gseq": [str(w) for w in gseq],
-            "order_mode": order_mode,
-            "order": n,
-            "bound": bound,
-        },
-        passed=passed,
+        parameters=sweep_parameters(component, case, order_mode),
+        passed=return_bound_holds(case),
         witnesses=witnesses,
     )
 
@@ -402,9 +437,10 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
     w(m,j').p, m < N(k+1), walk one block cycle each from the point p is
     walked to through the 2j' letters of t g1 ... t gj', so a value
     repeats in a row exactly when its distance d from the row's start
-    along the cycle, of length L, has d + L < N(k+1).  A sweep costs, per
-    row, O(degree) in composing plus the points on the hit cycles,
-    whatever the horizon.
+    along the cycle, of length L, has d + L < N(k+1).  Only a hitting
+    point, and p, can break a fact, so only they are visited and the
+    N(k+1)-fold return map is read only at them.  A sweep costs, per row,
+    O(degree) in composing plus its hitting points, whatever the horizon.
 
     Fact 3 is checked as stated, and as stated it is false in general.  On
     the one-involution action on {0, 1} extended by the fresh point 2 with
@@ -419,8 +455,8 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
         case = _sweep_case(tg, component, gseq, order_mode, horizon_factor)
     else:
         _check_horizon_factor(horizon_factor)
-    gseq, n, bound, images, block, lengths = case
-    k = len(gseq)
+    _, n, bound, images, inverses, block, lengths = case
+    k = len(images)
     horizon = horizon_factor * bound
     comp = tg.components[component]
     tau, p, degree = comp.tau, comp.basepoint, comp.extended_degree
@@ -434,63 +470,79 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
     for j in range(k):
         current = p
         for image in reversed(images[:j]):
-            current = tau.images[image.images[current]]
+            current = tau.images[image[current]]
         for _ in range(min(lengths[current], bound - lengths[current])):
             repeated.add(current)
             current = block.images[current]
     full_return = _power_images(block, bound)
 
-    violations = []
+    # Only a hitting point, and p, can break a fact.  Violations are found
+    # in each row's hit order and reported by row and point; the sort is
+    # stable, so one point's violations keep their order.
+    found = []  # (partial, point, violation)
     hits = 0
-    for j, row in enumerate(_first_hits(tau, images, p, horizon, block)):
+    for j, row in enumerate(_first_hits(tau, inverses, p, horizon, block)):
         coarse = 2 * (n * k + j)
-        for point, hit in enumerate(row):
-            if hit is not None:
-                hits += 1
-            if hit is not None and hit > coarse:
-                violations.append({
+        hits += len(row)
+        if p not in row:
+            found.append((j, p, {"check": "basepoint_returns", "partial": j,
+                                 "first_hit": None}))
+        for point, hit in row.items():
+            if hit > coarse:
+                found.append((j, point, {
                     "check": "trace_stays_clear",
                     "point": point,
                     "partial": j,
                     "first_hit": hit,
                     "allowed_prefix": coarse,
-                })
-            if point == p and (hit is None or hit > coarse):
-                violations.append({
-                    "check": "basepoint_returns",
-                    "partial": j,
-                    "first_hit": hit,
-                })
-            if hit is not None and full_return[point] not in repeated:
-                violations.append({
+                }))
+                if point == p:
+                    found.append((j, point, {
+                        "check": "basepoint_returns",
+                        "partial": j,
+                        "first_hit": hit,
+                    }))
+            target = full_return[point]
+            if target not in repeated:
+                found.append((j, point, {
                     "check": "pigeonhole_pair",
                     "point": point,
                     "partial": j,
-                    "target": full_return[point],
-                })
+                    "target": target,
+                }))
+    found.sort(key=itemgetter(0, 1))
+    violations = [violation for _, _, violation in found]
     passed = not violations
     witnesses = violations if violations else [{
         "points": degree,
         "partials": k,
         "traces_hitting_basepoint": hits,
     }]
+    parameters = sweep_parameters(component, case, order_mode)
+    parameters["horizon"] = horizon
     return CheckReport(
         name="trace_lemmas",
-        parameters={
-            "component": component + 1,
-            "gseq": [str(w) for w in gseq],
-            "order_mode": order_mode,
-            "order": n,
-            "bound": bound,
-            "horizon": horizon,
-        },
+        parameters=parameters,
         passed=passed,
         witnesses=witnesses,
     )
 
 
+def orbit_bound_blocks(images, limit):
+    """The orbit bound on block ``images``: per block, its largest cyclic
+    orbit (1 for the identity) and whether that exceeds ``limit``.  The
+    bound holds when no block exceeds it.  Only the images' cycle lengths
+    are read."""
+    rows = []
+    for image in images:
+        largest = max(image.cycle_lengths(), default=1)
+        rows.append((largest, largest > limit))
+    return rows
+
+
 def verify_orbit_bound(word, images, torsion_bound):
-    """Cyclic-orbit sizes of a word's block images stay within torsion_bound*(len+1).
+    """Cyclic-orbit sizes of a word's block images stay within torsion_bound*(len+1),
+    as ``orbit_bound_blocks`` decides.
 
     ``images`` are the word's images on the blocks, as ``TelescopeGroup.evaluate``
     gives them.
@@ -499,10 +551,9 @@ def verify_orbit_bound(word, images, torsion_bound):
     limit = torsion_bound * (length + 1)
     witnesses = []
     passed = True
-    for ci, image in enumerate(images, start=1):
-        largest = max(image.cycle_lengths(), default=1)
+    for ci, (largest, exceeds) in enumerate(orbit_bound_blocks(images, limit), start=1):
         entry = {"component": ci, "largest_orbit": largest, "limit": limit}
-        if largest > limit:
+        if exceeds:
             entry["violation"] = True
             passed = False
         witnesses.append(entry)
@@ -548,13 +599,21 @@ def divides_factorial(value, limit):
     return True
 
 
+def torsion_bound_order(images, limit):
+    """The torsion bound on block ``images``: their truncation order, the
+    lcm of the block orders, and whether it divides ``limit``!.  Only the
+    images' cycle lengths are read."""
+    order = math.lcm(*(image.order() for image in images))
+    return order, divides_factorial(order, limit)
+
+
 def verify_torsion_bound(word, images, torsion_bound):
     """The word's truncation order, the lcm of the orders of its block
-    ``images``, divides (torsion_bound * (len+1))!."""
+    ``images``, divides (torsion_bound * (len+1))!, as ``torsion_bound_order``
+    decides."""
     length = len(word)
     limit = torsion_bound * (length + 1)
-    order = math.lcm(*(image.order() for image in images))
-    passed = divides_factorial(order, limit)
+    order, passed = torsion_bound_order(images, limit)
     return CheckReport(
         name="torsion_bound",
         parameters={"word": str(word), "length": length,

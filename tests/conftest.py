@@ -13,7 +13,9 @@ one letter at a time, and ``list_sample_words`` draws the seeded word
 sample by filtering the alphabet afresh for every letter.
 ``cyclic_root_recursions`` draws the recursions that
 ``WreathRecursion.quotient_orders`` accepts, for the tests that check it
-against these oracles.  The ``count_orbits`` fixture counts the orbits
+against these oracles, and ``scan_cases`` draws small hand-built
+telescopes whose stated orders (``FixedOrder``) need not be their block
+orders, so their return bounds may fail.  The ``count_orbits`` fixture counts the orbits
 construction computes, so a test can tell which transitivity path it took.
 """
 
@@ -107,6 +109,44 @@ def cyclic_root_recursions(draw):
     sections = [[draw(st.lists(letters, max_size=2)) for _ in range(p)] for _ in range(k)]
     return WreathRecursion(p, [f"g{i}" for i in range(1, k + 1)],
                            [cycle ** e for e in exponents], sections, contracting=False)
+
+
+class FixedOrder:
+    """Stands in for a recursion in global order mode: every product has
+    the same drawn order, which need not be its order in the block."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def element_order(self, word):
+        return self.order
+
+
+@st.composite
+def scan_cases(draw):
+    """A hand-built telescope of one or two components on 1..8 base points
+    over 1..3 generators, one of them an n-cycle so every base is
+    transitive, with a drawn basepoint per component, then a gseq of k =
+    1..3 words that may use inverse letters, a horizon factor and an order
+    mode."""
+    gen_count = draw(st.integers(1, 3))
+    cycle_at = draw(st.integers(0, gen_count - 1))
+    components = []
+    for _ in range(draw(st.integers(1, 2))):
+        degree = draw(st.integers(1, 8))
+        relabel = draw(st.permutations(range(degree)))
+        perms = [Permutation(draw(st.permutations(range(degree))))
+                 for _ in range(gen_count)]
+        perms[cycle_at] = Permutation.from_cycles(degree, [relabel])
+        components.append(tower.extend_action(perms, draw(st.integers(0, degree - 1))))
+    letters = st.integers(1, gen_count).flatmap(lambda g: st.sampled_from((g, -g)))
+    gseq = [Word.from_codes(draw(st.lists(letters, min_size=1, max_size=3)))
+            for _ in range(draw(st.integers(1, 3)))]
+    tg = tower.TelescopeGroup(tuple(components),
+                              tuple(f"g{i + 1}" for i in range(gen_count)),
+                              FixedOrder(draw(st.integers(1, 6))))
+    return (tg, draw(st.integers(0, len(components) - 1)), gseq,
+            draw(st.integers(1, 3)), draw(st.sampled_from(("local", "global"))))
 
 
 def custom_arity_3():

@@ -20,7 +20,6 @@ import pytest
 from conftest import block_images, oracle_bound_reports
 from telescope import tower
 from telescope.cli import load_config, main, sample_words
-from telescope.reports import CheckReport
 from telescope.words import Word
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -97,6 +96,26 @@ def _recording(monkeypatch):
     return recorded
 
 
+def _recording_decisions(monkeypatch, orbit_bound_blocks=None):
+    """Record every call of the two bounds' shared helpers, as (element,
+    limit, result), by kind; ``orbit_bound_blocks`` stands in for the orbit
+    helper when given."""
+    decided = {"orbit": [], "torsion": []}
+
+    def recording(kind, decide):
+        def wrapper(images, limit):
+            result = decide(images, limit)
+            decided[kind].append((tuple(image.images for image in images), limit, result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(tower, "orbit_bound_blocks", recording(
+        "orbit", orbit_bound_blocks or tower.orbit_bound_blocks))
+    monkeypatch.setattr(tower, "torsion_bound_order",
+                        recording("torsion", tower.torsion_bound_order))
+    return decided
+
+
 def _sample(stem):
     """The config, its telescope, and its drawn words with each word's
     element: the tuple of its hand-composed block image tuples."""
@@ -112,17 +131,21 @@ def _sample(stem):
 @pytest.mark.parametrize("stem", ("grigorchuk_1-4", "gupta_sidki_1-3"))
 def test_sample_reports_match_oracle(stem, tmp_path, monkeypatch, capsys):
     # the goldens keep only the case counts of the two sample checks, so
-    # each report ``verify`` builds is checked here against the oracle's
+    # each verdict ``verify`` reaches is checked here against the oracle's
     # report on the word's hand-composed block images.  Words that name one
-    # element share its verification per length: each distinct (element,
-    # length) is verified once, on its first word, in first-draw order, and
-    # its verdict must be the oracle's verdict on every distinct word of
-    # that element and length, each on its own images (the goldens pin the
-    # 200 counted draws and no failing sample case)
+    # element share its decision per length: each distinct (element,
+    # length) is decided once, by each bound's shared helper on the
+    # element's images and the length's limit, in first-draw order; each
+    # helper's result must be the oracle's, and its verdict must be the
+    # oracle's verdict on every distinct word of that element and length,
+    # each on its own images.  Every draw passes (the goldens pin the 200
+    # counted draws and no failing sample case), so no report is built
+    decided = _recording_decisions(monkeypatch)
     recorded = _recording(monkeypatch)
     assert main(["verify", "--config", str(GOLDEN / f"{stem}.json"),
                  "--out", str(tmp_path / "certificate.json")]) == 1
     capsys.readouterr()
+    assert recorded == {"orbit": [], "torsion": []}
 
     config, tg, words, elements = _sample(stem)
     rec = config.recursion
@@ -132,15 +155,22 @@ def test_sample_reports_match_oracle(stem, tmp_path, monkeypatch, capsys):
     distinct = list(dict.fromkeys(word.codes for word in words))
     assert len(first) < len(distinct) < len(words)
     for index, kind in enumerate(("orbit", "torsion")):
-        assert [word.codes for word, _, _, _ in recorded[kind]] == [
-            word.codes for word in first.values()]
+        assert [(element, limit) for element, limit, _ in decided[kind]] == [
+            (element, rec.torsion_growth(length) * (length + 1))
+            for element, length in first]
         verdicts = {}
-        for word, bound, images, report in recorded[kind]:
-            assert bound == rec.torsion_growth(len(word))
+        for (element, length), word in first.items():
+            _, limit, result = decided[kind][len(verdicts)]
+            bound = rec.torsion_growth(length)
             expected = oracle_bound_reports(word, block_images(tg, word), bound)[index]
-            assert report.as_dict() == expected.as_dict(), str(word)
-            assert report.passed
-            verdicts[elements[word.codes], len(word)] = report.passed
+            if kind == "orbit":
+                assert result == [(row["largest_orbit"], "violation" in row)
+                                  for row in expected.witnesses], str(word)
+                verdicts[element, length] = not any(over for _, over in result)
+            else:
+                assert result == (expected.witnesses[0]["order"], expected.passed), str(word)
+                verdicts[element, length] = result[1]
+            assert verdicts[element, length]
         for codes in distinct:
             word = Word.from_codes(codes)
             bound = rec.torsion_growth(len(word))
@@ -150,9 +180,10 @@ def test_sample_reports_match_oracle(stem, tmp_path, monkeypatch, capsys):
 
 def test_a_failing_element_is_reported_for_each_of_its_words(tmp_path, monkeypatch,
                                                              capsys):
-    # the orbit check is made to fail on the element with the most distinct
-    # words in the sample: each of those words is verified on its own, and
-    # every draw of it embeds a failure naming that word, in draw order
+    # the shared orbit-bound helper is made to fail on the element with the
+    # most distinct words in the sample: the verifier runs once on each of
+    # those words, and every draw of it embeds a failure naming that word,
+    # in draw order
     stem = "grigorchuk_1-4"
     config, _, words, elements = _sample(stem)
     distinct = list(dict.fromkeys(word.codes for word in words))
@@ -161,25 +192,26 @@ def test_a_failing_element_is_reported_for_each_of_its_words(tmp_path, monkeypat
         names.setdefault(elements[codes], []).append(codes)
     target = max(names, key=lambda element: len(names[element]))
     assert len(names[target]) >= 2
-    recorded = _recording(monkeypatch)
-    verify_orbit_bound = tower.verify_orbit_bound
+    orbit_bound_blocks = tower.orbit_bound_blocks
 
-    def failing_on_target(word, images, torsion_bound):
-        report = verify_orbit_bound(word, images, torsion_bound)
+    def failing_on_target(images, limit):
+        rows = orbit_bound_blocks(images, limit)
         if tuple(image.images for image in images) != target:
-            return report
-        return CheckReport(report.name, report.parameters, False,
-                           [dict(w, violation=True) for w in report.witnesses])
+            return rows
+        return [(largest, True) for largest, _ in rows]
 
-    monkeypatch.setattr(tower, "verify_orbit_bound", failing_on_target)
+    _recording_decisions(monkeypatch, failing_on_target)
+    recorded = _recording(monkeypatch)
     out_path = tmp_path / "certificate.json"
     assert main(["verify", "--config", str(GOLDEN / f"{stem}.json"),
                  "--out", str(out_path)]) == 1
     out = capsys.readouterr().out
     assert "FAILED checks: trace_lemmas, orbit_bound_sample\n" in out
 
-    assert [word.codes for word, _, images, _ in recorded["orbit"]
-            if tuple(image.images for image in images) == target] == names[target]
+    assert [word.codes for word, _, _, _ in recorded["orbit"]] == names[target]
+    assert all(tuple(image.images for image in images) == target
+               for _, _, images, _ in recorded["orbit"])
+    assert recorded["torsion"] == []
     checks = {check["name"]: check for check in json.loads(out_path.read_text())["checks"]}
     orbit = checks["orbit_bound_sample"]
     drawn = [str(word) for word in words if elements[word.codes] == target]

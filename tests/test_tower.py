@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import (hand_case, transitivity_oracle, walk_first_hits,
-                      walk_fundamental_general, walk_trace_lemmas)
+from conftest import (FixedOrder, hand_case, scan_cases, transitivity_oracle,
+                      walk_first_hits, walk_fundamental_general, walk_trace_lemmas)
 from telescope import tower
 from telescope.perm import Permutation
 from telescope.selfsim import WreathRecursion, grigorchuk, gupta_sidki_3
@@ -489,47 +489,14 @@ class TestTraceLemmas:
                                 case=case)
 
 
-class _FixedOrder:
-    """Stands in for a recursion in global order mode: every product has
-    the same drawn order, which need not be its order in the block."""
-
-    def __init__(self, order):
-        self.order = order
-
-    def element_order(self, word):
-        return self.order
-
-
-@st.composite
-def scan_cases(draw):
-    """A hand-built telescope of one or two components on 1..8 base points
-    over 1..3 generators, one of them an n-cycle so every base is
-    transitive, with a drawn basepoint per component, then a gseq of k =
-    1..3 words that may use inverse letters, a horizon factor and an order
-    mode."""
-    gen_count = draw(st.integers(1, 3))
-    cycle_at = draw(st.integers(0, gen_count - 1))
-    components = []
-    for _ in range(draw(st.integers(1, 2))):
-        degree = draw(st.integers(1, 8))
-        relabel = draw(st.permutations(range(degree)))
-        perms = [Permutation(draw(st.permutations(range(degree))))
-                 for _ in range(gen_count)]
-        perms[cycle_at] = Permutation.from_cycles(degree, [relabel])
-        components.append(extend_action(perms, draw(st.integers(0, degree - 1))))
-    letters = st.integers(1, gen_count).flatmap(lambda g: st.sampled_from((g, -g)))
-    gseq = [Word.from_codes(draw(st.lists(letters, min_size=1, max_size=3)))
-            for _ in range(draw(st.integers(1, 3)))]
-    tg = TelescopeGroup(tuple(components), tuple(f"g{i + 1}" for i in range(gen_count)),
-                        _FixedOrder(draw(st.integers(1, 6))))
-    return (tg, draw(st.integers(0, len(components) - 1)), gseq,
-            draw(st.integers(1, 3)), draw(st.sampled_from(("local", "global"))))
-
-
 def scan_first_hits(tg, ci, gseq, horizon):
-    """``tower._first_hits`` on the hand-composed atoms and block."""
+    """``tower._first_hits`` on the hand-composed block and entry inverses,
+    each row of hitting points expanded to every point, None where no
+    terminal subword hits."""
     _, tau, images, block = hand_case(tg, ci, gseq, "local")
-    return tower._first_hits(tau, images, tg.components[ci].basepoint, horizon, block)
+    rows = tower._first_hits(tau, [image.inverse().images for image in images],
+                             tg.components[ci].basepoint, horizon, block)
+    return [[row.get(point) for point in range(tau.degree)] for row in rows]
 
 
 def assert_scan_matches_walker(tg, ci, gseq, factor, mode):
@@ -570,7 +537,7 @@ class TestScanMatchesWalker:
         # the horizon is 2 blocks, and the block t g = (0 1 2 3) brings 0
         # back to p only at letter 5, in the third block
         g = Permutation.from_cycles(3, [(0, 1, 2)])
-        tg = TelescopeGroup((extend_action([g], 0),), ("g1",), _FixedOrder(1))
+        tg = TelescopeGroup((extend_action([g], 0),), ("g1",), FixedOrder(1))
         hits = assert_scan_matches_walker(tg, 0, [parse_word("g1")], 1, "global")
         assert hits == [[None, 3, 1, 2]]
         assert scan_first_hits(tg, 0, [parse_word("g1")], 3) == [[5, 3, 1, 2]]
