@@ -350,36 +350,42 @@ def cmd_build(config, tg):
 
 def _sweep_checks(tg, horizon_factor):
     """The ``trace_lemmas`` and ``fundamental_general`` check entries: one
-    case per component and generator sequence, built once for both sweeps.
+    case per generator sequence on the disjoint union of the blocks, built
+    once for both sweeps and every component.
 
-    Every trace case is swept in full.  A return-bound case that holds is a
-    row of its parameters and its point count; only a failing one gets its
-    per-point report.
+    Every trace case, one per component and generator sequence, is swept
+    in full.  A return-bound case that holds is a row of its parameters and
+    its point count; only a failing one gets its per-point report.  Cases
+    are listed component by component, each component's in sweep order.
     """
-    sweep = [(gseq, [str(word) for word in gseq])
-             for gseq in _gseq_sweep(tg.generator_count)]
-    cases = len(tg.components) * len(sweep)
-    trace_passes, trace_failures = [], []
-    general_passes, general_failures = [], []
-    for ci in range(len(tg.components)):
-        for gseq, names in sweep:
-            case = tower._sweep_case(tg, ci, gseq, "global", names=names)
+    sweep = _gseq_sweep(tg.generator_count)
+    count = len(tg.components)
+    trace_passes, trace_failures = [[] for _ in range(count)], [[] for _ in range(count)]
+    general_passes, general_failures = [[] for _ in range(count)], [[] for _ in range(count)]
+    for gseq in sweep:
+        case = tower._sweep_case(tg, gseq, "global")
+        for ci, (start, stop) in case.blocks.items():
             report = tower.verify_trace_lemmas(tg, ci, gseq, horizon_factor=horizon_factor,
                                                case=case)
             if report.passed:
-                trace_passes.append(_pass_row(report.parameters, len(report.witnesses)))
+                trace_passes[ci].append(_pass_row(report.parameters, len(report.witnesses)))
             else:
-                trace_failures.append(report)
-            if tower.return_bound_holds(case):
-                general_passes.append(_pass_row(
-                    tower.sweep_parameters(ci, case, "global"), case.block.degree))
+                trace_failures[ci].append(report)
+            if tower.return_bound_holds(case, ci):
+                general_passes[ci].append(_pass_row(
+                    tower.sweep_parameters(ci, case, "global"), stop - start))
             else:
-                general_failures.append(tower.verify_fundamental_general(tg, ci, gseq,
-                                                                         case=case))
+                general_failures[ci].append(tower.verify_fundamental_general(tg, ci, gseq,
+                                                                             case=case))
+    cases = count * len(sweep)
     return [_aggregate("trace_lemmas", {"horizon_factor": horizon_factor}, cases,
-                       trace_failures, trace_passes),
-            _aggregate("fundamental_general", {}, cases, general_failures,
-                       general_passes)]
+                       _joined(trace_failures), _joined(trace_passes)),
+            _aggregate("fundamental_general", {}, cases, _joined(general_failures),
+                       _joined(general_passes))]
+
+
+def _joined(lists):
+    return [item for items in lists for item in items]
 
 
 def _sample_checks(config, tg, growth):
@@ -387,20 +393,20 @@ def _sample_checks(config, tg, growth):
     on the seeded word sample; ``growth`` maps each length to its torsion
     growth.
 
-    Each distinct word is composed once per block from the block's letter
-    table, and its element, the tuple of those image tuples, is interned
-    before any permutation is made, so each element gets one permutation
-    per block and its cycles are walked once.  Both bounds read only those
-    cycle lengths and the word's length, so each (element, length) is
-    decided once, by the bounds' own helpers.  A passing draw is only
-    counted; a failing (element, length) runs the verifier once for each of
-    its distinct words, so every embedded failure names its own word.
-    Every draw is counted.
+    Each distinct word is composed once, from the telescope's letter table
+    on the disjoint union of the blocks, so its element is one image tuple.
+    One walk of that tuple's cycles gives each block's cycle lengths, once
+    per element.  Both bounds read only those lengths and the word's
+    length, so each (element, length) is decided once, by the bounds' own
+    helpers.  A passing draw is only counted; a failing (element, length)
+    slices the element into its block permutations and runs the verifier
+    once for each of its distinct words, so every embedded failure names
+    its own word.  Every draw is counted.
     """
     sampler = {"sampler": SAMPLER_NAME, "seed": config.seed,
                "count": config.sample_count, "max_length": config.sample_max_length}
-    blocks = [(comp.letters, comp.extended_degree) for comp in tg.components]
-    elements = {}  # element -> its block images
+    letters, degree, spans = tg.union_letters, tg.union_degree, tg.block_spans
+    elements = {}  # element -> each block's cycle lengths
     verdicts = {}  # (element, length) -> (orbit bound holds, torsion bound holds)
     by_word = {}  # codes -> failing (orbit, torsion) reports, None where a bound holds
     orbit_failures, torsion_failures = [], []
@@ -409,11 +415,12 @@ def _sample_checks(config, tg, growth):
         codes = word.codes
         failed = by_word.get(codes)
         if failed is None:
-            element = tuple(compose_signed(codes, letters, degree)
-                            for letters, degree in blocks)
-            images = elements.get(element)
-            if images is None:
-                images = elements[element] = tuple(map(Permutation._trusted, element))
+            element = compose_signed(codes, letters, degree)
+            lengths = elements.get(element)
+            if lengths is None:
+                times = tower._cycle_walk(element)[0]
+                lengths = elements[element] = [set(times[start:stop])
+                                               for start, stop in spans]
             bound = growth[len(codes)]
             pair = (element, len(codes))
             verdict = verdicts.get(pair)
@@ -421,8 +428,9 @@ def _sample_checks(config, tg, growth):
                 limit = bound * (len(codes) + 1)
                 verdict = verdicts[pair] = (
                     not any(exceeds for _, exceeds
-                            in tower.orbit_bound_blocks(images, limit)),
-                    tower.torsion_bound_order(images, limit)[1])
+                            in tower.orbit_bound_blocks(lengths, limit)),
+                    tower.torsion_bound_order(lengths, limit)[1])
+            images = None if all(verdict) else tg.split_union(element)
             failed = by_word[codes] = (
                 None if verdict[0] else tower.verify_orbit_bound(word, images, bound),
                 None if verdict[1] else tower.verify_torsion_bound(word, images, bound))

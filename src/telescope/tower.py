@@ -12,20 +12,29 @@ base action by a breadth-first orbit when it is made.  A recursion keeps
 each component it was extended to, per level and basepoint, next to its
 level actions, so a component and its letter table are made and checked
 once and live exactly as long as their recursion.
+The truncation acts on the disjoint union of its blocks, block ci taking
+the union points ``block_spans[ci]``; ``TelescopeGroup.union_letters`` is
+its letter table there, made on first use from the component tables.
 The return bound and the trace facts sweep whole components point by
-point, both from one case per component and generator sequence whose
-block t g1 ... t gk is evaluated as one word; ``verify`` builds each case
-once and hands it to both sweeps.  Each bound is decided in one place,
-which both its verifier and ``verify`` call: ``return_bound_holds``,
-``orbit_bound_blocks`` and ``torsion_bound_order``.  ``verify`` counts a
-passing case and builds a verifier's report only for a failing one.
-Extending the truncation only ever adds checks.
+point, from one case per generator sequence whose block t g1 ... t gk is
+evaluated as one word on the union of the blocks, and whose one walk of
+the block's cycles gives every point's return time and N(k+1)-fold image;
+``verify`` builds each case once and hands it to both sweeps of every
+component, and a standalone verifier builds its component's one-block
+case.  ``verify`` composes each sampled word once on the union, so its
+element is one image tuple, walked once for every block's cycle lengths.
+Each bound is decided in one place, which both its verifier and
+``verify`` call: ``return_bound_holds``, ``orbit_bound_blocks`` and
+``torsion_bound_order``.  ``verify`` counts a passing case and builds a
+verifier's report only for a failing one.  Extending the truncation only
+ever adds checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -144,6 +153,39 @@ class TelescopeGroup:
     def union_degree(self):
         return sum(c.extended_degree for c in self.components)
 
+    @cached_property
+    def block_spans(self):
+        """Each block's points in the disjoint union of the blocks, as
+        ``(start, stop)``: block ci's point x is union point start + x."""
+        spans = []
+        start = 0
+        for comp in self.components:
+            spans.append((start, start + comp.extended_degree))
+            start += comp.extended_degree
+        return tuple(spans)
+
+    @cached_property
+    def union_letters(self):
+        """One letter table on the disjoint union of the blocks: each letter's
+        image is its block images side by side, shifted to the blocks'
+        ``block_spans``, so every union image maps each block onto itself.
+        Made from the component letter tables on first use and kept as long
+        as the telescope."""
+        starts = [start for start, _ in self.block_spans]
+
+        def union(code):
+            return Permutation._trusted(tuple(
+                x + start for comp, start in zip(self.components, starts)
+                for x in comp.letters[code]))
+
+        return LetterTable([union(code) for code in range(1, self.generator_count + 1)],
+                           union(0))
+
+    def split_union(self, images):
+        """The per-block permutations of a union image tuple."""
+        return tuple(Permutation._trusted(tuple(x - start for x in images[start:stop]))
+                     for start, stop in self.block_spans)
+
     def gen_tuple(self, index):
         return tuple(c.gen_images[index] for c in self.components)
 
@@ -217,30 +259,44 @@ def build_telescope(rec, levels, basepoints=None):
 
 
 class SweepCase(NamedTuple):
-    """The one case both sweeps read, per component and generator sequence."""
+    """The one case both sweeps read, per generator sequence, on the disjoint
+    union of the blocks it covers: every image is a tuple on that domain,
+    block ci taking the points ``blocks[ci]``, and maps each block onto
+    itself."""
 
     names: list  # each entry's name, as the reports print it
     order: int  # N, the order of g1...gk
     bound: int  # N*(k+1)
-    images: tuple  # each entry's image tuple on the block
-    inverses: tuple  # the image tuple of each entry's inverse
-    block: Permutation  # t g1 t g2 ... t gk
-    lengths: list  # each point's return time under the block (``_return_times``)
+    blocks: dict  # 0-based component -> its (start, stop) in the domain
+    tau: tuple  # t
+    images: tuple  # each entry's image
+    inverses: tuple  # the image of each entry's inverse
+    block: tuple  # t g1 t g2 ... t gk
+    lengths: list  # each point's return time under the block
+    full_return: list  # the block's N(k+1)-fold map
+    untails: tuple  # the inverse of the tail t g1 ... t gj of row j = 1..k-1
+    longest: dict  # 0-based component -> its block's longest cycle
 
 
-def _sweep_case(tg, component, gseq, order_mode, horizon_factor=1, names=None):
-    """The ``SweepCase`` of block ``component`` and ``gseq``: the block
-    t g1 ... t gk is evaluated as one word, and each entry and its inverse
-    are composed from the component's letter table, so a one-letter entry
-    is a table lookup.
+def _sweep_case(tg, gseq, order_mode, horizon_factor=1, *, component=None):
+    """The ``SweepCase`` of ``gseq`` on the disjoint union of all blocks, or
+    on block ``component`` alone when it is given.
+
+    Each entry and its inverse are composed from the domain's letter table
+    (``TelescopeGroup.union_letters``, or the component's own), so a
+    one-letter entry is a table lookup, and the block t g1 ... t gk is
+    evaluated as one word.  One walk of the block's cycles gives every
+    point's return time, the N(k+1)-fold map and each block's longest
+    cycle.  The tail of each row of ``_first_hits`` depends only on gseq,
+    so it is composed here, once for every block.
 
     Checks, in this order, the 0-based component index, ``horizon_factor``
     (an integer >= 1) and that gseq is nonempty.  N is the order of
-    g1...gk, globally in the group or locally in the block.  ``names``,
-    when given, are the entries' names, formatted once per sequence by a
-    caller that sweeps it over every component.
+    g1...gk, globally in the group or, on one component only, locally in
+    its block.
     """
-    if (isinstance(component, bool) or not isinstance(component, int)
+    if component is not None and (
+            isinstance(component, bool) or not isinstance(component, int)
             or not 0 <= component < len(tg.components)):
         raise ValueError(f"component index {component!r} outside "
                          f"0..{len(tg.components) - 1}")
@@ -256,20 +312,34 @@ def _sweep_case(tg, component, gseq, order_mode, horizon_factor=1, names=None):
             raise ValueError("generator-sequence entries must not contain the transposition")
         n = tg.rec.element_order(product)
     elif order_mode == "local":
+        if component is None:
+            raise ValueError("local orders are per block: name one component")
         n = tg.evaluate_component(product, component).order()
     else:
         raise ValueError(f"unknown order mode {order_mode!r}")
-    comp = tg.components[component]
-    letters, degree = comp.letters, comp.extended_degree
+    if component is None:
+        letters, degree = tg.union_letters, tg.union_degree
+        blocks = dict(enumerate(tg.block_spans))
+    else:
+        comp = tg.components[component]
+        letters, degree = comp.letters, comp.extended_degree
+        blocks = {component: (0, degree)}
+    bound = n * (len(gseq) + 1)
+    tau = letters[0]
     images = tuple(compose_signed(word.codes, letters, degree) for word in gseq)
     inverses = tuple(compose_signed(invert_signed(word.codes), letters, degree)
                      for word in gseq)
-    block = tg.evaluate_component([code for word in gseq for code in (0, *word.codes)],
-                                  component)
-    if names is None:
-        names = [str(word) for word in gseq]
-    return SweepCase(names, n, n * (len(gseq) + 1), images, inverses, block,
-                     _return_times(block))
+    block = compose_signed([code for word in gseq for code in (0, *word.codes)],
+                           letters, degree)
+    lengths, full_return = _cycle_walk(block, bound)
+    untails = []
+    untail = tuple(range(degree))
+    for inverse in inverses[:-1]:
+        untail = _compose(inverse, _compose(tau, untail))
+        untails.append(untail)
+    return SweepCase([str(word) for word in gseq], n, bound, blocks, tau, images, inverses,
+                     block, lengths, full_return, tuple(untails),
+                     {ci: max(lengths[start:stop]) for ci, (start, stop) in blocks.items()})
 
 
 def sweep_parameters(component, case, order_mode):
@@ -283,10 +353,11 @@ def sweep_parameters(component, case, order_mode):
     }
 
 
-def return_bound_holds(case):
-    """The return bound on ``case``: every point comes back within N*(k+1)
-    block applications, that is, no block cycle is longer."""
-    return max(case.block.cycle_lengths(), default=1) <= case.bound
+def return_bound_holds(case, component):
+    """The return bound on block ``component`` of ``case``: every point comes
+    back within N*(k+1) block applications, that is, no block cycle is
+    longer."""
+    return case.longest[component] <= case.bound
 
 
 def _check_horizon_factor(horizon_factor):
@@ -295,52 +366,60 @@ def _check_horizon_factor(horizon_factor):
         raise ValueError(f"horizon_factor must be an integer >= 1, got {horizon_factor!r}")
 
 
-def _power_images(perm, m):
-    """``(perm ** m).images`` (m >= 0) read off perm's cycles: a fixed point
-    maps to itself, any other point to its cycle's entry m steps on."""
-    images = list(range(perm.degree))
-    for cycle in perm.cycles():
-        shift = m % len(cycle)
-        for point, target in zip(cycle, cycle[shift:] + cycle[:shift]):
-            images[point] = target
-    return tuple(images)
+def _cycle_walk(images, power=None):
+    """One walk of the cycles of the permutation with image tuple ``images``.
 
-
-def _return_times(perm):
-    """Per point: the length of its cycle under ``perm``, 1 for a fixed point."""
-    times = [1] * perm.degree
-    for cycle in perm.cycles():
+    Returns each point's return time (its cycle's length, 1 for a fixed
+    point) and, when ``power`` (>= 0) is given, the power-th power's
+    images, each point mapped to its cycle's entry ``power`` steps on;
+    None otherwise.  A point already walked has a return time above 1, so
+    the times mark the walked points.
+    """
+    times = [1] * len(images)
+    powers = None if power is None else list(range(len(images)))
+    for start, point in enumerate(images):
+        if point == start or times[start] != 1:
+            continue
+        cycle = [start]
+        while point != start:
+            cycle.append(point)
+            point = images[point]
         size = len(cycle)
         for point in cycle:
             times[point] = size
-    return times
+        if powers is not None:
+            shift = power % size
+            for point, target in zip(cycle, cycle[shift:] + cycle[:shift]):
+                powers[point] = target
+    return times, powers
 
 
-def _first_hits(tau, inverses, p, horizon, block):
+def _first_hits(tau, inverses, untails, p, horizon, block):
     """Row j maps each point x that some terminal subword of w(horizon, j)
     sends to p to the least i >= 1 such that the last i letters do; a
     point that no terminal subword sends to p is absent from the row.
 
-    ``block`` is the block t g1 ... t gk and ``inverses`` are the image
-    tuples of g1^-1, ..., gk^-1.  Read from the word's end,
-    w(horizon, j) is the partial tail g_j, t, ..., g_1, t, then ``horizon``
-    periods g_k, t, ..., g_1, t, each of which acts as the block.  Let y_r
-    be the point that the first r atoms of a period send to p.  A point x
-    that leaves the tail clear of p meets p at 2k*m + r exactly when
-    block^m(x) = y_r, and that m is x's distance to y_r along its block
-    cycle.  Since r <= 2k, the least hit comes from the nearest y ahead of
-    x on its cycle, with the least r for that y, provided m < horizon; so
-    only the block cycles through some y_r are walked, once each,
-    backwards from a y.  Row j composes the tail into one map: a point
-    that the tail sends to a hitting point y hits at 2j plus y's hit, and
-    the at most 2j points that some prefix of the tail sends to p are
-    patched with the least such prefix length.  A row costs O(degree) in
-    composing plus its hitting points, whatever the horizon.
+    All maps are image tuples on one domain: ``block`` is the block
+    t g1 ... t gk, ``inverses`` are g1^-1, ..., gk^-1, and ``untails[j-1]``
+    is the inverse of row j's tail t g1 ... t gj.  Read from the word's
+    end, w(horizon, j) is the partial tail g_j, t, ..., g_1, t, then
+    ``horizon`` periods g_k, t, ..., g_1, t, each of which acts as the
+    block.  Let y_r be the point that the first r atoms of a period send to
+    p.  A point x that leaves the tail clear of p meets p at 2k*m + r
+    exactly when block^m(x) = y_r, and that m is x's distance to y_r along
+    its block cycle.  Since r <= 2k, the least hit comes from the nearest
+    y ahead of x on its cycle, with the least r for that y, provided
+    m < horizon; so only the block cycles through some y_r are walked, once
+    each, backwards from a y.  In row j a point that the tail sends to a
+    hitting point y hits at 2j plus y's hit, and the at most 2j points that
+    some prefix of the tail sends to p are patched with the least such
+    prefix length.  A row costs its hitting points, whatever the horizon
+    and the degree.
     """
     k = len(inverses)
     undo = []  # inverses of a period's atoms, in acting order g_k, t, ..., g_1, t
     for inverse in reversed(inverses):
-        undo += [inverse, tau.images]
+        undo += [inverse, tau]
     least = {}  # y_r -> its least r, r = 1..2k
     for r in range(1, 2 * k + 1):
         point = p
@@ -353,10 +432,10 @@ def _first_hits(tau, inverses, p, horizon, block):
         if y in periodic:
             continue
         cycle = [y]  # y's block cycle, walked forwards from y
-        point = block.images[y]
+        point = block[y]
         while point != y:
             cycle.append(point)
-            point = block.images[point]
+            point = block[point]
         m = r = 0
         for x in cycle[:1] + cycle[:0:-1]:  # y, then backwards round the cycle
             nearer = least.get(x)
@@ -367,9 +446,7 @@ def _first_hits(tau, inverses, p, horizon, block):
             m += 1
 
     hits = [periodic]  # row 0 has no tail
-    untail = tuple(range(tau.degree))  # the inverse of the tail of row j
-    for j in range(1, k):
-        untail = _compose(undo[2 * (k - j)], _compose(tau.images, untail))
+    for j, untail in enumerate(untails, start=1):
         row = {untail[y]: 2 * j + hit for y, hit in periodic.items()}
         tail_undo = undo[2 * (k - j):]  # inverses of the tail atoms g_j, t, ..., g_1, t
         for i in range(2 * j, 0, -1):  # the least prefix length is written last
@@ -386,17 +463,20 @@ def verify_fundamental_general(tg, component, gseq, order_mode="global", *, case
 
     For each point the least m >= 1 with  (t g1 ... t gk)^m . point = point
     is its cycle length under the block permutation (1 for a fixed point),
-    read off the block's cycles in O(degree); the report lists the
-    (point, m) pairs and flags any that exceed the bound, and it passes
-    when ``return_bound_holds``.  ``component`` is a 0-based index into
-    ``tg.components``.  ``case``, when given, is the ``_sweep_case`` of
-    these arguments, built once for both sweeps.
+    read off the case's one walk of the block's cycles; the report lists
+    the (point, m) pairs of block ``component`` and flags any that exceed
+    the bound, and it passes when ``return_bound_holds``.  ``component`` is
+    a 0-based index into ``tg.components``.  ``case``, when given, is a
+    ``_sweep_case`` of gseq that covers the component, built once for both
+    sweeps and every block; otherwise the component's one-block case is
+    built.
     """
     if case is None:
-        case = _sweep_case(tg, component, gseq, order_mode)
+        case = _sweep_case(tg, gseq, order_mode, component=component)
+    start, stop = case.blocks[component]
     bound = case.bound
     witnesses = []
-    for point, m in enumerate(case.lengths):
+    for point, m in enumerate(case.lengths[start:stop]):
         entry = {"point": point, "m": m}
         if m > bound:
             entry["violation"] = True
@@ -404,7 +484,7 @@ def verify_fundamental_general(tg, component, gseq, order_mode="global", *, case
     return CheckReport(
         name="fundamental_general",
         parameters=sweep_parameters(component, case, order_mode),
-        passed=return_bound_holds(case),
+        passed=return_bound_holds(case, component),
         witnesses=witnesses,
     )
 
@@ -423,8 +503,11 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
 
     The horizon is horizon_factor * N * (k+1) block repetitions;
     ``horizon_factor`` must be an integer >= 1 and ``component`` a 0-based
-    index into ``tg.components``.  ``case``, when given, is the
-    ``_sweep_case`` of these arguments, built once for both sweeps.
+    index into ``tg.components``.  ``case``, when given, is a
+    ``_sweep_case`` of gseq that covers the component, built once for both
+    sweeps and every block; otherwise the component's one-block case is
+    built.  The block's points are read at their place in the case's
+    domain and reported by their number in the block.
 
     No trace is walked letter by letter.  Read from its end, w(horizon, j)
     is a partial tail of 2j letters and then ``horizon`` periods of 2k
@@ -433,14 +516,14 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
     for which the point lies m steps before y_r on its block cycle, y_r
     being the point the first r letters of a period send to p
     (``_first_hits``, which walks only the block cycles through some y_r
-    and maps each row's tail as one composed permutation).  The rows
-    w(m,j').p, m < N(k+1), walk one block cycle each from the point p is
-    walked to through the 2j' letters of t g1 ... t gj', so a value
+    and maps each row's tail by the case's one composed permutation).  The
+    rows w(m,j').p, m < N(k+1), walk one block cycle each from the point p
+    is walked to through the 2j' letters of t g1 ... t gj', so a value
     repeats in a row exactly when its distance d from the row's start
     along the cycle, of length L, has d + L < N(k+1).  Only a hitting
     point, and p, can break a fact, so only they are visited and the
-    N(k+1)-fold return map is read only at them.  A sweep costs, per row,
-    O(degree) in composing plus its hitting points, whatever the horizon.
+    case's N(k+1)-fold return map is read only at them.  A sweep costs,
+    per row, its hitting points, whatever the horizon.
 
     Fact 3 is checked as stated, and as stated it is false in general.  On
     the one-involution action on {0, 1} extended by the fresh point 2 with
@@ -452,14 +535,15 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
     ``verify_fundamental_general``.
     """
     if case is None:
-        case = _sweep_case(tg, component, gseq, order_mode, horizon_factor)
+        case = _sweep_case(tg, gseq, order_mode, horizon_factor, component=component)
     else:
         _check_horizon_factor(horizon_factor)
-    _, n, bound, images, inverses, block, lengths = case
+    n, bound, tau, images, block, lengths = (case.order, case.bound, case.tau, case.images,
+                                             case.block, case.lengths)
     k = len(images)
     horizon = horizon_factor * bound
-    comp = tg.components[component]
-    tau, p, degree = comp.tau, comp.basepoint, comp.extended_degree
+    start, stop = case.blocks[component]
+    p = start + tg.components[component].basepoint
 
     # Values that occur twice in some row w(m, j').p, m < bound, 0 <= j' < k
     # (j' = 0 means no partial block).  Row j' starts at the point s that
@@ -470,18 +554,19 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
     for j in range(k):
         current = p
         for image in reversed(images[:j]):
-            current = tau.images[image[current]]
+            current = tau[image[current]]
         for _ in range(min(lengths[current], bound - lengths[current])):
             repeated.add(current)
-            current = block.images[current]
-    full_return = _power_images(block, bound)
+            current = block[current]
+    full_return = case.full_return
 
     # Only a hitting point, and p, can break a fact.  Violations are found
     # in each row's hit order and reported by row and point; the sort is
     # stable, so one point's violations keep their order.
     found = []  # (partial, point, violation)
     hits = 0
-    for j, row in enumerate(_first_hits(tau, inverses, p, horizon, block)):
+    for j, row in enumerate(_first_hits(tau, case.inverses, case.untails, p, horizon,
+                                        block)):
         coarse = 2 * (n * k + j)
         hits += len(row)
         if p not in row:
@@ -491,7 +576,7 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
             if hit > coarse:
                 found.append((j, point, {
                     "check": "trace_stays_clear",
-                    "point": point,
+                    "point": point - start,
                     "partial": j,
                     "first_hit": hit,
                     "allowed_prefix": coarse,
@@ -506,15 +591,15 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
             if target not in repeated:
                 found.append((j, point, {
                     "check": "pigeonhole_pair",
-                    "point": point,
+                    "point": point - start,
                     "partial": j,
-                    "target": target,
+                    "target": target - start,
                 }))
     found.sort(key=itemgetter(0, 1))
     violations = [violation for _, _, violation in found]
     passed = not violations
     witnesses = violations if violations else [{
-        "points": degree,
+        "points": stop - start,
         "partials": k,
         "traces_hitting_basepoint": hits,
     }]
@@ -528,21 +613,21 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
     )
 
 
-def orbit_bound_blocks(images, limit):
-    """The orbit bound on block ``images``: per block, its largest cyclic
+def orbit_bound_blocks(block_lengths, limit):
+    """The orbit bound on a word's blocks, given each block's cycle lengths
+    (a fixed point's 1 may be among them): per block, its largest cyclic
     orbit (1 for the identity) and whether that exceeds ``limit``.  The
-    bound holds when no block exceeds it.  Only the images' cycle lengths
-    are read."""
+    bound holds when no block exceeds it."""
     rows = []
-    for image in images:
-        largest = max(image.cycle_lengths(), default=1)
+    for lengths in block_lengths:
+        largest = max(lengths, default=1)
         rows.append((largest, largest > limit))
     return rows
 
 
 def verify_orbit_bound(word, images, torsion_bound):
     """Cyclic-orbit sizes of a word's block images stay within torsion_bound*(len+1),
-    as ``orbit_bound_blocks`` decides.
+    as ``orbit_bound_blocks`` decides on the images' cycle lengths.
 
     ``images`` are the word's images on the blocks, as ``TelescopeGroup.evaluate``
     gives them.
@@ -551,7 +636,8 @@ def verify_orbit_bound(word, images, torsion_bound):
     limit = torsion_bound * (length + 1)
     witnesses = []
     passed = True
-    for ci, (largest, exceeds) in enumerate(orbit_bound_blocks(images, limit), start=1):
+    rows = orbit_bound_blocks([image.cycle_lengths() for image in images], limit)
+    for ci, (largest, exceeds) in enumerate(rows, start=1):
         entry = {"component": ci, "largest_orbit": largest, "limit": limit}
         if exceeds:
             entry["violation"] = True
@@ -599,21 +685,21 @@ def divides_factorial(value, limit):
     return True
 
 
-def torsion_bound_order(images, limit):
-    """The torsion bound on block ``images``: their truncation order, the
-    lcm of the block orders, and whether it divides ``limit``!.  Only the
-    images' cycle lengths are read."""
-    order = math.lcm(*(image.order() for image in images))
+def torsion_bound_order(block_lengths, limit):
+    """The torsion bound on a word's blocks, given each block's cycle
+    lengths: its truncation order, the lcm of all those lengths, and
+    whether it divides ``limit``!."""
+    order = math.lcm(*(math.lcm(*lengths) for lengths in block_lengths))
     return order, divides_factorial(order, limit)
 
 
 def verify_torsion_bound(word, images, torsion_bound):
     """The word's truncation order, the lcm of the orders of its block
     ``images``, divides (torsion_bound * (len+1))!, as ``torsion_bound_order``
-    decides."""
+    decides on the images' cycle lengths."""
     length = len(word)
     limit = torsion_bound * (length + 1)
-    order, passed = torsion_bound_order(images, limit)
+    order, passed = torsion_bound_order([image.cycle_lengths() for image in images], limit)
     return CheckReport(
         name="torsion_bound",
         parameters={"word": str(word), "length": length,

@@ -124,7 +124,7 @@ class FixedOrder:
 
 @st.composite
 def scan_cases(draw):
-    """A hand-built telescope of one or two components on 1..8 base points
+    """A hand-built telescope of one to three components on 1..8 base points
     over 1..3 generators, one of them an n-cycle so every base is
     transitive, with a drawn basepoint per component, then a gseq of k =
     1..3 words that may use inverse letters, a horizon factor and an order
@@ -132,7 +132,7 @@ def scan_cases(draw):
     gen_count = draw(st.integers(1, 3))
     cycle_at = draw(st.integers(0, gen_count - 1))
     components = []
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(1, 3))):
         degree = draw(st.integers(1, 8))
         relabel = draw(st.permutations(range(degree)))
         perms = [Permutation(draw(st.permutations(range(degree))))

@@ -17,15 +17,19 @@ from pathlib import Path
 
 import pytest
 
-from conftest import block_images, oracle_bound_reports
+from conftest import block_images, oracle_bound_reports, return_time
 from telescope import tower
+from telescope.perm import Permutation
 from telescope.cli import load_config, main, sample_words
 from telescope.words import Word
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# config stem -> the configs ``verify`` runs on
-VERIFY_CASES = ("demo_c2", "grigorchuk_1-4", "gupta_sidki_1-3", "gupta_sidki_1-4")
+# config stem -> the configs ``verify`` runs on; ``ggs5_1-4`` is the GGS
+# group with p = 5 and e = (1, 2, 3, 4), an inline table whose arity-5
+# blocks reach 626 points
+VERIFY_CASES = ("demo_c2", "grigorchuk_1-4", "gupta_sidki_1-3", "gupta_sidki_1-4",
+                "ggs5_1-4")
 
 # config stem -> the words ``word`` is queried with; they cover inverse
 # letters, t, free cancellation and the empty word
@@ -97,15 +101,15 @@ def _recording(monkeypatch):
 
 
 def _recording_decisions(monkeypatch, orbit_bound_blocks=None):
-    """Record every call of the two bounds' shared helpers, as (element,
-    limit, result), by kind; ``orbit_bound_blocks`` stands in for the orbit
-    helper when given."""
+    """Record every call of the two bounds' shared helpers, as (each block's
+    cycle lengths above 1, as a frozenset, limit, result), by kind;
+    ``orbit_bound_blocks`` stands in for the orbit helper when given."""
     decided = {"orbit": [], "torsion": []}
 
     def recording(kind, decide):
-        def wrapper(images, limit):
-            result = decide(images, limit)
-            decided[kind].append((tuple(image.images for image in images), limit, result))
+        def wrapper(block_lengths, limit):
+            result = decide(block_lengths, limit)
+            decided[kind].append((_nontrivial(block_lengths), limit, result))
             return result
         return wrapper
 
@@ -114,6 +118,17 @@ def _recording_decisions(monkeypatch, orbit_bound_blocks=None):
     monkeypatch.setattr(tower, "torsion_bound_order",
                         recording("torsion", tower.torsion_bound_order))
     return decided
+
+
+def _nontrivial(block_lengths):
+    return tuple(frozenset(lengths) - {1} for lengths in block_lengths)
+
+
+def _oracle_lengths(element):
+    """Each block's cycle lengths above 1, as a frozenset, from the return
+    time of every point of the element's block image tuples."""
+    return _nontrivial({return_time(Permutation(images), x) for x in range(len(images))}
+                       for images in element)
 
 
 def _sample(stem):
@@ -134,8 +149,9 @@ def test_sample_reports_match_oracle(stem, tmp_path, monkeypatch, capsys):
     # each verdict ``verify`` reaches is checked here against the oracle's
     # report on the word's hand-composed block images.  Words that name one
     # element share its decision per length: each distinct (element,
-    # length) is decided once, by each bound's shared helper on the
-    # element's images and the length's limit, in first-draw order; each
+    # length) is decided once, by each bound's shared helper on each of the
+    # element's blocks' cycle lengths and the length's limit, in first-draw
+    # order; each
     # helper's result must be the oracle's, and its verdict must be the
     # oracle's verdict on every distinct word of that element and length,
     # each on its own images.  Every draw passes (the goldens pin the 200
@@ -155,8 +171,8 @@ def test_sample_reports_match_oracle(stem, tmp_path, monkeypatch, capsys):
     distinct = list(dict.fromkeys(word.codes for word in words))
     assert len(first) < len(distinct) < len(words)
     for index, kind in enumerate(("orbit", "torsion")):
-        assert [(element, limit) for element, limit, _ in decided[kind]] == [
-            (element, rec.torsion_growth(length) * (length + 1))
+        assert [(lengths, limit) for lengths, limit, _ in decided[kind]] == [
+            (_oracle_lengths(element), rec.torsion_growth(length) * (length + 1))
             for element, length in first]
         verdicts = {}
         for (element, length), word in first.items():
@@ -180,23 +196,25 @@ def test_sample_reports_match_oracle(stem, tmp_path, monkeypatch, capsys):
 
 def test_a_failing_element_is_reported_for_each_of_its_words(tmp_path, monkeypatch,
                                                              capsys):
-    # the shared orbit-bound helper is made to fail on the element with the
-    # most distinct words in the sample: the verifier runs once on each of
-    # those words, and every draw of it embeds a failure naming that word,
-    # in draw order
+    # the shared orbit-bound helper, which sees only cycle lengths, is made
+    # to fail on the blocks' cycle lengths that the most distinct words of
+    # the sample share: the verifier runs once on each of those words, and
+    # every draw of one embeds a failure naming that word, in draw order
     stem = "grigorchuk_1-4"
     config, _, words, elements = _sample(stem)
     distinct = list(dict.fromkeys(word.codes for word in words))
-    names = {}  # element -> its distinct words, in first-draw order
+    lengths = {codes: _oracle_lengths(elements[codes]) for codes in distinct}
+    names = {}  # cycle lengths -> their distinct words, in first-draw order
     for codes in distinct:
-        names.setdefault(elements[codes], []).append(codes)
-    target = max(names, key=lambda element: len(names[element]))
+        names.setdefault(lengths[codes], []).append(codes)
+    target = max(names, key=lambda key: len(names[key]))
     assert len(names[target]) >= 2
+    assert len({elements[codes] for codes in names[target]}) >= 2
     orbit_bound_blocks = tower.orbit_bound_blocks
 
-    def failing_on_target(images, limit):
-        rows = orbit_bound_blocks(images, limit)
-        if tuple(image.images for image in images) != target:
+    def failing_on_target(block_lengths, limit):
+        rows = orbit_bound_blocks(block_lengths, limit)
+        if _nontrivial(block_lengths) != target:
             return rows
         return [(largest, True) for largest, _ in rows]
 
@@ -209,12 +227,12 @@ def test_a_failing_element_is_reported_for_each_of_its_words(tmp_path, monkeypat
     assert "FAILED checks: trace_lemmas, orbit_bound_sample\n" in out
 
     assert [word.codes for word, _, _, _ in recorded["orbit"]] == names[target]
-    assert all(tuple(image.images for image in images) == target
+    assert all(_oracle_lengths(tuple(image.images for image in images)) == target
                for _, _, images, _ in recorded["orbit"])
     assert recorded["torsion"] == []
     checks = {check["name"]: check for check in json.loads(out_path.read_text())["checks"]}
     orbit = checks["orbit_bound_sample"]
-    drawn = [str(word) for word in words if elements[word.codes] == target]
+    drawn = [str(word) for word in words if lengths[word.codes] == target]
     assert orbit["status"] == "fail"
     assert orbit["witnesses"][0] == {"cases": len(words), "failed_cases": len(drawn)}
     assert [case["parameters"]["word"] for case in orbit["witnesses"][1:]] == drawn[:20]
@@ -226,13 +244,15 @@ def test_a_failing_element_is_reported_for_each_of_its_words(tmp_path, monkeypat
 
 @pytest.mark.parametrize("stem", VERIFY_CASES)
 def test_each_sweep_case_is_built_once(stem, tmp_path, monkeypatch, capsys):
-    # the trace and return-bound sweeps read one shared case per component
-    # and generator sequence, so a call builds components x sequences cases
+    # the trace and return-bound sweeps of every component read one shared
+    # case per generator sequence, on the union of all the blocks, so a call
+    # builds one case per sequence, whatever the number of components
     built = []
 
-    def counting(tg, component, gseq, *args, **kwargs):
-        built.append((component, [word.codes for word in gseq]))
-        return sweep_case(tg, component, gseq, *args, **kwargs)
+    def counting(tg, gseq, *args, **kwargs):
+        assert kwargs.get("component") is None
+        built.append([word.codes for word in gseq])
+        return sweep_case(tg, gseq, *args, **kwargs)
 
     sweep_case = tower._sweep_case
     monkeypatch.setattr(tower, "_sweep_case", counting)
@@ -242,8 +262,30 @@ def test_each_sweep_case_is_built_once(stem, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     config = load_config(config_path)
     gens = config.recursion.generator_count
-    assert len(built) == len(config.levels) * (gens + gens ** 2)
-    assert len({(ci, tuple(codes)) for ci, codes in built}) == len(built)
+    assert len(built) == gens + gens ** 2
+    assert len({tuple(codes) for codes in built}) == len(built)
+
+
+@pytest.mark.parametrize("stem", VERIFY_CASES)
+def test_tail_maps_are_composed_once_per_sequence(stem, tmp_path, monkeypatch, capsys):
+    # the tail of each trace row depends only on the generator sequence, so
+    # the sweeps compose 2(k - 1) maps per sequence of k entries, whatever
+    # the number of components: the goldens have one to five
+    composed = [0]
+
+    def counting(p, q):
+        composed[0] += 1
+        return compose(p, q)
+
+    compose = tower._compose
+    monkeypatch.setattr(tower, "_compose", counting)
+    config_path = GOLDEN / f"{stem}.json"
+    main(["verify", "--config", str(config_path),
+          "--out", str(tmp_path / "certificate.json")])
+    capsys.readouterr()
+    gens = load_config(config_path).recursion.generator_count
+    # gens sequences of one entry, gens ** 2 of two
+    assert composed[0] == 2 * gens ** 2
 
 
 @pytest.mark.parametrize("stem", VERIFY_CASES + ("grigorchuk_1-6",))

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import (FixedOrder, hand_case, scan_cases, transitivity_oracle,
+from conftest import (FixedOrder, hand_case, return_time, scan_cases, transitivity_oracle,
                       walk_first_hits, walk_fundamental_general, walk_trace_lemmas)
 from telescope import tower
 from telescope.perm import Permutation
@@ -14,7 +14,7 @@ from telescope.tower import (ExtendedAction, TelescopeGroup, build_telescope,
                              divides_factorial, extend_action, transitivity_report,
                              verify_fundamental_general, verify_orbit_bound,
                              verify_torsion_bound, verify_trace_lemmas)
-from telescope.words import Letter, TAU, Word, parse_word
+from telescope.words import Letter, TAU, Word, compose_signed, parse_word
 
 
 def c2_recursion():
@@ -483,19 +483,24 @@ class TestTraceLemmas:
         with pytest.raises(ValueError, match="horizon_factor must be an integer >= 1"):
             verify_trace_lemmas(demo, 0, [parse_word("g1")], horizon_factor=factor)
         # also when the case is built beforehand, without the factor
-        case = tower._sweep_case(demo, 0, [parse_word("g1")], "global")
+        case = tower._sweep_case(demo, [parse_word("g1")], "global")
         with pytest.raises(ValueError, match="horizon_factor must be an integer >= 1"):
             verify_trace_lemmas(demo, 0, [parse_word("g1")], horizon_factor=factor,
                                 case=case)
 
 
 def scan_first_hits(tg, ci, gseq, horizon):
-    """``tower._first_hits`` on the hand-composed block and entry inverses,
-    each row of hitting points expanded to every point, None where no
-    terminal subword hits."""
+    """``tower._first_hits`` on the hand-composed block, entry inverses and
+    row tails, each row of hitting points expanded to every point, None
+    where no terminal subword hits."""
     _, tau, images, block = hand_case(tg, ci, gseq, "local")
-    rows = tower._first_hits(tau, [image.inverse().images for image in images],
-                             tg.components[ci].basepoint, horizon, block)
+    untails = []
+    tail = Permutation.identity(tau.degree)
+    for image in images[:-1]:
+        tail = tail * tau * image
+        untails.append(tail.inverse().images)
+    rows = tower._first_hits(tau.images, [image.inverse().images for image in images],
+                             untails, tg.components[ci].basepoint, horizon, block.images)
     return [[row.get(point) for point in range(tau.degree)] for row in rows]
 
 
@@ -504,11 +509,18 @@ def assert_scan_matches_walker(tg, ci, gseq, factor, mode):
     assert trace == walk_trace_lemmas(tg, ci, gseq, factor, mode)
     general = verify_fundamental_general(tg, ci, gseq, order_mode=mode)
     assert general == walk_fundamental_general(tg, ci, gseq, mode)
-    # one case built up front and handed to both sweeps, as ``verify`` does
-    case = tower._sweep_case(tg, ci, gseq, mode)
-    assert verify_trace_lemmas(tg, ci, gseq, horizon_factor=factor, order_mode=mode,
-                               case=case) == trace
-    assert verify_fundamental_general(tg, ci, gseq, order_mode=mode, case=case) == general
+    # one case built up front and handed to both sweeps: the component's
+    # own, and in global mode the union case ``verify`` builds for every
+    # block, which reads this block at its offset
+    cases = [tower._sweep_case(tg, gseq, mode, component=ci)]
+    if mode == "global":
+        cases.append(tower._sweep_case(tg, gseq, mode))
+    for case in cases:
+        assert verify_trace_lemmas(tg, ci, gseq, horizon_factor=factor, order_mode=mode,
+                                   case=case) == trace
+        assert verify_fundamental_general(tg, ci, gseq, order_mode=mode,
+                                          case=case) == general
+        assert tower.return_bound_holds(case, ci) == general.passed
     _, tau, images, _ = hand_case(tg, ci, gseq, mode)
     hits = scan_first_hits(tg, ci, gseq, trace.parameters["horizon"])
     assert hits == walk_first_hits(tau, images, tg.components[ci].basepoint,
@@ -582,7 +594,8 @@ class TestScanMatchesWalker:
 
 
 class TestPowerImages:
-    """The trace sweep's N(k+1)-fold return map, read off the block's cycles."""
+    """The trace sweep's N(k+1)-fold return map and the return times, read
+    off the one walk of the block's cycles."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 12).flatmap(lambda degree: st.tuples(
@@ -590,7 +603,10 @@ class TestPowerImages:
     def test_matches_repeated_squaring(self, drawn):
         images, m = drawn
         perm = Permutation(images)
-        assert tower._power_images(perm, m) == (perm ** m).images
+        times, powers = tower._cycle_walk(perm.images, m)
+        assert tuple(powers) == (perm ** m).images
+        assert times == [return_time(perm, x) for x in range(perm.degree)]
+        assert tower._cycle_walk(perm.images) == (times, None)
 
     @given(st.integers(1, 12).flatmap(lambda degree: st.permutations(range(degree))))
     def test_exponents_that_close_cycles(self, images):
@@ -600,11 +616,75 @@ class TestPowerImages:
         degree = perm.degree
         for m in {0, 1, degree + 1, 2 * degree + 5, perm.order(),
                   *lengths, *(3 * length for length in lengths)}:
-            assert tower._power_images(perm, m) == (perm ** m).images, m
+            assert tuple(tower._cycle_walk(perm.images, m)[1]) == (perm ** m).images, m
 
     def test_degree_one(self):
         for m in (0, 1, 2, 7):
-            assert tower._power_images(Permutation((0,)), m) == (0,)
+            assert tower._cycle_walk((0,), m) == ([1], [0])
+
+
+class TestUnion:
+    """The letter table on the disjoint union of the blocks, and the sweep
+    case on it, against the per-block permutations."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan_cases(), st.data())
+    def test_union_against_block_oracles(self, case, data):
+        tg, _, gseq, _, _ = case
+        spans = tg.block_spans
+        assert [stop - start for start, stop in spans] == [
+            comp.extended_degree for comp in tg.components]
+        assert spans[0][0] == 0 and spans[-1][1] == tg.union_degree
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        letters = tg.union_letters
+        codes = [0] + [c for g in range(1, tg.generator_count + 1) for c in (g, -g)]
+        # every block is invariant under every union letter
+        for code in codes:
+            image = letters[code]
+            for start, stop in spans:
+                assert all(start <= image[x] < stop for x in range(start, stop))
+
+        # a word's union image, sliced at each offset, is its block images;
+        # its one walk gives each block's longest cycle and order
+        word = data.draw(st.lists(st.sampled_from(codes), max_size=8))
+        image = compose_signed(word, letters, tg.union_degree)
+        times = tower._cycle_walk(image)[0]
+        blocks = [tg.evaluate_component(word, ci) for ci in range(len(tg.components))]
+        assert tg.split_union(image) == tuple(blocks)
+        for (start, stop), block in zip(spans, blocks):
+            assert tuple(x - start for x in image[start:stop]) == block.images
+            assert max(times[start:stop]) == max(block.cycle_lengths(), default=1)
+            assert math.lcm(*times[start:stop]) == block.order()
+        lengths = [set(times[start:stop]) for start, stop in spans]
+        assert tower.orbit_bound_blocks(lengths, 4) == tower.orbit_bound_blocks(
+            [block.cycle_lengths() for block in blocks], 4)
+        assert tower.torsion_bound_order(lengths, 4) == tower.torsion_bound_order(
+            [block.cycle_lengths() for block in blocks], 4)
+
+        # the union sweep case's one walk against each hand-composed block
+        union = tower._sweep_case(tg, gseq, "global")
+        assert union.blocks == dict(enumerate(spans))
+        for ci, (start, stop) in enumerate(spans):
+            _, _, _, block = hand_case(tg, ci, gseq, "global")
+            assert union.block[start:stop] == tuple(x + start for x in block.images)
+            assert union.lengths[start:stop] == [return_time(block, x)
+                                                 for x in range(block.degree)]
+            assert union.longest[ci] == max(block.cycle_lengths(), default=1)
+            assert [x - start for x in union.full_return[start:stop]] == list(
+                (block ** union.bound).images)
+
+    def test_union_table_is_built_on_first_use(self, grig):
+        tg = build_telescope(grig, [1, 2, 3])
+        assert "union_letters" not in vars(tg)
+        letters = tg.union_letters
+        assert tg.union_letters is letters
+        assert tg.block_spans == ((0, 3), (3, 8), (8, 17))
+        # a new telescope of the same components builds its own
+        assert build_telescope(grig, [1, 2, 3]).union_letters is not letters
+
+    def test_local_orders_need_one_component(self, demo):
+        with pytest.raises(ValueError, match="local orders are per block"):
+            tower._sweep_case(demo, [parse_word("g1")], "local")
 
 
 class TestOrbitBound:
