@@ -4,7 +4,9 @@ A word acts with its rightmost letter first; its trace records where a
 point travels under longer and longer terminal subwords.  Interleaving a
 transposition between group letters bounds every such walk: each point
 returns within ord(g1...gk) * (k+1) block applications, which is what
-makes the whole telescope a torsion group.
+makes the whole telescope a torsion group.  A word is a tuple of signed
+codes, 0 for t and k for g_k: ``build_w`` and ``parse_word`` make one and
+``format_word`` spells it.
 
 The suite also illustrates honest machine-checking: two of the three
 documented trace facts verify exhaustively, while the third (the
@@ -12,9 +14,9 @@ pigeonhole pairing) has genuine counterexamples that the verifier
 surfaces rather than hides.
 """
 
-from telescope import (build_telescope, build_w, grigorchuk, parse_word,
-                       trace, verify_fundamental_general, verify_trace_lemmas,
-                       WreathRecursion, Permutation)
+from telescope import (build_telescope, build_w, format_word, grigorchuk,
+                       parse_word, trace, verify_fundamental_general,
+                       verify_trace_lemmas, WreathRecursion, Permutation)
 
 rec = grigorchuk()
 tg = build_telescope(rec, [1, 2, 3])
@@ -24,7 +26,7 @@ print("component 2: degree", comp.extended_degree, " basepoint", comp.basepoint,
       " tau =", comp.tau.cycle_string())
 
 word = build_w(1, 2, 0)
-print("w(2,0) over one generator:", word)
+print("w(2,0) over one generator:", format_word(word))
 for point in range(comp.extended_degree):
     walk = trace(word, point, comp.gen_images, comp.tau)
     print(f"  trace of {point}: {walk}")

@@ -10,11 +10,10 @@ projecting onto alternating groups from some component on.
 """
 
 from .perm import Permutation, PermGroup, orbit
-from .words import (Letter, TAU, Word, build_v, build_w, evaluate_word,
-                    parse_word, reduce_word, terminal_subword, trace)
+from .words import (build_w, format_word, invert_signed, parse_word,
+                    reduce_signed, trace)
 from .selfsim import (BudgetExceeded, LevelAction, NotContracting,
-                      WreathRecursion, grigorchuk, gupta_sidki_3,
-                      invert_signed, reduce_signed)
+                      WreathRecursion, grigorchuk, gupta_sidki_3)
 from .reports import CheckReport
 from .tower import (ExtendedAction, TelescopeGroup, build_telescope,
                     divides_factorial, extend_action, transitivity_report,
@@ -28,10 +27,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Permutation", "PermGroup", "orbit",
-    "Letter", "TAU", "Word", "build_v", "build_w", "evaluate_word",
-    "parse_word", "reduce_word", "terminal_subword", "trace",
+    "build_w", "format_word", "invert_signed", "parse_word", "reduce_signed",
+    "trace",
     "BudgetExceeded", "LevelAction", "NotContracting", "WreathRecursion",
-    "grigorchuk", "gupta_sidki_3", "invert_signed", "reduce_signed",
+    "grigorchuk", "gupta_sidki_3",
     "CheckReport",
     "ExtendedAction", "TelescopeGroup", "build_telescope", "divides_factorial",
     "extend_action", "transitivity_report", "verify_fundamental_general",

@@ -27,6 +27,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .perm import PermGroup, Permutation
 from .reports import CheckReport
+from .words import format_word
 
 FORMAT_VERSION = 3
 
@@ -76,8 +77,8 @@ def check_tail_injectivity(tg, radius):
                     for ci in range(len(tg.components)))
         if key in seen:
             collisions.append({
-                "word": _signed_str(tg, word),
-                "collides_with": _signed_str(tg, seen[key]),
+                "word": format_word(word, tg.gen_names),
+                "collides_with": format_word(seen[key], tg.gen_names),
                 "tail_start": 1,
             })
         else:
@@ -92,13 +93,6 @@ def check_tail_injectivity(tg, radius):
         passed=passed,
         witnesses=witnesses,
     )
-
-
-def _signed_str(tg, word):
-    names = tg.gen_names
-    if not word:
-        return "1"
-    return " ".join(names[abs(s) - 1] + ("" if s > 0 else "^-1") for s in word)
 
 
 def sign_vectors(tg):

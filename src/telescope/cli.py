@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from . import certify, tower
 from .perm import Permutation
 from .selfsim import BudgetExceeded, WreathRecursion, grigorchuk, gupta_sidki_3
-from .words import Word, compose_signed, parse_signed, parse_word
+from .words import compose_signed, format_word, parse_signed, parse_word
 
 SAMPLER_NAME = "mt19937-reduced-words-v1"
 # failing cases embedded per check, and failure rows per case
@@ -266,7 +266,7 @@ def load_config(path):
 
 
 def sample_words(count, max_length, gen_count, seed):
-    """Deterministic reduced words over the generators and the transposition.
+    """Deterministic reduced code words over the generators and the transposition.
 
     Only ``Random.random()`` is consumed (its output is stable across Python
     releases); each next letter is drawn among those that do not cancel the
@@ -287,13 +287,13 @@ def sample_words(count, max_length, gen_count, seed):
             code = choices[int(rng.random() * len(choices))]
             codes.append(code)
             choices = follows[code]
-        words.append(Word.from_codes(codes))
+        words.append(tuple(codes))
     return words
 
 
 def _gseq_sweep(gen_count):
     """All generator sequences of length 1 and 2 over single generators."""
-    singles = [Word.from_codes((code,)) for code in range(1, gen_count + 1)]
+    singles = [(code,) for code in range(1, gen_count + 1)]
     sweep = [[w] for w in singles]
     sweep.extend([u, v] for u in singles for v in singles)
     return sweep
@@ -408,30 +408,29 @@ def _sample_checks(config, tg, growth):
     letters, degree, spans = tg.union_letters, tg.union_degree, tg.block_spans
     elements = {}  # element -> each block's cycle lengths
     verdicts = {}  # (element, length) -> (orbit bound holds, torsion bound holds)
-    by_word = {}  # codes -> failing (orbit, torsion) reports, None where a bound holds
+    by_word = {}  # word -> failing (orbit, torsion) reports, None where a bound holds
     orbit_failures, torsion_failures = [], []
     for word in sample_words(config.sample_count, config.sample_max_length,
                              tg.generator_count, config.seed):
-        codes = word.codes
-        failed = by_word.get(codes)
+        failed = by_word.get(word)
         if failed is None:
-            element = compose_signed(codes, letters, degree)
+            element = compose_signed(word, letters, degree)
             lengths = elements.get(element)
             if lengths is None:
                 times = tower._cycle_walk(element)[0]
                 lengths = elements[element] = [set(times[start:stop])
                                                for start, stop in spans]
-            bound = growth[len(codes)]
-            pair = (element, len(codes))
+            bound = growth[len(word)]
+            pair = (element, len(word))
             verdict = verdicts.get(pair)
             if verdict is None:
-                limit = bound * (len(codes) + 1)
+                limit = bound * (len(word) + 1)
                 verdict = verdicts[pair] = (
                     not any(exceeds for _, exceeds
                             in tower.orbit_bound_blocks(lengths, limit)),
                     tower.torsion_bound_order(lengths, limit)[1])
             images = None if all(verdict) else tg.split_union(element)
-            failed = by_word[codes] = (
+            failed = by_word[word] = (
                 None if verdict[0] else tower.verify_orbit_bound(word, images, bound),
                 None if verdict[1] else tower.verify_torsion_bound(word, images, bound))
         if failed[0] is not None:
@@ -543,7 +542,7 @@ def cmd_word(config, tg, text):
     # ends the query before anything is printed
     growth = config.recursion.torsion_growth(len(word)) if word else None
     images = tg.evaluate(word)
-    print(f"word: {str(word) or '1'}  (reduced length {len(word)})")
+    print(f"word: {format_word(word)}  (reduced length {len(word)})")
     for ci, image in enumerate(images, start=1):
         # the string's walk fills the cycle lengths the sizes and orders read
         text = image.cycle_string()

@@ -12,6 +12,9 @@ base action by a breadth-first orbit when it is made.  A recursion keeps
 each component it was extended to, per level and basepoint, next to its
 level actions, so a component and its letter table are made and checked
 once and live exactly as long as their recursion.
+Every word here, an entry of a generator sequence or a sampled word, is a
+reduced tuple of signed codes, evaluated from a letter table and spelled in
+reports by ``words.format_word``.
 The truncation acts on the disjoint union of its blocks, block ci taking
 the union points ``block_spans[ci]``; ``TelescopeGroup.union_letters`` is
 its letter table there, made on first use from the component tables.
@@ -41,7 +44,7 @@ from typing import NamedTuple
 from .perm import Permutation, _compose, orbit
 from .reports import CheckReport
 from .selfsim import LevelAction
-from .words import LetterTable, compose_signed, invert_signed, reduce_signed
+from .words import LetterTable, compose_signed, format_word, invert_signed, reduce_signed
 
 # Component indices in parameters and witnesses are 1-based throughout, so
 # "component i" matches the i-th factor of the product.
@@ -203,8 +206,8 @@ class TelescopeGroup:
         return Permutation._trusted(compose_signed(codes, comp.letters, comp.extended_degree))
 
     def evaluate(self, word):
-        """Componentwise image of a Word (rightmost letter acting first)."""
-        return tuple(self.evaluate_component(word.codes, ci)
+        """Componentwise image of a code word (rightmost letter acting first)."""
+        return tuple(self.evaluate_component(word, ci)
                      for ci in range(len(self.components)))
 
 
@@ -304,11 +307,11 @@ def _sweep_case(tg, gseq, order_mode, horizon_factor=1, *, component=None):
     gseq = list(gseq)
     if not gseq:
         raise ValueError("the generator sequence must be nonempty")
-    product = reduce_signed([code for word in gseq for code in word.codes])
+    product = reduce_signed([code for word in gseq for code in word])
     if order_mode == "global":
         if tg.rec is None:
             raise ValueError("global orders need the telescope's recursion")
-        if any(0 in word.codes for word in gseq):
+        if any(0 in word for word in gseq):
             raise ValueError("generator-sequence entries must not contain the transposition")
         n = tg.rec.element_order(product)
     elif order_mode == "local":
@@ -326,10 +329,10 @@ def _sweep_case(tg, gseq, order_mode, horizon_factor=1, *, component=None):
         blocks = {component: (0, degree)}
     bound = n * (len(gseq) + 1)
     tau = letters[0]
-    images = tuple(compose_signed(word.codes, letters, degree) for word in gseq)
-    inverses = tuple(compose_signed(invert_signed(word.codes), letters, degree)
+    images = tuple(compose_signed(word, letters, degree) for word in gseq)
+    inverses = tuple(compose_signed(invert_signed(word), letters, degree)
                      for word in gseq)
-    block = compose_signed([code for word in gseq for code in (0, *word.codes)],
+    block = compose_signed([code for word in gseq for code in (0, *word)],
                            letters, degree)
     lengths, full_return = _cycle_walk(block, bound)
     untails = []
@@ -337,8 +340,8 @@ def _sweep_case(tg, gseq, order_mode, horizon_factor=1, *, component=None):
     for inverse in inverses[:-1]:
         untail = _compose(inverse, _compose(tau, untail))
         untails.append(untail)
-    return SweepCase([str(word) for word in gseq], n, bound, blocks, tau, images, inverses,
-                     block, lengths, full_return, tuple(untails),
+    return SweepCase([format_word(word) for word in gseq], n, bound, blocks, tau, images,
+                     inverses, block, lengths, full_return, tuple(untails),
                      {ci: max(lengths[start:stop]) for ci, (start, stop) in blocks.items()})
 
 
@@ -629,8 +632,8 @@ def verify_orbit_bound(word, images, torsion_bound):
     """Cyclic-orbit sizes of a word's block images stay within torsion_bound*(len+1),
     as ``orbit_bound_blocks`` decides on the images' cycle lengths.
 
-    ``images`` are the word's images on the blocks, as ``TelescopeGroup.evaluate``
-    gives them.
+    ``word`` is a reduced code word and ``images`` are its images on the
+    blocks, as ``TelescopeGroup.evaluate`` gives them.
     """
     length = len(word)
     limit = torsion_bound * (length + 1)
@@ -645,7 +648,7 @@ def verify_orbit_bound(word, images, torsion_bound):
         witnesses.append(entry)
     return CheckReport(
         name="orbit_bound",
-        parameters={"word": str(word), "length": length,
+        parameters={"word": format_word(word), "length": length,
                     "torsion_growth": torsion_bound},
         passed=passed,
         witnesses=witnesses,
@@ -702,7 +705,7 @@ def verify_torsion_bound(word, images, torsion_bound):
     order, passed = torsion_bound_order([image.cycle_lengths() for image in images], limit)
     return CheckReport(
         name="torsion_bound",
-        parameters={"word": str(word), "length": length,
+        parameters={"word": format_word(word), "length": length,
                     "torsion_growth": torsion_bound},
         passed=passed,
         witnesses=[{"order": order, "factorial_of": limit}],

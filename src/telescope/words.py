@@ -6,16 +6,17 @@ written left to right; evaluation applies the rightmost letter first, so
 traces walk the terminal subwords from shortest to longest.  Only formal
 cancellation is performed -- generator letters carry no group relations.
 Because ``-0 == 0``, the transposition is its own inverse and ``t t``
-cancels like any inverse pair.  ``Letter`` and ``Word`` are a thin public
-view over the codes.
+cancels like any inverse pair.  Every word in the package is such a tuple:
+``parse_word`` reads one, ``format_word`` spells one, by the default
+``t``/``g<k>`` tokens or by a recursion's generator names, and
+``LetterTable`` with ``compose_signed`` evaluates one.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .perm import Permutation, _compose, _inverse
+from .perm import _compose, _inverse
 
 
 def reduce_signed(word):
@@ -33,140 +34,39 @@ def invert_signed(word):
     return tuple(-s for s in reversed(word))
 
 
-def _code_str(code):
-    if code == 0:
-        return "t"
-    return f"g{abs(code)}" + ("^-1" if code < 0 else "")
+def format_word(word, names=None):
+    """The spelling of a code word: its letters separated by single spaces,
+    each inverse generator followed by ``^-1``, and ``1`` for the empty word.
 
-
-@dataclass(frozen=True)
-class Letter:
-    """One alphabet symbol: generator ``gen`` (0-based) or the transposition.
-
-    ``gen is None`` marks the transposition letter; its sign is forced to +1.
+    ``names`` lists the generators' names, g1's first.  By default g_k is
+    spelled ``g<k>`` and the transposition ``t``, the tokens ``parse_word``
+    reads.  A name table has no name for the transposition, since a
+    recursion may name a generator ``t``, so code 0 raises ValueError.
     """
-
-    gen: object = None
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.gen is None:
-            object.__setattr__(self, "sign", 1)
-        elif not isinstance(self.gen, int) or self.gen < 0:
-            raise ValueError(f"generator index must be a natural number, got {self.gen!r}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {self.sign!r}")
-
-    @property
-    def code(self):
-        return 0 if self.gen is None else self.sign * (self.gen + 1)
-
-    def inverse(self):
-        return _letter(-self.code)
-
-    def __str__(self):
-        return _code_str(self.code)
-
-
-TAU = Letter(None)
-
-
-def _letter(code):
-    return Letter(abs(code) - 1, 1 if code > 0 else -1) if code else TAU
-
-
-class Word:
-    """A freely reduced word: signed ``codes`` behind a view of ``Letter`` objects.
-
-    The constructor reduces whatever letters it is given.
-    """
-
-    __slots__ = ("codes",)
-
-    def __init__(self, letters=()):
-        codes = []
-        for letter in letters:
-            if not isinstance(letter, Letter):
-                raise ValueError(f"not a letter: {letter!r}")
-            codes.append(letter.code)
-        self.codes = reduce_signed(codes)
-
-    @classmethod
-    def from_codes(cls, codes):
-        word = cls.__new__(cls)
-        word.codes = reduce_signed(codes)
-        return word
-
-    @property
-    def letters(self):
-        return tuple(_letter(code) for code in self.codes)
-
-    def __len__(self):
-        return len(self.codes)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __getitem__(self, index):
-        return self.letters[index]
-
-    def __mul__(self, other):
-        if not isinstance(other, Word):
-            return NotImplemented
-        return Word.from_codes(self.codes + other.codes)
-
-    def inverse(self):
-        return Word.from_codes(invert_signed(self.codes))
-
-    def terminal_subword(self, k):
-        """The last ``k`` letters, in order."""
-        if not 0 <= k <= len(self.codes):
-            raise ValueError(f"terminal subword length {k} outside 0..{len(self.codes)}")
-        return Word.from_codes(self.codes[len(self.codes) - k:])
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.codes == other.codes
-
-    def __hash__(self):
-        return hash(self.codes)
-
-    def __str__(self):
-        return " ".join(_code_str(code) for code in self.codes)
-
-    def __repr__(self):
-        return f"Word({str(self)!r})"
-
-
-def reduce_word(letters):
-    """Freely reduce a letter sequence into a Word (idempotent)."""
-    return Word(letters)
-
-
-def terminal_subword(word, k):
-    return word.terminal_subword(k)
-
-
-def build_v(k, n, i):
-    """The word ``(g1 ... gk)^n g1 ... gi`` of length ``n*k + i``."""
-    _check_family_args(k, n, i)
-    block = list(range(1, k + 1))
-    return Word.from_codes(block * n + block[:i])
+    if not word:
+        return "1"
+    letters = []
+    for code in word:
+        if code == 0:
+            if names is not None:
+                raise ValueError("the transposition letter has no name in a generator table")
+            letters.append("t")
+        else:
+            name = f"g{abs(code)}" if names is None else names[abs(code) - 1]
+            letters.append(name if code > 0 else name + "^-1")
+    return " ".join(letters)
 
 
 def build_w(k, n, i):
     """The word ``(t g1 ... t gk)^n t g1 ... t gi`` of length ``2*(n*k + i)``."""
-    _check_family_args(k, n, i)
-    block = [code for j in range(1, k + 1) for code in (0, j)]
-    return Word.from_codes(block * n + block[:2 * i])
-
-
-def _check_family_args(k, n, i):
     if k < 1:
         raise ValueError("the word family needs at least one generator slot")
     if n < 0:
         raise ValueError("the repetition count must be non-negative")
     if not 0 <= i < k:
         raise ValueError(f"partial index {i} outside 0..{k - 1}")
+    block = [code for j in range(1, k + 1) for code in (0, j)]
+    return tuple(block * n + block[:2 * i])
 
 
 class LetterTable(dict):
@@ -195,7 +95,7 @@ class LetterTable(dict):
             raise ValueError("word uses the transposition letter but none is assigned")
         image = self.get(-code) if code < 0 else None
         if image is None:
-            raise ValueError(f"letter {_code_str(code)} has no assigned permutation")
+            raise ValueError(f"letter {format_word((code,))} has no assigned permutation")
         self[code] = image = _inverse(image)
         return image
 
@@ -203,15 +103,15 @@ class LetterTable(dict):
 def trace(word, point, gen_perms, tau=None):
     """The trace of ``point``: images under the terminal subwords, shortest first.
 
-    Entry ``i`` (1-based) is ``terminal_subword(word, i)`` applied to ``point``;
-    the last entry is the full word applied to ``point``.
+    Entry ``i`` (1-based) is the word's last ``i`` letters applied to
+    ``point``; the last entry is the full word applied to ``point``.
     """
     images = LetterTable(gen_perms, tau)
     if images.degree is not None and not 0 <= point < images.degree:
         raise ValueError(f"point {point} outside 0..{images.degree - 1}")
     out = []
     current = point
-    for code in reversed(word.codes):
+    for code in reversed(word):
         current = images[code][current]
         out.append(current)
     return tuple(out)
@@ -226,14 +126,6 @@ def compose_signed(codes, images, degree):
     for code in codes[1:]:
         result = _compose(result, images[code])
     return result
-
-
-def evaluate_word(word, gen_perms, tau=None):
-    """Interpret the word as a permutation (rightmost letter acting first)."""
-    images = LetterTable(gen_perms, tau)
-    if images.degree is None:
-        raise ValueError("evaluation needs at least one assigned permutation")
-    return Permutation._trusted(compose_signed(word.codes, images, images.degree))
 
 
 def parse_signed(text, code_of):
@@ -253,7 +145,8 @@ def parse_signed(text, code_of):
 
 
 def parse_word(text, gen_count=None):
-    """Parse whitespace-separated tokens ``g<k>``, ``g<k>^-1`` and ``t``."""
+    """Parse whitespace-separated tokens ``g<k>``, ``g<k>^-1`` and ``t`` into a
+    reduced code word."""
 
     def code_of(name):
         if name == "t":
@@ -268,4 +161,4 @@ def parse_word(text, gen_count=None):
             raise ValueError(f"token {name!r} exceeds the {gen_count} available generators")
         return index
 
-    return Word.from_codes(parse_signed(text, code_of))
+    return parse_signed(text, code_of)

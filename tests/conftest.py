@@ -32,7 +32,7 @@ from telescope import tower
 from telescope.perm import Permutation, orbit
 from telescope.reports import CheckReport
 from telescope.selfsim import WreathRecursion
-from telescope.words import Word, reduce_signed
+from telescope.words import format_word, reduce_signed
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -140,7 +140,7 @@ def scan_cases(draw):
         perms[cycle_at] = Permutation.from_cycles(degree, [relabel])
         components.append(tower.extend_action(perms, draw(st.integers(0, degree - 1))))
     letters = st.integers(1, gen_count).flatmap(lambda g: st.sampled_from((g, -g)))
-    gseq = [Word.from_codes(draw(st.lists(letters, min_size=1, max_size=3)))
+    gseq = [reduce_signed(draw(st.lists(letters, min_size=1, max_size=3)))
             for _ in range(draw(st.integers(1, 3)))]
     tg = tower.TelescopeGroup(tuple(components),
                               tuple(f"g{i + 1}" for i in range(gen_count)),
@@ -185,7 +185,7 @@ def list_sample_words(count, max_length, gen_count, seed):
         while len(codes) < length:
             choices = [c for c in alphabet if not codes or c != -codes[-1]]
             codes.append(choices[int(rng.random() * len(choices))])
-        words.append(Word.from_codes(codes))
+        words.append(tuple(codes))
     return words
 
 
@@ -195,7 +195,7 @@ def block_images(tg, word):
     images = []
     for comp in tg.components:
         result = Permutation.identity(comp.extended_degree)
-        for s in word.codes:
+        for s in word:
             perm = comp.tau if s == 0 else comp.gen_images[abs(s) - 1]
             if s < 0:
                 perm = perm.inverse()
@@ -211,7 +211,7 @@ def oracle_bound_reports(word, images, torsion_bound):
     and the factorial bound tested on the factorial itself."""
     length = len(word)
     limit = torsion_bound * (length + 1)
-    parameters = {"word": str(word), "length": length, "torsion_growth": torsion_bound}
+    parameters = {"word": format_word(word), "length": length, "torsion_growth": torsion_bound}
     witnesses = []
     order = 1
     for ci, image in enumerate(images, start=1):
@@ -335,7 +335,7 @@ def hand_case(tg, component, gseq, order_mode):
     images = []
     for word in gseq:
         image = identity
-        for s in word.codes:
+        for s in word:
             perm = comp.gen_images[abs(s) - 1]
             image = image * (perm.inverse() if s < 0 else perm)
         images.append(image)
@@ -344,7 +344,7 @@ def hand_case(tg, component, gseq, order_mode):
         product = product * image
         block = block * comp.tau * image
     if order_mode == "global":
-        n = tg.rec.element_order(reduce_signed([s for word in gseq for s in word.codes]))
+        n = tg.rec.element_order(reduce_signed([s for word in gseq for s in word]))
     else:
         n = math.lcm(*(return_time(product, x) for x in range(product.degree)))
     return n, comp.tau, images, block
@@ -365,7 +365,7 @@ def walk_fundamental_general(tg, component, gseq, order_mode="global"):
         witnesses.append(entry)
     return CheckReport(
         name="fundamental_general",
-        parameters={"component": component + 1, "gseq": [str(w) for w in gseq],
+        parameters={"component": component + 1, "gseq": [format_word(w) for w in gseq],
                     "order_mode": order_mode, "order": n, "bound": bound},
         passed=not any("violation" in w for w in witnesses),
         witnesses=witnesses)
@@ -420,7 +420,7 @@ def walk_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="global"
                                        "partial": j, "target": target})
     return CheckReport(
         name="trace_lemmas",
-        parameters={"component": component + 1, "gseq": [str(w) for w in gseq],
+        parameters={"component": component + 1, "gseq": [format_word(w) for w in gseq],
                     "order_mode": order_mode, "order": n, "bound": bound,
                     "horizon": horizon},
         passed=not violations,

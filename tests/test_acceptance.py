@@ -35,7 +35,7 @@ from telescope.selfsim import grigorchuk
 from telescope.tower import (build_telescope, divides_factorial, extend_action,
                              TelescopeGroup, verify_fundamental_general,
                              verify_trace_lemmas)
-from telescope.words import Letter, Word
+from telescope.words import format_word
 
 REPO = Path(__file__).resolve().parents[1]
 DEMO_CONFIG = REPO / "configs" / "demo_c2.json"
@@ -52,7 +52,7 @@ def grig1234(grig):
 
 
 def gseq_sweep():
-    singles = [Word([Letter(i)]) for i in range(4)]
+    singles = [(i,) for i in range(1, 5)]
     return [[w] for w in singles] + [[u, v] for u in singles for v in singles]
 
 
@@ -96,14 +96,14 @@ def pigeonhole_counterexamples(rec, levels, gseqs, horizon_factor, depth=8):
     p = 0
     for component, level in enumerate(levels, start=1):
         for gseq in gseqs:
-            images = [level_image(rec, w.codes, level).images for w in gseq]
+            images = [level_image(rec, w, level).images for w in gseq]
             q = len(images[0])
             tau = tuple(q if x == p else p if x == q else x for x in range(q + 1))
             atoms = []
             for image in images:
                 atoms += [tau, image + (q,)]
             k = len(gseq)
-            order = level_image(rec, [c for w in gseq for c in w.codes], depth).order()
+            order = level_image(rec, [c for w in gseq for c in w], depth).order()
             bound = order * (k + 1)
             block = []
             for x in range(q + 1):
@@ -135,7 +135,7 @@ def pigeonhole_counterexamples(rec, levels, gseqs, horizon_factor, depth=8):
                             break
                     target = walk(point, bound)
                     if hits and not any(row.count(target) >= 2 for row in rows):
-                        found.add((component, tuple(str(w) for w in gseq), point, j))
+                        found.add((component, tuple(format_word(w) for w in gseq), point, j))
     return found
 
 
@@ -165,7 +165,7 @@ def test_criterion_2_return_bound_exhaustive(grig1234):
     for ci in range(4):
         for gseq in gseq_sweep():
             report = verify_fundamental_general(grig1234, ci, gseq)
-            assert report.passed, (ci, [str(w) for w in gseq], report.witnesses)
+            assert report.passed, (ci, [format_word(w) for w in gseq], report.witnesses)
     assert time.perf_counter() - started < 120
 
 
@@ -177,7 +177,7 @@ def test_criterion_3_trace_suite_clear_and_return_parts(grig1234):
             offending = [w for w in report.witnesses
                          if w.get("check") in ("trace_stays_clear",
                                                "basepoint_returns")]
-            assert not offending, (ci, [str(w) for w in gseq], offending)
+            assert not offending, (ci, [format_word(w) for w in gseq], offending)
     assert time.perf_counter() - started < 300
 
 
@@ -205,7 +205,7 @@ def test_criterion_3_trace_suite_pigeonhole_part_as_stated(grig, grig1234):
         for gseq in gseq_sweep():
             report = verify_trace_lemmas(grig1234, ci, gseq, horizon_factor=2)
             reported.update(
-                (ci + 1, tuple(str(w) for w in gseq), w["point"], w["partial"])
+                (ci + 1, tuple(format_word(w) for w in gseq), w["point"], w["partial"])
                 for w in report.witnesses if w.get("check") == "pigeonhole_pair")
     expected = pigeonhole_counterexamples(grig, [1, 2, 3, 4], gseq_sweep(),
                                           horizon_factor=2)

@@ -12,7 +12,7 @@ from telescope.certify import (Certificate, alt_cutoff, check_perfect,
                                component_table, emit_certificate,
                                perfectness_scan, sign_vectors)
 from telescope.perm import PermGroup, Permutation
-from telescope.selfsim import grigorchuk
+from telescope.selfsim import grigorchuk, gupta_sidki_3
 from telescope.tower import TelescopeGroup, build_telescope, extend_action
 
 
@@ -108,6 +108,22 @@ class TestTailInjectivity:
         assert not report.passed
         colliding = {w["word"] for w in report.witnesses}
         assert "b" in colliding  # b acts trivially on the two level-1 vertices
+
+    @pytest.mark.parametrize("make, levels, pairs", [
+        # d acts trivially on levels 1 and 2, and c like b
+        (grigorchuk, [1, 2], [("c", "b"), ("d", "1"), ("a c", "a b"), ("a d", "a"),
+                              ("c a", "b a"), ("d a", "a")]),
+        # the second generator is named t: t^-1 is its inverse, not the
+        # telescope's transposition, and it fixes level 1
+        (gupta_sidki_3, [1], [("t", "1"), ("t^-1", "1"), ("a t", "a"), ("a t^-1", "a"),
+                              ("a^-1 t", "a^-1"), ("a^-1 t^-1", "a^-1"), ("t a", "a"),
+                              ("t a^-1", "a^-1"), ("t^-1 a", "a"), ("t^-1 a^-1", "a^-1")]),
+    ])
+    def test_witnesses_spell_generator_names(self, make, levels, pairs):
+        report = check_tail_injectivity(build_telescope(make(), levels), 2)
+        assert not report.passed
+        assert report.witnesses == [{"word": word, "collides_with": other, "tail_start": 1}
+                                    for word, other in pairs]
 
 
 class TestSignVectors:

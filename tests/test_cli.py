@@ -16,6 +16,7 @@ from telescope.cli import (ConfigError, load_config, main, parse_cycles,
                            sample_words)
 from telescope.perm import Permutation
 from telescope.selfsim import BudgetExceeded, gupta_sidki_3
+from telescope.words import reduce_signed
 
 REPO = Path(__file__).resolve().parents[1]
 DEMO_CONFIG = REPO / "configs" / "demo_c2.json"
@@ -242,6 +243,7 @@ class TestSampler:
     def test_words_are_reduced_and_bounded(self):
         for word in sample_words(200, 5, 3, seed=3):
             assert 1 <= len(word) <= 5
+            assert reduce_signed(word) == word
 
     def test_draws_match_the_list_comprehension_oracle(self):
         # the tabled letter choices consume the generator exactly as the
@@ -539,6 +541,27 @@ def test_console_script_targets_main():
         target = tomllib.load(handle)["project"]["scripts"]["telescope"]
     module, _, attribute = target.partition(":")
     assert getattr(importlib.import_module(module), attribute) is main
+
+
+def test_importing_the_cli_loads_only_the_standard_library():
+    # in a fresh interpreter, as every spawned call imports it: a package
+    # outside the standard library (sympy is test-only) would be a runtime
+    # dependency, and each module is compiled and run on every start
+    script = """
+import json, sys
+before = set(sys.modules)
+import telescope.cli
+new = {name.partition(".")[0] for name in set(sys.modules) - before}
+import telescope
+print(json.dumps({
+    "foreign": sorted(new - {"telescope"} - set(sys.stdlib_module_names)),
+    "telescope": "telescope" in new,
+    "unresolved": [name for name in telescope.__all__ if not hasattr(telescope, name)],
+}))
+"""
+    result = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(result.stdout) == {"foreign": [], "telescope": True, "unresolved": []}
 
 
 def test_verify_killed_by_sigterm_leaves_no_file(tmp_path):

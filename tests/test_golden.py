@@ -21,7 +21,7 @@ from conftest import block_images, oracle_bound_reports, return_time
 from telescope import tower
 from telescope.perm import Permutation
 from telescope.cli import load_config, main, sample_words
-from telescope.words import Word
+from telescope.words import format_word
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -138,7 +138,7 @@ def _sample(stem):
     tg = tower.build_telescope(config.recursion, config.levels, config.basepoints)
     words = sample_words(config.sample_count, config.sample_max_length,
                          config.recursion.generator_count, config.seed)
-    elements = {word.codes: tuple(image.images for image in block_images(tg, word))
+    elements = {word: tuple(image.images for image in block_images(tg, word))
                 for word in words}
     return config, tg, words, elements
 
@@ -167,8 +167,8 @@ def test_sample_reports_match_oracle(stem, tmp_path, monkeypatch, capsys):
     rec = config.recursion
     first = {}  # (element, length) -> its first drawn word
     for word in words:
-        first.setdefault((elements[word.codes], len(word)), word)
-    distinct = list(dict.fromkeys(word.codes for word in words))
+        first.setdefault((elements[word], len(word)), word)
+    distinct = list(dict.fromkeys(words))
     assert len(first) < len(distinct) < len(words)
     for index, kind in enumerate(("orbit", "torsion")):
         assert [(lengths, limit) for lengths, limit, _ in decided[kind]] == [
@@ -181,17 +181,17 @@ def test_sample_reports_match_oracle(stem, tmp_path, monkeypatch, capsys):
             expected = oracle_bound_reports(word, block_images(tg, word), bound)[index]
             if kind == "orbit":
                 assert result == [(row["largest_orbit"], "violation" in row)
-                                  for row in expected.witnesses], str(word)
+                                  for row in expected.witnesses], format_word(word)
                 verdicts[element, length] = not any(over for _, over in result)
             else:
-                assert result == (expected.witnesses[0]["order"], expected.passed), str(word)
+                assert result == (expected.witnesses[0]["order"], expected.passed), \
+                    format_word(word)
                 verdicts[element, length] = result[1]
             assert verdicts[element, length]
-        for codes in distinct:
-            word = Word.from_codes(codes)
+        for word in distinct:
             bound = rec.torsion_growth(len(word))
             expected = oracle_bound_reports(word, block_images(tg, word), bound)[index]
-            assert verdicts[elements[codes], len(word)] == expected.passed, str(word)
+            assert verdicts[elements[word], len(word)] == expected.passed, format_word(word)
 
 
 def test_a_failing_element_is_reported_for_each_of_its_words(tmp_path, monkeypatch,
@@ -202,14 +202,14 @@ def test_a_failing_element_is_reported_for_each_of_its_words(tmp_path, monkeypat
     # every draw of one embeds a failure naming that word, in draw order
     stem = "grigorchuk_1-4"
     config, _, words, elements = _sample(stem)
-    distinct = list(dict.fromkeys(word.codes for word in words))
-    lengths = {codes: _oracle_lengths(elements[codes]) for codes in distinct}
+    distinct = list(dict.fromkeys(words))
+    lengths = {word: _oracle_lengths(elements[word]) for word in distinct}
     names = {}  # cycle lengths -> their distinct words, in first-draw order
-    for codes in distinct:
-        names.setdefault(lengths[codes], []).append(codes)
+    for word in distinct:
+        names.setdefault(lengths[word], []).append(word)
     target = max(names, key=lambda key: len(names[key]))
     assert len(names[target]) >= 2
-    assert len({elements[codes] for codes in names[target]}) >= 2
+    assert len({elements[word] for word in names[target]}) >= 2
     orbit_bound_blocks = tower.orbit_bound_blocks
 
     def failing_on_target(block_lengths, limit):
@@ -226,13 +226,13 @@ def test_a_failing_element_is_reported_for_each_of_its_words(tmp_path, monkeypat
     out = capsys.readouterr().out
     assert "FAILED checks: trace_lemmas, orbit_bound_sample\n" in out
 
-    assert [word.codes for word, _, _, _ in recorded["orbit"]] == names[target]
+    assert [word for word, _, _, _ in recorded["orbit"]] == names[target]
     assert all(_oracle_lengths(tuple(image.images for image in images)) == target
                for _, _, images, _ in recorded["orbit"])
     assert recorded["torsion"] == []
     checks = {check["name"]: check for check in json.loads(out_path.read_text())["checks"]}
     orbit = checks["orbit_bound_sample"]
-    drawn = [str(word) for word in words if lengths[word.codes] == target]
+    drawn = [format_word(word) for word in words if lengths[word] == target]
     assert orbit["status"] == "fail"
     assert orbit["witnesses"][0] == {"cases": len(words), "failed_cases": len(drawn)}
     assert [case["parameters"]["word"] for case in orbit["witnesses"][1:]] == drawn[:20]
@@ -251,7 +251,7 @@ def test_each_sweep_case_is_built_once(stem, tmp_path, monkeypatch, capsys):
 
     def counting(tg, gseq, *args, **kwargs):
         assert kwargs.get("component") is None
-        built.append([word.codes for word in gseq])
+        built.append(tuple(gseq))
         return sweep_case(tg, gseq, *args, **kwargs)
 
     sweep_case = tower._sweep_case
@@ -263,7 +263,7 @@ def test_each_sweep_case_is_built_once(stem, tmp_path, monkeypatch, capsys):
     config = load_config(config_path)
     gens = config.recursion.generator_count
     assert len(built) == gens + gens ** 2
-    assert len({tuple(codes) for codes in built}) == len(built)
+    assert len(set(built)) == len(built)
 
 
 @pytest.mark.parametrize("stem", VERIFY_CASES)

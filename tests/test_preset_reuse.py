@@ -19,6 +19,7 @@ import pytest
 
 from telescope import cli
 from telescope.cli import load_config, main, sample_words
+from telescope.words import format_word
 
 WORD_LEVELS = {"grigorchuk": [1, 2, 3, 4, 5, 6], "gupta-sidki-3": [1, 2, 3, 4]}
 VERIFY_LEVELS = {"grigorchuk": [1, 2, 3, 4], "gupta-sidki-3": [1, 2, 3]}
@@ -54,7 +55,8 @@ def seeded_queries(tmp_path):
         config = write_config(tmp_path, f"words-{preset}",
                               {"group": preset, "levels": WORD_LEVELS[preset]})
         for word in sample_words(16, 8, GENERATORS[preset], seed):
-            queries.append((len(word), ["word", "--config", config, "--word", str(word)]))
+            queries.append((len(word),
+                            ["word", "--config", config, "--word", format_word(word)]))
     return queries
 
 

@@ -14,7 +14,7 @@ from telescope.tower import (ExtendedAction, TelescopeGroup, build_telescope,
                              divides_factorial, extend_action, transitivity_report,
                              verify_fundamental_general, verify_orbit_bound,
                              verify_torsion_bound, verify_trace_lemmas)
-from telescope.words import Letter, TAU, Word, compose_signed, parse_word
+from telescope.words import compose_signed, parse_word, reduce_signed
 
 
 def c2_recursion():
@@ -288,7 +288,7 @@ class TestLevelTransitivityTheorem:
 
 class TestEvaluate:
     def test_empty_word(self, demo):
-        assert all(p.is_identity() for p in demo.evaluate(Word()))
+        assert all(p.is_identity() for p in demo.evaluate(()))
 
     def test_tau_g_is_three_cycle(self, demo):
         image = demo.evaluate(parse_word("t g1"))[0]
@@ -299,9 +299,9 @@ class TestEvaluate:
 
     def test_unknown_generator_rejected(self, demo):
         with pytest.raises(ValueError):
-            demo.evaluate(Word([Letter(5)]))
+            demo.evaluate((6,))
         with pytest.raises(ValueError, match="g6\\^-1 has no assigned permutation"):
-            demo.evaluate(Word([Letter(5, -1)]))
+            demo.evaluate((-6,))
 
     def test_letter_table_builds_an_inverse_on_first_use(self):
         g = Permutation.from_cycles(3, [(0, 1, 2)])
@@ -316,11 +316,11 @@ class TestEvaluate:
     def test_homomorphism_on_random_pairs(self, grig):
         tg = build_telescope(grig, [1, 2])
         rng = random.Random(21)
-        alphabet = [TAU] + [Letter(i, s) for i in range(4) for s in (1, -1)]
+        alphabet = [0] + [s * g for g in range(1, 5) for s in (1, -1)]
         for _ in range(1000):
-            u = Word([rng.choice(alphabet) for _ in range(rng.randrange(0, 5))])
-            v = Word([rng.choice(alphabet) for _ in range(rng.randrange(0, 5))])
-            uv = tg.evaluate(u * v)
+            u = reduce_signed([rng.choice(alphabet) for _ in range(rng.randrange(0, 5))])
+            v = reduce_signed([rng.choice(alphabet) for _ in range(rng.randrange(0, 5))])
+            uv = tg.evaluate(reduce_signed(u + v))
             parts = tuple(pu * pv for pu, pv in zip(tg.evaluate(u), tg.evaluate(v)))
             assert uv == parts
 
@@ -335,7 +335,7 @@ class TestEvaluate:
 
 class TestOrderInTruncation:
     def test_empty_word(self, demo):
-        assert truncation_order(demo, Word()) == 1
+        assert truncation_order(demo, ()) == 1
 
     def test_three_cycle(self, demo):
         assert truncation_order(demo, parse_word("t g1")) == 3
@@ -356,9 +356,9 @@ class TestOrderInTruncation:
         small = build_telescope(grig, [1, 2])
         large = build_telescope(grig, [1, 2, 3])
         rng = random.Random(3)
-        alphabet = [TAU] + [Letter(i, s) for i in range(4) for s in (1, -1)]
+        alphabet = [0] + [s * g for g in range(1, 5) for s in (1, -1)]
         for _ in range(100):
-            word = Word([rng.choice(alphabet) for _ in range(rng.randrange(0, 6))])
+            word = reduce_signed([rng.choice(alphabet) for _ in range(rng.randrange(0, 6))])
             assert truncation_order(large, word) % truncation_order(small, word) == 0
 
 
@@ -396,7 +396,7 @@ class TestFundamentalGeneral:
 
     def test_exhaustive_small_sweep(self, grig):
         tg = build_telescope(grig, [1, 3])
-        singles = [Word([Letter(i)]) for i in range(4)]
+        singles = [(g,) for g in range(1, 5)]
         pairs = [parse_word("g1 g2"), parse_word("g1 g4"), parse_word("g2 g3")]
         sweep = [[w] for w in singles + pairs]
         sweep += [[u, v] for u in singles for v in pairs[:2]]
@@ -442,7 +442,7 @@ class TestTraceLemmas:
 
     def test_grigorchuk_sweep_clear_and_return(self, grig):
         tg = build_telescope(grig, [1, 2])
-        singles = [Word([Letter(i)]) for i in range(4)]
+        singles = [(g,) for g in range(1, 5)]
         sweep = [[w] for w in singles] + [[u, v] for u in singles for v in singles]
         for ci in range(2):
             for gseq in sweep:
@@ -559,7 +559,7 @@ class TestScanMatchesWalker:
     @pytest.mark.parametrize("rec, levels", [(grigorchuk(), [1, 2, 3, 4]),
                                              (gupta_sidki_3(), [1, 2, 3])])
     def test_presets(self, rec, levels):
-        singles = [Word.from_codes((g,)) for g in range(1, rec.generator_count + 1)]
+        singles = [(g,) for g in range(1, rec.generator_count + 1)]
         sweep = [[w] for w in singles] + [[u, v] for u in singles for v in singles]
         rng = random.Random(8)
         for basepoints in ([0] * len(levels),
@@ -576,7 +576,7 @@ class TestScanMatchesWalker:
     def test_three_entry_rows(self, rec, levels):
         # with k = 3 the row starts t g1 t g2 . p differ from t g2 t g1 . p,
         # so the order in which p is walked through the atoms shows
-        singles = [Word.from_codes((g,)) for g in range(1, rec.generator_count + 1)]
+        singles = [(g,) for g in range(1, rec.generator_count + 1)]
         tg = build_telescope(rec, levels)
         for ci in range(len(levels)):
             for gseq in itertools.product(singles, repeat=3):
@@ -705,11 +705,11 @@ class TestOrbitBound:
     def test_seeded_words_on_grigorchuk(self, grig):
         tg = build_telescope(grig, [1, 2, 3])
         rng = random.Random(17)
-        alphabet = [TAU] + [Letter(i, s) for i in range(4) for s in (1, -1)]
+        alphabet = [0] + [s * g for g in range(1, 5) for s in (1, -1)]
         growth = {n: grig.torsion_growth(n) for n in range(1, 6)}
         for _ in range(500):
             length = rng.randrange(1, 6)
-            word = Word([rng.choice(alphabet) for _ in range(length)])
+            word = reduce_signed([rng.choice(alphabet) for _ in range(length)])
             if len(word) == 0:
                 continue
             assert verify_orbit_bound(word, tg.evaluate(word), growth[len(word)]).passed
@@ -739,6 +739,6 @@ class TestTorsionBound:
         assert report.witnesses[0] == {"order": 3, "factorial_of": 6}
 
     def test_empty_word(self, demo):
-        report = verify_torsion_bound(Word(), demo.evaluate(Word()), 1)
+        report = verify_torsion_bound((), demo.evaluate(()), 1)
         assert report.passed
         assert report.witnesses[0]["order"] == 1

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from telescope.cli import main, sample_words
+from telescope.words import format_word
 
 # preset -> (levels, generator count, word seed, SHA-256 of the transcript)
 PRESETS = {
@@ -32,9 +33,9 @@ def transcript(preset, tmp_path, capsys):
     config.write_text(json.dumps({"group": preset, "levels": levels}))
     digest = hashlib.sha256()
     for word in sample_words(150, 8, gen_count, seed):
-        code = main(["word", "--config", str(config), "--word", str(word)])
+        code = main(["word", "--config", str(config), "--word", format_word(word)])
         out = capsys.readouterr().out
-        digest.update(f"$ word {str(word)!r}\nexit {code}\n{out}".encode())
+        digest.update(f"$ word {format_word(word)!r}\nexit {code}\n{out}".encode())
     return digest.hexdigest()
 
 

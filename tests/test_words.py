@@ -1,73 +1,100 @@
 import re
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from telescope.cli import load_config
 from telescope.perm import Permutation
-from telescope.words import (Letter, TAU, Word, build_v, build_w, evaluate_word,
-                             parse_word, reduce_word, terminal_subword, trace)
+from telescope.selfsim import grigorchuk, gupta_sidki_3
+from telescope.tower import build_telescope
+from telescope.words import (LetterTable, build_w, compose_signed, format_word,
+                             invert_signed, parse_word, reduce_signed, trace)
 
-G1 = Letter(0)
-G2 = Letter(1)
+# the GGS group with p = 5 and e = (1, 2, 3, 4), as an inline table
+GGS5 = Path(__file__).resolve().parent / "golden" / "ggs5_1-4.json"
+
+
+def code_words(gen_count, transposition=True):
+    """Reduced code words over g1..g<gen_count>, their inverses and, if
+    ``transposition``, t."""
+    letters = [s * g for g in range(1, gen_count + 1) for s in (1, -1)]
+    if transposition:
+        letters.append(0)
+    return st.lists(st.sampled_from(letters), max_size=12).map(reduce_signed)
 
 
 class TestReduction:
     def test_empty(self):
-        assert len(Word()) == 0
+        assert reduce_signed(()) == () == parse_word("")
 
     def test_inverse_pair_cancels(self):
-        assert reduce_word([G1, G1.inverse()]) == Word()
+        assert reduce_signed((1, -1)) == ()
 
     def test_tau_is_involutive(self):
-        assert reduce_word([TAU, TAU]) == Word()
-        assert TAU.inverse() == TAU
+        assert reduce_signed((0, 0)) == ()
+        assert invert_signed((0,)) == (0,)
 
     def test_idempotent(self):
-        letters = [G1, G2, G2.inverse(), TAU, TAU, G1]
-        once = reduce_word(letters)
-        assert reduce_word(once.letters) == once
-        assert once == Word([G1, G1])
+        once = reduce_signed([1, 2, -2, 0, 0, 1])
+        assert reduce_signed(once) == once == (1, 1)
 
     def test_word_times_inverse_is_empty(self):
-        w = Word([TAU, G1, G2.inverse(), G1])
-        assert w * w.inverse() == Word()
+        w = (0, 1, -2, 1)
+        assert reduce_signed(w + invert_signed(w)) == ()
 
     def test_no_group_relations(self):
         # generator letters square freely; only formal inverses cancel
-        assert len(Word([G1, G1])) == 2
+        assert len(reduce_signed((1, 1))) == 2
 
 
 class TestCodes:
     def test_codes_letters_and_str_agree(self):
-        w = Word([TAU, G1, G2.inverse(), Letter(2), TAU])
-        assert w.codes == (0, 1, -2, 3, 0)
-        assert w.letters == (TAU, G1, G2.inverse(), Letter(2), TAU)
-        assert [l.code for l in w.letters] == list(w.codes)
-        assert str(w) == " ".join(str(l) for l in w.letters) == "t g1 g2^-1 g3 t"
-        assert Word.from_codes(w.codes) == w
-        assert parse_word(str(w)).codes == w.codes
+        w = (0, 1, -2, 3, 0)
+        assert format_word(w) == "t g1 g2^-1 g3 t"
+        assert parse_word(format_word(w)) == w
 
     def test_tau_and_inverse_pairs_cancel_on_codes(self):
-        assert Word.from_codes((0, 0)).codes == ()
-        assert Word.from_codes((2, 1, -1, 0, 0, 3)).codes == (2, 3)
-        assert Word([G1, TAU, TAU, G1.inverse()]).codes == ()
+        assert reduce_signed((0, 0)) == ()
+        assert reduce_signed((2, 1, -1, 0, 0, 3)) == (2, 3)
+        assert reduce_signed((1, 0, 0, -1)) == ()
 
 
-class TestTerminalSubword:
-    def test_last_two(self):
-        w = Word([G1, G2, Letter(2)])
-        assert terminal_subword(w, 2) == Word([G2, Letter(2)])
+class TestFormat:
+    def test_empty_word_is_one(self):
+        assert format_word(()) == "1"
+        assert format_word((), ("a", "b")) == "1"
 
-    def test_zero(self):
-        assert terminal_subword(Word([G1, G2]), 0) == Word()
+    def test_name_table(self):
+        assert format_word((1, -2, 2), ("a", "b")) == "a b^-1 b"
+        # a generator may be named t; its inverse is spelled t^-1
+        assert format_word((-2, 1), ("a", "t")) == "t^-1 a"
 
-    def test_full_word(self):
-        w = Word([TAU, G1])
-        assert terminal_subword(w, 2) == w
-        assert terminal_subword(w, 1) == Word([G1])
+    def test_name_table_refuses_the_transposition(self):
+        # the transposition is not a generator of the recursion: with a
+        # name table it has no spelling, rather than the last generator's
+        # inverse or a name a generator may carry
+        tg = build_telescope(grigorchuk(), [1, 2])
+        with pytest.raises(ValueError, match="transposition"):
+            format_word((0, 1, -2), tg.gen_names)
+        with pytest.raises(ValueError, match="transposition"):
+            format_word((0,), ("a", "t"))
 
-    def test_overlong_rejected(self):
-        with pytest.raises(ValueError):
-            terminal_subword(Word([G1]), 2)
+    @given(code_words(12))
+    def test_parse_word_round_trip(self, word):
+        assume(word)
+        assert parse_word(format_word(word)) == word
+        assert parse_word(format_word(word), gen_count=12) == word
+
+    @pytest.mark.parametrize("make", [
+        grigorchuk, gupta_sidki_3, lambda: load_config(GGS5).recursion,
+    ], ids=["grigorchuk", "gupta-sidki-3", "ggs5"])
+    @given(data=st.data())
+    def test_generator_names_round_trip(self, make, data):
+        rec = make()
+        word = data.draw(code_words(rec.generator_count, transposition=False))
+        assume(word)
+        assert rec.parse(format_word(word, rec.names)) == word
 
 
 class TestTrace:
@@ -76,60 +103,59 @@ class TestTrace:
         self.tau = Permutation.from_cycles(3, [(0, 2)])
 
     def test_empty_word(self):
-        assert trace(Word(), 1, [self.g], self.tau) == ()
+        assert trace((), 1, [self.g], self.tau) == ()
 
     def test_tau_g_from_zero(self):
-        assert trace(Word([TAU, G1]), 0, [self.g], self.tau) == (1, 1)
+        assert trace((0, 1), 0, [self.g], self.tau) == (1, 1)
 
     def test_tau_g_from_one(self):
-        assert trace(Word([TAU, G1]), 1, [self.g], self.tau) == (0, 2)
+        assert trace((0, 1), 1, [self.g], self.tau) == (0, 2)
 
     def test_last_entry_is_evaluation(self):
-        for word in (Word([TAU, G1]), Word([G1, TAU, G1]), build_w(1, 3, 0)):
+        letters = LetterTable([self.g], self.tau)
+        for word in ((0, 1), (1, 0, 1), build_w(1, 3, 0)):
+            image = compose_signed(word, letters, 3)
             for point in range(3):
                 entries = trace(word, point, [self.g], self.tau)
-                assert entries[-1] == evaluate_word(word, [self.g], self.tau)(point)
+                assert entries[-1] == image[point]
 
     def test_prefix_coherence(self):
+        # entry j is the terminal subword of length j applied to the point,
+        # from the empty subword to the full word
         word = build_w(1, 2, 0)
         for point in range(3):
             full = trace(word, point, [self.g], self.tau)
             for j in range(len(word) + 1):
-                sub = trace(terminal_subword(word, j), point, [self.g], self.tau)
+                sub = trace(word[len(word) - j:], point, [self.g], self.tau)
                 assert sub == full[:j]
 
     def test_unassigned_letter_rejected(self):
         with pytest.raises(ValueError):
-            trace(Word([TAU]), 0, [self.g], None)
+            trace((0,), 0, [self.g], None)
         with pytest.raises(ValueError):
-            trace(Word([G2]), 0, [self.g], self.tau)
+            trace((2,), 0, [self.g], self.tau)
 
     def test_point_out_of_domain(self):
         with pytest.raises(ValueError):
-            trace(Word([G1]), 3, [self.g], self.tau)
+            trace((1,), 3, [self.g], self.tau)
 
     def test_inverse_letters(self):
         rot = Permutation.from_cycles(3, [(0, 1, 2)])
-        assert trace(Word([G1.inverse()]), 1, [rot], None) == (0,)
+        assert trace((-1,), 1, [rot], None) == (0,)
 
 
 class TestFamilies:
-    def test_build_v_example(self):
-        assert build_v(2, 1, 1) == Word([G1, G2, G1])
-
     def test_build_w_examples(self):
-        assert build_w(1, 2, 0) == Word([TAU, G1, TAU, G1])
-        assert build_w(2, 0, 1) == Word([TAU, G1])
-        assert build_w(2, 0, 0) == Word()
+        assert build_w(1, 2, 0) == (0, 1, 0, 1)
+        assert build_w(2, 0, 1) == (0, 1)
+        assert build_w(2, 0, 0) == ()
+        assert format_word(build_w(2, 1, 1)) == "t g1 t g2 t g1"
 
     def test_lengths(self):
         for k, n, i in [(1, 0, 0), (1, 4, 0), (2, 3, 1), (3, 2, 2)]:
-            assert len(build_v(k, n, i)) == n * k + i
             assert len(build_w(k, n, i)) == 2 * (n * k + i)
 
     def test_bad_partial_index(self):
-        with pytest.raises(ValueError):
-            build_v(2, 1, 2)
         with pytest.raises(ValueError):
             build_w(2, 1, 2)
 
@@ -139,20 +165,19 @@ class TestFamilies:
         for k, n, i in [(1, 3, 0), (2, 2, 1), (3, 2, 2), (2, 3, 0)]:
             w = build_w(k, n, i)
             for a in range(n + 1):
-                assert terminal_subword(w, 2 * (a * k + i)) == build_w(k, a, i)
+                assert w[len(w) - 2 * (a * k + i):] == build_w(k, a, i)
 
     def test_suffix_at_incongruent_length_is_a_rotation(self):
         # k=2, n=1, i=1: the length-4 suffix is t g2 t g1, not t g1 t g2
-        w = build_w(2, 1, 1)
-        suffix = terminal_subword(w, 4)
-        assert suffix == Word([TAU, G2, TAU, G1])
+        suffix = build_w(2, 1, 1)[-4:]
+        assert suffix == (0, 2, 0, 1)
         assert suffix != build_w(2, 1, 0)
 
 
 class TestParsing:
     def test_round_trip(self):
         text = "t g1 t g2^-1 g1"
-        assert str(parse_word(text)) == text
+        assert format_word(parse_word(text)) == text
 
     def test_rejects_bad_tokens(self):
         for bad in ("g0", "gx", "x", "g1^2", "t^-1 g", "g-1"):
@@ -178,8 +203,8 @@ class TestParsing:
     def test_generator_bound(self):
         with pytest.raises(ValueError):
             parse_word("g3", gen_count=2)
-        assert parse_word("g2", gen_count=2) == Word([G2])
-        assert parse_word("g10 t", gen_count=10).codes == (10, 0)
+        assert parse_word("g2", gen_count=2) == (2,)
+        assert parse_word("g10 t", gen_count=10) == (10, 0)
 
     def test_parse_reduces(self):
-        assert parse_word("g1 g1^-1 t t") == Word()
+        assert parse_word("g1 g1^-1 t t") == ()
