@@ -60,6 +60,41 @@ class TestCodes:
         assert reduce_signed((1, 0, 0, -1)) == ()
 
 
+class TestTerminalSubword:
+    # the terminal subword of length k is the slice word[len(word) - k:];
+    # its trace from a point is the first k entries of the full word's trace
+    def setup_method(self):
+        self.gens = [Permutation.from_cycles(3, [(0, 1)]),
+                     Permutation.from_cycles(3, [(1, 2)]),
+                     Permutation.from_cycles(3, [(0, 1, 2)])]
+        self.tau = Permutation.from_cycles(3, [(0, 2)])
+
+    def terminal(self, word, k):
+        return word[len(word) - k:]
+
+    def test_last_two(self):
+        w = (1, 2, 3)
+        assert self.terminal(w, 2) == (2, 3)
+        for point in range(3):
+            full = trace(w, point, self.gens, self.tau)
+            assert trace((2, 3), point, self.gens, self.tau) == full[:2]
+
+    def test_zero(self):
+        w = (1, 2)
+        assert self.terminal(w, 0) == ()
+        letters = LetterTable(self.gens, self.tau)
+        assert compose_signed(self.terminal(w, 0), letters, 3) == (0, 1, 2)
+        assert trace(self.terminal(w, 0), 1, self.gens, self.tau) == ()
+
+    def test_full_word(self):
+        w = (0, 1)
+        assert self.terminal(w, 2) == w
+        assert self.terminal(w, 1) == (1,)
+        for point in range(3):
+            full = trace(w, point, self.gens, self.tau)
+            assert trace(self.terminal(w, 1), point, self.gens, self.tau) == full[:1]
+
+
 class TestFormat:
     def test_empty_word_is_one(self):
         assert format_word(()) == "1"
