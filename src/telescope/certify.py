@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .perm import PermGroup, Permutation
 from .reports import CheckReport
-from .words import format_word
+from .words import compose_signed, format_word
 
 FORMAT_VERSION = 3
 
@@ -66,15 +66,19 @@ def check_tail_injectivity(tg, radius):
     components.  A collision means the probed tail is too shallow for this
     ball, not that anything is broken upstream.  The tail always starts at
     component 1, which the report records as its start.
+
+    Each ball word is composed once on the disjoint union of the blocks
+    (``TelescopeGroup.union_letters``); two words agree there exactly when
+    they agree on every component, so the union image is the key.
     """
     if tg.rec is None:
         raise ValueError("tail injectivity needs the telescope's recursion")
     ball = tg.rec.ball(radius)
+    letters, degree = tg.union_letters, tg.union_degree
     seen = {}
     collisions = []
     for word in ball:
-        key = tuple(tg.evaluate_component(word, ci).images
-                    for ci in range(len(tg.components)))
+        key = compose_signed(word, letters, degree)
         if key in seen:
             collisions.append({
                 "word": format_word(word, tg.gen_names),

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +8,7 @@ from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
 from conftest import brute_closure, schreier_sign_kernel
+from telescope.cli import load_config
 from telescope.certify import (Certificate, alt_cutoff, check_perfect,
                                check_subdirect, check_tail_injectivity,
                                component_table, emit_certificate,
@@ -14,6 +16,9 @@ from telescope.certify import (Certificate, alt_cutoff, check_perfect,
 from telescope.perm import PermGroup, Permutation
 from telescope.selfsim import grigorchuk, gupta_sidki_3
 from telescope.tower import TelescopeGroup, build_telescope, extend_action
+from telescope.words import format_word
+
+GGS5 = Path(__file__).resolve().parent / "golden" / "ggs5_1-4.json"
 
 
 def cyc(degree, *cycles):
@@ -124,6 +129,43 @@ class TestTailInjectivity:
         assert not report.passed
         assert report.witnesses == [{"word": word, "collides_with": other, "tail_start": 1}
                                     for word, other in pairs]
+
+
+def per_component_tail_injectivity(tg, radius):
+    """``check_tail_injectivity``'s report, each ball word keyed by its
+    images on the components, each evaluated on its own."""
+    ball = tg.rec.ball(radius)
+    seen = {}
+    collisions = []
+    for word in ball:
+        key = tuple(tg.evaluate_component(word, ci).images
+                    for ci in range(len(tg.components)))
+        if key in seen:
+            collisions.append({"word": format_word(word, tg.gen_names),
+                               "collides_with": format_word(seen[key], tg.gen_names),
+                               "tail_start": 1})
+        else:
+            seen[key] = word
+    return {"name": "tail_injectivity",
+            "parameters": {"ball_radius": radius, "start_component": 1,
+                           "ball_size": len(ball)},
+            "status": "fail" if collisions else "pass",
+            "witnesses": collisions or [{"ball_size": len(ball), "separated": len(seen)}]}
+
+
+@pytest.mark.parametrize("make, levels", [
+    (grigorchuk, [1]), (grigorchuk, [1, 2]), (grigorchuk, [1, 2, 3, 4]),
+    (gupta_sidki_3, [1]), (gupta_sidki_3, [1, 2, 3]),
+    (lambda: load_config(GGS5).recursion, [1]), (lambda: load_config(GGS5).recursion, [1, 2]),
+], ids=["grigorchuk-1", "grigorchuk-1-2", "grigorchuk-1-4", "gupta-sidki-1",
+        "gupta-sidki-1-3", "ggs5-1", "ggs5-1-2"])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_tail_injectivity_keys_like_the_components(make, levels, radius):
+    # the union image is the key: two words agree on it exactly when they
+    # agree on every component
+    tg = build_telescope(make(), levels)
+    assert (check_tail_injectivity(tg, radius).as_dict()
+            == per_component_tail_injectivity(tg, radius))
 
 
 class TestSignVectors:
