@@ -149,10 +149,14 @@ def _parse_recursion(spec, where):
             or not all(isinstance(n, str) and n for n in names)):
         raise ConfigError("generators must be a nonempty list of names")
     for name in names:
-        # a section word splits on whitespace and reads a trailing ^-1 as inversion
+        # a section word splits on whitespace, reads a trailing ^-1 as
+        # inversion and the lone token 1 as the empty word
         if name.split() != [name] or name.endswith("^-1"):
             raise ConfigError(f"generator name {name!r} cannot be spelled in a word: "
                               "it contains whitespace or ends in '^-1'")
+        if name == "1":
+            raise ConfigError("generator name '1' cannot be spelled in a word: "
+                              "'1' is the empty word")
     roots = spec["root_perms"]
     sections = spec["sections"]
     if not isinstance(roots, dict) or set(roots) != set(names):
@@ -574,7 +578,8 @@ def _parser():
             p.add_argument("--out", default=None, help="certificate output path")
         if "--word" in needs:
             p.add_argument("--word", required=True,
-                           help="whitespace-separated tokens g<k>, g<k>^-1, t")
+                           help="whitespace-separated tokens g<k>, g<k>^-1, t, "
+                                "or 1 for the empty word")
     return parser
 
 

@@ -138,7 +138,8 @@ class WreathRecursion:
         return cycle if all(perm in powers for perm in moving) else None
 
     def parse(self, text):
-        """Parse a whitespace-separated word of generator names (``name^-1`` inverts)."""
+        """Parse a whitespace-separated word of generator names (``name^-1``
+        inverts); the lone token ``1`` is the empty word."""
         return parse_signed(text, {name: i + 1 for i, name in enumerate(self.names)}.get)
 
     # -- the recursion itself ------------------------------------------------

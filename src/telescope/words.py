@@ -132,10 +132,14 @@ def parse_signed(text, code_of):
     """Parse whitespace-separated tokens ``name`` or ``name^-1`` into a reduced code word.
 
     ``code_of(name)`` is the code a name stands for, or None if it names no
-    letter; the transposition (code 0) takes no ``^-1``.
+    letter; the transposition (code 0) takes no ``^-1``.  The lone token
+    ``1`` is the empty word, as ``format_word`` spells it.
     """
+    tokens = text.split()
+    if tokens == ["1"]:
+        return ()
     codes = []
-    for token in text.split():
+    for token in tokens:
         name, sign = (token[:-3], -1) if token.endswith("^-1") else (token, 1)
         code = code_of(name)
         if code is None or (code == 0 and sign < 0):
@@ -145,8 +149,8 @@ def parse_signed(text, code_of):
 
 
 def parse_word(text, gen_count=None):
-    """Parse whitespace-separated tokens ``g<k>``, ``g<k>^-1`` and ``t`` into a
-    reduced code word."""
+    """Parse whitespace-separated tokens ``g<k>``, ``g<k>^-1`` and ``t``, or the
+    lone token ``1`` for the empty word, into a reduced code word."""
 
     def code_of(name):
         if name == "t":

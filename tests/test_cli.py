@@ -173,6 +173,29 @@ class TestConfig:
         assert captured.err == (f"config error: generator name {bad!r} cannot be spelled "
                                 "in a word: it contains whitespace or ends in '^-1'\n")
 
+    def test_generator_named_one_rejected(self, tmp_path, capsys):
+        # a lone 1 is the empty word, as the empty word is printed
+        path = write_config(tmp_path, {
+            "group": {"arity": 2, "generators": ["1", "y"],
+                      "root_perms": {"1": "(0 1)", "y": ""},
+                      "sections": {"1": ["", ""], "y": ["", "y"]},
+                      "contracting": True},
+            "levels": [1]})
+        assert main(["build", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: generator name '1' cannot be spelled "
+                                "in a word: '1' is the empty word\n")
+
+    def test_section_word_one_is_the_empty_word(self, tmp_path):
+        path = write_config(tmp_path, {
+            "group": {"arity": 2, "generators": ["x", "y"],
+                      "root_perms": {"x": "(0 1)", "y": ""},
+                      "sections": {"x": ["1", ""], "y": ["x", "y"]},
+                      "contracting": True},
+            "levels": [1, 2]})
+        assert load_config(path).recursion.sections[0] == ((), ())
+
     def test_generator_names_valid_before_still_accepted(self, tmp_path):
         names = ["t", "x^-1y", "b2", "g^2"]
         path = write_config(tmp_path, {
@@ -306,6 +329,14 @@ class TestCommands:
         assert main(["word", "--config", str(DEMO_CONFIG), "--word", "t"]) == 0
         out = capsys.readouterr().out
         assert "order in truncation: 2" in out
+
+    def test_word_one_is_the_empty_word(self, capsys):
+        # the empty word is printed as 1, and 1 reads back as it
+        assert main(["word", "--config", str(DEMO_CONFIG), "--word", "1"]) == 0
+        one = capsys.readouterr()
+        assert main(["word", "--config", str(DEMO_CONFIG), "--word", ""]) == 0
+        assert one == capsys.readouterr()
+        assert one.out.startswith("word: 1  (reduced length 0)\n")
 
     def test_word_parse_failure_names_token(self, capsys):
         assert main(["word", "--config", str(DEMO_CONFIG), "--word", "g9"]) == 2

@@ -2,7 +2,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from telescope.cli import load_config
 from telescope.perm import Permutation
@@ -116,10 +116,20 @@ class TestFormat:
             format_word((0,), ("a", "t"))
 
     @given(code_words(12))
+    @example(())
     def test_parse_word_round_trip(self, word):
-        assume(word)
         assert parse_word(format_word(word)) == word
         assert parse_word(format_word(word), gen_count=12) == word
+
+    def test_lone_one_is_the_empty_word(self):
+        assert parse_word("1") == parse_word(" 1\t") == ()
+        assert grigorchuk().parse("1") == ()
+        # only alone: 1 is no letter of a longer word
+        for bad in ("1 g1", "g1 1", "1 1", "1^-1"):
+            with pytest.raises(ValueError, match="unknown word token"):
+                parse_word(bad)
+            with pytest.raises(ValueError, match="unknown word token"):
+                grigorchuk().parse(bad.replace("g1", "a"))
 
     @pytest.mark.parametrize("make", [
         grigorchuk, gupta_sidki_3, lambda: load_config(GGS5).recursion,
@@ -128,8 +138,14 @@ class TestFormat:
     def test_generator_names_round_trip(self, make, data):
         rec = make()
         word = data.draw(code_words(rec.generator_count, transposition=False))
-        assume(word)
         assert rec.parse(format_word(word, rec.names)) == word
+
+    @pytest.mark.parametrize("make", [
+        grigorchuk, gupta_sidki_3, lambda: load_config(GGS5).recursion,
+    ], ids=["grigorchuk", "gupta-sidki-3", "ggs5"])
+    def test_generator_names_round_trip_of_the_empty_word(self, make):
+        rec = make()
+        assert rec.parse(format_word((), rec.names)) == ()
 
 
 class TestTrace:
