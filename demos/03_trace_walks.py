@@ -35,7 +35,7 @@ print()
 print("return bound, swept over every point of every component:")
 for ci in range(3):
     report = verify_fundamental_general(tg, ci, [parse_word("g1"), parse_word("g2")])
-    worst = max(w["m"] for w in report.witnesses)
+    worst = report.witnesses[0]["largest_return"]
     print(f"  component {ci + 1}: bound {report.parameters['bound']}, "
           f"worst return time {worst}, pass = {report.passed}")
 

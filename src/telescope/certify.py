@@ -29,7 +29,7 @@ from .perm import PermGroup, Permutation
 from .reports import CheckReport
 from .words import compose_signed, format_word
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def _base_generators(component):

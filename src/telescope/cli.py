@@ -318,15 +318,12 @@ def _only_pigeonhole_failures(checks):
     return saw_failure
 
 
-def _aggregate(name, parameters, cases, failures, passes=()):
+def _aggregate(name, parameters, cases, failures, rows=()):
     """One certificate check entry: a count summary of ``cases`` cases, then
-    the ``passes`` rows, then the first failing cases.
+    the count ``rows``, then the first failing cases.
 
-    A passing case is counted and, for a check listed per case, given one
-    row of its parameters and witness count, so no report is built for it;
-    only the failing cases' reports, in case order, are built and embedded
-    (the sample checks list no passing case, as samples are reproducible
-    from the recorded seed).
+    A passing case is only counted, so no report is built for it; only the
+    failing cases' reports, in case order, are built and embedded.
     """
     failing = [{"parameters": report.parameters,
                 "failures": report.witnesses[:MAX_FAILURES]}
@@ -334,12 +331,17 @@ def _aggregate(name, parameters, cases, failures, passes=()):
     return {"name": name, "parameters": dict(parameters),
             "status": "fail" if failures else "pass",
             "witnesses": [{"cases": cases, "failed_cases": len(failures)},
-                          *passes, *failing]}
+                          *rows, *failing]}
 
 
-def _pass_row(parameters, witnesses):
-    """The row of a passing case in a check listed per case."""
-    return {"parameters": parameters, "status": "pass", "witnesses": witnesses}
+def _per_component(name, parameters, cases, failures):
+    """A sweep check entry: ``cases`` cases on each component, whose failing
+    reports are ``failures[ci]``, counted per component, then the first
+    failing cases, component by component."""
+    rows = [{"component": ci, "cases": cases, "failed_cases": len(failed)}
+            for ci, failed in enumerate(failures, start=1)]
+    return _aggregate(name, parameters, cases * len(failures),
+                      [report for failed in failures for report in failed], rows)
 
 
 def cmd_build(config, tg):
@@ -358,38 +360,33 @@ def _sweep_checks(tg, horizon_factor):
     once for both sweeps and every component.
 
     Every trace case, one per component and generator sequence, is swept
-    in full.  A return-bound case that holds is a row of its parameters and
-    its point count; only a failing one gets its per-point report.  Cases
-    are listed component by component, each component's in sweep order.
+    in full, and every return-bound case is decided.  Each component's
+    cases are counted, and only a failing case gets its report, listed
+    component by component, each component's in sweep order.  A sequence's
+    global order N and bound N(k+1) are the same on every component, so
+    ``fundamental_general`` lists them once per sequence, as its ``sweep``
+    parameter.
     """
-    sweep = _gseq_sweep(tg.generator_count)
     count = len(tg.components)
-    trace_passes, trace_failures = [[] for _ in range(count)], [[] for _ in range(count)]
-    general_passes, general_failures = [[] for _ in range(count)], [[] for _ in range(count)]
+    sweep = _gseq_sweep(tg.generator_count)
+    orders = []
+    trace_failures = [[] for _ in range(count)]
+    general_failures = [[] for _ in range(count)]
     for gseq in sweep:
         case = tower._sweep_case(tg, gseq, "global")
-        for ci, (start, stop) in case.blocks.items():
+        orders.append({"gseq": case.names, "order": case.order, "bound": case.bound})
+        for ci in case.blocks:
             report = tower.verify_trace_lemmas(tg, ci, gseq, horizon_factor=horizon_factor,
                                                case=case)
-            if report.passed:
-                trace_passes[ci].append(_pass_row(report.parameters, len(report.witnesses)))
-            else:
+            if not report.passed:
                 trace_failures[ci].append(report)
-            if tower.return_bound_holds(case, ci):
-                general_passes[ci].append(_pass_row(
-                    tower.sweep_parameters(ci, case, "global"), stop - start))
-            else:
+            if not tower.return_bound_holds(case, ci):
                 general_failures[ci].append(tower.verify_fundamental_general(tg, ci, gseq,
                                                                              case=case))
-    cases = count * len(sweep)
-    return [_aggregate("trace_lemmas", {"horizon_factor": horizon_factor}, cases,
-                       _joined(trace_failures), _joined(trace_passes)),
-            _aggregate("fundamental_general", {}, cases, _joined(general_failures),
-                       _joined(general_passes))]
-
-
-def _joined(lists):
-    return [item for items in lists for item in items]
+    return [_per_component("trace_lemmas", {"horizon_factor": horizon_factor}, len(sweep),
+                           trace_failures),
+            _per_component("fundamental_general", {"sweep": orders}, len(sweep),
+                           general_failures)]
 
 
 def _sample_checks(config, tg, growth):

@@ -466,28 +466,29 @@ def verify_fundamental_general(tg, component, gseq, order_mode="global", *, case
 
     For each point the least m >= 1 with  (t g1 ... t gk)^m . point = point
     is its cycle length under the block permutation (1 for a fixed point),
-    read off the case's one walk of the block's cycles; the report lists
-    the (point, m) pairs of block ``component`` and flags any that exceed
-    the bound, and it passes when ``return_bound_holds``.  ``component`` is
-    a 0-based index into ``tg.components``.  ``case``, when given, is a
-    ``_sweep_case`` of gseq that covers the component, built once for both
-    sweeps and every block; otherwise the component's one-block case is
-    built.
+    read off the case's one walk of the block's cycles.  The report passes
+    when ``return_bound_holds``, with one witness: the block's point count
+    and its largest return time.  A failing report lists the (point, m)
+    pair of each point of block ``component`` whose m exceeds the bound,
+    and only those.  ``component`` is a 0-based index into
+    ``tg.components``.  ``case``, when given, is a ``_sweep_case`` of gseq
+    that covers the component, built once for both sweeps and every block;
+    otherwise the component's one-block case is built.
     """
     if case is None:
         case = _sweep_case(tg, gseq, order_mode, component=component)
     start, stop = case.blocks[component]
     bound = case.bound
-    witnesses = []
-    for point, m in enumerate(case.lengths[start:stop]):
-        entry = {"point": point, "m": m}
-        if m > bound:
-            entry["violation"] = True
-        witnesses.append(entry)
+    passed = return_bound_holds(case, component)
+    if passed:
+        witnesses = [{"points": stop - start, "largest_return": case.longest[component]}]
+    else:
+        witnesses = [{"point": point, "m": m}
+                     for point, m in enumerate(case.lengths[start:stop]) if m > bound]
     return CheckReport(
         name="fundamental_general",
         parameters=sweep_parameters(component, case, order_mode),
-        passed=return_bound_holds(case, component),
+        passed=passed,
         witnesses=witnesses,
     )
 

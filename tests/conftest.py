@@ -352,23 +352,20 @@ def hand_case(tg, component, gseq, order_mode):
 
 def walk_fundamental_general(tg, component, gseq, order_mode="global"):
     """``verify_fundamental_general``'s report, each point's return time
-    found by applying the hand-composed block until the point comes back."""
+    found by applying the hand-composed block until the point comes back:
+    every point whose return time exceeds the bound, or else the point
+    count and the largest return time."""
     gseq = list(gseq)
     n, _, _, block = hand_case(tg, component, gseq, order_mode)
     bound = n * (len(gseq) + 1)
-    witnesses = []
-    for point in range(block.degree):
-        m = return_time(block, point)
-        entry = {"point": point, "m": m}
-        if m > bound:
-            entry["violation"] = True
-        witnesses.append(entry)
+    times = [return_time(block, point) for point in range(block.degree)]
+    violations = [{"point": point, "m": m} for point, m in enumerate(times) if m > bound]
     return CheckReport(
         name="fundamental_general",
         parameters={"component": component + 1, "gseq": [format_word(w) for w in gseq],
                     "order_mode": order_mode, "order": n, "bound": bound},
-        passed=not any("violation" in w for w in witnesses),
-        witnesses=witnesses)
+        passed=not violations,
+        witnesses=violations or [{"points": block.degree, "largest_return": max(times)}])
 
 
 def walk_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="global"):

@@ -300,7 +300,7 @@ class TestCertificate:
     def test_roundtrip_and_digest(self):
         cert = emit_certificate(b"{}", [], self.make_checks(), 1, [])
         doc = json.loads(cert.to_bytes())
-        assert doc["format_version"] == 3
+        assert doc["format_version"] == 4
         assert doc["config_digest"] == (
             "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a")
         assert doc["alt_cutoff"] == 1

@@ -2,12 +2,13 @@
 the sweep and sample check entries the long way, from one full verifier
 report per case (per draw, for the sample), and require the same entries.
 
-The oracle is the assembly that folded every report: each passing case of
-a check listed per case contributes its parameters and witness count, and
-each failing case its parameters and first failures.  It runs on the
-golden configs, on an arity-5 GGS table, and on drawn hand-built
-telescopes whose stated orders and torsion growth are small enough that
-return-bound and sample cases fail.
+The oracle is the assembly that folded every report.  A sweep check counts
+each component's cases and failed cases, from that component's one-block
+verifiers, and ``fundamental_general`` lists each generator sequence's
+order, from ``rec.element_order``, and bound once.  Each failing case
+then contributes its parameters and first failures.  It runs on every
+golden config and on drawn hand-built telescopes whose stated orders and
+torsion growth are small enough that return-bound and sample cases fail.
 """
 
 import json
@@ -21,8 +22,11 @@ from conftest import FixedOrder, scan_cases
 from telescope import cli, tower
 from telescope.cli import MAX_FAILURES, load_config, main, sample_words
 from telescope.perm import Permutation
+from telescope.words import format_word, reduce_signed
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+VERIFY_CASES = ("demo_c2", "grigorchuk_1-4", "gupta_sidki_1-3", "gupta_sidki_1-4",
+                "ggs5_1-4")
 
 # the GGS group with p = 5 and defining vector e = (1, 2, 3, 4): a is the
 # root 5-cycle and b's sections are a, a^2, a^3, a^4, b
@@ -39,35 +43,48 @@ GGS5 = {
 }
 
 
-def assemble(name, parameters, reports, per_case):
-    """One check entry folded from every case's full report."""
-    rows = []
-    failing = []
-    for report in reports:
-        if not report.passed:
-            if len(failing) < MAX_FAILURES:
-                failing.append({"parameters": report.parameters,
-                                "failures": report.witnesses[:MAX_FAILURES]})
-        elif per_case:
-            rows.append({"parameters": report.parameters, "status": "pass",
-                         "witnesses": len(report.witnesses)})
-    summary = {"cases": len(reports),
-               "failed_cases": sum(1 for report in reports if not report.passed)}
+def assemble(name, parameters, reports, rows=()):
+    """One check entry folded from every case's full report, with the
+    count ``rows`` after its summary."""
+    failing = [report for report in reports if not report.passed]
     return {"name": name, "parameters": dict(parameters),
-            "status": "pass" if all(report.passed for report in reports) else "fail",
-            "witnesses": [summary] + rows + failing}
+            "status": "fail" if failing else "pass",
+            "witnesses": [{"cases": len(reports), "failed_cases": len(failing)},
+                          *rows,
+                          *({"parameters": report.parameters,
+                             "failures": report.witnesses[:MAX_FAILURES]}
+                            for report in failing[:MAX_FAILURES])]}
+
+
+def assemble_sweep(name, parameters, per_component):
+    """A sweep check entry from each component's full reports, in sweep order."""
+    rows = [{"component": ci, "cases": len(reports),
+             "failed_cases": sum(1 for report in reports if not report.passed)}
+            for ci, reports in enumerate(per_component, start=1)]
+    return assemble(name, parameters,
+                    [report for reports in per_component for report in reports], rows)
 
 
 def oracle_sweep_entries(tg, horizon_factor):
-    """``trace_lemmas`` and ``fundamental_general`` from one full report per case."""
+    """``trace_lemmas`` and ``fundamental_general`` from one full one-block
+    report per case, and each sequence's global order and bound."""
+    sweep = cli._gseq_sweep(tg.generator_count)
     trace, general = [], []
     for ci in range(len(tg.components)):
-        for gseq in cli._gseq_sweep(tg.generator_count):
-            trace.append(tower.verify_trace_lemmas(tg, ci, gseq,
-                                                   horizon_factor=horizon_factor))
-            general.append(tower.verify_fundamental_general(tg, ci, gseq))
-    return [assemble("trace_lemmas", {"horizon_factor": horizon_factor}, trace, True),
-            assemble("fundamental_general", {}, general, True)]
+        trace.append([tower.verify_trace_lemmas(tg, ci, gseq, horizon_factor=horizon_factor)
+                      for gseq in sweep])
+        general.append([tower.verify_fundamental_general(tg, ci, gseq) for gseq in sweep])
+    orders = []
+    for gseq in sweep:
+        n = tg.rec.element_order(reduce_signed([code for word in gseq for code in word]))
+        orders.append({"gseq": [format_word(word) for word in gseq], "order": n,
+                       "bound": n * (len(gseq) + 1)})
+    # every one-block case states the sequence's order and bound
+    for reports in trace + general:
+        assert [{key: report.parameters[key] for key in ("gseq", "order", "bound")}
+                for report in reports] == orders
+    return [assemble_sweep("trace_lemmas", {"horizon_factor": horizon_factor}, trace),
+            assemble_sweep("fundamental_general", {"sweep": orders}, general)]
 
 
 def oracle_sample_entries(config, tg, growth):
@@ -81,8 +98,8 @@ def oracle_sample_entries(config, tg, growth):
         images = tg.evaluate(word)
         orbit.append(tower.verify_orbit_bound(word, images, growth[len(word)]))
         torsion.append(tower.verify_torsion_bound(word, images, growth[len(word)]))
-    return [assemble("orbit_bound_sample", sampler, orbit, False),
-            assemble("torsion_bound_sample", sampler, torsion, False)]
+    return [assemble("orbit_bound_sample", sampler, orbit),
+            assemble("torsion_bound_sample", sampler, torsion)]
 
 
 def assert_verify_matches_oracle(config_path, out_path):
@@ -98,8 +115,7 @@ def assert_verify_matches_oracle(config_path, out_path):
         assert checks[entry["name"]] == entry, entry["name"]
 
 
-@pytest.mark.parametrize("stem", ("demo_c2", "grigorchuk_1-4", "gupta_sidki_1-3",
-                                  "gupta_sidki_1-4"))
+@pytest.mark.parametrize("stem", VERIFY_CASES)
 def test_goldens(stem, tmp_path, capsys):
     assert_verify_matches_oracle(GOLDEN / f"{stem}.json", tmp_path / "certificate.json")
     capsys.readouterr()
@@ -110,6 +126,25 @@ def test_ggs_p5(tmp_path, capsys):
     config.write_text(json.dumps(GGS5))
     assert_verify_matches_oracle(config, tmp_path / "certificate.json")
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("stem", VERIFY_CASES)
+def test_golden_sweeps_list_no_passing_case(stem):
+    # a passing sweep case is only counted: after the summary come the
+    # per-component counts, then failing cases alone
+    doc = json.loads((GOLDEN / f"{stem}.certificate.json").read_text())
+    checks = {check["name"]: check for check in doc["checks"]}
+    components = len(doc["components"])
+    for name in ("trace_lemmas", "fundamental_general"):
+        witnesses = checks[name]["witnesses"]
+        text = json.dumps(witnesses)
+        assert '"status": "pass"' not in text, name
+        rows = witnesses[1:components + 1]
+        assert [row["component"] for row in rows] == list(range(1, components + 1))
+        assert witnesses[0] == {"cases": sum(row["cases"] for row in rows),
+                                "failed_cases": sum(row["failed_cases"] for row in rows)}
+        assert all(set(case) == {"parameters", "failures"}
+                   for case in witnesses[components + 1:]), name
 
 
 def assert_checks_match_oracle(tg, horizon_factor, sample, growth):

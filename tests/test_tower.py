@@ -368,15 +368,16 @@ class TestFundamentalGeneral:
         assert report.passed
         assert report.parameters["order"] == 2
         assert report.parameters["bound"] == 4
-        assert [w["m"] for w in report.witnesses] == [3, 3, 3]
+        # the block t g1 is the 3-cycle (0 1 2)
+        assert report.witnesses == [{"points": 3, "largest_return": 3}]
 
     def test_identity_sequence(self, demo):
         report = verify_fundamental_general(demo, 0, [parse_word("g1 g1")])
         assert report.passed
         assert report.parameters["order"] == 1
         assert report.parameters["bound"] == 2
-        by_point = {w["point"]: w["m"] for w in report.witnesses}
-        assert by_point == {0: 2, 1: 1, 2: 2}
+        # the block t is (0 2), and 1 is fixed
+        assert report.witnesses == [{"points": 3, "largest_return": 2}]
 
     def test_grigorchuk_pair_with_global_order(self, grig):
         tg = build_telescope(grig, [1, 2, 3])
@@ -385,7 +386,7 @@ class TestFundamentalGeneral:
         assert report.passed
         assert report.parameters["order"] == 16
         assert report.parameters["bound"] == 48
-        assert max(w["m"] for w in report.witnesses) <= 48
+        assert report.witnesses[0]["largest_return"] <= 48
 
     def test_local_mode_is_tighter(self, grig):
         tg = build_telescope(grig, [1, 2, 3])
@@ -403,6 +404,25 @@ class TestFundamentalGeneral:
         for ci in range(2):
             for gseq in sweep:
                 assert verify_fundamental_general(tg, ci, gseq).passed
+
+    def test_a_failing_case_reports_exactly_its_violating_points(self):
+        # g1 = (0 1 2 3) and g2 = (0 2) on four points, the fresh point 4 and
+        # p = 0, with a stated order of 1: the block t g1 g2 is the
+        # 3-cycle (0 3 4) and the 2-cycle (1 2), so with the bound 1*2 = 2
+        # exactly the points of the 3-cycle break it
+        gens = [Permutation.from_cycles(4, [(0, 1, 2, 3)]),
+                Permutation.from_cycles(4, [(0, 2)])]
+        tg = TelescopeGroup((extend_action(gens, 0),), ("g1", "g2"), FixedOrder(1))
+        gseq = [parse_word("g1 g2")]
+        block = tg.evaluate_component((0, 1, 2), 0)
+        assert sorted(block.cycle_lengths()) == [2, 3]
+        report = verify_fundamental_general(tg, 0, gseq)
+        assert not report.passed
+        assert report.parameters["bound"] == 2
+        assert report.witnesses == [{"point": point, "m": 3}
+                                    for point in range(5) if return_time(block, point) > 2]
+        assert [w["point"] for w in report.witnesses] == [0, 3, 4]
+        assert report == walk_fundamental_general(tg, 0, gseq)
 
     def test_gseq_with_tau_rejected(self, demo):
         with pytest.raises(ValueError):
