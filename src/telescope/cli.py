@@ -367,8 +367,8 @@ def _sweep_checks(tg, horizon_factor):
     ``fundamental_general`` lists them once per sequence, as its ``sweep``
     parameter.
     """
-    count = len(tg.components)
     sweep = _gseq_sweep(tg.generator_count)
+    count = len(tg.components)
     orders = []
     trace_failures = [[] for _ in range(count)]
     general_failures = [[] for _ in range(count)]
