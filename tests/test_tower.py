@@ -419,9 +419,7 @@ class TestFundamentalGeneral:
         report = verify_fundamental_general(tg, 0, gseq)
         assert not report.passed
         assert report.parameters["bound"] == 2
-        assert report.witnesses == [{"point": point, "m": 3}
-                                    for point in range(5) if return_time(block, point) > 2]
-        assert [w["point"] for w in report.witnesses] == [0, 3, 4]
+        assert report.witnesses == [{"point": point, "m": 3} for point in (0, 3, 4)]
         assert report == walk_fundamental_general(tg, 0, gseq)
 
     def test_gseq_with_tau_rejected(self, demo):
