@@ -362,10 +362,10 @@ def _sweep_checks(tg, horizon_factor):
     Every trace case, one per component and generator sequence, is swept
     in full, and every return-bound case is decided.  Each component's
     cases are counted, and only a failing case gets its report, listed
-    component by component, each component's in sweep order.  A sequence's
-    global order N and bound N(k+1) are the same on every component, so
-    ``fundamental_general`` lists them once per sequence, as its ``sweep``
-    parameter.
+    component by component, each component's in sweep order.  A
+    sequence's order N in the group and bound N(k+1) are the same on every
+    component, so ``fundamental_general`` lists them once per sequence, as
+    its ``sweep`` parameter.
     """
     sweep = _gseq_sweep(tg.generator_count)
     count = len(tg.components)
@@ -373,9 +373,9 @@ def _sweep_checks(tg, horizon_factor):
     trace_failures = [[] for _ in range(count)]
     general_failures = [[] for _ in range(count)]
     for gseq in sweep:
-        case = tower._sweep_case(tg, gseq, "global")
+        case = tower._sweep_case(tg, gseq)
         orders.append({"gseq": case.names, "order": case.order, "bound": case.bound})
-        for ci in case.blocks:
+        for ci in range(count):
             report = tower.verify_trace_lemmas(tg, ci, gseq, horizon_factor=horizon_factor,
                                                case=case)
             if not report.passed:

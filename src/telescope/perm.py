@@ -6,11 +6,10 @@ Group-level queries (order, membership) go through ``PermGroup``'s
 deterministic Schreier-Sims stabilizer chain.  All orders are exact Python
 integers.
 
-A ``Permutation`` reads its cycles off its image tuple in one of two walks:
-``cycles()`` keeps int tuples for callers that index by point, and
-``cycle_string()`` formats the decimal names as it walks and caches no
-string.  Either walk fills the cycle type (``cycle_lengths()``) that the
-order and the sign are read from.
+A ``Permutation`` reads its cycles off its image tuple in one walk,
+``cycle_string()``, which formats the decimal names as it goes, caches no
+string and fills the cycle type (``cycle_lengths()``) that the order and
+the sign are read from.
 """
 
 from __future__ import annotations
@@ -24,15 +23,14 @@ class Permutation:
 
     The public constructors validate their input; ``_trusted`` skips that for
     results that are permutations by construction (products, inverses).
-    The hash is computed once, on first use.  Two walks read the cycles off
-    ``images``: ``cycles()`` builds int tuples and keeps them, and
-    ``cycle_string()`` writes each point's decimal name as it goes and keeps
-    nothing but the cycle lengths, since a string is printed once.  Whichever
-    walk runs first fills the cycle type that ``cycle_lengths()``,
+    The hash is computed once, on first use.  One walk reads the cycles off
+    ``images``: ``cycle_string()`` writes each point's decimal name as it
+    goes and keeps nothing but the cycle lengths, since a string is printed
+    once.  Its first run fills the cycle type that ``cycle_lengths()``,
     ``order()`` and ``sign()`` read, so none of them walks again.
     """
 
-    __slots__ = ("images", "_hash", "_cycles", "_lengths")
+    __slots__ = ("images", "_hash", "_lengths")
 
     def __init__(self, images):
         """Every image must be an int (not a bool) in ``0..n-1``, each once;
@@ -49,7 +47,6 @@ class Permutation:
             seen[x] = True
         self.images = images
         self._hash = None
-        self._cycles = None
         self._lengths = None
 
     @classmethod
@@ -58,7 +55,6 @@ class Permutation:
         perm = object.__new__(cls)
         perm.images = images
         perm._hash = None
-        perm._cycles = None
         perm._lengths = None
         return perm
 
@@ -132,31 +128,10 @@ class Permutation:
     def is_identity(self):
         return all(i == x for i, x in enumerate(self.images))
 
-    def cycles(self):
-        """Nontrivial cycles, each starting at its smallest point, sorted."""
-        if self._cycles is not None:
-            return self._cycles
-        images = self.images
-        seen = bytearray(len(images))
-        out = []
-        for start, point in enumerate(images):
-            if seen[start] or point == start:
-                continue
-            cycle = [start]
-            seen[start] = 1
-            while point != start:
-                cycle.append(point)
-                seen[point] = 1
-                point = images[point]
-            out.append(tuple(cycle))
-        self._cycles = tuple(out)
-        self._lengths = tuple(map(len, out))
-        return self._cycles
-
     def cycle_lengths(self):
-        """The lengths of the nontrivial cycles, in their ``cycles`` order."""
+        """The lengths of the nontrivial cycles, in their ``cycle_string`` order."""
         if self._lengths is None:
-            self.cycles()
+            self.cycle_string()
         return self._lengths
 
     def order(self):
@@ -169,8 +144,9 @@ class Permutation:
         return -1 if (sum(lengths) - len(lengths)) % 2 else 1
 
     def cycle_string(self):
-        """The cycles in their ``cycles`` order, e.g. ``(0 1)(2 3 4)``; ``()`` for
-        the identity.  Walks ``images`` itself and keeps only the cycle lengths."""
+        """The nontrivial cycles, each from its smallest point and ordered by
+        it, e.g. ``(0 1)(2 3 4)``; ``()`` for the identity.  Walks ``images``
+        itself and keeps only the cycle lengths."""
         images = self.images
         names = _point_names(len(images))
         seen = bytearray(len(images))

@@ -22,9 +22,10 @@ The return bound and the trace facts sweep whole components point by
 point, from one case per generator sequence whose block t g1 ... t gk is
 evaluated as one word on the union of the blocks, and whose one walk of
 the block's cycles gives every point's return time and N(k+1)-fold image;
-``verify`` builds each case once and hands it to both sweeps of every
-component, and a standalone verifier builds its component's one-block
-case.  ``verify`` composes each sampled word once on the union, so its
+N is always the order of g1 ... gk in the group.  ``verify`` builds each
+case once and hands it to both sweeps of every component, and a
+standalone verifier builds the same case and reads its own block.
+``verify`` composes each sampled word once on the union, so its
 element is one image tuple, walked once for every block's cycle lengths.
 Each bound is decided in one place, which both its verifier and
 ``verify`` call: ``return_bound_holds``, ``orbit_bound_blocks`` and
@@ -263,14 +264,13 @@ def build_telescope(rec, levels, basepoints=None):
 
 class SweepCase(NamedTuple):
     """The one case both sweeps read, per generator sequence, on the disjoint
-    union of the blocks it covers: every image is a tuple on that domain,
-    block ci taking the points ``blocks[ci]``, and maps each block onto
-    itself."""
+    union of the blocks: every image is a tuple on that domain, block ci
+    taking the points ``TelescopeGroup.block_spans[ci]``, and maps each
+    block onto itself."""
 
     names: list  # each entry's name, as the reports print it
-    order: int  # N, the order of g1...gk
+    order: int  # N, the order of g1...gk in the group
     bound: int  # N*(k+1)
-    blocks: dict  # 0-based component -> its (start, stop) in the domain
     tau: tuple  # t
     images: tuple  # each entry's image
     inverses: tuple  # the image of each entry's inverse
@@ -278,55 +278,30 @@ class SweepCase(NamedTuple):
     lengths: list  # each point's return time under the block
     full_return: list  # the block's N(k+1)-fold map
     untails: tuple  # the inverse of the tail t g1 ... t gj of row j = 1..k-1
-    longest: dict  # 0-based component -> its block's longest cycle
+    longest: tuple  # each block's longest cycle, by 0-based component
 
 
-def _sweep_case(tg, gseq, order_mode, horizon_factor=1, *, component=None):
-    """The ``SweepCase`` of ``gseq`` on the disjoint union of all blocks, or
-    on block ``component`` alone when it is given.
+def _sweep_case(tg, gseq):
+    """The ``SweepCase`` of ``gseq`` on the disjoint union of the blocks.
 
-    Each entry and its inverse are composed from the domain's letter table
-    (``TelescopeGroup.union_letters``, or the component's own), so a
-    one-letter entry is a table lookup, and the block t g1 ... t gk is
-    evaluated as one word.  One walk of the block's cycles gives every
-    point's return time, the N(k+1)-fold map and each block's longest
-    cycle.  The tail of each row of ``_first_hits`` depends only on gseq,
-    so it is composed here, once for every block.
-
-    Checks, in this order, the 0-based component index, ``horizon_factor``
-    (an integer >= 1) and that gseq is nonempty.  N is the order of
-    g1...gk, globally in the group or, on one component only, locally in
-    its block.
+    Each entry and its inverse are composed from the union's letter table
+    (``TelescopeGroup.union_letters``), so a one-letter entry is a table
+    lookup, and the block t g1 ... t gk is evaluated as one word.  One
+    walk of the block's cycles gives every point's return time, the
+    N(k+1)-fold map and each block's longest cycle.  The tail of each row
+    of ``_first_hits`` depends only on gseq, so it is composed here, once
+    for every block.  N is ``tg.rec.element_order`` of g1...gk, so gseq
+    must be nonempty and free of the transposition.
     """
-    if component is not None and (
-            isinstance(component, bool) or not isinstance(component, int)
-            or not 0 <= component < len(tg.components)):
-        raise ValueError(f"component index {component!r} outside "
-                         f"0..{len(tg.components) - 1}")
-    _check_horizon_factor(horizon_factor)
     gseq = list(gseq)
     if not gseq:
         raise ValueError("the generator sequence must be nonempty")
-    product = reduce_signed([code for word in gseq for code in word])
-    if order_mode == "global":
-        if tg.rec is None:
-            raise ValueError("global orders need the telescope's recursion")
-        if any(0 in word for word in gseq):
-            raise ValueError("generator-sequence entries must not contain the transposition")
-        n = tg.rec.element_order(product)
-    elif order_mode == "local":
-        if component is None:
-            raise ValueError("local orders are per block: name one component")
-        n = tg.evaluate_component(product, component).order()
-    else:
-        raise ValueError(f"unknown order mode {order_mode!r}")
-    if component is None:
-        letters, degree = tg.union_letters, tg.union_degree
-        blocks = dict(enumerate(tg.block_spans))
-    else:
-        comp = tg.components[component]
-        letters, degree = comp.letters, comp.extended_degree
-        blocks = {component: (0, degree)}
+    if tg.rec is None:
+        raise ValueError("the order of g1...gk needs the telescope's recursion")
+    if any(0 in word for word in gseq):
+        raise ValueError("generator-sequence entries must not contain the transposition")
+    n = tg.rec.element_order(reduce_signed([code for word in gseq for code in word]))
+    letters, degree = tg.union_letters, tg.union_degree
     bound = n * (len(gseq) + 1)
     tau = letters[0]
     images = tuple(compose_signed(word, letters, degree) for word in gseq)
@@ -340,17 +315,17 @@ def _sweep_case(tg, gseq, order_mode, horizon_factor=1, *, component=None):
     for inverse in inverses[:-1]:
         untail = _compose(inverse, _compose(tau, untail))
         untails.append(untail)
-    return SweepCase([format_word(word) for word in gseq], n, bound, blocks, tau, images,
+    return SweepCase([format_word(word) for word in gseq], n, bound, tau, images,
                      inverses, block, lengths, full_return, tuple(untails),
-                     {ci: max(lengths[start:stop]) for ci, (start, stop) in blocks.items()})
+                     tuple(max(lengths[start:stop]) for start, stop in tg.block_spans))
 
 
-def sweep_parameters(component, case, order_mode):
+def sweep_parameters(component, case):
     """The parameters both sweeps report for ``case`` on 0-based ``component``."""
     return {
         "component": component + 1,
         "gseq": case.names,
-        "order_mode": order_mode,
+        "order_mode": "global",
         "order": case.order,
         "bound": case.bound,
     }
@@ -361,6 +336,12 @@ def return_bound_holds(case, component):
     back within N*(k+1) block applications, that is, no block cycle is
     longer."""
     return case.longest[component] <= case.bound
+
+
+def _check_component(tg, component):
+    if type(component) is not int or not 0 <= component < len(tg.components):
+        raise ValueError(f"component index {component!r} outside "
+                         f"0..{len(tg.components) - 1}")
 
 
 def _check_horizon_factor(horizon_factor):
@@ -461,7 +442,7 @@ def _first_hits(tau, inverses, untails, p, horizon, block):
     return hits
 
 
-def verify_fundamental_general(tg, component, gseq, order_mode="global", *, case=None):
+def verify_fundamental_general(tg, component, gseq, *, case=None):
     """Every point must return to itself within N*(k+1) block applications.
 
     For each point the least m >= 1 with  (t g1 ... t gk)^m . point = point
@@ -471,13 +452,15 @@ def verify_fundamental_general(tg, component, gseq, order_mode="global", *, case
     and its largest return time.  A failing report lists the (point, m)
     pair of each point of block ``component`` whose m exceeds the bound,
     and only those.  ``component`` is a 0-based index into
-    ``tg.components``.  ``case``, when given, is a ``_sweep_case`` of gseq
-    that covers the component, built once for both sweeps and every block;
-    otherwise the component's one-block case is built.
+    ``tg.components``, checked before gseq.  ``case``, when given, is the
+    ``_sweep_case`` of gseq, built once for both sweeps and every block;
+    otherwise it is built here.  Either way the block is read at
+    ``tg.block_spans[component]``.
     """
+    _check_component(tg, component)
     if case is None:
-        case = _sweep_case(tg, gseq, order_mode, component=component)
-    start, stop = case.blocks[component]
+        case = _sweep_case(tg, gseq)
+    start, stop = tg.block_spans[component]
     bound = case.bound
     passed = return_bound_holds(case, component)
     if passed:
@@ -487,30 +470,29 @@ def verify_fundamental_general(tg, component, gseq, order_mode="global", *, case
                      for point, m in enumerate(case.lengths[start:stop]) if m > bound]
     return CheckReport(
         name="fundamental_general",
-        parameters=sweep_parameters(component, case, order_mode),
+        parameters=sweep_parameters(component, case),
         passed=passed,
         witnesses=witnesses,
     )
 
 
-def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="global", *,
-                        case=None):
+def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, *, case=None):
     """The three trace facts behind the return bound, swept exhaustively.
 
-    With N the order of g1...gk, the basepoint p and traces read along
-    terminal subwords of  w(n,j) = (t g1 ... t gk)^n t g1 ... t gj :
+    With N the order of g1...gk in the group, the basepoint p and traces
+    read along terminal subwords of  w(n,j) = (t g1 ... t gk)^n t g1 ... t gj :
 
     1. a point whose w(N,j)-trace avoids p keeps avoiding p up to the horizon;
     2. the w(N,j)-trace of p itself contains p;
     3. a point whose trace hits p has two indices m1 < m2 < N(k+1) and some
        j' with  w(N(k+1),0).point = w(m1,j').p = w(m2,j').p.
 
-    The horizon is horizon_factor * N * (k+1) block repetitions;
-    ``horizon_factor`` must be an integer >= 1 and ``component`` a 0-based
-    index into ``tg.components``.  ``case``, when given, is a
-    ``_sweep_case`` of gseq that covers the component, built once for both
-    sweeps and every block; otherwise the component's one-block case is
-    built.  The block's points are read at their place in the case's
+    The horizon is horizon_factor * N * (k+1) block repetitions.
+    ``component`` must be a 0-based index into ``tg.components`` and
+    ``horizon_factor`` an integer >= 1, checked in that order and before
+    gseq.  ``case``, when given, is the ``_sweep_case`` of gseq, built once
+    for both sweeps and every block; otherwise it is built here.  The
+    block's points are read at ``tg.block_spans[component]`` in the case's
     domain and reported by their number in the block.
 
     No trace is walked letter by letter.  Read from its end, w(horizon, j)
@@ -538,15 +520,15 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
     bound that fact 3 was meant to support is checked directly by
     ``verify_fundamental_general``.
     """
+    _check_component(tg, component)
+    _check_horizon_factor(horizon_factor)
     if case is None:
-        case = _sweep_case(tg, gseq, order_mode, horizon_factor, component=component)
-    else:
-        _check_horizon_factor(horizon_factor)
+        case = _sweep_case(tg, gseq)
     n, bound, tau, images, block, lengths = (case.order, case.bound, case.tau, case.images,
                                              case.block, case.lengths)
     k = len(images)
     horizon = horizon_factor * bound
-    start, stop = case.blocks[component]
+    start, stop = tg.block_spans[component]
     p = start + tg.components[component].basepoint
 
     # Values that occur twice in some row w(m, j').p, m < bound, 0 <= j' < k
@@ -607,7 +589,7 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="globa
         "partials": k,
         "traces_hitting_basepoint": hits,
     }]
-    parameters = sweep_parameters(component, case, order_mode)
+    parameters = sweep_parameters(component, case)
     parameters["horizon"] = horizon
     return CheckReport(
         name="trace_lemmas",
@@ -692,9 +674,17 @@ def divides_factorial(value, limit):
 def torsion_bound_order(block_lengths, limit):
     """The torsion bound on a word's blocks, given each block's cycle
     lengths: its truncation order, the lcm of all those lengths, and
-    whether it divides ``limit``!."""
+    whether it divides ``limit``!.
+
+    lcm(1..m) divides m!, so when no cycle is longer than ``limit`` the
+    bound holds without factoring the order, and so it does when the order
+    itself is at most ``limit``, which the order's cycles then are too.  An
+    identity block's lengths may be empty.
+    """
     order = math.lcm(*(math.lcm(*lengths) for lengths in block_lengths))
-    return order, divides_factorial(order, limit)
+    return order, (order <= limit
+                   or max(map(max, filter(None, block_lengths)), default=1) <= limit
+                   or divides_factorial(order, limit))
 
 
 def verify_torsion_bound(word, images, torsion_bound):

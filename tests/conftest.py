@@ -8,9 +8,9 @@ words are evaluated on the blocks by multiplying permutations one letter at
 a time, the kernel of the componentwise sign map is built from Schreier
 generators, and the trace and return-bound sweeps compose tau, the
 entries and the block by hand (``hand_case``), take N from
-``element_order`` or from the hand-composed product, and walk every point
-one letter at a time, and ``list_sample_words`` draws the seeded word
-sample by filtering the alphabet afresh for every letter.
+``element_order``, and walk every point one letter at a time, and
+``list_sample_words`` draws the seeded word sample by filtering the
+alphabet afresh for every letter.
 ``cyclic_root_recursions`` draws the recursions that
 ``WreathRecursion.quotient_orders`` accepts, for the tests that check it
 against these oracles, and ``scan_cases`` draws small hand-built
@@ -112,8 +112,8 @@ def cyclic_root_recursions(draw):
 
 
 class FixedOrder:
-    """Stands in for a recursion in global order mode: every product has
-    the same drawn order, which need not be its order in the block."""
+    """Stands in for a recursion's element orders: every product has the
+    same drawn order, which need not be its order in the block."""
 
     def __init__(self, order):
         self.order = order
@@ -127,8 +127,7 @@ def scan_cases(draw):
     """A hand-built telescope of one to three components on 1..8 base points
     over 1..3 generators, one of them an n-cycle so every base is
     transitive, with a drawn basepoint per component, then a gseq of k =
-    1..3 words that may use inverse letters, a horizon factor and an order
-    mode."""
+    1..3 words that may use inverse letters and a horizon factor."""
     gen_count = draw(st.integers(1, 3))
     cycle_at = draw(st.integers(0, gen_count - 1))
     components = []
@@ -145,8 +144,7 @@ def scan_cases(draw):
     tg = tower.TelescopeGroup(tuple(components),
                               tuple(f"g{i + 1}" for i in range(gen_count)),
                               FixedOrder(draw(st.integers(1, 6))))
-    return (tg, draw(st.integers(0, len(components) - 1)), gseq,
-            draw(st.integers(1, 3)), draw(st.sampled_from(("local", "global"))))
+    return tg, draw(st.integers(0, len(components) - 1)), gseq, draw(st.integers(1, 3))
 
 
 def custom_arity_3():
@@ -324,12 +322,11 @@ def return_time(perm, point):
     return m
 
 
-def hand_case(tg, component, gseq, order_mode):
+def hand_case(tg, component, gseq):
     """N, tau, each entry's image and the block t g1 t g2 ... t gk on one
     component, each image multiplied out one factor at a time from the
     component's generator images.  N is ``tg.rec.element_order`` of
-    g1...gk (global) or the lcm of the return times of their product on
-    the block (local)."""
+    g1...gk."""
     comp = tg.components[component]
     identity = Permutation.identity(comp.extended_degree)
     images = []
@@ -339,42 +336,38 @@ def hand_case(tg, component, gseq, order_mode):
             perm = comp.gen_images[abs(s) - 1]
             image = image * (perm.inverse() if s < 0 else perm)
         images.append(image)
-    product = block = identity
+    block = identity
     for image in images:
-        product = product * image
         block = block * comp.tau * image
-    if order_mode == "global":
-        n = tg.rec.element_order(reduce_signed([s for word in gseq for s in word]))
-    else:
-        n = math.lcm(*(return_time(product, x) for x in range(product.degree)))
+    n = tg.rec.element_order(reduce_signed([s for word in gseq for s in word]))
     return n, comp.tau, images, block
 
 
-def walk_fundamental_general(tg, component, gseq, order_mode="global"):
+def walk_fundamental_general(tg, component, gseq):
     """``verify_fundamental_general``'s report, each point's return time
     found by applying the hand-composed block until the point comes back:
     every point whose return time exceeds the bound, or else the point
     count and the largest return time."""
     gseq = list(gseq)
-    n, _, _, block = hand_case(tg, component, gseq, order_mode)
+    n, _, _, block = hand_case(tg, component, gseq)
     bound = n * (len(gseq) + 1)
     times = [return_time(block, point) for point in range(block.degree)]
     violations = [{"point": point, "m": m} for point, m in enumerate(times) if m > bound]
     return CheckReport(
         name="fundamental_general",
         parameters={"component": component + 1, "gseq": [format_word(w) for w in gseq],
-                    "order_mode": order_mode, "order": n, "bound": bound},
+                    "order_mode": "global", "order": n, "bound": bound},
         passed=not violations,
         witnesses=violations or [{"points": block.degree, "largest_return": max(times)}])
 
 
-def walk_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="global"):
+def walk_trace_lemmas(tg, component, gseq, horizon_factor=2):
     """``verify_trace_lemmas``'s report from ``walk_first_hits`` and value
     rows written out in full: for each hitting point, every row of length
     N(k+1) is rescanned for two indices holding the point's full return."""
     gseq = list(gseq)
     k = len(gseq)
-    n, tau, images, block = hand_case(tg, component, gseq, order_mode)
+    n, tau, images, block = hand_case(tg, component, gseq)
     bound = n * (k + 1)
     horizon = horizon_factor * bound
     comp = tg.components[component]
@@ -418,7 +411,7 @@ def walk_trace_lemmas(tg, component, gseq, horizon_factor=2, order_mode="global"
     return CheckReport(
         name="trace_lemmas",
         parameters={"component": component + 1, "gseq": [format_word(w) for w in gseq],
-                    "order_mode": order_mode, "order": n, "bound": bound,
+                    "order_mode": "global", "order": n, "bound": bound,
                     "horizon": horizon},
         passed=not violations,
         witnesses=violations or [{"points": degree, "partials": k,

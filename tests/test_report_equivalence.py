@@ -3,7 +3,7 @@ the sweep and sample check entries the long way, from one full verifier
 report per case (per draw, for the sample), and require the same entries.
 
 The oracle is the assembly that folded every report.  A sweep check counts
-each component's cases and failed cases, from that component's one-block
+each component's cases and failed cases, from that component's standalone
 verifiers, and ``fundamental_general`` lists each generator sequence's
 order, from ``rec.element_order``, and bound once.  Each failing case
 then contributes its parameters and first failures.  It runs on every
@@ -66,8 +66,8 @@ def assemble_sweep(name, parameters, per_component):
 
 
 def oracle_sweep_entries(tg, horizon_factor):
-    """``trace_lemmas`` and ``fundamental_general`` from one full one-block
-    report per case, and each sequence's global order and bound."""
+    """``trace_lemmas`` and ``fundamental_general`` from one full standalone
+    report per case, and each sequence's order and bound."""
     sweep = cli._gseq_sweep(tg.generator_count)
     trace, general = [], []
     for ci in range(len(tg.components)):
@@ -79,7 +79,7 @@ def oracle_sweep_entries(tg, horizon_factor):
         n = tg.rec.element_order(reduce_signed([code for word in gseq for code in word]))
         orders.append({"gseq": [format_word(word) for word in gseq], "order": n,
                        "bound": n * (len(gseq) + 1)})
-    # every one-block case states the sequence's order and bound
+    # every standalone report states the sequence's order and bound
     for reports in trace + general:
         assert [{key: report.parameters[key] for key in ("gseq", "order", "bound")}
                 for report in reports] == orders
@@ -159,7 +159,7 @@ def assert_checks_match_oracle(tg, horizon_factor, sample, growth):
 def test_hand_built_telescopes(case, count, max_length, seed, growth):
     # the stated order N and the torsion growth are drawn small, so some
     # return-bound and sample cases fail and get their reports built
-    tg, _, _, horizon_factor, _ = case
+    tg, _, _, horizon_factor = case
     sample = SimpleNamespace(sample_count=count, sample_max_length=max_length, seed=seed)
     assert_checks_match_oracle(tg, horizon_factor, sample,
                                dict(enumerate(growth, start=1)))

@@ -3,7 +3,8 @@ import math
 import random
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
+from sympy.combinatorics import Permutation as SympyPermutation
 
 from conftest import (FixedOrder, hand_case, return_time, scan_cases, transitivity_oracle,
                       walk_first_hits, walk_fundamental_general, walk_trace_lemmas)
@@ -388,13 +389,6 @@ class TestFundamentalGeneral:
         assert report.parameters["bound"] == 48
         assert report.witnesses[0]["largest_return"] <= 48
 
-    def test_local_mode_is_tighter(self, grig):
-        tg = build_telescope(grig, [1, 2, 3])
-        gseq = [parse_word("g1"), parse_word("g2")]
-        local = verify_fundamental_general(tg, 0, gseq, order_mode="local")
-        assert local.passed
-        assert local.parameters["order"] <= 16
-
     def test_exhaustive_small_sweep(self, grig):
         tg = build_telescope(grig, [1, 3])
         singles = [(g,) for g in range(1, 5)]
@@ -434,6 +428,10 @@ class TestFundamentalGeneral:
     def test_component_outside_the_telescope_rejected(self, demo, component):
         with pytest.raises(ValueError, match="outside 0..0"):
             verify_fundamental_general(demo, component, [parse_word("g1")])
+        # also when the case is built beforehand
+        case = tower._sweep_case(demo, [parse_word("g1")])
+        with pytest.raises(ValueError, match="outside 0..0"):
+            verify_fundamental_general(demo, component, [parse_word("g1")], case=case)
 
 
 class TestTraceLemmas:
@@ -487,6 +485,10 @@ class TestTraceLemmas:
     def test_component_outside_the_telescope_rejected(self, demo, component):
         with pytest.raises(ValueError, match="outside 0..0"):
             verify_trace_lemmas(demo, component, [parse_word("g1")])
+        # also when the case is built beforehand
+        case = tower._sweep_case(demo, [parse_word("g1")])
+        with pytest.raises(ValueError, match="outside 0..0"):
+            verify_trace_lemmas(demo, component, [parse_word("g1")], case=case)
 
     def test_checks_run_component_then_horizon_then_gseq(self, demo):
         with pytest.raises(ValueError, match="outside 0..0"):
@@ -501,7 +503,7 @@ class TestTraceLemmas:
         with pytest.raises(ValueError, match="horizon_factor must be an integer >= 1"):
             verify_trace_lemmas(demo, 0, [parse_word("g1")], horizon_factor=factor)
         # also when the case is built beforehand, without the factor
-        case = tower._sweep_case(demo, [parse_word("g1")], "global")
+        case = tower._sweep_case(demo, [parse_word("g1")])
         with pytest.raises(ValueError, match="horizon_factor must be an integer >= 1"):
             verify_trace_lemmas(demo, 0, [parse_word("g1")], horizon_factor=factor,
                                 case=case)
@@ -511,7 +513,7 @@ def scan_first_hits(tg, ci, gseq, horizon):
     """``tower._first_hits`` on the hand-composed block, entry inverses and
     row tails, each row of hitting points expanded to every point, None
     where no terminal subword hits."""
-    _, tau, images, block = hand_case(tg, ci, gseq, "local")
+    _, tau, images, block = hand_case(tg, ci, gseq)
     untails = []
     tail = Permutation.identity(tau.degree)
     for image in images[:-1]:
@@ -522,24 +524,18 @@ def scan_first_hits(tg, ci, gseq, horizon):
     return [[row.get(point) for point in range(tau.degree)] for row in rows]
 
 
-def assert_scan_matches_walker(tg, ci, gseq, factor, mode):
-    trace = verify_trace_lemmas(tg, ci, gseq, horizon_factor=factor, order_mode=mode)
-    assert trace == walk_trace_lemmas(tg, ci, gseq, factor, mode)
-    general = verify_fundamental_general(tg, ci, gseq, order_mode=mode)
-    assert general == walk_fundamental_general(tg, ci, gseq, mode)
-    # one case built up front and handed to both sweeps: the component's
-    # own, and in global mode the union case ``verify`` builds for every
-    # block, which reads this block at its offset
-    cases = [tower._sweep_case(tg, gseq, mode, component=ci)]
-    if mode == "global":
-        cases.append(tower._sweep_case(tg, gseq, mode))
-    for case in cases:
-        assert verify_trace_lemmas(tg, ci, gseq, horizon_factor=factor, order_mode=mode,
-                                   case=case) == trace
-        assert verify_fundamental_general(tg, ci, gseq, order_mode=mode,
-                                          case=case) == general
-        assert tower.return_bound_holds(case, ci) == general.passed
-    _, tau, images, _ = hand_case(tg, ci, gseq, mode)
+def assert_scan_matches_walker(tg, ci, gseq, factor):
+    # the standalone verifiers, and the same verifiers handed the union
+    # case that ``verify`` builds once for every block, against the walkers
+    trace = verify_trace_lemmas(tg, ci, gseq, horizon_factor=factor)
+    assert trace == walk_trace_lemmas(tg, ci, gseq, factor)
+    general = verify_fundamental_general(tg, ci, gseq)
+    assert general == walk_fundamental_general(tg, ci, gseq)
+    case = tower._sweep_case(tg, gseq)
+    assert verify_trace_lemmas(tg, ci, gseq, horizon_factor=factor, case=case) == trace
+    assert verify_fundamental_general(tg, ci, gseq, case=case) == general
+    assert tower.return_bound_holds(case, ci) == general.passed
+    _, tau, images, _ = hand_case(tg, ci, gseq)
     hits = scan_first_hits(tg, ci, gseq, trace.parameters["horizon"])
     assert hits == walk_first_hits(tau, images, tg.components[ci].basepoint,
                                    trace.parameters["horizon"])
@@ -559,7 +555,7 @@ class TestScanMatchesWalker:
     def test_traces_that_never_reach_the_basepoint(self, demo):
         # [g1 g1] acts as the identity, so the block is t = (0 2) and the
         # point 1 never meets p = 0
-        hits = assert_scan_matches_walker(demo, 0, [parse_word("g1 g1")], 1, "local")
+        hits = assert_scan_matches_walker(demo, 0, [parse_word("g1 g1")], 1)
         assert hits == [[1, None, 2]]
 
     def test_a_hit_beyond_the_horizon_is_none(self):
@@ -568,7 +564,7 @@ class TestScanMatchesWalker:
         # back to p only at letter 5, in the third block
         g = Permutation.from_cycles(3, [(0, 1, 2)])
         tg = TelescopeGroup((extend_action([g], 0),), ("g1",), FixedOrder(1))
-        hits = assert_scan_matches_walker(tg, 0, [parse_word("g1")], 1, "global")
+        hits = assert_scan_matches_walker(tg, 0, [parse_word("g1")], 1)
         assert hits == [[None, 3, 1, 2]]
         assert scan_first_hits(tg, 0, [parse_word("g1")], 3) == [[5, 3, 1, 2]]
         report = verify_trace_lemmas(tg, 0, [parse_word("g1")], horizon_factor=1)
@@ -586,8 +582,7 @@ class TestScanMatchesWalker:
             for ci in range(len(levels)):
                 for gseq in sweep:
                     for factor in (1, 2, 3):
-                        for mode in ("local", "global"):
-                            assert_scan_matches_walker(tg, ci, gseq, factor, mode)
+                        assert_scan_matches_walker(tg, ci, gseq, factor)
 
     @pytest.mark.parametrize("rec, levels", [(grigorchuk(), [1, 2, 3, 4]),
                                              (gupta_sidki_3(), [1, 2, 3])])
@@ -598,8 +593,7 @@ class TestScanMatchesWalker:
         tg = build_telescope(rec, levels)
         for ci in range(len(levels)):
             for gseq in itertools.product(singles, repeat=3):
-                for mode in ("local", "global"):
-                    assert_scan_matches_walker(tg, ci, list(gseq), 1, mode)
+                assert_scan_matches_walker(tg, ci, list(gseq), 1)
 
     @pytest.mark.parametrize("gseq", [["g1"], ["g2", "g3"]])
     def test_degree_1025(self, gseq):
@@ -607,8 +601,7 @@ class TestScanMatchesWalker:
         # walk over the hit cycles against the point walker at depth
         tg = build_telescope(grigorchuk(), range(1, 11))
         assert tg.components[9].extended_degree == 1025
-        for mode in ("local", "global"):
-            assert_scan_matches_walker(tg, 9, [parse_word(w) for w in gseq], 2, mode)
+        assert_scan_matches_walker(tg, 9, [parse_word(w) for w in gseq], 2)
 
 
 class TestPowerImages:
@@ -630,7 +623,7 @@ class TestPowerImages:
     def test_exponents_that_close_cycles(self, images):
         # 0, 1, each cycle length and its multiples, and past the degree
         perm = Permutation(images)
-        lengths = {len(cycle) for cycle in perm.cycles()}
+        lengths = {len(cycle) for cycle in SympyPermutation(images).cyclic_form}
         degree = perm.degree
         for m in {0, 1, degree + 1, 2 * degree + 5, perm.order(),
                   *lengths, *(3 * length for length in lengths)}:
@@ -648,7 +641,7 @@ class TestUnion:
     @settings(max_examples=200, deadline=None)
     @given(scan_cases(), st.data())
     def test_union_against_block_oracles(self, case, data):
-        tg, _, gseq, _, _ = case
+        tg, _, gseq, _ = case
         spans = tg.block_spans
         assert [stop - start for start, stop in spans] == [
             comp.extended_degree for comp in tg.components]
@@ -680,10 +673,10 @@ class TestUnion:
             [block.cycle_lengths() for block in blocks], 4)
 
         # the union sweep case's one walk against each hand-composed block
-        union = tower._sweep_case(tg, gseq, "global")
-        assert union.blocks == dict(enumerate(spans))
+        union = tower._sweep_case(tg, gseq)
+        assert len(union.longest) == len(spans)
         for ci, (start, stop) in enumerate(spans):
-            _, _, _, block = hand_case(tg, ci, gseq, "global")
+            _, _, _, block = hand_case(tg, ci, gseq)
             assert union.block[start:stop] == tuple(x + start for x in block.images)
             assert union.lengths[start:stop] == [return_time(block, x)
                                                  for x in range(block.degree)]
@@ -699,10 +692,6 @@ class TestUnion:
         assert tg.block_spans == ((0, 3), (3, 8), (8, 17))
         # a new telescope of the same components builds its own
         assert build_telescope(grig, [1, 2, 3]).union_letters is not letters
-
-    def test_local_orders_need_one_component(self, demo):
-        with pytest.raises(ValueError, match="local orders are per block"):
-            tower._sweep_case(demo, [parse_word("g1")], "local")
 
 
 class TestOrbitBound:
@@ -742,6 +731,31 @@ class TestTorsionBound:
         assert divides_factorial(1, 0)
         big = 2 ** 90 * 3 ** 40
         assert divides_factorial(big, 100) == (math.factorial(100) % big == 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 40), max_size=6), max_size=4),
+           st.integers(0, 30))
+    @example([[]], 0)
+    @example([[]], 5)
+    @example([[6]], 5)
+    @example([[7]], 5)
+    @example([[2, 3], [], [5]], 5)
+    def test_verdict_is_divisibility_of_the_factorial(self, block_lengths, limit):
+        # the shortcuts, an order or every cycle at most the limit, change no verdict
+        order, holds = tower.torsion_bound_order(block_lengths, limit)
+        assert order == math.lcm(*(n for lengths in block_lengths for n in lengths))
+        assert holds == divides_factorial(order, limit)
+        assert holds == (math.factorial(limit) % order == 0)
+
+    def test_short_cycles_are_not_factored(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tower, "divides_factorial",
+                            lambda value, limit: calls.append((value, limit)) or True)
+        assert tower.torsion_bound_order([(2, 3), (), (5,)], 5) == (30, True)
+        assert tower.torsion_bound_order([()], 1) == (1, True)
+        assert calls == []
+        assert tower.torsion_bound_order([(6,)], 5) == (6, True)
+        assert calls == [(6, 5)]
 
     def test_tau(self, grig):
         tg = build_telescope(grig, [1, 2])
