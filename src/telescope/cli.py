@@ -20,10 +20,12 @@ temporary file and rename it over the target: a failed call, or one
 killed during the checks, leaves no partial file and any older
 certificate intact.
 
-Exit codes: 0 pass, 1 a check failed, 2 config or usage error, 3 a
-computation ran out of its budget (a non-contracting or non-torsion input,
-a level with more vertices than the step budget, or a word sample of more
-draws than it).
+Exit codes: 0 pass, 1 a check failed, 2 config or usage error (also
+``verify`` and ``word`` on a recursion declared ``"contracting": false``,
+whose equality and element orders they need), 3 a computation ran out of
+its budget (a recursion declared contracting that is not, or that is not
+torsion, a level with more vertices than the step budget, or a word
+sample of more draws than it).
 """
 
 from __future__ import annotations

@@ -23,14 +23,14 @@ class Permutation:
 
     The public constructors validate their input; ``_trusted`` skips that for
     results that are permutations by construction (products, inverses).
-    The hash is computed once, on first use.  One walk reads the cycles off
-    ``images``: ``cycle_string()`` writes each point's decimal name as it
-    goes and keeps nothing but the cycle lengths, since a string is printed
-    once.  Its first run fills the cycle type that ``cycle_lengths()``,
-    ``order()`` and ``sign()`` read, so none of them walks again.
+    One walk reads the cycles off ``images``: ``cycle_string()`` writes each
+    point's decimal name as it goes and keeps nothing but the cycle
+    lengths, since a string is printed once.  Its first run fills the
+    cycle type that ``cycle_lengths()``, ``order()`` and ``sign()`` read,
+    so none of them walks again.
     """
 
-    __slots__ = ("images", "_hash", "_lengths")
+    __slots__ = ("images", "_lengths")
 
     def __init__(self, images):
         """Every image must be an int (not a bool) in ``0..n-1``, each once;
@@ -46,7 +46,6 @@ class Permutation:
                 raise ValueError(f"not a permutation: image {x!r} {reason}")
             seen[x] = True
         self.images = images
-        self._hash = None
         self._lengths = None
 
     @classmethod
@@ -54,7 +53,6 @@ class Permutation:
         """A permutation from an image tuple known to be a bijection; unchecked."""
         perm = object.__new__(cls)
         perm.images = images
-        perm._hash = None
         perm._lengths = None
         return perm
 
@@ -176,9 +174,7 @@ class Permutation:
         return isinstance(other, Permutation) and self.images == other.images
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.images)
-        return self._hash
+        return hash(self.images)
 
     def __repr__(self):
         return f"Permutation[{self.degree}] {self.cycle_string()}"

@@ -13,9 +13,7 @@ components that ``tower.build_telescope`` extends the levels to.  Caches
 live as long as their recursion; nothing is shared between recursions.
 The orders of the level quotients come from one induced polycyclic
 sequence when the root group is cyclic of prime order
-(``quotient_orders``), and every level is shown transitive at once when
-the recursion is self-replicating by its section letters alone
-(``level_transitive``).
+(``quotient_orders``).
 
 Equality and element orders are exact.  Both rely on the recursion being
 contracting (sections of long words eventually shrink), which the caller
@@ -312,47 +310,6 @@ class WreathRecursion:
             per_depth[depth] += 1
         self._quotient_orders = tuple(p ** rows_above for rows_above in accumulate(per_depth))
         return self._quotient_orders
-
-    @cached_property
-    def level_transitive(self):
-        """Whether a theorem shows the action transitive on every level.
-
-        Theorem (Bartholdi, Grigorchuk and Šunić, "Branch groups", 2003;
-        Nekrashevych, *Self-Similar Groups*, 2005, 2.8): if G is transitive
-        on the first level and self-replicating, that is g -> g|0 maps the
-        stabilizer St(0) of vertex 0 onto G, then G is transitive on every
-        level.  St(0) then acts on the subtree below 0 as G does on the
-        whole tree, and the root orbit carries vertex 0 to every child.
-
-        The test takes a transversal of the root orbit of 0 as words, forms
-        the Schreier generators of St(0) from it and takes their sections
-        at 0.  By Schreier's lemma those sections generate the image of the
-        homomorphism g -> g|0 on St(0), a subgroup of G; the test passes
-        when every generator, or its inverse, is one of those sections
-        letter for letter, so the image is G.  It takes O(k*d) splits and
-        decides no equality, so it needs neither a contracting recursion
-        nor a budget.
-
-        False means the theorem does not apply, not that some level is
-        intransitive: the root group is not transitive, or some generator
-        is no section letter (it may still equal a longer section).
-        """
-        gens = range(1, self.generator_count + 1)
-        reach = {0: ()}  # root orbit point x -> a word taking 0 to x
-        frontier = [0]
-        for x in frontier:  # the list grows while it is walked: breadth first
-            for g in gens:
-                y = self._root[g][x]
-                if y not in reach:
-                    reach[y] = (g,) + reach[x]
-                    frontier.append(y)
-        if len(reach) < self.arity:
-            return False
-        # the sections at 0 of the Schreier generators u_(g x)^-1 g u_x
-        sections = {
-            self.split(reduce_signed(invert_signed(reach[self._root[g][x]]) + (g,) + u))[1][0]
-            for x, u in reach.items() for g in gens}
-        return all((g,) in sections or (-g,) in sections for g in gens)
 
     # -- exact decisions -----------------------------------------------------
 

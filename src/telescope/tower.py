@@ -4,14 +4,12 @@ Each component extends a finite transitive action by one fresh point q and
 the transposition tau = (p, q); the telescope group is generated, across
 all components at once, by the diagonal generator images and the tuple of
 transpositions.  Every component in a telescope meets the construction's
-precondition, so no later check decides it again.  ``build_telescope``
-settles it for all levels of a recursion at once when the recursion is
-self-replicating by its section letters alone
-(``WreathRecursion.level_transitive``); any other component checks its
-base action by a breadth-first orbit when it is made.  A recursion keeps
-each component it was extended to, per level and basepoint, next to its
-level actions, so a component and its letter table are made and checked
-once and live exactly as long as their recursion.
+precondition, so no later check decides it again: each component checks
+its base action by a breadth-first orbit of 0 when it is made.  A
+recursion keeps each component it was extended to, per level and
+basepoint, next to its level actions, so a component and its letter
+table are made and checked once and live exactly as long as their
+recursion.
 Every word here, an entry of a generator sequence or a sampled word, is a
 reduced tuple of signed codes, evaluated from a letter table and spelled in
 reports by ``words.format_word``.
@@ -59,13 +57,11 @@ class ExtendedAction:
     Construction rejects a base action that is not transitive, by the
     orbit of 0; the generator images fix the fresh point, so that orbit
     stays in the base, and with no generator images only a one-point base
-    is transitive.  ``_transitive`` (internal) skips the orbit when
-    ``build_telescope`` has shown every level of the recursion transitive.
-    Tau is checked by one comparison with the transposition's image tuple.
-    ``letters`` is the component's letter table (tau, each generator, and
-    each inverse once it is first used), made once and shared by every
-    word evaluated on the component, in every telescope that
-    ``build_telescope`` makes from the same recursion.
+    is transitive.  Tau is checked by one comparison with the
+    transposition's image tuple.  ``letters`` is the component's letter
+    table (tau, each generator, and each inverse once it is first used),
+    made once and shared by every word evaluated on the component, in
+    every telescope that ``build_telescope`` makes from the same recursion.
     """
 
     basepoint: int
@@ -73,7 +69,6 @@ class ExtendedAction:
     tau: Permutation
     level: object = None
     letters: LetterTable = field(init=False, repr=False, compare=False)
-    _transitive: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         degree = self.tau.degree
@@ -85,12 +80,11 @@ class ExtendedAction:
         for p in self.gen_images:
             if p.degree != degree or p(extra) != extra:
                 raise ValueError("generator images must fix the fresh point")
-        if not self._transitive:
-            reached = len(orbit(self.gen_images, 0)) if self.gen_images else 1
-            if reached != extra:
-                what = "base action" if self.level is None else f"level {self.level} action"
-                raise ValueError(f"{what} is not transitive: the orbit of 0 has "
-                                 f"{reached} of {extra} points")
+        reached = len(orbit(self.gen_images, 0)) if self.gen_images else 1
+        if reached != extra:
+            what = "base action" if self.level is None else f"level {self.level} action"
+            raise ValueError(f"{what} is not transitive: the orbit of 0 has "
+                             f"{reached} of {extra} points")
         object.__setattr__(self, "letters", LetterTable(self.gen_images, self.tau))
 
     @property
@@ -106,13 +100,12 @@ class ExtendedAction:
         return self.tau.degree - 1
 
 
-def extend_action(action, basepoint, *, _transitive=False):
+def extend_action(action, basepoint):
     """Append one fresh point to an action and adjoin tau = (basepoint, fresh).
 
     ``action`` is a LevelAction or a plain sequence of permutations; it
-    must be transitive (``ExtendedAction`` raises ValueError otherwise).
-    ``_transitive`` is internal: ``build_telescope`` sets it for the levels
-    of a recursion that ``level_transitive`` has shown transitive.
+    must be transitive (``ExtendedAction`` raises ValueError otherwise,
+    from the orbit of 0).
     """
     if isinstance(action, LevelAction):
         perms = action.perms
@@ -129,8 +122,7 @@ def extend_action(action, basepoint, *, _transitive=False):
         raise ValueError(f"basepoint {basepoint} outside 0..{degree - 1}")
     extended = tuple(p.extended(degree + 1) for p in perms)
     tau = Permutation.transposition(degree + 1, basepoint, degree)
-    return ExtendedAction(basepoint=basepoint, gen_images=extended, tau=tau, level=level,
-                          _transitive=_transitive)
+    return ExtendedAction(basepoint=basepoint, gen_images=extended, tau=tau, level=level)
 
 
 @dataclass(frozen=True)
@@ -196,11 +188,6 @@ class TelescopeGroup:
     def tau_tuple(self):
         return tuple(c.tau for c in self.components)
 
-    def component_generators(self, ci):
-        """Images of the full generating set (generators plus tau) on block ci."""
-        comp = self.components[ci]
-        return list(comp.gen_images) + [comp.tau]
-
     def evaluate_component(self, codes, ci):
         """Image of a signed code word on block ``ci`` (rightmost letter acting first)."""
         comp = self.components[ci]
@@ -229,13 +216,13 @@ def build_telescope(rec, levels, basepoints=None):
     """Components from strictly increasing tree levels of one recursion.
 
     Quotient sizes must strictly grow, hence the strict monotonicity.
-    When ``rec.level_transitive`` shows every level transitive, by letters
-    alone, no orbit is computed.  Otherwise a level whose action is not
-    transitive makes ``extend_action`` raise, as its orbit finds.
+    A level whose action is not transitive makes ``extend_action`` raise,
+    as its orbit of 0 finds.
 
-    Each component is made on the first call that names its level and
-    basepoint and kept on ``rec``; later calls reuse it.  A component that
-    fails its checks is not kept.
+    Each component is made, and its orbit computed, on the first call that
+    names its level and basepoint, and kept on ``rec``; later calls reuse
+    it and compute no orbit.  A component that fails its checks is not
+    kept.
     """
     levels = list(levels)
     if not levels:
@@ -253,8 +240,7 @@ def build_telescope(rec, levels, basepoints=None):
         comp = made.get(key)
         if comp is None:
             level, basepoint = key
-            comp = made[key] = extend_action(rec.level_action(level), basepoint,
-                                             _transitive=rec.level_transitive)
+            comp = made[key] = extend_action(rec.level_action(level), basepoint)
         components.append(comp)
     return TelescopeGroup(tuple(components), rec.names, rec)
 

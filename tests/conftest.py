@@ -15,8 +15,10 @@ alphabet afresh for every letter.
 ``WreathRecursion.quotient_orders`` accepts, for the tests that check it
 against these oracles, and ``scan_cases`` draws small hand-built
 telescopes whose stated orders (``FixedOrder``) need not be their block
-orders, so their return bounds may fail.  The ``count_orbits`` fixture counts the orbits
-construction computes, so a test can tell which transitivity path it took.
+orders, so their return bounds may fail.  The ``count_orbits`` fixture
+counts the orbits construction computes, so a test can pin that each
+component is checked by one orbit when it is made, and by none when it
+is reused.
 """
 
 import math

@@ -242,6 +242,34 @@ def test_non_torsion_recursion_exits_3_without_traceback(tmp_path, capsys, argv)
     assert "Traceback" not in err
 
 
+# Grigorchuk's table, declared not contracting
+GRIGORCHUK_NOT_CONTRACTING = {
+    "arity": 2, "generators": ["a", "b", "c", "d"],
+    "root_perms": {"a": "(0 1)", "b": "", "c": "", "d": ""},
+    "sections": {"a": ["", ""], "b": ["a", "c"], "c": ["a", "d"], "d": ["", "b"]},
+    "contracting": False}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify"], "element orders need a contracting recursion"),
+    (["word", "--word", "g1 g2"], "equality needs a contracting recursion"),
+])
+def test_non_contracting_recursion_exits_2_without_traceback(tmp_path, capsys, argv,
+                                                             message):
+    # construction decides no equality, so build runs; verify and word need
+    # the recursion's equality or element orders and refuse it as a usage error
+    out_path = tmp_path / "cert.json"
+    path = write_config(tmp_path, {"group": GRIGORCHUK_NOT_CONTRACTING, "levels": [1, 2, 3],
+                                   "output_path": str(out_path)})
+    assert main(["build", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main([argv[0], "--config", str(path)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("levels", [[1, 40], [1, 10**30]])
 def test_level_past_the_budget_exits_3(tmp_path, levels):
     # run under a 1.5 GB address-space cap: a level of 2^40 vertices must be

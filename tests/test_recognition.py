@@ -174,7 +174,8 @@ class TestCertifyAgainstChain:
     @given(telescopes())
     def test_subdirect_and_kernel_orders(self, tg):
         for ci, sym in enumerate(check_subdirect(tg).witnesses):
-            chain = PermGroup(tg.component_generators(ci))
+            comp = tg.components[ci]
+            chain = PermGroup(list(comp.gen_images) + [comp.tau])
             assert sym["order"] == chain.order()
             assert sym["full_symmetric"] and chain.is_full_symmetric()
         assert_matches_sign_kernel_oracle(tg)
@@ -198,18 +199,21 @@ class TestCertifyAgainstChain:
     @pytest.mark.parametrize("rec, levels", [(grigorchuk(), [1, 2, 3, 4]),
                                              (gupta_sidki_3(), [1, 2, 3])])
     def test_presets_build_no_stabilizer_chain(self, rec, levels, refuse_chain,
-                                               refuse_orbit, tmp_path, capsys):
-        # the theorem of ``level_transitive`` settles transitivity, so
-        # neither construction nor the checks compute an orbit
+                                               tmp_path, capsys, request):
+        # a build makes the preset's components, each checked by its orbit;
+        # after it neither construction nor the checks compute an orbit,
+        # whichever test ran first
         preset = next(name for name, make in PRESETS.items() if make().names == rec.names)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"group": preset, "levels": levels}))
+        assert main(["build", "--config", str(config)]) == 0
+        request.getfixturevalue("refuse_orbit")
         out = tmp_path / "certificate.json"
         # only the stated pigeonhole fact fails
         assert main(["verify", "--config", str(config), "--out", str(out)]) == 1
         assert "note: every failure is a counterexample" in capsys.readouterr().out
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
-        tg = build_telescope(rec, levels)
+        tg = build_telescope(load_config(str(config)).recursion, levels)
         assert transitivity_report(tg).passed
         assert check_subdirect(tg).passed
         report, cutoff = alt_cutoff(tg)
@@ -220,16 +224,20 @@ class TestCertifyAgainstChain:
 
     @pytest.mark.parametrize("make, levels", [(grigorchuk, range(1, 11)),
                                               (gupta_sidki_3, range(1, 7))])
-    def test_deep_presets_build_without_orbits(self, make, levels, request):
-        # the telescopes of deep word queries, up to degree 1024 and 729,
-        # against components that an orbit accepted one by one
+    def test_deep_presets_build_without_orbits(self, make, levels, count_orbits):
+        # the telescopes of deep word queries, up to degree 1024 and 729: a
+        # fresh recursion's first build checks each level by one orbit, and
+        # a second build reuses those components and computes none
         rec = make()
-        checked = tuple(extend_action(rec.level_action(level), 0) for level in levels)
-        request.getfixturevalue("refuse_orbit")
-        assert build_telescope(make(), levels).components == checked
+        first = build_telescope(rec, levels).components
+        assert count_orbits[0] == len(levels)
+        second = build_telescope(rec, levels).components
+        assert count_orbits[0] == len(levels)
+        assert len(first) == len(levels)
+        assert all(a is b for a, b in zip(first, second))
 
     def test_demo_config_still_computes_an_orbit(self, count_orbits):
-        # the demo's g1 has trivial sections, so the theorem does not apply
+        # a config's own recursion table checks each level by its orbit
         config = load_config(DEMO_CONFIG)
         build_telescope(config.recursion, config.levels, config.basepoints)
         assert count_orbits[0] == len(config.levels) == 1

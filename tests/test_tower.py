@@ -54,10 +54,9 @@ def declared_contracting_recursions(draw):
     to 2 letters, single letters drawn as often as empty and two-letter
     sections) declared contracting with a small step budget.  The first
     root permutation is often a full cycle, so the first level is
-    transitive, and generators are often section letters, so the theorem
-    of ``level_transitive`` often holds.  Some of these are not contracting
-    in truth; the test compares letters and decides no equality, so that
-    changes nothing."""
+    transitive, and single-letter sections often keep deeper levels
+    transitive too.  Some of these are not contracting in truth;
+    construction decides no equality, so that changes nothing."""
     arity = draw(st.integers(2, 3))
     k = draw(st.integers(1, 3))
     letters = st.sampled_from([code for i in range(1, k + 1) for code in (i, -i)])
@@ -72,8 +71,7 @@ def declared_contracting_recursions(draw):
 
 def grigorchuk_inverse_section():
     """Grigorchuk's group, with d = (1, b^-1) in place of (1, b): b is an
-    involution, so the group is the same, but no section at 0 of a
-    Schreier generator is the letter b itself, only b^-1."""
+    involution, so the group and every level action are the same."""
     rec = grigorchuk()
     sections = rec.sections[:3] + (((), (-2,)),)
     return WreathRecursion(2, rec.names, rec.root_perms, sections, contracting=True)
@@ -87,17 +85,12 @@ def grigorchuk_non_contracting():
 
 def grigorchuk_product_section():
     """Grigorchuk's group, with d = (1, c d) in place of (1, b): b = c d in
-    the group, so every level acts as before, but the sections at 0 of the
-    Schreier generators are 1, a, c, d and c d, never the letter b.  The
-    recursion is not contracting (d's section is longer than d)."""
+    the group, so every level acts as before, though no section is the
+    letter b.  The recursion is not contracting (d's section is longer
+    than d)."""
     rec = grigorchuk()
     sections = rec.sections[:3] + (((), (3, 4)),)
     return WreathRecursion(2, rec.names, rec.root_perms, sections, contracting=False)
-
-
-def bfs_components(rec, levels):
-    """The components ``extend_action`` makes one by one, each checked by an orbit."""
-    return tuple(extend_action(rec.level_action(level), 0) for level in levels)
 
 
 @pytest.fixture(scope="module")
@@ -204,75 +197,56 @@ class TestBuildTelescope:
 
 
 class TestLevelTransitivityTheorem:
-    """``level_transitive`` against the orbits: where the theorem holds,
-    every level is transitive and construction computes no orbit; anywhere
-    else construction is the orbit check it always was.  The presets are
-    checked at depth in ``test_recognition.py``."""
+    """Construction is the one transitivity check: each component computes
+    the orbit of 0 of its base action when it is made, on any recursion,
+    contracting or not, and decides no equality.  The presets' components
+    are checked at depth, and their reuse pinned, in ``test_recognition.py``."""
 
     @settings(max_examples=300, deadline=None)
     @given(declared_contracting_recursions())
-    def test_theorem_agrees_with_oracle(self, rec):
-        # where the theorem holds every level is transitive; either way
+    def test_construction_agrees_with_oracle(self, rec):
         # construction rejects the first intransitive level by its orbit and
-        # otherwise makes the components an orbit check accepts
-        proved = rec.level_transitive
-        event(f"theorem holds: {proved}")
+        # otherwise makes a component on every level
         rows = [transitivity_oracle(rec.level_action(level).perms) for level in range(1, 5)]
-        if proved:
-            assert all(row["transitive"] for row in rows)
         first = next((level for level, row in enumerate(rows, start=1)
                       if not row["transitive"]), None)
+        event(f"first intransitive level: {first}")
         if first is not None:
             with pytest.raises(ValueError, match=f"^level {first} action is not transitive"):
                 build_telescope(rec, [1, 2, 3, 4])
         else:
-            levels = [1, 2, 3, 4]
-            assert build_telescope(rec, levels).components == bfs_components(rec, levels)
+            tg = build_telescope(rec, [1, 2, 3, 4])
+            assert [comp.base_degree for comp in tg.components] == [row["degree"] for row in rows]
 
-    def test_non_contracting_recursion_builds_without_orbits(self, count_orbits):
-        # the test compares letters and decides no equality, so the
-        # contracting flag does not enter it
+    def test_non_contracting_recursion_builds_by_orbits(self, count_orbits):
+        # construction decides no equality, so the contracting flag does
+        # not enter it
         rec = grigorchuk_non_contracting()
-        assert rec.level_transitive
         tg = build_telescope(rec, [1, 2, 3])
-        assert count_orbits[0] == 0
+        assert count_orbits[0] == 3
         assert tg.components == build_telescope(grigorchuk(), [1, 2, 3]).components
-
-    def test_inverse_section_builds_without_orbits(self, count_orbits):
-        # b^-1 is a section at 0, and the image of St(0) is a group, so b is
-        # in it as well
-        rec = grigorchuk_inverse_section()
-        tg = build_telescope(rec, [1, 2, 3, 4, 5])
-        assert count_orbits[0] == 0
-        assert rec.level_transitive
-        assert tg.components == bfs_components(grigorchuk(), [1, 2, 3, 4, 5])
 
     @pytest.mark.parametrize("make", [grigorchuk, gupta_sidki_3, grigorchuk_inverse_section,
                                       grigorchuk_non_contracting])
     def test_decided_without_equality(self, monkeypatch, count_orbits, make):
         def no_equality(self, word):
-            raise AssertionError("level transitivity decided an equality")
+            raise AssertionError("construction decided an equality")
         monkeypatch.setattr(WreathRecursion, "is_trivial", no_equality)
-        rec = make()
-        assert rec.level_transitive
-        build_telescope(rec, [1, 2, 3, 4, 5])
-        assert count_orbits[0] == 0
+        build_telescope(make(), [1, 2, 3, 4, 5])
+        assert count_orbits[0] == 5
 
     def test_generator_equal_only_in_the_group_builds_by_orbits(self, count_orbits):
-        # b = c d in the group, but no section at 0 is the letter b or b^-1;
-        # the recursion is not contracting, so no equality may be asked of it
+        # b = c d in the group, but no section is the letter b; the
+        # recursion is not contracting, so no equality may be asked of it
         rec = grigorchuk_product_section()
-        assert not rec.level_transitive
         tg = build_telescope(rec, [1, 2, 3, 4, 5])
         assert count_orbits[0] == 5
         assert tg.components == build_telescope(grigorchuk(), [1, 2, 3, 4, 5]).components
 
     def test_generator_that_is_no_section_falls_back(self, count_orbits):
         # g1 swaps the two subtrees and has trivial sections: level 1 is
-        # transitive, but every section at 0 of the stabilizer is trivial,
-        # so skipping the generator check would claim level 2 transitive
+        # transitive, but level 2 is not, as its orbit finds
         rec = c2_recursion()
-        assert not rec.level_transitive
         with pytest.raises(ValueError, match="^level 2 action is not transitive: "
                                              "the orbit of 0 has 2 of 4 points$"):
             build_telescope(rec, [1, 2])
@@ -281,7 +255,6 @@ class TestLevelTransitivityTheorem:
     def test_intransitive_root_falls_back(self, count_orbits):
         rec = WreathRecursion(3, ("g1",), (Permutation((1, 0, 2)),), (((), (), ()),),
                               contracting=True)
-        assert not rec.level_transitive
         with pytest.raises(ValueError, match="^level 1 action is not transitive"):
             build_telescope(rec, [1])
         assert count_orbits[0] == 1
