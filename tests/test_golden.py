@@ -29,7 +29,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # group with p = 5 and e = (1, 2, 3, 4), an inline table whose arity-5
 # blocks reach 626 points
 VERIFY_CASES = ("demo_c2", "grigorchuk_1-4", "gupta_sidki_1-3", "gupta_sidki_1-4",
-                "ggs5_1-4")
+                "ggs5_1-4", "a5_root_1-2")
 
 # config stem -> the words ``word`` is queried with; they cover inverse
 # letters, t, free cancellation and the empty word

@@ -26,7 +26,7 @@ from telescope.words import format_word, reduce_signed
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 VERIFY_CASES = ("demo_c2", "grigorchuk_1-4", "gupta_sidki_1-3", "gupta_sidki_1-4",
-                "ggs5_1-4")
+                "ggs5_1-4", "a5_root_1-2")
 
 # the GGS group with p = 5 and defining vector e = (1, 2, 3, 4): a is the
 # root 5-cycle and b's sections are a, a^2, a^3, a^4, b
