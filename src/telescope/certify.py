@@ -9,7 +9,9 @@ every block.  Subdirectness and the alternating cutoff read those
 theorems off without a stabilizer chain or an orbit.  The perfectness scan
 reads its quotient orders off one induced polycyclic sequence of the
 recursion when the root group is cyclic of prime order, as in both presets;
-only on other telescopes does it build chains.
+only on other telescopes does it build chains, one per group it asks an
+order of, and a perfectness check grows its commutator subgroup's chain in
+place.
 
 A certificate is written by a one-pass indent-2 writer whose bytes equal
 ``json.dumps(doc, indent=2, ensure_ascii=True)`` plus a newline.  CPython
@@ -30,12 +32,6 @@ from .reports import CheckReport
 from .words import compose_signed, format_word
 
 FORMAT_VERSION = 4
-
-
-def _base_generators(component):
-    """Generator images restricted to the base domain (the fresh point drops off)."""
-    n = component.base_degree
-    return [Permutation(p.images[:n]) for p in component.gen_images]
 
 
 def check_subdirect(tg):
@@ -168,33 +164,19 @@ def check_perfect(group):
     """Whether the group equals its commutator subgroup.
 
     The commutator subgroup is the normal closure of the generator-pair
-    commutators.  Each round conjugates the elements the last round added
-    by every generator and rebuilds the subgroup once from those that are
-    not yet members; a round that adds nothing closes it.  Equality is
-    decided by exact order.
+    commutators.  One ``PermGroup`` grows to it from the identity: every
+    commutator, and every conjugate by a generator of an element that
+    extended it, is passed to ``extend``, which grows its one chain in
+    place when the element is not yet a member.  Equality is decided by
+    exact order.
     """
     gens = group.generators
-    current = []
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            c = a * b * a.inverse() * b.inverse()
-            if not c.is_identity():
-                current.append(c)
-    if not current:
-        return group.order() == 1
-    subgroup = PermGroup(current)
-    added = current
-    while added:
-        fresh = []
-        for h in added:
-            for g in gens:
-                conjugate = g * h * g.inverse()
-                if not subgroup.contains(conjugate):
-                    fresh.append(conjugate)
-        if fresh:
-            current = current + fresh
-            subgroup = PermGroup(current)
-        added = fresh
+    subgroup = PermGroup([Permutation.identity(group.degree)])
+    pending = [a * b * a.inverse() * b.inverse()
+               for i, a in enumerate(gens) for b in gens[i + 1:]]
+    for h in pending:  # grows while it is walked
+        if subgroup.extend(h):
+            pending.extend(g * h * g.inverse() for g in gens)
     return subgroup.order() == group.order()
 
 
@@ -232,8 +214,10 @@ def perfectness_scan(tg):
     (``WreathRecursion.quotient_orders``), with no stabilizer chain.  Any
     other telescope (another root group, no recursion, or a component that
     is not a tree level of it) gets its orders from a stabilizer chain per
-    component, and ``check_perfect`` runs only when the root group is perfect
-    or there is no recursion.
+    component, made from its generator images: they fix the fresh point, so
+    the group's order and perfectness are the base quotient's.
+    ``check_perfect`` runs only when the root group is perfect or there is
+    no recursion.
     """
     orders = _polycyclic_orders(tg)
     if orders is not None:
@@ -243,7 +227,7 @@ def perfectness_scan(tg):
         root_perfect = tg.rec is None or check_perfect(PermGroup(tg.rec.root_perms))
         witnesses = []
         for ci, comp in enumerate(tg.components, start=1):
-            group = PermGroup(_base_generators(comp))
+            group = PermGroup(comp.gen_images)
             witnesses.append({
                 "component": ci,
                 "quotient_order": group.order(),

@@ -2,8 +2,9 @@
 
 Permutations act on ``{0, ..., degree-1}`` on the left: ``(p * q)(x) =
 p(q(x))``, so in any product the rightmost factor is applied first.
-Group-level queries (order, membership) go through ``PermGroup``'s
-deterministic Schreier-Sims stabilizer chain.  All orders are exact Python
+Group-level queries (order, membership) go through ``PermGroup``, which
+is its own deterministic Schreier-Sims stabilizer chain: made on the first
+query, then grown in place by ``extend``.  All orders are exact Python
 integers.
 
 A ``Permutation`` reads its cycles off its image tuple in one walk,
@@ -235,136 +236,18 @@ def _inverse(p):
     return tuple(inv)
 
 
-class _StabilizerChain:
-    """Deterministic Schreier-Sims stabilizer chain over raw image tuples.
-
-    Base points are the smallest point moved by the permutation that forces
-    them, scanning generators in their given order; transversals are grown
-    stably (a coset representative, once chosen, is never replaced), which
-    lets every Schreier generator be sifted at most once.
-    """
-
-    def __init__(self, degree, gens):
-        self.degree = degree
-        ident = tuple(range(degree))
-        self.base = []
-        self.level_gens = []  # level_gens[i]: (serial, tuple) inserted at level i
-        self.transversals = []  # point -> representative u with u[base[i]] = point
-        self.inv_transversals = []  # point -> inverse of the representative
-        self._processed = []  # per level: set of (point, serial) pairs already sifted
-        self._serial = 0
-
-        for g in dict.fromkeys(gens):
-            if g == ident:
-                continue
-            level = 0
-            while level < len(self.base) and g[self.base[level]] == self.base[level]:
-                level += 1
-            if level == len(self.base):
-                self._append_base_point(g)
-            self._insert(g, level)
-
-        i = len(self.base) - 1
-        while i >= 0:
-            self._extend_transversal(i)
-            j = self._close_level(i)
-            i = i - 1 if j is None else j
-
-    def _append_base_point(self, g):
-        moved = next(x for x in range(self.degree) if g[x] != x)
-        self.base.append(moved)
-        self.level_gens.append([])
-        ident = tuple(range(self.degree))
-        self.transversals.append({moved: ident})
-        self.inv_transversals.append({moved: ident})
-        self._processed.append(set())
-
-    def _insert(self, g, level):
-        self.level_gens[level].append((self._serial, g))
-        self._serial += 1
-
-    def _gens_at(self, level):
-        out = []
-        for lv in self.level_gens[level:]:
-            out.extend(lv)
-        out.sort()
-        return out
-
-    def _extend_transversal(self, i):
-        gens = [g for _, g in self._gens_at(i)]
-        trans = self.transversals[i]
-        inv_trans = self.inv_transversals[i]
-        frontier = list(trans)
-        while frontier:
-            new = []
-            for x in frontier:
-                ux = trans[x]
-                for g in gens:
-                    y = g[x]
-                    if y not in trans:
-                        rep = _compose(g, ux)
-                        trans[y] = rep
-                        inv_trans[y] = _inverse(rep)
-                        new.append(y)
-            frontier = new
-
-    def _sift_from(self, p, start):
-        for i in range(start, len(self.base)):
-            y = p[self.base[i]]
-            inv = self.inv_transversals[i].get(y)
-            if inv is None:
-                return p, i
-            p = _compose(inv, p)
-        return p, len(self.base)
-
-    def _close_level(self, i):
-        """Sift the unprocessed Schreier generators of level ``i``.
-
-        Returns None once the level is clean, or the level at which a new
-        strong generator was inserted (processing restarts from there).
-        """
-        ident = tuple(range(self.degree))
-        processed = self._processed[i]
-        while True:
-            progress = False
-            gens = self._gens_at(i)
-            for x in list(self.transversals[i]):
-                ux = self.transversals[i][x]
-                for serial, g in gens:
-                    if (x, serial) in processed:
-                        continue
-                    processed.add((x, serial))
-                    progress = True
-                    y = g[x]
-                    schreier = _compose(self.inv_transversals[i][y], _compose(g, ux))
-                    if schreier == ident:
-                        continue
-                    residue, j = self._sift_from(schreier, i + 1)
-                    if residue == ident:
-                        continue
-                    if j == len(self.base):
-                        self._append_base_point(residue)
-                    self._insert(residue, j)
-                    return j
-            if not progress:
-                return None
-
-    def order(self):
-        result = 1
-        for trans in self.transversals:
-            result *= len(trans)
-        return result
-
-    def contains(self, p):
-        residue, _ = self._sift_from(p, 0)
-        return residue == tuple(range(self.degree))
-
-
 class PermGroup:
-    """A permutation group given by generators.
+    """A permutation group given by generators, and its deterministic
+    Schreier-Sims stabilizer chain over raw image tuples.
 
-    The stabilizer chain is built lazily on the first order or membership
-    query; rebuilding is deterministic and idempotent.
+    The chain is made on the first ``order``, ``contains`` or ``extend``
+    call and from then on only grows: ``extend`` adds an element that is not
+    yet a member and closes the chain again from the level its residue
+    reaches.  Base points are the smallest point moved by the permutation
+    that forces them, scanning generators in their given order;
+    transversals grow stably (a coset representative, once chosen, is never
+    replaced), so every Schreier generator, keyed by its (point, serial)
+    pair, is sifted at most once over the group's whole life.
     """
 
     def __init__(self, generators):
@@ -375,41 +258,124 @@ class PermGroup:
         if any(g.degree != degree for g in generators):
             raise ValueError("generators must share one degree")
         self.generators = generators
-        self._degree = degree
-        self._chain = None
+        self.degree = degree
+        self.base = None  # the base points, once the chain is made
 
-    @property
-    def degree(self):
-        return self._degree
+    def _make_chain(self):
+        """Make the chain unless it exists: each generator is a strong
+        generator at the first base point it moves, then the levels are
+        closed from the deepest up."""
+        if self.base is not None:
+            return
+        self.base = []
+        self._strong = []  # (level, images) per strong generator; its index is its serial
+        self._transversals = []  # level i: point x -> (u, u^-1) with u[base[i]] = x
+        self._processed = []  # level i: the (point, serial) pairs already sifted
+        ident = tuple(range(self.degree))
+        for g in dict.fromkeys(p.images for p in self.generators):
+            if g != ident:
+                self._insert(g, next((i for i, b in enumerate(self.base) if g[b] != b),
+                                     len(self.base)))
+        self._close_from(len(self.base) - 1)
 
-    def build_chain(self):
-        if self._chain is None:
-            self._chain = _StabilizerChain(
-                self._degree, [g.images for g in self.generators]
-            )
-        return self
+    def _insert(self, g, level):
+        """Add ``g``, which fixes the first ``level`` base points, as a strong
+        generator at ``level``; past the last level it opens a new base
+        point, the smallest point ``g`` moves."""
+        if level == len(self.base):
+            moved = next(x for x, y in enumerate(g) if y != x)
+            ident = tuple(range(self.degree))
+            self.base.append(moved)
+            self._transversals.append({moved: (ident, ident)})
+            self._processed.append(set())
+        self._strong.append((level, g))
 
-    def order(self):
-        self.build_chain()
-        return self._chain.order()
+    def _close_from(self, i):
+        """Close the levels ``i``, ``i - 1``, ..., 0 in turn; a strong
+        generator inserted on the way restarts the walk from its level."""
+        while i >= 0:
+            j = self._close_level(i)
+            i = i - 1 if j is None else j
 
-    def contains(self, p):
+    def _close_level(self, i):
+        """Grow level ``i``'s transversal to the orbit of its base point
+        under the strong generators at or below it, and sift each Schreier
+        generator not sifted before, unless it is the identity.
+
+        Returns None once the level is clean, or the level at which a new
+        strong generator was inserted.
+        """
+        ident = tuple(range(self.degree))
+        gens = [(serial, g) for serial, (level, g) in enumerate(self._strong) if level >= i]
+        trans = self._transversals[i]
+        processed = self._processed[i]
+        points = list(trans)
+        for x in points:  # grows as the orbit is found, breadth first
+            ux = trans[x][0]
+            for serial, g in gens:
+                if (x, serial) in processed:
+                    continue
+                processed.add((x, serial))
+                y = g[x]
+                gx = _compose(g, ux)
+                if y not in trans:
+                    trans[y] = gx, _inverse(gx)
+                    points.append(y)
+                    continue
+                schreier = _compose(trans[y][1], gx)
+                if schreier == ident:
+                    continue
+                residue, j = self._sift_from(schreier, i + 1)
+                if residue != ident:
+                    self._insert(residue, j)
+                    return j
+        return None
+
+    def _sift_from(self, p, start):
+        """The residue of the image tuple ``p`` sifted from level ``start``,
+        and the level it stopped at."""
+        for i in range(start, len(self.base)):
+            entry = self._transversals[i].get(p[self.base[i]])
+            if entry is None:
+                return p, i
+            p = _compose(entry[1], p)
+        return p, len(self.base)
+
+    def _sift(self, p):
+        """Check ``p``, make the chain, and sift ``p`` from the top level."""
         if not isinstance(p, Permutation):
             raise ValueError("membership test expects a Permutation")
-        if p.degree != self._degree:
+        if p.degree != self.degree:
             raise ValueError("membership test needs matching degrees")
-        self.build_chain()
-        return self._chain.contains(p.images)
+        self._make_chain()
+        return self._sift_from(p.images, 0)
 
-    def __contains__(self, p):
-        return self.contains(p)
+    def order(self):
+        self._make_chain()
+        return math.prod(len(trans) for trans in self._transversals)
+
+    def contains(self, p):
+        return self._sift(p)[0] == tuple(range(self.degree))
+
+    def extend(self, p):
+        """Add ``p`` to the group, growing the chain in place.
+
+        ``p`` is sifted.  A residue other than the identity is inserted at
+        the level it stopped at, ``p`` is appended to ``generators``, the
+        chain is closed again from that level, and the result is True.  A
+        member leaves the group unchanged and gives False.
+        """
+        residue, level = self._sift(p)
+        if residue == tuple(range(self.degree)):
+            return False
+        self.generators += (p,)
+        self._insert(residue, level)
+        self._close_from(level)
+        return True
 
     def is_full_symmetric(self):
-        n = self._degree
-        if n <= 1:
-            return self.order() == 1
-        return self.order() == math.factorial(n)
+        return self.order() == math.factorial(self.degree)
 
     def __repr__(self):
         gens = ", ".join(g.cycle_string() for g in self.generators)
-        return f"PermGroup[{self._degree}] <{gens}>"
+        return f"PermGroup[{self.degree}] <{gens}>"

@@ -1,10 +1,12 @@
+import itertools
 import math
 import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.combinatorics import Permutation as SympyPermutation
+from sympy.combinatorics import PermutationGroup as SympyGroup
 
 from conftest import brute_closure
 from telescope import perm as perm_module
@@ -312,9 +314,13 @@ class TestPermGroup:
     def test_trivial_group(self):
         assert PermGroup([Permutation.identity(5)]).order() == 1
 
-    def test_build_chain_idempotent(self):
+    def test_order_idempotent(self):
+        # the first query makes the chain; the second reads the same one
         group = PermGroup([cyc(4, (0, 1, 2)), cyc(4, (2, 3))])
-        assert group.build_chain().order() == group.build_chain().order() == 24
+        assert group.order() == 24
+        base = group.base
+        assert group.order() == 24
+        assert group.base is base
 
     def test_generators_are_members(self):
         group = PermGroup([cyc(6, (0, 1, 2)), cyc(6, (3, 4)), cyc(6, (1, 5))])
@@ -357,6 +363,74 @@ class TestPermGroup:
                 rng.shuffle(images)
                 candidate = Permutation(images)
                 assert group.contains(candidate) == (candidate.images in closure)
+
+
+@st.composite
+def growth_sequences(draw):
+    """1-4 permutations on 1..6 points.  After the first, each is a fresh
+    draw, the identity, or a product of two earlier ones, so members come
+    up about as often as new elements."""
+    degree = draw(st.integers(1, 6))
+    perms = [Permutation(draw(st.permutations(range(degree))))]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["fresh", "identity", "product"]))
+        if kind == "fresh":
+            perms.append(Permutation(draw(st.permutations(range(degree)))))
+        elif kind == "identity":
+            perms.append(Permutation.identity(degree))
+        else:
+            perms.append(draw(st.sampled_from(perms)) * draw(st.sampled_from(perms)))
+    return perms
+
+
+class TestExtend:
+    @settings(max_examples=150, deadline=None)
+    @given(growth_sequences())
+    # the residue (2 3) opens the base point 2
+    @example([cyc(4, (0, 1)), cyc(4, (2, 3))])
+    # a member: the square of the first generator
+    @example([cyc(3, (0, 1, 2)), cyc(3, (0, 2, 1))])
+    @example([cyc(3, (0, 1)), Permutation.identity(3)])
+    def test_matches_closure_and_sympy(self, perms):
+        # each call is True exactly for an element outside the group so far,
+        # and only those join the generators; the grown group then has the
+        # order and the members of the group made from all of them at once,
+        # by brute closure and by sympy
+        group = PermGroup(perms[:1])
+        added = list(perms[:1])
+        for k, p in enumerate(perms[1:], start=1):
+            new = p.images not in brute_closure(perms[:k])
+            assert group.extend(p) == new
+            if new:
+                added.append(p)
+            assert group.generators == tuple(added)
+        closure = brute_closure(perms)
+        whole = PermGroup(perms)
+        oracle = SympyGroup([SympyPermutation(list(p.images)) for p in perms])
+        assert group.order() == whole.order() == len(closure) == oracle.order()
+        for images in itertools.permutations(range(perms[0].degree)):
+            q = Permutation(images)
+            assert (group.contains(q) == whole.contains(q) == (images in closure)
+                    == oracle.contains(SympyPermutation(list(images))))
+
+    def test_new_base_point_member_and_identity(self):
+        group = PermGroup([cyc(4, (0, 1))])
+        assert not group.extend(Permutation.identity(4))
+        assert group.base == [0]
+        assert group.extend(cyc(4, (2, 3)))
+        assert group.base == [0, 2]
+        assert group.order() == 4
+        assert not group.extend(cyc(4, (0, 1), (2, 3)))
+        assert group.generators == (cyc(4, (0, 1)), cyc(4, (2, 3)))
+        assert group.order() == 4
+
+    def test_extend_checks_its_argument(self):
+        group = PermGroup([cyc(3, (0, 1))])
+        with pytest.raises(ValueError, match="expects a Permutation"):
+            group.extend((1, 0, 2))
+        with pytest.raises(ValueError, match="matching degrees"):
+            group.extend(cyc(4, (0, 1)))
+        assert group.generators == (cyc(3, (0, 1)),)
 
 
 class TestRecognition:

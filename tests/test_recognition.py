@@ -144,13 +144,14 @@ def assert_matches_sign_kernel_oracle(tg):
     assert sign_vectors(tg)[1] == len(transversal)
 
 
-def refuse_chain_init(*args):
-    raise AssertionError("a stabilizer chain was built")
+def refuse_chain_make(group):
+    if group.base is None:
+        raise AssertionError("a stabilizer chain was built")
 
 
 @pytest.fixture
 def refuse_chain(monkeypatch):
-    monkeypatch.setattr(perm._StabilizerChain, "__init__", refuse_chain_init)
+    monkeypatch.setattr(perm.PermGroup, "_make_chain", refuse_chain_make)
 
 
 @pytest.fixture
@@ -261,32 +262,46 @@ class TestPerfectnessShortcut:
         assert certify.check_perfect(PermGroup(rec.root_perms))
         witnesses = perfectness_scan(tg).witnesses
         for witness, comp in zip(witnesses, tg.components):
-            base = PermGroup(certify._base_generators(comp))
-            assert witness["perfect"] == certify.check_perfect(base)
+            assert witness["perfect"] == certify.check_perfect(PermGroup(comp.gen_images))
         assert witnesses[0] == {"component": 1, "quotient_order": 60, "perfect": True}
 
 
 @pytest.fixture
 def count_chains(monkeypatch):
-    """The number of stabilizer chains built so far, in a one-item list."""
+    """The number of stabilizer chains built so far, in a one-item list: a
+    call of the chain-making method counts when the group has no chain yet."""
     built = [0]
-    original = perm._StabilizerChain.__init__
+    original = perm.PermGroup._make_chain
 
-    def counting(self, *args):
-        built[0] += 1
-        original(self, *args)
-    monkeypatch.setattr(perm._StabilizerChain, "__init__", counting)
+    def counting(self):
+        if self.base is None:
+            built[0] += 1
+        original(self)
+    monkeypatch.setattr(perm.PermGroup, "_make_chain", counting)
     return built
 
 
 def chain_scan(tg, root_perfect):
-    """The scan's witnesses from a stabilizer chain per component."""
+    """The scan's witnesses from a stabilizer chain per component; each
+    generator image fixes the fresh point, so its group is the base
+    quotient's."""
     witnesses = []
     for ci, comp in enumerate(tg.components, start=1):
-        base = PermGroup(certify._base_generators(comp))
+        base = PermGroup(comp.gen_images)
         witnesses.append({"component": ci, "quotient_order": base.order(),
                           "perfect": root_perfect and certify.check_perfect(base)})
     return witnesses
+
+
+def a5_root():
+    """Root group A5 = <(0 1 2 3 4), (0 1 2)>, and c = (a, 1, 1, 1, 1) with a
+    trivial root permutation: a finite group, A5 at level 1 and C5 wr A5,
+    of order 5^5 * 60, at level 2."""
+    return WreathRecursion(
+        arity=5, names=("a", "b", "c"),
+        root_perms=(cyc(5, (0, 1, 2, 3, 4)), cyc(5, (0, 1, 2)), Permutation.identity(5)),
+        sections=(((),) * 5, ((),) * 5, ((1,), (), (), (), ())),
+        contracting=True)
 
 
 def unleveled_grigorchuk():
@@ -314,7 +329,7 @@ class TestPolycyclicScope:
     def test_cyclic_root_scan_matches_the_chain(self, tg):
         assert tg.rec.root_cycle is not None
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(perm._StabilizerChain, "__init__", refuse_chain_init)
+            patch.setattr(perm.PermGroup, "_make_chain", refuse_chain_make)
             witnesses = perfectness_scan(tg).witnesses
         assert witnesses == chain_scan(tg, False)
 
@@ -324,9 +339,16 @@ class TestPolycyclicScope:
             4, ("a", "b"), (cyc(4, (0, 1, 2, 3)), Permutation.identity(4)),
             (((), (), (), (1,)), ((1,), (), (), (2,))), contracting=False), [1, 2, 3]),
          [(4, False), (1024, False), (68719476736, False)]),
+        # root group <(0 1 2 3)> with b = (a, 1, 1, 1): C4, then C4 wr C4 of order 4^5
+        (build_telescope(WreathRecursion(
+            4, ("a", "b"), (cyc(4, (0, 1, 2, 3)), Permutation.identity(4)),
+            (((),) * 4, ((1,), (), (), ())), contracting=False), [1, 2]),
+         [(4, False), (1024, False)]),
         # root group Sym(3) = <(0 1 2), (0 1)>
         (build_telescope(custom_arity_3(), [1, 2, 3]),
          [(6, False), (648, False), (816293376, False)]),
+        # root group A5, which is perfect: A5, then C5 wr A5 of order 5^5 * 60
+        (build_telescope(a5_root(), [1, 2]), [(60, True), (187500, False)]),
         # no recursion: Sym(3), then Alt(5)
         (TelescopeGroup((extend_action([cyc(3, (0, 1, 2)), cyc(3, (0, 1))], 0),
                          extend_action([cyc(5, (0, 1, 2, 3, 4)), cyc(5, (0, 1, 2))], 1)),
@@ -334,10 +356,23 @@ class TestPolycyclicScope:
          [(6, False), (60, True)]),
         # Grigorchuk's recursion, but a component that records no level
         (unleveled_grigorchuk(), [(128, False)]),
-    ], ids=["arity-4", "sym3-root", "no-recursion", "no-level"])
+    ], ids=["arity-4", "arity-4-wreath", "sym3-root", "a5-root", "no-recursion",
+            "no-level"])
     def test_other_telescopes_keep_the_chain(self, tg, expected, count_chains):
         witnesses = perfectness_scan(tg).witnesses
         assert [(w["quotient_order"], w["perfect"]) for w in witnesses] == expected
         assert count_chains[0] >= len(tg.components)
         root_perfect = tg.rec is None or certify.check_perfect(PermGroup(tg.rec.root_perms))
         assert witnesses == chain_scan(tg, root_perfect)
+        for witness, comp in zip(witnesses, tg.components):
+            oracle = SympyGroup([SympyPermutation(list(p.images)) for p in comp.gen_images])
+            assert (witness["quotient_order"], witness["perfect"]) == (
+                oracle.order(), oracle.is_perfect)
+
+    def test_a5_root_scan_builds_one_chain_per_group(self, count_chains):
+        # the root group and its commutator subgroup, then each component's
+        # group and its commutator subgroup: the closure grows one chain
+        tg = build_telescope(a5_root(), [1, 2])
+        assert [(w["quotient_order"], w["perfect"])
+                for w in perfectness_scan(tg).witnesses] == [(60, True), (187500, False)]
+        assert count_chains[0] == 6
