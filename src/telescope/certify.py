@@ -9,9 +9,9 @@ every block.  Subdirectness and the alternating cutoff read those
 theorems off without a stabilizer chain or an orbit.  The perfectness scan
 reads its quotient orders off one induced polycyclic sequence of the
 recursion when the root group is cyclic of prime order, as in both presets;
-only on other telescopes does it build chains, one per group it asks an
-order of, and a perfectness check grows its commutator subgroup's chain in
-place.
+only on other telescopes does it build chains, one per group whose order
+or membership it asks; a perfectness check grows its commutator subgroup's
+one chain in place.
 
 A certificate is written by a one-pass indent-2 writer whose bytes equal
 ``json.dumps(doc, indent=2, ensure_ascii=True)`` plus a newline.  CPython
