@@ -324,8 +324,8 @@ def _aggregate(name, parameters, cases, failures, rows=()):
     """One certificate check entry: a count summary of ``cases`` cases, then
     the count ``rows``, then the first failing cases.
 
-    A passing case is only counted, so no report is built for it; only the
-    failing cases' reports, in case order, are built and embedded.
+    A passing case is only counted; only the failing cases' reports, in
+    case order, are embedded.
     """
     failing = [{"parameters": report.parameters,
                 "failures": report.witnesses[:MAX_FAILURES]}
@@ -362,9 +362,10 @@ def _sweep_checks(tg, horizon_factor):
     once for both sweeps and every component.
 
     Every trace case, one per component and generator sequence, is swept
-    in full, and every return-bound case is decided.  Each component's
-    cases are counted, and only a failing case gets its report, listed
-    component by component, each component's in sweep order.  A
+    in full into its report, and every return-bound case is decided, its
+    report built only when it fails.  Each component's cases are counted,
+    and only the failing cases' reports are kept, listed component by
+    component, each component's in sweep order.  A
     sequence's order N in the group and bound N(k+1) are the same on every
     component, so ``fundamental_general`` lists them once per sequence, as
     its ``sweep`` parameter.
@@ -396,25 +397,36 @@ def _sample_checks(config, tg, growth):
     on the seeded word sample; ``growth`` maps each length to its torsion
     growth.
 
-    Each distinct word is composed once, from the telescope's letter table
-    on the disjoint union of the blocks, so its element is one image tuple.
-    One walk of that tuple's cycles gives each block's cycle lengths, once
-    per element.  Both bounds read only those lengths and the word's
-    length, so each (element, length) is decided once, by the bounds' own
-    helpers.  A passing draw is only counted; a failing (element, length)
-    slices the element into its block permutations and runs the verifier
-    once for each of its distinct words, so every embedded failure names
-    its own word.  Every draw is counted.
+    A length whose limit T(n)(n+1) reaches the largest block's degree is
+    settled by ``tower.bounds_settled``: every element passes both bounds
+    there, so its draws are counted and nothing else.  Every word is still
+    drawn, since the draws fix the words of the other lengths.
+
+    Each distinct word of another length is composed once, from the
+    telescope's letter table on the disjoint union of the blocks, so its
+    element is one image tuple.  One walk of that tuple's cycles gives each
+    block's cycle lengths, once per element.  Both bounds read only those
+    lengths and the word's length, so each (element, length) is decided
+    once, by the bounds' own helpers.  A passing draw is only counted; a
+    failing (element, length) slices the element into its block
+    permutations and runs the verifier once for each of its distinct
+    words, so every embedded failure names its own word.  Every draw is
+    counted.
     """
     sampler = {"sampler": SAMPLER_NAME, "seed": config.seed,
                "count": config.sample_count, "max_length": config.sample_max_length}
     letters, degree, spans = tg.union_letters, tg.union_degree, tg.block_spans
+    degrees = [stop - start for start, stop in spans]
+    settled = {length for length, bound in growth.items()
+               if tower.bounds_settled(degrees, bound * (length + 1))}
     elements = {}  # element -> each block's cycle lengths
     verdicts = {}  # (element, length) -> (orbit bound holds, torsion bound holds)
     by_word = {}  # word -> failing (orbit, torsion) reports, None where a bound holds
     orbit_failures, torsion_failures = [], []
     for word in sample_words(config.sample_count, config.sample_max_length,
                              tg.generator_count, config.seed):
+        if len(word) in settled:
+            continue
         failed = by_word.get(word)
         if failed is None:
             element = compose_signed(word, letters, degree)

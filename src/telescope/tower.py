@@ -23,13 +23,16 @@ the block's cycles gives every point's return time and N(k+1)-fold image;
 N is always the order of g1 ... gk in the group.  ``verify`` builds each
 case once and hands it to both sweeps of every component, and a
 standalone verifier builds the same case and reads its own block.
-``verify`` composes each sampled word once on the union, so its
+A sampled length whose limit reaches the largest block's degree is
+settled for every element by ``bounds_settled``, so ``verify`` only counts
+its draws; it composes each other sampled word once on the union, so its
 element is one image tuple, walked once for every block's cycle lengths.
 Each bound is decided in one place, which both its verifier and
 ``verify`` call: ``return_bound_holds``, ``orbit_bound_blocks`` and
-``torsion_bound_order``.  ``verify`` counts a passing case and builds a
-verifier's report only for a failing one.  Extending the truncation only
-ever adds checks.
+``torsion_bound_order``.  ``verify`` counts a passing return-bound or
+sample case and builds a verifier's report only for a failing one; it
+builds every trace case's report and keeps the failing ones.  Extending
+the truncation only ever adds checks.
 """
 
 from __future__ import annotations
@@ -583,6 +586,23 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, *, case=None):
         passed=passed,
         witnesses=witnesses,
     )
+
+
+def bounds_settled(block_degrees, limit):
+    """Whether every element of the truncation passes both the orbit and
+    the torsion bound at ``limit``, given each block's degree (its points,
+    the fresh point included).
+
+    No cycle of a permutation of m points is longer than m, so when no
+    block has more than ``limit`` points no cyclic orbit exceeds the
+    limit, and every cycle length is at most the limit, so the order, the
+    lcm of those lengths, divides lcm(1..limit), which divides limit!.
+    The converse holds for a telescope: each block's base action is
+    transitive, so the block is the full symmetric group on its points,
+    and a cycle through all of a block longer than the limit breaks the
+    orbit bound.
+    """
+    return max(block_degrees, default=1) <= limit
 
 
 def orbit_bound_blocks(block_lengths, limit):

@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, strategies as st
 
-from telescope import tower
+from telescope import cli, tower
 from telescope.perm import Permutation, orbit
 from telescope.reports import CheckReport
 from telescope.selfsim import WreathRecursion
@@ -187,6 +187,26 @@ def list_sample_words(count, max_length, gen_count, seed):
             codes.append(choices[int(rng.random() * len(choices))])
         words.append(tuple(codes))
     return words
+
+
+def spying_sample(monkeypatch):
+    """Record every ``cli.sample_words`` call's words, and every word the
+    sample checks compose, in call order."""
+    drawn, composed = [], []
+    sample_words, compose_signed = cli.sample_words, cli.compose_signed
+
+    def drawing(*args):
+        words = sample_words(*args)
+        drawn.append(words)
+        return words
+
+    def composing(word, letters, degree):
+        composed.append(word)
+        return compose_signed(word, letters, degree)
+
+    monkeypatch.setattr(cli, "sample_words", drawing)
+    monkeypatch.setattr(cli, "compose_signed", composing)
+    return drawn, composed
 
 
 def block_images(tg, word):

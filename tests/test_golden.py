@@ -17,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import block_images, oracle_bound_reports, return_time
-from telescope import tower
+from conftest import block_images, oracle_bound_reports, return_time, spying_sample
+from telescope import cli, tower
 from telescope.perm import Permutation
 from telescope.cli import load_config, main, sample_words
 from telescope.words import format_word
@@ -143,19 +143,29 @@ def _sample(stem):
     return config, tg, words, elements
 
 
+def _settled(tg, rec, length):
+    """Whether ``length``'s limit T(n)(n+1) reaches the largest block's
+    degree, from the components' own degrees."""
+    largest = max(comp.extended_degree for comp in tg.components)
+    return rec.torsion_growth(length) * (length + 1) >= largest
+
+
 @pytest.mark.parametrize("stem", ("grigorchuk_1-4", "gupta_sidki_1-3"))
 def test_sample_reports_match_oracle(stem, tmp_path, monkeypatch, capsys):
     # the goldens keep only the case counts of the two sample checks, so
     # each verdict ``verify`` reaches is checked here against the oracle's
-    # report on the word's hand-composed block images.  Words that name one
-    # element share its decision per length: each distinct (element,
-    # length) is decided once, by each bound's shared helper on each of the
-    # element's blocks' cycle lengths and the length's limit, in first-draw
-    # order; each
-    # helper's result must be the oracle's, and its verdict must be the
-    # oracle's verdict on every distinct word of that element and length,
-    # each on its own images.  Every draw passes (the goldens pin the 200
-    # counted draws and no failing sample case), so no report is built
+    # report on the word's hand-composed block images.  A length whose
+    # limit reaches the largest block's degree is settled without reaching
+    # either helper, and every distinct word of it passes both of the
+    # oracle's reports.  Words of the other lengths that name one element
+    # share its decision per length: each distinct (element, length) is
+    # decided once, by each bound's shared helper on each of the element's
+    # blocks' cycle lengths and the length's limit, in first-draw order;
+    # each helper's result must be the oracle's, and its verdict must be
+    # the oracle's verdict on every distinct word of that element and
+    # length, each on its own images.  Every draw passes (the goldens pin
+    # the 200 counted draws and no failing sample case), so no report is
+    # built
     decided = _recording_decisions(monkeypatch)
     recorded = _recording(monkeypatch)
     assert main(["verify", "--config", str(GOLDEN / f"{stem}.json"),
@@ -165,11 +175,25 @@ def test_sample_reports_match_oracle(stem, tmp_path, monkeypatch, capsys):
 
     config, tg, words, elements = _sample(stem)
     rec = config.recursion
+    settled = [word for word in words if _settled(tg, rec, len(word))]
+    decidable = [word for word in words if not _settled(tg, rec, len(word))]
+    assert settled and decidable
+    for word in dict.fromkeys(settled):
+        bound = rec.torsion_growth(len(word))
+        assert all(report.passed for report
+                   in oracle_bound_reports(word, block_images(tg, word), bound)), \
+            format_word(word)
+
     first = {}  # (element, length) -> its first drawn word
-    for word in words:
+    for word in decidable:
         first.setdefault((elements[word], len(word)), word)
-    distinct = list(dict.fromkeys(words))
-    assert len(first) < len(distinct) < len(words)
+    distinct = list(dict.fromkeys(decidable))
+    assert len(distinct) < len(decidable)
+    # Grigorchuk's generators are involutions, so g and g^-1 share one
+    # element; the Gupta-Sidki words drawn at lengths 1 and 2 name 19
+    # distinct elements
+    assert (len(first) < len(distinct) if stem == "grigorchuk_1-4"
+            else len(first) == len(distinct) == 19)
     for index, kind in enumerate(("orbit", "torsion")):
         assert [(lengths, limit) for lengths, limit, _ in decided[kind]] == [
             (_oracle_lengths(element), rec.torsion_growth(length) * (length + 1))
@@ -198,10 +222,12 @@ def test_a_failing_element_is_reported_for_each_of_its_words(tmp_path, monkeypat
                                                              capsys):
     # the shared orbit-bound helper, which sees only cycle lengths, is made
     # to fail on the blocks' cycle lengths that the most distinct words of
-    # the sample share: the verifier runs once on each of those words, and
-    # every draw of one embeds a failure naming that word, in draw order
+    # the sample share, and no length is settled by block degree, so the
+    # helper sees every length: the verifier runs once on each of those
+    # words, and every draw of one embeds a failure naming that word, in
+    # draw order
     stem = "grigorchuk_1-4"
-    config, _, words, elements = _sample(stem)
+    config, tg, words, elements = _sample(stem)
     distinct = list(dict.fromkeys(words))
     lengths = {word: _oracle_lengths(elements[word]) for word in distinct}
     names = {}  # cycle lengths -> their distinct words, in first-draw order
@@ -210,6 +236,7 @@ def test_a_failing_element_is_reported_for_each_of_its_words(tmp_path, monkeypat
     target = max(names, key=lambda key: len(names[key]))
     assert len(names[target]) >= 2
     assert len({elements[word] for word in names[target]}) >= 2
+    assert any(_settled(tg, config.recursion, len(word)) for word in names[target])
     orbit_bound_blocks = tower.orbit_bound_blocks
 
     def failing_on_target(block_lengths, limit):
@@ -218,6 +245,7 @@ def test_a_failing_element_is_reported_for_each_of_its_words(tmp_path, monkeypat
             return rows
         return [(largest, True) for largest, _ in rows]
 
+    monkeypatch.setattr(tower, "bounds_settled", lambda block_degrees, limit: False)
     _recording_decisions(monkeypatch, failing_on_target)
     recorded = _recording(monkeypatch)
     out_path = tmp_path / "certificate.json"
@@ -240,6 +268,63 @@ def test_a_failing_element_is_reported_for_each_of_its_words(tmp_path, monkeypat
         assert all(row["violation"] for row in case["failures"])
     assert checks["torsion_bound_sample"]["witnesses"] == [
         {"cases": len(words), "failed_cases": 0}]
+
+
+# a config and the sample lengths whose limit T(n)(n+1) reaches its largest
+# block's degree; the default sample draws words of lengths 1..4
+SETTLED_LENGTHS = {
+    # largest block 17, limits 4, 48, 64, 80
+    "grigorchuk_1-4": {2, 3, 4},
+    # largest block 28, limits 6, 27, 36, 135: length 2 misses by one point
+    "gupta_sidki_1-3": {3, 4},
+    # largest block 626, limits 10, 75, 100, 625: length 4 misses by one point
+    "ggs5_1-4": set(),
+    # largest block 513, above every limit
+    "grigorchuk_1-9": set(),
+}
+
+
+@pytest.mark.parametrize("stem", SETTLED_LENGTHS)
+def test_only_unsettled_lengths_are_composed(stem, tmp_path, monkeypatch):
+    # every word is still drawn, once, but a word of a settled length is
+    # only counted: the composed words are the distinct drawn words of the
+    # other lengths, in first-draw order
+    path = GOLDEN / f"{stem}.json"
+    if stem == "grigorchuk_1-9":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"group": "grigorchuk", "levels": list(range(1, 10))}))
+    config = load_config(path)
+    rec = config.recursion
+    tg = tower.build_telescope(rec, config.levels, config.basepoints)
+    growth = {n: rec.torsion_growth(n) for n in range(1, config.sample_max_length + 1)}
+    assert {n for n in growth if _settled(tg, rec, n)} == SETTLED_LENGTHS[stem]
+    drawn, composed = spying_sample(monkeypatch)
+    entries = cli._sample_checks(config, tg, growth)
+    assert len(drawn) == 1
+    assert {len(word) for word in drawn[0]} == set(growth)
+    assert composed == list(dict.fromkeys(word for word in drawn[0]
+                                          if len(word) not in SETTLED_LENGTHS[stem]))
+    assert [entry["witnesses"] for entry in entries] == [
+        [{"cases": config.sample_count, "failed_cases": 0}]] * 2
+
+
+def test_benchmark_verify_composes_no_settled_word(tmp_path, monkeypatch, capsys):
+    # Grigorchuk levels 1..5 with a 200-word sample of lengths 1..4: the
+    # largest block has 33 points and the limits are 4, 48, 64 and 80, so
+    # a call draws the sample once and composes only its length-1 words
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "group": "grigorchuk", "levels": [1, 2, 3, 4, 5], "seed": 1,
+        "basepoints": "identity", "ball_radius": 2, "horizon_factor": 2,
+        "word_sample": {"count": 200, "max_length": 4}}))
+    drawn, composed = spying_sample(monkeypatch)
+    assert main(["verify", "--config", str(config),
+                 "--out", str(tmp_path / "certificate.json")]) == 1
+    capsys.readouterr()
+    assert len(drawn) == 1
+    assert {len(word) for word in drawn[0]} == {1, 2, 3, 4}
+    assert composed
+    assert composed == list(dict.fromkeys(word for word in drawn[0] if len(word) == 1))
 
 
 @pytest.mark.parametrize("stem", VERIFY_CASES)

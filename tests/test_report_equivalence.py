@@ -16,9 +16,9 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import FixedOrder, scan_cases
+from conftest import FixedOrder, scan_cases, spying_sample
 from telescope import cli, tower
 from telescope.cli import MAX_FAILURES, load_config, main, sample_words
 from telescope.perm import Permutation
@@ -153,12 +153,47 @@ def assert_checks_match_oracle(tg, horizon_factor, sample, growth):
             == oracle_sample_entries(sample, tg, growth))
 
 
+# blocks of 4 and 3 points: g1 is the 3-cycle (0 1 2) on the first base and
+# the transposition (0 1) on the second, each with its fresh point, and its
+# stated order is 1.  A torsion growth of 2, 1, 1 puts the limits of
+# lengths 1 and 3 at 4, the largest block's degree, so they are settled;
+# length 2's limit, 3, reaches only the smaller block, and t g1, the
+# 4-cycle (0 1 2 3) on the first block, fails both bounds there
+EDGE_TG = tower.TelescopeGroup(
+    (tower.extend_action([Permutation.from_cycles(3, [(0, 1, 2)])], 0),
+     tower.extend_action([Permutation.from_cycles(2, [(0, 1)])], 0)),
+    ("g1",), FixedOrder(1))
+EDGE_SAMPLE = SimpleNamespace(sample_count=40, sample_max_length=3, seed=5)
+EDGE_GROWTH = [2, 1, 1, 1]
+
+
+def test_the_edge_sample_draws_settled_and_unsettled_lengths(monkeypatch):
+    # the settled lengths 1 and 3 compose nothing, and the unsettled
+    # length 2 composes each distinct word once, in first-draw order; its
+    # failures are assembled like the oracle's
+    growth = dict(enumerate(EDGE_GROWTH, start=1))
+    words = sample_words(EDGE_SAMPLE.sample_count, EDGE_SAMPLE.sample_max_length, 1,
+                         EDGE_SAMPLE.seed)
+    assert {len(word) for word in words} == {1, 2, 3}
+    _, composed = spying_sample(monkeypatch)
+    entries = cli._sample_checks(EDGE_SAMPLE, EDGE_TG, growth)
+    assert composed == list(dict.fromkeys(word for word in words if len(word) == 2))
+    assert [entry["status"] for entry in entries] == ["fail", "fail"]
+    assert entries == oracle_sample_entries(EDGE_SAMPLE, EDGE_TG, growth)
+
+
 @settings(max_examples=150, deadline=None)
 @given(scan_cases(), st.integers(0, 40), st.integers(1, 4), st.integers(0, 2 ** 16),
        st.lists(st.integers(1, 3), min_size=4, max_size=4))
+@example((EDGE_TG, 0, [(1,)], 1), EDGE_SAMPLE.sample_count, EDGE_SAMPLE.sample_max_length,
+         EDGE_SAMPLE.seed, EDGE_GROWTH)
+@example((EDGE_TG, 1, [(1,), (-1,)], 2), EDGE_SAMPLE.sample_count,
+         EDGE_SAMPLE.sample_max_length, EDGE_SAMPLE.seed, [1, 1, 1, 1])
 def test_hand_built_telescopes(case, count, max_length, seed, growth):
     # the stated order N and the torsion growth are drawn small, so some
-    # return-bound and sample cases fail and get their reports built
+    # return-bound and sample cases fail and get their reports built; the
+    # examples draw the edge sample, whose lengths 1 and 3 are settled and
+    # length 2 is not, and the same draws with only length 3 settled
     tg, _, _, horizon_factor = case
     sample = SimpleNamespace(sample_count=count, sample_max_length=max_length, seed=seed)
     assert_checks_match_oracle(tg, horizon_factor, sample,

@@ -747,3 +747,29 @@ class TestTorsionBound:
         report = verify_torsion_bound((), demo.evaluate(()), 1)
         assert report.passed
         assert report.witnesses[0]["order"] == 1
+
+
+class TestBoundsSettled:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=3), st.integers(0, 12), st.data())
+    def test_a_settled_limit_passes_every_element(self, degrees, limit, data):
+        # when the helper settles a limit, every permutation of the blocks
+        # passes both bounds' own helpers
+        event(f"settled: {tower.bounds_settled(degrees, limit)}")
+        blocks = [Permutation(data.draw(st.permutations(range(d)))) for d in degrees]
+        lengths = [block.cycle_lengths() for block in blocks]
+        if tower.bounds_settled(degrees, limit):
+            assert not any(over for _, over in tower.orbit_bound_blocks(lengths, limit))
+            assert tower.torsion_bound_order(lengths, limit)[1]
+
+    @pytest.mark.parametrize("degrees, limit, settled", [
+        ([4, 3], 4, True), ([4, 3], 3, False), ([3, 4], 3, False), ([1], 0, False),
+        ([1], 1, True), ([33, 17, 9, 5, 3], 48, True), ([28, 10, 4], 27, False),
+    ])
+    def test_an_unsettled_limit_has_a_failing_cycle(self, degrees, limit, settled):
+        # a limit is settled exactly when it reaches the largest block: below
+        # it, a cycle through all of that block breaks the orbit bound
+        assert tower.bounds_settled(degrees, limit) == settled
+        cycles = [Permutation.from_cycles(d, [tuple(range(d))]) for d in degrees]
+        rows = tower.orbit_bound_blocks([cycle.cycle_lengths() for cycle in cycles], limit)
+        assert any(over for _, over in rows) != settled
