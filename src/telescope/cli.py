@@ -397,32 +397,30 @@ def _sample_checks(config, tg, growth):
     on the seeded word sample; ``growth`` maps each length to its torsion
     growth.
 
-    A length whose limit T(n)(n+1) reaches the largest block's degree is
-    settled by ``tower.bounds_settled``: every element passes both bounds
-    there, so its draws are counted and nothing else.  Every word is still
-    drawn, since the draws fix the words of the other lengths.
+    ``tower.bounds_settled`` decides a draw by one longest cycle against
+    its limit T(n)(n+1).  A length whose limit reaches the largest block's
+    degree is settled for every element, so its draws are counted and
+    nothing else.  Every word is still drawn, since the draws fix the words
+    of the other lengths.
 
     Each distinct word of another length is composed once, from the
     telescope's letter table on the disjoint union of the blocks, so its
-    element is one image tuple.  One walk of that tuple's cycles gives each
-    block's cycle lengths, once per element.  Both bounds read only those
-    lengths and the word's length, so each (element, length) is decided
-    once, by the bounds' own helpers.  A passing draw is only counted; a
-    failing (element, length) slices the element into its block
-    permutations and runs the verifier once for each of its distinct
-    words, so every embedded failure names its own word.  Every draw is
+    element is one image tuple, and one walk of each distinct element's
+    cycles gives its longest cycle.  An element whose longest cycle is at
+    most the limit passes both bounds; any other fails the orbit bound, so
+    its word is evaluated on the blocks and both verifiers run once for
+    it, every embedded failure naming its own word.  Every draw is
     counted.
     """
     sampler = {"sampler": SAMPLER_NAME, "seed": config.seed,
                "count": config.sample_count, "max_length": config.sample_max_length}
-    letters, degree, spans = tg.union_letters, tg.union_degree, tg.block_spans
-    degrees = [stop - start for start, stop in spans]
+    letters, degree = tg.union_letters, tg.union_degree
+    largest = max(stop - start for start, stop in tg.block_spans)
     settled = {length for length, bound in growth.items()
-               if tower.bounds_settled(degrees, bound * (length + 1))}
-    elements = {}  # element -> each block's cycle lengths
-    verdicts = {}  # (element, length) -> (orbit bound holds, torsion bound holds)
-    by_word = {}  # word -> failing (orbit, torsion) reports, None where a bound holds
-    orbit_failures, torsion_failures = [], []
+               if tower.bounds_settled(largest, bound * (length + 1))}
+    longest = {}  # element -> its longest cycle
+    by_word = {}  # word -> its failing reports
+    failures = {"orbit_bound": [], "torsion_bound": []}
     for word in sample_words(config.sample_count, config.sample_max_length,
                              tg.generator_count, config.seed):
         if len(word) in settled:
@@ -430,32 +428,21 @@ def _sample_checks(config, tg, growth):
         failed = by_word.get(word)
         if failed is None:
             element = compose_signed(word, letters, degree)
-            lengths = elements.get(element)
-            if lengths is None:
-                times = tower._cycle_walk(element)[0]
-                lengths = elements[element] = [set(times[start:stop])
-                                               for start, stop in spans]
+            cycle = longest.get(element)
+            if cycle is None:
+                cycle = longest[element] = max(tower._cycle_walk(element)[0])
             bound = growth[len(word)]
-            pair = (element, len(word))
-            verdict = verdicts.get(pair)
-            if verdict is None:
-                limit = bound * (len(word) + 1)
-                verdict = verdicts[pair] = (
-                    not any(exceeds for _, exceeds
-                            in tower.orbit_bound_blocks(lengths, limit)),
-                    tower.torsion_bound_order(lengths, limit)[1])
-            images = None if all(verdict) else tg.split_union(element)
-            failed = by_word[word] = (
-                None if verdict[0] else tower.verify_orbit_bound(word, images, bound),
-                None if verdict[1] else tower.verify_torsion_bound(word, images, bound))
-        if failed[0] is not None:
-            orbit_failures.append(failed[0])
-        if failed[1] is not None:
-            torsion_failures.append(failed[1])
-    return [_aggregate("orbit_bound_sample", sampler, config.sample_count,
-                       orbit_failures),
-            _aggregate("torsion_bound_sample", sampler, config.sample_count,
-                       torsion_failures)]
+            failed = ()
+            if not tower.bounds_settled(cycle, bound * (len(word) + 1)):
+                images = tg.evaluate(word)
+                failed = tuple(report for report in (
+                    tower.verify_orbit_bound(word, images, bound),
+                    tower.verify_torsion_bound(word, images, bound)) if not report.passed)
+            by_word[word] = failed
+        for report in failed:
+            failures[report.name].append(report)
+    return [_aggregate(f"{name}_sample", sampler, config.sample_count, reports)
+            for name, reports in failures.items()]
 
 
 def _verify_checks(config, tg):

@@ -23,16 +23,17 @@ the block's cycles gives every point's return time and N(k+1)-fold image;
 N is always the order of g1 ... gk in the group.  ``verify`` builds each
 case once and hands it to both sweeps of every component, and a
 standalone verifier builds the same case and reads its own block.
-A sampled length whose limit reaches the largest block's degree is
-settled for every element by ``bounds_settled``, so ``verify`` only counts
-its draws; it composes each other sampled word once on the union, so its
-element is one image tuple, walked once for every block's cycle lengths.
-Each bound is decided in one place, which both its verifier and
-``verify`` call: ``return_bound_holds``, ``orbit_bound_blocks`` and
-``torsion_bound_order``.  ``verify`` counts a passing return-bound or
-sample case and builds a verifier's report only for a failing one; it
-builds every trace case's report and keeps the failing ones.  Extending
-the truncation only ever adds checks.
+Both sample bounds hold for an element whose longest cycle is at most the
+limit, and the orbit bound holds for no other, so ``bounds_settled``
+compares one longest cycle with the limit: a length's with its largest
+block's degree, which settles every draw of it, and an element's own,
+found by one walk of its image tuple on the union.  Only an element that
+it does not settle reaches the two verifiers, and each decides its own
+bound.  The return bound is decided in one place, ``return_bound_holds``,
+which its verifier and ``verify`` both call.  ``verify`` counts a passing
+return-bound or sample case and builds a verifier's report only for a
+failing one; it builds every trace case's report and keeps the failing
+ones.  Extending the truncation only ever adds checks.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class TelescopeGroup:
 
     @property
     def union_degree(self):
-        return sum(c.extended_degree for c in self.components)
+        return self.block_spans[-1][1]
 
     @cached_property
     def block_spans(self):
@@ -179,11 +180,6 @@ class TelescopeGroup:
 
         return LetterTable([union(code) for code in range(1, self.generator_count + 1)],
                            union(0))
-
-    def split_union(self, images):
-        """The per-block permutations of a union image tuple."""
-        return tuple(Permutation._trusted(tuple(x - start for x in images[start:stop]))
-                     for start, stop in self.block_spans)
 
     def gen_tuple(self, index):
         return tuple(c.gen_images[index] for c in self.components)
@@ -588,38 +584,27 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, *, case=None):
     )
 
 
-def bounds_settled(block_degrees, limit):
-    """Whether every element of the truncation passes both the orbit and
-    the torsion bound at ``limit``, given each block's degree (its points,
-    the fresh point included).
+def bounds_settled(longest, limit):
+    """Whether a longest cycle of ``longest`` points settles both the orbit
+    and the torsion bound at ``limit``: whether ``longest <= limit``.
 
-    No cycle of a permutation of m points is longer than m, so when no
-    block has more than ``limit`` points no cyclic orbit exceeds the
-    limit, and every cycle length is at most the limit, so the order, the
-    lcm of those lengths, divides lcm(1..limit), which divides limit!.
-    The converse holds for a telescope: each block's base action is
-    transitive, so the block is the full symmetric group on its points,
-    and a cycle through all of a block longer than the limit breaks the
-    orbit bound.
+    A permutation whose cycles are all at most the limit has no cyclic
+    orbit above it, and its order, the lcm of its cycle lengths, divides
+    lcm(1..limit), which divides limit!; so an element whose longest cycle
+    is at most the limit passes both bounds.  Conversely an element whose
+    longest cycle exceeds the limit breaks the orbit bound by that cycle.
+    No cycle is longer than its block, so the largest block's degree (its
+    points, the fresh point included) settles every element at once; and
+    each block acts as the full symmetric group on its points (its base is
+    transitive and tau joins the fresh point to it), so a limit below the
+    largest block leaves a cycle through all of it that breaks the bound.
     """
-    return max(block_degrees, default=1) <= limit
-
-
-def orbit_bound_blocks(block_lengths, limit):
-    """The orbit bound on a word's blocks, given each block's cycle lengths
-    (a fixed point's 1 may be among them): per block, its largest cyclic
-    orbit (1 for the identity) and whether that exceeds ``limit``.  The
-    bound holds when no block exceeds it."""
-    rows = []
-    for lengths in block_lengths:
-        largest = max(lengths, default=1)
-        rows.append((largest, largest > limit))
-    return rows
+    return longest <= limit
 
 
 def verify_orbit_bound(word, images, torsion_bound):
-    """Cyclic-orbit sizes of a word's block images stay within torsion_bound*(len+1),
-    as ``orbit_bound_blocks`` decides on the images' cycle lengths.
+    """Cyclic-orbit sizes of a word's block images stay within torsion_bound*(len+1):
+    each block's largest cyclic orbit (1 for the identity) against that limit.
 
     ``word`` is a reduced code word and ``images`` are its images on the
     blocks, as ``TelescopeGroup.evaluate`` gives them.
@@ -628,10 +613,10 @@ def verify_orbit_bound(word, images, torsion_bound):
     limit = torsion_bound * (length + 1)
     witnesses = []
     passed = True
-    rows = orbit_bound_blocks([image.cycle_lengths() for image in images], limit)
-    for ci, (largest, exceeds) in enumerate(rows, start=1):
+    for ci, image in enumerate(images, start=1):
+        largest = max(image.cycle_lengths(), default=1)
         entry = {"component": ci, "largest_orbit": largest, "limit": limit}
-        if exceeds:
+        if largest > limit:
             entry["violation"] = True
             passed = False
         witnesses.append(entry)
@@ -677,29 +662,18 @@ def divides_factorial(value, limit):
     return True
 
 
-def torsion_bound_order(block_lengths, limit):
-    """The torsion bound on a word's blocks, given each block's cycle
-    lengths: its truncation order, the lcm of all those lengths, and
-    whether it divides ``limit``!.
-
-    lcm(1..m) divides m!, so when no cycle is longer than ``limit`` the
-    bound holds without factoring the order, and so it does when the order
-    itself is at most ``limit``, which the order's cycles then are too.  An
-    identity block's lengths may be empty.
-    """
-    order = math.lcm(*(math.lcm(*lengths) for lengths in block_lengths))
-    return order, (order <= limit
-                   or max(map(max, filter(None, block_lengths)), default=1) <= limit
-                   or divides_factorial(order, limit))
-
-
 def verify_torsion_bound(word, images, torsion_bound):
     """The word's truncation order, the lcm of the orders of its block
-    ``images``, divides (torsion_bound * (len+1))!, as ``torsion_bound_order``
-    decides on the images' cycle lengths."""
+    ``images``, divides (torsion_bound * (len+1))!.
+
+    lcm(1..m) divides m!, so when no cycle is longer than the limit the
+    bound holds without factoring the order.
+    """
     length = len(word)
     limit = torsion_bound * (length + 1)
-    order, passed = torsion_bound_order([image.cycle_lengths() for image in images], limit)
+    order = math.lcm(*(image.order() for image in images))
+    passed = (max((max(image.cycle_lengths(), default=1) for image in images), default=1)
+              <= limit or divides_factorial(order, limit))
     return CheckReport(
         name="torsion_bound",
         parameters={"word": format_word(word), "length": length,

@@ -257,6 +257,20 @@ def oracle_bound_reports(word, images, torsion_bound):
     return orbit, torsion
 
 
+def assemble_check(name, parameters, reports, rows=()):
+    """One check entry folded from every case's full report, with the
+    count ``rows`` after its summary and the first failing cases after
+    them."""
+    failing = [report for report in reports if not report.passed]
+    return {"name": name, "parameters": dict(parameters),
+            "status": "fail" if failing else "pass",
+            "witnesses": [{"cases": len(reports), "failed_cases": len(failing)},
+                          *rows,
+                          *({"parameters": report.parameters,
+                             "failures": report.witnesses[:cli.MAX_FAILURES]}
+                            for report in failing[:cli.MAX_FAILURES])]}
+
+
 def _tuple_mul(a, b):
     return tuple(x * y for x, y in zip(a, b))
 

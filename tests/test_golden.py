@@ -17,9 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import block_images, oracle_bound_reports, return_time, spying_sample
+from conftest import (assemble_check, block_images, oracle_bound_reports, return_time,
+                      spying_sample)
 from telescope import cli, tower
-from telescope.perm import Permutation
 from telescope.cli import load_config, main, sample_words
 from telescope.words import format_word
 
@@ -100,47 +100,34 @@ def _recording(monkeypatch):
     return recorded
 
 
-def _recording_decisions(monkeypatch, orbit_bound_blocks=None):
-    """Record every call of the two bounds' shared helpers, as (each block's
-    cycle lengths above 1, as a frozenset, limit, result), by kind;
-    ``orbit_bound_blocks`` stands in for the orbit helper when given."""
-    decided = {"orbit": [], "torsion": []}
+def _recording_settled(monkeypatch):
+    """Record every ``tower.bounds_settled`` call, as (longest, limit, result)."""
+    calls = []
+    bounds_settled = tower.bounds_settled
 
-    def recording(kind, decide):
-        def wrapper(block_lengths, limit):
-            result = decide(block_lengths, limit)
-            decided[kind].append((_nontrivial(block_lengths), limit, result))
-            return result
-        return wrapper
+    def recording(longest, limit):
+        result = bounds_settled(longest, limit)
+        calls.append((longest, limit, result))
+        return result
 
-    monkeypatch.setattr(tower, "orbit_bound_blocks", recording(
-        "orbit", orbit_bound_blocks or tower.orbit_bound_blocks))
-    monkeypatch.setattr(tower, "torsion_bound_order",
-                        recording("torsion", tower.torsion_bound_order))
-    return decided
+    monkeypatch.setattr(tower, "bounds_settled", recording)
+    return calls
 
 
-def _nontrivial(block_lengths):
-    return tuple(frozenset(lengths) - {1} for lengths in block_lengths)
-
-
-def _oracle_lengths(element):
-    """Each block's cycle lengths above 1, as a frozenset, from the return
-    time of every point of the element's block image tuples."""
-    return _nontrivial({return_time(Permutation(images), x) for x in range(len(images))}
-                       for images in element)
+def _oracle_longest(tg, word):
+    """The longest cycle of a word's hand-composed block images, from the
+    return time of every point."""
+    return max(return_time(image, x) for image in block_images(tg, word)
+               for x in range(image.degree))
 
 
 def _sample(stem):
-    """The config, its telescope, and its drawn words with each word's
-    element: the tuple of its hand-composed block image tuples."""
+    """The config, its telescope, and its drawn words."""
     config = load_config(GOLDEN / f"{stem}.json")
     tg = tower.build_telescope(config.recursion, config.levels, config.basepoints)
     words = sample_words(config.sample_count, config.sample_max_length,
                          config.recursion.generator_count, config.seed)
-    elements = {word: tuple(image.images for image in block_images(tg, word))
-                for word in words}
-    return config, tg, words, elements
+    return config, tg, words
 
 
 def _settled(tg, rec, length):
@@ -153,121 +140,86 @@ def _settled(tg, rec, length):
 @pytest.mark.parametrize("stem", ("grigorchuk_1-4", "gupta_sidki_1-3"))
 def test_sample_reports_match_oracle(stem, tmp_path, monkeypatch, capsys):
     # the goldens keep only the case counts of the two sample checks, so
-    # each verdict ``verify`` reaches is checked here against the oracle's
-    # report on the word's hand-composed block images.  A length whose
-    # limit reaches the largest block's degree is settled without reaching
-    # either helper, and every distinct word of it passes both of the
-    # oracle's reports.  Words of the other lengths that name one element
-    # share its decision per length: each distinct (element, length) is
-    # decided once, by each bound's shared helper on each of the element's
-    # blocks' cycle lengths and the length's limit, in first-draw order;
-    # each helper's result must be the oracle's, and its verdict must be
-    # the oracle's verdict on every distinct word of that element and
-    # length, each on its own images.  Every draw passes (the goldens pin
-    # the 200 counted draws and no failing sample case), so no report is
-    # built
-    decided = _recording_decisions(monkeypatch)
+    # each decision ``verify`` reaches is checked here against the oracle.
+    # ``tower.bounds_settled`` is asked once per length, with the largest
+    # block's degree, and then once per distinct word of an unsettled
+    # length, in first-draw order, with the longest cycle of the word's
+    # hand-composed block images.  Every draw passes both of the oracle's
+    # reports (the goldens pin the 200 counted draws and no failing sample
+    # case), so every answer is yes and no report is built
+    calls = _recording_settled(monkeypatch)
     recorded = _recording(monkeypatch)
     assert main(["verify", "--config", str(GOLDEN / f"{stem}.json"),
                  "--out", str(tmp_path / "certificate.json")]) == 1
     capsys.readouterr()
     assert recorded == {"orbit": [], "torsion": []}
 
-    config, tg, words, elements = _sample(stem)
+    config, tg, words = _sample(stem)
     rec = config.recursion
-    settled = [word for word in words if _settled(tg, rec, len(word))]
+    lengths = range(1, config.sample_max_length + 1)
+    limits = {n: rec.torsion_growth(n) * (n + 1) for n in lengths}
+    largest = max(comp.extended_degree for comp in tg.components)
+    assert calls[:len(limits)] == [(largest, limits[n], _settled(tg, rec, n))
+                                   for n in lengths]
     decidable = [word for word in words if not _settled(tg, rec, len(word))]
-    assert settled and decidable
-    for word in dict.fromkeys(settled):
+    distinct = list(dict.fromkeys(decidable))
+    assert len(decidable) < len(words)
+    assert len(distinct) < len(decidable)
+    assert calls[len(limits):] == [(_oracle_longest(tg, word), limits[len(word)], True)
+                                   for word in distinct]
+    for word in dict.fromkeys(words):
         bound = rec.torsion_growth(len(word))
         assert all(report.passed for report
                    in oracle_bound_reports(word, block_images(tg, word), bound)), \
             format_word(word)
 
-    first = {}  # (element, length) -> its first drawn word
-    for word in decidable:
-        first.setdefault((elements[word], len(word)), word)
-    distinct = list(dict.fromkeys(decidable))
-    assert len(distinct) < len(decidable)
-    # Grigorchuk's generators are involutions, so g and g^-1 share one
-    # element; the Gupta-Sidki words drawn at lengths 1 and 2 name 19
-    # distinct elements
-    assert (len(first) < len(distinct) if stem == "grigorchuk_1-4"
-            else len(first) == len(distinct) == 19)
-    for index, kind in enumerate(("orbit", "torsion")):
-        assert [(lengths, limit) for lengths, limit, _ in decided[kind]] == [
-            (_oracle_lengths(element), rec.torsion_growth(length) * (length + 1))
-            for element, length in first]
-        verdicts = {}
-        for (element, length), word in first.items():
-            _, limit, result = decided[kind][len(verdicts)]
-            bound = rec.torsion_growth(length)
-            expected = oracle_bound_reports(word, block_images(tg, word), bound)[index]
-            if kind == "orbit":
-                assert result == [(row["largest_orbit"], "violation" in row)
-                                  for row in expected.witnesses], format_word(word)
-                verdicts[element, length] = not any(over for _, over in result)
-            else:
-                assert result == (expected.witnesses[0]["order"], expected.passed), \
-                    format_word(word)
-                verdicts[element, length] = result[1]
-            assert verdicts[element, length]
-        for word in distinct:
-            bound = rec.torsion_growth(len(word))
-            expected = oracle_bound_reports(word, block_images(tg, word), bound)[index]
-            assert verdicts[elements[word], len(word)] == expected.passed, format_word(word)
 
-
-def test_a_failing_element_is_reported_for_each_of_its_words(tmp_path, monkeypatch,
-                                                             capsys):
-    # the shared orbit-bound helper, which sees only cycle lengths, is made
-    # to fail on the blocks' cycle lengths that the most distinct words of
-    # the sample share, and no length is settled by block degree, so the
-    # helper sees every length: the verifier runs once on each of those
-    # words, and every draw of one embeds a failure naming that word, in
-    # draw order
-    stem = "grigorchuk_1-4"
-    config, tg, words, elements = _sample(stem)
-    distinct = list(dict.fromkeys(words))
-    lengths = {word: _oracle_lengths(elements[word]) for word in distinct}
-    names = {}  # cycle lengths -> their distinct words, in first-draw order
-    for word in distinct:
-        names.setdefault(lengths[word], []).append(word)
-    target = max(names, key=lambda key: len(names[key]))
-    assert len(names[target]) >= 2
-    assert len({elements[word] for word in names[target]}) >= 2
-    assert any(_settled(tg, config.recursion, len(word)) for word in names[target])
-    orbit_bound_blocks = tower.orbit_bound_blocks
-
-    def failing_on_target(block_lengths, limit):
-        rows = orbit_bound_blocks(block_lengths, limit)
-        if _nontrivial(block_lengths) != target:
-            return rows
-        return [(largest, True) for largest, _ in rows]
-
-    monkeypatch.setattr(tower, "bounds_settled", lambda block_degrees, limit: False)
-    _recording_decisions(monkeypatch, failing_on_target)
+def test_a_failing_element_is_reported_for_each_of_its_words(monkeypatch):
+    # a torsion growth of 1 or 2 at every length puts every limit below the
+    # largest block, so no length is settled and draws genuinely fail: the
+    # entries are those assembled from both of the oracle's reports on
+    # every draw, in draw order, and the verifiers run once on each
+    # distinct failing word.  Some failing element is named by two of
+    # them, and some failing draw's longest cycle is limit + 1, the
+    # shortest that breaks the orbit bound
     recorded = _recording(monkeypatch)
-    out_path = tmp_path / "certificate.json"
-    assert main(["verify", "--config", str(GOLDEN / f"{stem}.json"),
-                 "--out", str(out_path)]) == 1
-    out = capsys.readouterr().out
-    assert "FAILED checks: trace_lemmas, orbit_bound_sample\n" in out
+    for stem in ("grigorchuk_1-4", "gupta_sidki_1-3"):
+        config, tg, words = _sample(stem)
+        sampler = {"sampler": cli.SAMPLER_NAME, "seed": config.seed,
+                   "count": config.sample_count, "max_length": config.sample_max_length}
+        for value in (1, 2):
+            for calls in recorded.values():
+                calls.clear()
+            growth = dict.fromkeys(range(1, config.sample_max_length + 1), value)
+            entries = cli._sample_checks(config, tg, growth)
+            reports = [oracle_bound_reports(word, block_images(tg, word), value)
+                       for word in words]
+            assert entries == [
+                assemble_check(f"{name}_sample", sampler, [pair[index] for pair in reports])
+                for index, name in enumerate(("orbit_bound", "torsion_bound"))]
+            failing = list(dict.fromkeys(word for word, (orbit, _) in zip(words, reports)
+                                         if not orbit.passed))
+            assert 0 < len(failing) < len(set(words)), (stem, value)
+            assert [word for word, _, _, _ in recorded["orbit"]] == failing
+            assert [word for word, _, _, _ in recorded["torsion"]] == failing
+            elements = {block_images(tg, word) for word in failing}
+            assert len(elements) < len(failing), (stem, value)
+            assert any(_oracle_longest(tg, word) == value * (len(word) + 1) + 1
+                       for word in failing), (stem, value)
 
-    assert [word for word, _, _, _ in recorded["orbit"]] == names[target]
-    assert all(_oracle_lengths(tuple(image.images for image in images)) == target
-               for _, _, images, _ in recorded["orbit"])
-    assert recorded["torsion"] == []
-    checks = {check["name"]: check for check in json.loads(out_path.read_text())["checks"]}
-    orbit = checks["orbit_bound_sample"]
-    drawn = [format_word(word) for word in words if lengths[word] == target]
-    assert orbit["status"] == "fail"
-    assert orbit["witnesses"][0] == {"cases": len(words), "failed_cases": len(drawn)}
-    assert [case["parameters"]["word"] for case in orbit["witnesses"][1:]] == drawn[:20]
-    for case in orbit["witnesses"][1:]:
-        assert all(row["violation"] for row in case["failures"])
-    assert checks["torsion_bound_sample"]["witnesses"] == [
-        {"cases": len(words), "failed_cases": 0}]
+
+def _config(stem, tmp_path):
+    """A golden config, or Grigorchuk [1..9] with the default sample, its
+    telescope and its growth table."""
+    path = GOLDEN / f"{stem}.json"
+    if stem == "grigorchuk_1-9":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"group": "grigorchuk", "levels": list(range(1, 10))}))
+    config = load_config(path)
+    rec = config.recursion
+    tg = tower.build_telescope(rec, config.levels, config.basepoints)
+    growth = {n: rec.torsion_growth(n) for n in range(1, config.sample_max_length + 1)}
+    return config, tg, growth
 
 
 # a config and the sample lengths whose limit T(n)(n+1) reaches its largest
@@ -289,15 +241,8 @@ def test_only_unsettled_lengths_are_composed(stem, tmp_path, monkeypatch):
     # every word is still drawn, once, but a word of a settled length is
     # only counted: the composed words are the distinct drawn words of the
     # other lengths, in first-draw order
-    path = GOLDEN / f"{stem}.json"
-    if stem == "grigorchuk_1-9":
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"group": "grigorchuk", "levels": list(range(1, 10))}))
-    config = load_config(path)
-    rec = config.recursion
-    tg = tower.build_telescope(rec, config.levels, config.basepoints)
-    growth = {n: rec.torsion_growth(n) for n in range(1, config.sample_max_length + 1)}
-    assert {n for n in growth if _settled(tg, rec, n)} == SETTLED_LENGTHS[stem]
+    config, tg, growth = _config(stem, tmp_path)
+    assert {n for n in growth if _settled(tg, config.recursion, n)} == SETTLED_LENGTHS[stem]
     drawn, composed = spying_sample(monkeypatch)
     entries = cli._sample_checks(config, tg, growth)
     assert len(drawn) == 1
@@ -306,6 +251,39 @@ def test_only_unsettled_lengths_are_composed(stem, tmp_path, monkeypatch):
                                           if len(word) not in SETTLED_LENGTHS[stem]))
     assert [entry["witnesses"] for entry in entries] == [
         [{"cases": config.sample_count, "failed_cases": 0}]] * 2
+
+
+@pytest.mark.parametrize("stem", SETTLED_LENGTHS)
+def test_each_distinct_unsettled_element_is_walked_once(stem, tmp_path, monkeypatch):
+    # words that name one element share its one walk: under the config's
+    # growth and under a growth of 1 at every length, which settles
+    # nothing, the walked image tuples are the distinct elements of the
+    # unsettled draws, each its hand-composed block images side by side on
+    # the union of the blocks, in first-draw order
+    config, tg, growth = _config(stem, tmp_path)
+    words = sample_words(config.sample_count, config.sample_max_length,
+                         tg.generator_count, config.seed)
+    walked = []
+    cycle_walk = tower._cycle_walk
+
+    def walking(images, power=None):
+        walked.append(images)
+        return cycle_walk(images, power)
+
+    monkeypatch.setattr(tower, "_cycle_walk", walking)
+    largest = max(comp.extended_degree for comp in tg.components)
+    for table in (growth, dict.fromkeys(growth, 1)):
+        walked.clear()
+        cli._sample_checks(config, tg, table)
+        unsettled = [word for word in words
+                     if table[len(word)] * (len(word) + 1) < largest]
+        elements = [tuple(x + start for (start, _), image
+                          in zip(tg.block_spans, block_images(tg, word))
+                          for x in image.images)
+                    for word in unsettled]
+        assert walked == list(dict.fromkeys(elements))
+    # with nothing settled, some element is named by two distinct words
+    assert len(walked) < len(set(unsettled))
 
 
 def test_benchmark_verify_composes_no_settled_word(tmp_path, monkeypatch, capsys):

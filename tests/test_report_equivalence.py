@@ -18,9 +18,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import FixedOrder, scan_cases, spying_sample
+from conftest import FixedOrder, assemble_check, scan_cases, spying_sample
 from telescope import cli, tower
-from telescope.cli import MAX_FAILURES, load_config, main, sample_words
+from telescope.cli import load_config, main, sample_words
 from telescope.perm import Permutation
 from telescope.words import format_word, reduce_signed
 
@@ -43,26 +43,13 @@ GGS5 = {
 }
 
 
-def assemble(name, parameters, reports, rows=()):
-    """One check entry folded from every case's full report, with the
-    count ``rows`` after its summary."""
-    failing = [report for report in reports if not report.passed]
-    return {"name": name, "parameters": dict(parameters),
-            "status": "fail" if failing else "pass",
-            "witnesses": [{"cases": len(reports), "failed_cases": len(failing)},
-                          *rows,
-                          *({"parameters": report.parameters,
-                             "failures": report.witnesses[:MAX_FAILURES]}
-                            for report in failing[:MAX_FAILURES])]}
-
-
 def assemble_sweep(name, parameters, per_component):
     """A sweep check entry from each component's full reports, in sweep order."""
     rows = [{"component": ci, "cases": len(reports),
              "failed_cases": sum(1 for report in reports if not report.passed)}
             for ci, reports in enumerate(per_component, start=1)]
-    return assemble(name, parameters,
-                    [report for reports in per_component for report in reports], rows)
+    return assemble_check(name, parameters,
+                          [report for reports in per_component for report in reports], rows)
 
 
 def oracle_sweep_entries(tg, horizon_factor):
@@ -98,8 +85,8 @@ def oracle_sample_entries(config, tg, growth):
         images = tg.evaluate(word)
         orbit.append(tower.verify_orbit_bound(word, images, growth[len(word)]))
         torsion.append(tower.verify_torsion_bound(word, images, growth[len(word)]))
-    return [assemble("orbit_bound_sample", sampler, orbit),
-            assemble("torsion_bound_sample", sampler, torsion)]
+    return [assemble_check("orbit_bound_sample", sampler, orbit),
+            assemble_check("torsion_bound_sample", sampler, torsion)]
 
 
 def assert_verify_matches_oracle(config_path, out_path):

@@ -31,6 +31,19 @@ def truncation_order(tg, word):
     return verify_torsion_bound(word, tg.evaluate(word), 1).witnesses[0]["order"]
 
 
+def cycle_type_blocks(cycle_types):
+    """One permutation per block with the given cycle lengths, each cycle on
+    consecutive points; a block with no cycles is the identity on a point."""
+    blocks = []
+    for lengths in cycle_types:
+        images = []
+        for length in lengths:
+            start = len(images)
+            images.extend(start + (i + 1) % length for i in range(length))
+        blocks.append(Permutation(images or [0]))
+    return blocks
+
+
 @st.composite
 def recursion_tables(draw):
     """A random recursion (arity 2 or 3, 1 to 3 generators, sections of up
@@ -618,7 +631,8 @@ class TestUnion:
         spans = tg.block_spans
         assert [stop - start for start, stop in spans] == [
             comp.extended_degree for comp in tg.components]
-        assert spans[0][0] == 0 and spans[-1][1] == tg.union_degree
+        assert spans[0][0] == 0
+        assert tg.union_degree == sum(comp.extended_degree for comp in tg.components)
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         letters = tg.union_letters
         codes = [0] + [c for g in range(1, tg.generator_count + 1) for c in (g, -g)]
@@ -629,21 +643,17 @@ class TestUnion:
                 assert all(start <= image[x] < stop for x in range(start, stop))
 
         # a word's union image, sliced at each offset, is its block images;
-        # its one walk gives each block's longest cycle and order
+        # its one walk gives each block's longest cycle and order, and the
+        # element's longest cycle
         word = data.draw(st.lists(st.sampled_from(codes), max_size=8))
         image = compose_signed(word, letters, tg.union_degree)
         times = tower._cycle_walk(image)[0]
         blocks = [tg.evaluate_component(word, ci) for ci in range(len(tg.components))]
-        assert tg.split_union(image) == tuple(blocks)
         for (start, stop), block in zip(spans, blocks):
             assert tuple(x - start for x in image[start:stop]) == block.images
             assert max(times[start:stop]) == max(block.cycle_lengths(), default=1)
             assert math.lcm(*times[start:stop]) == block.order()
-        lengths = [set(times[start:stop]) for start, stop in spans]
-        assert tower.orbit_bound_blocks(lengths, 4) == tower.orbit_bound_blocks(
-            [block.cycle_lengths() for block in blocks], 4)
-        assert tower.torsion_bound_order(lengths, 4) == tower.torsion_bound_order(
-            [block.cycle_lengths() for block in blocks], 4)
+        assert max(times) == max(max(block.cycle_lengths(), default=1) for block in blocks)
 
         # the union sweep case's one walk against each hand-composed block
         union = tower._sweep_case(tg, gseq)
@@ -713,21 +723,30 @@ class TestTorsionBound:
     @example([[6]], 5)
     @example([[7]], 5)
     @example([[2, 3], [], [5]], 5)
-    def test_verdict_is_divisibility_of_the_factorial(self, block_lengths, limit):
-        # the shortcuts, an order or every cycle at most the limit, change no verdict
-        order, holds = tower.torsion_bound_order(block_lengths, limit)
-        assert order == math.lcm(*(n for lengths in block_lengths for n in lengths))
-        assert holds == divides_factorial(order, limit)
-        assert holds == (math.factorial(limit) % order == 0)
+    def test_verdict_is_divisibility_of_the_factorial(self, cycle_types, limit):
+        # the shortcut, every cycle at most the limit, changes no verdict;
+        # the empty word with torsion growth ``limit`` has limit ``limit``
+        blocks = cycle_type_blocks(cycle_types)
+        report = verify_torsion_bound((), blocks, limit)
+        order = report.witnesses[0]["order"]
+        assert order == math.lcm(*(n for lengths in cycle_types for n in lengths))
+        assert report.witnesses[0]["factorial_of"] == limit
+        assert report.passed == divides_factorial(order, limit)
+        assert report.passed == (math.factorial(limit) % order == 0)
 
     def test_short_cycles_are_not_factored(self, monkeypatch):
         calls = []
         monkeypatch.setattr(tower, "divides_factorial",
                             lambda value, limit: calls.append((value, limit)) or True)
-        assert tower.torsion_bound_order([(2, 3), (), (5,)], 5) == (30, True)
-        assert tower.torsion_bound_order([()], 1) == (1, True)
+
+        def verdict(cycle_types, limit):
+            report = verify_torsion_bound((), cycle_type_blocks(cycle_types), limit)
+            return report.witnesses[0]["order"], report.passed
+
+        assert verdict([(2, 3), (), (5,)], 5) == (30, True)
+        assert verdict([()], 1) == (1, True)
         assert calls == []
-        assert tower.torsion_bound_order([(6,)], 5) == (6, True)
+        assert verdict([(6,)], 5) == (6, True)
         assert calls == [(6, 5)]
 
     def test_tau(self, grig):
@@ -753,14 +772,27 @@ class TestBoundsSettled:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=3), st.integers(0, 12), st.data())
     def test_a_settled_limit_passes_every_element(self, degrees, limit, data):
-        # when the helper settles a limit, every permutation of the blocks
-        # passes both bounds' own helpers
-        event(f"settled: {tower.bounds_settled(degrees, limit)}")
+        # when the largest block's degree settles a limit, every
+        # permutation of the blocks passes both verifiers
+        settled = tower.bounds_settled(max(degrees), limit)
+        event(f"settled: {settled}")
         blocks = [Permutation(data.draw(st.permutations(range(d)))) for d in degrees]
-        lengths = [block.cycle_lengths() for block in blocks]
-        if tower.bounds_settled(degrees, limit):
-            assert not any(over for _, over in tower.orbit_bound_blocks(lengths, limit))
-            assert tower.torsion_bound_order(lengths, limit)[1]
+        if settled:
+            assert verify_orbit_bound((), blocks, limit).passed
+            assert verify_torsion_bound((), blocks, limit).passed
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=3), st.integers(0, 12), st.data())
+    def test_the_longest_cycle_decides_the_orbit_bound(self, degrees, limit, data):
+        # an element's longest cycle decides its orbit bound exactly, and
+        # one that it settles passes the torsion bound too
+        blocks = [Permutation(data.draw(st.permutations(range(d)))) for d in degrees]
+        longest = max(max(block.cycle_lengths(), default=1) for block in blocks)
+        settled = tower.bounds_settled(longest, limit)
+        event(f"settled: {settled}")
+        assert verify_orbit_bound((), blocks, limit).passed == settled
+        if settled:
+            assert verify_torsion_bound((), blocks, limit).passed
 
     @pytest.mark.parametrize("degrees, limit, settled", [
         ([4, 3], 4, True), ([4, 3], 3, False), ([3, 4], 3, False), ([1], 0, False),
@@ -769,7 +801,6 @@ class TestBoundsSettled:
     def test_an_unsettled_limit_has_a_failing_cycle(self, degrees, limit, settled):
         # a limit is settled exactly when it reaches the largest block: below
         # it, a cycle through all of that block breaks the orbit bound
-        assert tower.bounds_settled(degrees, limit) == settled
+        assert tower.bounds_settled(max(degrees), limit) == settled
         cycles = [Permutation.from_cycles(d, [tuple(range(d))]) for d in degrees]
-        rows = tower.orbit_bound_blocks([cycle.cycle_lengths() for cycle in cycles], limit)
-        assert any(over for _, over in rows) != settled
+        assert verify_orbit_bound((), cycles, limit).passed == settled
