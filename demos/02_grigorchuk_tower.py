@@ -13,10 +13,10 @@ rec = grigorchuk()
 
 print("level actions:")
 for level in (1, 2, 3):
-    action = rec.level_action(level)
+    perms = rec.level_action(level)
     images = ", ".join(f"{name} -> {perm.cycle_string()}"
-                       for name, perm in zip(rec.names, action.perms))
-    print(f"  level {level} (degree {action.degree}): {images}")
+                       for name, perm in zip(rec.names, perms))
+    print(f"  level {level} (degree {perms[0].degree}): {images}")
 
 print()
 print("exact element orders:")
@@ -36,7 +36,7 @@ print()
 print("the order of a*b climbs with the level and stabilizes at 16:")
 ab = rec.parse("a b")
 for level in range(1, 7):
-    action = rec.level_action(level)
-    image = action.perms[0] * action.perms[1]
+    a, b = rec.level_action(level)[:2]
+    image = a * b
     print(f"  level {level}: order {image.order()}")
 print("element_order(a b) =", rec.element_order(ab))

@@ -12,8 +12,8 @@ projecting onto alternating groups from some component on.
 from .perm import Permutation, PermGroup, orbit
 from .words import (build_w, format_word, invert_signed, parse_word,
                     reduce_signed, trace)
-from .selfsim import (BudgetExceeded, LevelAction, NotContracting,
-                      WreathRecursion, grigorchuk, gupta_sidki_3)
+from .selfsim import (BudgetExceeded, NotContracting, WreathRecursion, grigorchuk,
+                      gupta_sidki_3)
 from .reports import CheckReport
 from .tower import (ExtendedAction, TelescopeGroup, build_telescope,
                     divides_factorial, extend_action, transitivity_report,
@@ -29,8 +29,8 @@ __all__ = [
     "Permutation", "PermGroup", "orbit",
     "build_w", "format_word", "invert_signed", "parse_word", "reduce_signed",
     "trace",
-    "BudgetExceeded", "LevelAction", "NotContracting", "WreathRecursion",
-    "grigorchuk", "gupta_sidki_3",
+    "BudgetExceeded", "NotContracting", "WreathRecursion", "grigorchuk",
+    "gupta_sidki_3",
     "CheckReport",
     "ExtendedAction", "TelescopeGroup", "build_telescope", "divides_factorial",
     "extend_action", "transitivity_report", "verify_fundamental_general",

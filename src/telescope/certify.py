@@ -70,11 +70,11 @@ def check_tail_injectivity(tg, radius):
     if tg.rec is None:
         raise ValueError("tail injectivity needs the telescope's recursion")
     ball = tg.rec.ball(radius)
-    letters, degree = tg.union_letters, tg.union_degree
+    letters = tg.union_letters
     seen = {}
     collisions = []
     for word in ball:
-        key = compose_signed(word, letters, degree)
+        key = compose_signed(word, letters)
         if key in seen:
             collisions.append({
                 "word": format_word(word, tg.gen_names),
@@ -103,7 +103,7 @@ def sign_vectors(tg):
     {+1, -1}^t, so its size is a power of two, computed by rank over GF(2).
     """
     symbols = list(tg.gen_names) + ["t"]
-    tuples = [tg.gen_tuple(i) for i in range(tg.generator_count)] + [tg.tau_tuple()]
+    tuples = [*zip(*(c.gen_images for c in tg.components)), [c.tau for c in tg.components]]
     vectors = tuple(tuple(p.sign() for p in perms) for perms in tuples)
     witnesses = [{"symbol": symbol, "signs": list(vector)}
                  for symbol, vector in zip(symbols, vectors)]
@@ -196,7 +196,7 @@ def _polycyclic_orders(tg):
     for comp in tg.components:
         if comp.level is None or (
                 tuple(p.images[:comp.base_degree] for p in comp.gen_images)
-                != tuple(p.images for p in rec.level_action(comp.level).perms)):
+                != tuple(p.images for p in rec.level_action(comp.level))):
             return None
         levels.append(comp.level)
     orders = rec.quotient_orders(max(levels))
@@ -253,11 +253,10 @@ class Certificate:
     checks: list
     alt_cutoff: object = None
     torsion_bound_table: list = field(default_factory=list)
-    format_version: int = FORMAT_VERSION
 
     def as_dict(self):
         return {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "config_digest": self.config_digest,
             "components": self.components,
             "checks": self.checks,

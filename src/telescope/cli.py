@@ -414,7 +414,7 @@ def _sample_checks(config, tg, growth):
     """
     sampler = {"sampler": SAMPLER_NAME, "seed": config.seed,
                "count": config.sample_count, "max_length": config.sample_max_length}
-    letters, degree = tg.union_letters, tg.union_degree
+    letters = tg.union_letters
     largest = max(stop - start for start, stop in tg.block_spans)
     settled = {length for length, bound in growth.items()
                if tower.bounds_settled(largest, bound * (length + 1))}
@@ -427,7 +427,7 @@ def _sample_checks(config, tg, growth):
             continue
         failed = by_word.get(word)
         if failed is None:
-            element = compose_signed(word, letters, degree)
+            element = compose_signed(word, letters)
             cycle = longest.get(element)
             if cycle is None:
                 cycle = longest[element] = max(tower._cycle_walk(element)[0])

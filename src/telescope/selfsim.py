@@ -9,8 +9,10 @@ Every decision goes through one wreath decomposition,
 ``split(w) = (top, sections)``, psi(w) = (w|0, ..., w|d-1) pi (Nekrashevych,
 *Self-Similar Groups*, 2005, 1.3), memoized per recursion next to the
 triviality, order, level and torsion-growth caches and the telescope
-components that ``tower.build_telescope`` extends the levels to.  Caches
-live as long as their recursion; nothing is shared between recursions.
+components that ``tower.build_telescope`` extends the levels to.  A level
+action is the tuple of the generators' permutations of that level's
+vertices.  Caches live as long as their recursion; nothing is shared
+between recursions.
 The orders of the level quotients come from one induced polycyclic
 sequence when the root group is cyclic of prime order
 (``quotient_orders``).
@@ -26,7 +28,6 @@ can only give duplicates; both are explained where they are used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice
 from operator import itemgetter, ne
@@ -45,19 +46,6 @@ class BudgetExceeded(RuntimeError):
     This signals a non-contracting or non-torsion input rather than a
     recoverable condition.
     """
-
-
-@dataclass(frozen=True)
-class LevelAction:
-    """The action on the d^level vertices of one tree level.
-
-    Vertex ``(x1, ..., xl)`` is the index ``sum(x_j * d^(l-j))``, so the
-    first tree letter is the most significant digit.
-    """
-
-    level: int
-    degree: int
-    perms: tuple
 
 
 class WreathRecursion:
@@ -167,9 +155,12 @@ class WreathRecursion:
         return result
 
     def level_action(self, level):
-        """The permutations of the d^level vertices induced by each generator.
+        """The permutations of the d^level vertices induced by each generator,
+        as a tuple in generator order.
 
-        Built from the level below by the recursion: a generator sends vertex
+        Vertex ``(x1, ..., xl)`` is the index ``sum(x_j * d^(l-j))``, so the
+        first tree letter is the most significant digit.  The action is built
+        from the level below by the recursion: a generator sends vertex
         ``x*d^(level-1) + v`` to ``root(x)*d^(level-1) + s(v)``, where ``s`` is
         the level-(level-1) image of its section at child ``x``.  A level of
         more than ``step_budget`` vertices raises BudgetExceeded.
@@ -187,9 +178,8 @@ class WreathRecursion:
         if level == 1:
             perms = self.root_perms
         else:
-            below = self.level_action(level - 1)
-            n = below.degree
-            below_images = LetterTable(below.perms)
+            below_images = LetterTable(self.level_action(level - 1))
+            n = below_images.degree
 
             def lift(gen):
                 images = []
@@ -198,15 +188,14 @@ class WreathRecursion:
                     section = self.sections[gen - 1][x]
                     if section:
                         images.extend(map(offset.__add__,
-                                          compose_signed(section, below_images, n)))
+                                          compose_signed(section, below_images)))
                     else:
                         images.extend(range(offset, offset + n))
                 return Permutation._trusted(tuple(images))
 
             perms = tuple(lift(gen) for gen in range(1, self.generator_count + 1))
-        action = LevelAction(level=level, degree=self.arity ** level, perms=perms)
-        self._levels[level] = action
-        return action
+        self._levels[level] = perms
+        return perms
 
     def quotient_orders(self, level):
         """The orders |G/St(k)| of the level quotients for k = 1..level.
@@ -283,7 +272,7 @@ class WreathRecursion:
                 start = child + p  # the residue also fixes the leader's children
             return None
 
-        pending = [(0, perm.images) for perm in self.level_action(level).perms]
+        pending = [(0, perm.images) for perm in self.level_action(level)]
         while pending:
             found = sift(*pending.pop())
             if found is None:
@@ -471,9 +460,8 @@ class WreathRecursion:
         hash_level = 1
         while self.arity ** hash_level < 64:
             hash_level += 1
-        action = self.level_action(hash_level)
-        images_of = LetterTable(action.perms)
-        identity = tuple(range(action.degree))
+        images_of = LetterTable(self.level_action(hash_level))
+        identity = tuple(range(images_of.degree))
         if radius:
             letters = [letter for i, letter in enumerate(letters)
                        if not any(images_of[letter] == images_of[earlier]

@@ -15,7 +15,8 @@ reduced tuple of signed codes, evaluated from a letter table and spelled in
 reports by ``words.format_word``.
 The truncation acts on the disjoint union of its blocks, block ci taking
 the union points ``block_spans[ci]``; ``TelescopeGroup.union_letters`` is
-its letter table there, made on first use from the component tables.
+its letter table there, made on first use from the component tables, and
+its degree is the union's.
 The return bound and the trace facts sweep whole components point by
 point, from one case per generator sequence whose block t g1 ... t gk is
 evaluated as one word on the union of the blocks, and whose one walk of
@@ -46,7 +47,6 @@ from typing import NamedTuple
 
 from .perm import Permutation, _compose, orbit
 from .reports import CheckReport
-from .selfsim import LevelAction
 from .words import LetterTable, compose_signed, format_word, invert_signed, reduce_signed
 
 # Component indices in parameters and witnesses are 1-based throughout, so
@@ -55,8 +55,8 @@ from .words import LetterTable, compose_signed, format_word, invert_signed, redu
 
 @dataclass(frozen=True)
 class ExtendedAction:
-    """One component: a transitive base action plus the fresh point and its
-    transposition.
+    """One component: a transitive base action plus the fresh point, numbered
+    ``base_degree``, and its transposition.
 
     Construction rejects a base action that is not transitive, by the
     orbit of 0; the generator images fix the fresh point, so that orbit
@@ -99,24 +99,15 @@ class ExtendedAction:
     def base_degree(self):
         return self.tau.degree - 1
 
-    @property
-    def extra_point(self):
-        return self.tau.degree - 1
 
-
-def extend_action(action, basepoint):
+def extend_action(perms, basepoint, level=None):
     """Append one fresh point to an action and adjoin tau = (basepoint, fresh).
 
-    ``action`` is a LevelAction or a plain sequence of permutations; it
-    must be transitive (``ExtendedAction`` raises ValueError otherwise,
-    from the orbit of 0).
+    ``perms`` are the generator images of the action, which must be
+    transitive (``ExtendedAction`` raises ValueError otherwise, from the
+    orbit of 0); ``level`` is the tree level they act on, if any.
     """
-    if isinstance(action, LevelAction):
-        perms = action.perms
-        level = action.level
-    else:
-        perms = tuple(action)
-        level = None
+    perms = tuple(perms)
     if not perms:
         raise ValueError("an action needs at least one generator image")
     degree = perms[0].degree
@@ -149,10 +140,6 @@ class TelescopeGroup:
     def generator_count(self):
         return len(self.gen_names)
 
-    @property
-    def union_degree(self):
-        return self.block_spans[-1][1]
-
     @cached_property
     def block_spans(self):
         """Each block's points in the disjoint union of the blocks, as
@@ -181,16 +168,9 @@ class TelescopeGroup:
         return LetterTable([union(code) for code in range(1, self.generator_count + 1)],
                            union(0))
 
-    def gen_tuple(self, index):
-        return tuple(c.gen_images[index] for c in self.components)
-
-    def tau_tuple(self):
-        return tuple(c.tau for c in self.components)
-
     def evaluate_component(self, codes, ci):
         """Image of a signed code word on block ``ci`` (rightmost letter acting first)."""
-        comp = self.components[ci]
-        return Permutation._trusted(compose_signed(codes, comp.letters, comp.extended_degree))
+        return Permutation._trusted(compose_signed(codes, self.components[ci].letters))
 
     def evaluate(self, word):
         """Componentwise image of a code word (rightmost letter acting first)."""
@@ -239,7 +219,7 @@ def build_telescope(rec, levels, basepoints=None):
         comp = made.get(key)
         if comp is None:
             level, basepoint = key
-            comp = made[key] = extend_action(rec.level_action(level), basepoint)
+            comp = made[key] = extend_action(rec.level_action(level), basepoint, level)
         components.append(comp)
     return TelescopeGroup(tuple(components), rec.names, rec)
 
@@ -286,17 +266,15 @@ def _sweep_case(tg, gseq):
     if any(0 in word for word in gseq):
         raise ValueError("generator-sequence entries must not contain the transposition")
     n = tg.rec.element_order(reduce_signed([code for word in gseq for code in word]))
-    letters, degree = tg.union_letters, tg.union_degree
+    letters = tg.union_letters
     bound = n * (len(gseq) + 1)
     tau = letters[0]
-    images = tuple(compose_signed(word, letters, degree) for word in gseq)
-    inverses = tuple(compose_signed(invert_signed(word), letters, degree)
-                     for word in gseq)
-    block = compose_signed([code for word in gseq for code in (0, *word)],
-                           letters, degree)
+    images = tuple(compose_signed(word, letters) for word in gseq)
+    inverses = tuple(compose_signed(invert_signed(word), letters) for word in gseq)
+    block = compose_signed([code for word in gseq for code in (0, *word)], letters)
     lengths, full_return = _cycle_walk(block, bound)
     untails = []
-    untail = tuple(range(degree))
+    untail = tuple(range(letters.degree))
     for inverse in inverses[:-1]:
         untail = _compose(inverse, _compose(tau, untail))
         untails.append(untail)

@@ -9,7 +9,8 @@ Because ``-0 == 0``, the transposition is its own inverse and ``t t``
 cancels like any inverse pair.  Every word in the package is such a tuple:
 ``parse_word`` reads one, ``format_word`` spells one, by the default
 ``t``/``g<k>`` tokens or by a recursion's generator names, and
-``LetterTable`` with ``compose_signed`` evaluates one.
+``compose_signed`` evaluates one from a ``LetterTable``, which holds the
+letters' image tuples and their one degree.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ class LetterTable(dict):
     """Image tuples of the letters under one assignment, keyed by signed code.
 
     ``gen_perms`` assigns generators g1, g2, ...; ``tau``, if given, assigns t.
+    ``degree`` is the permutations' common degree, None when none is given.
     An inverse letter's image is built on its first lookup and kept, so a
     table made once serves every later word.  A letter with no assigned
     permutation raises ValueError when it is looked up.
@@ -117,14 +119,14 @@ def trace(word, point, gen_perms, tau=None):
     return tuple(out)
 
 
-def compose_signed(codes, images, degree):
-    """Image tuple of a code word from each letter's image tuple (rightmost acting
-    first); the empty word gives the identity."""
+def compose_signed(codes, table):
+    """Image tuple of a code word from a ``LetterTable`` (rightmost letter acting
+    first); the empty word gives the identity of the table's degree."""
     if not codes:
-        return tuple(range(degree))
-    result = images[codes[0]]
+        return tuple(range(table.degree))
+    result = table[codes[0]]
     for code in codes[1:]:
-        result = _compose(result, images[code])
+        result = _compose(result, table[code])
     return result
 
 

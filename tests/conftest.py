@@ -160,10 +160,10 @@ def custom_arity_3():
 
 def level_image(rec, word, level):
     """Image of a signed word in the level action, composed by hand."""
-    action = rec.level_action(level)
-    result = Permutation.identity(action.degree)
+    perms = rec.level_action(level)
+    result = Permutation.identity(rec.arity ** level)
     for s in word:
-        perm = action.perms[abs(s) - 1]
+        perm = perms[abs(s) - 1]
         if s < 0:
             perm = perm.inverse()
         result = result * perm
@@ -200,9 +200,9 @@ def spying_sample(monkeypatch):
         drawn.append(words)
         return words
 
-    def composing(word, letters, degree):
+    def composing(word, letters):
         composed.append(word)
-        return compose_signed(word, letters, degree)
+        return compose_signed(word, letters)
 
     monkeypatch.setattr(cli, "sample_words", drawing)
     monkeypatch.setattr(cli, "compose_signed", composing)
@@ -288,7 +288,8 @@ def schreier_sign_kernel(tg):
     vector of the image to its representative, so its size is the image
     size, and ``kernel_gens`` are tuples of block permutations generating K.
     """
-    gens = [tg.gen_tuple(i) for i in range(tg.generator_count)] + [tg.tau_tuple()]
+    gens = [tuple(c.gen_images[i] for c in tg.components) for i in range(tg.generator_count)]
+    gens.append(tuple(c.tau for c in tg.components))
     identity = tuple(Permutation.identity(c.extended_degree) for c in tg.components)
 
     transversal = {_tuple_sign(identity): identity}

@@ -23,9 +23,8 @@ def oracle_ball(rec, radius):
     hash_level = 1
     while rec.arity ** hash_level < 64:
         hash_level += 1
-    action = rec.level_action(hash_level)
-    images_of = LetterTable(action.perms)
-    identity = tuple(range(action.degree))
+    images_of = LetterTable(rec.level_action(hash_level))
+    identity = tuple(range(images_of.degree))
     reps, images, buckets, frontier = [()], {(): identity}, {identity: [()]}, [()]
     for _ in range(radius):
         new_frontier = []

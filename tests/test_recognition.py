@@ -308,7 +308,7 @@ def unleveled_grigorchuk():
     """Grigorchuk's level-3 action as a plain permutation list, so its
     component records no level, on a telescope that carries the recursion."""
     rec = grigorchuk()
-    return TelescopeGroup((extend_action(list(rec.level_action(3).perms), 0),),
+    return TelescopeGroup((extend_action(list(rec.level_action(3)), 0),),
                           rec.names, rec)
 
 
@@ -318,7 +318,7 @@ def cyclic_root_telescopes(draw):
     by ``cyclic_root_recursions``."""
     rec = draw(cyclic_root_recursions())
     levels = [level for level in range(1, 4)
-              if transitivity_oracle(rec.level_action(level).perms)["transitive"]]
+              if transitivity_oracle(rec.level_action(level))["transitive"]]
     assume(levels)
     return build_telescope(rec, levels)
 

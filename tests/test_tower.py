@@ -129,7 +129,7 @@ class TestExtendAction:
         assert ext.gen_images[0].is_identity()
 
     def test_grigorchuk_level_1(self, grig):
-        ext = extend_action(grig.level_action(1), 0)
+        ext = extend_action(grig.level_action(1), 0, level=1)
         assert ext.extended_degree == 3
         assert ext.tau == Permutation.from_cycles(3, [(0, 2)])
         assert ext.gen_images[0] == Permutation.from_cycles(3, [(0, 1)])
@@ -139,7 +139,7 @@ class TestExtendAction:
 
     def test_every_image_fixes_fresh_point(self, grig):
         ext = extend_action(grig.level_action(3), 5)
-        q = ext.extra_point
+        q = ext.base_degree
         assert all(p(q) == q for p in ext.gen_images)
         assert ext.tau(q) == ext.basepoint
 
@@ -165,8 +165,8 @@ class TestBuildTelescope:
     def test_two_levels(self, grig):
         tg = build_telescope(grig, [1, 2])
         assert [c.extended_degree for c in tg.components] == [3, 5]
-        assert tg.tau_tuple() == (Permutation.from_cycles(3, [(0, 2)]),
-                                  Permutation.from_cycles(5, [(0, 4)]))
+        assert tuple(c.tau for c in tg.components) == (Permutation.from_cycles(3, [(0, 2)]),
+                                                       Permutation.from_cycles(5, [(0, 4)]))
 
     def test_empty_levels_rejected(self, grig):
         with pytest.raises(ValueError):
@@ -196,7 +196,7 @@ class TestBuildTelescope:
         # the telescopes with an intransitive level, naming the first one
         rec, levels = drawn
         rows = [{"component": ci, "level": level,
-                 **transitivity_oracle(rec.level_action(level).perms)}
+                 **transitivity_oracle(rec.level_action(level))}
                 for ci, level in enumerate(levels, start=1)]
         first = next((row["level"] for row in rows if not row["transitive"]), None)
         if first is not None:
@@ -220,7 +220,7 @@ class TestLevelTransitivityTheorem:
     def test_construction_agrees_with_oracle(self, rec):
         # construction rejects the first intransitive level by its orbit and
         # otherwise makes a component on every level
-        rows = [transitivity_oracle(rec.level_action(level).perms) for level in range(1, 5)]
+        rows = [transitivity_oracle(rec.level_action(level)) for level in range(1, 5)]
         first = next((level for level, row in enumerate(rows, start=1)
                       if not row["transitive"]), None)
         event(f"first intransitive level: {first}")
@@ -317,7 +317,7 @@ class TestEvaluate:
         tg = build_telescope(grig, [1, 2, 3])
         image = tg.evaluate(parse_word("t g1 g2 t"))
         assert [p.degree for p in image] == [3, 5, 9]
-        assert tg.union_degree == 17
+        assert tg.union_letters.degree == 17
 
 
 class TestOrderInTruncation:
@@ -456,7 +456,7 @@ class TestTraceLemmas:
         # the first transposition pulls q to p, so q's trace always meets p
         tg = build_telescope(grig, [2])
         comp = tg.components[0]
-        q = comp.extra_point
+        q = comp.base_degree
         report = verify_trace_lemmas(tg, 0, [parse_word("g1")])
         assert report.parameters["bound"] == 4
         for witness in report.witnesses:
@@ -632,7 +632,7 @@ class TestUnion:
         assert [stop - start for start, stop in spans] == [
             comp.extended_degree for comp in tg.components]
         assert spans[0][0] == 0
-        assert tg.union_degree == sum(comp.extended_degree for comp in tg.components)
+        assert tg.union_letters.degree == sum(comp.extended_degree for comp in tg.components)
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         letters = tg.union_letters
         codes = [0] + [c for g in range(1, tg.generator_count + 1) for c in (g, -g)]
@@ -646,7 +646,7 @@ class TestUnion:
         # its one walk gives each block's longest cycle and order, and the
         # element's longest cycle
         word = data.draw(st.lists(st.sampled_from(codes), max_size=8))
-        image = compose_signed(word, letters, tg.union_degree)
+        image = compose_signed(word, letters)
         times = tower._cycle_walk(image)[0]
         blocks = [tg.evaluate_component(word, ci) for ci in range(len(tg.components))]
         for (start, stop), block in zip(spans, blocks):

@@ -83,8 +83,25 @@ class TestTerminalSubword:
         w = (1, 2)
         assert self.terminal(w, 0) == ()
         letters = LetterTable(self.gens, self.tau)
-        assert compose_signed(self.terminal(w, 0), letters, 3) == (0, 1, 2)
+        assert compose_signed(self.terminal(w, 0), letters) == (0, 1, 2)
         assert trace(self.terminal(w, 0), 1, self.gens, self.tau) == ()
+        # a component's, the union's and a tree level's table each give the
+        # empty word the identity of their own degree, and refuse a letter
+        # they do not assign
+        rec = grigorchuk()
+        tg = build_telescope(rec, [1, 2, 3])
+        level = LetterTable(rec.level_action(3))
+        for table, degree in ((tg.components[1].letters, 5), (tg.union_letters, 17),
+                              (level, 8)):
+            assert table.degree == degree
+            assert compose_signed((), table) == tuple(range(degree))
+            for word, name in (((5,), "g5"), ((1, -5), r"g5\^-1")):
+                with pytest.raises(ValueError,
+                                   match=f"^letter {name} has no assigned permutation$"):
+                    compose_signed(word, table)
+        with pytest.raises(ValueError,
+                           match="^word uses the transposition letter but none is assigned$"):
+            compose_signed((1, 0), level)
 
     def test_full_word(self):
         w = (0, 1)
@@ -165,7 +182,7 @@ class TestTrace:
     def test_last_entry_is_evaluation(self):
         letters = LetterTable([self.g], self.tau)
         for word in ((0, 1), (1, 0, 1), build_w(1, 3, 0)):
-            image = compose_signed(word, letters, 3)
+            image = compose_signed(word, letters)
             for point in range(3):
                 entries = trace(word, point, [self.g], self.tau)
                 assert entries[-1] == image[point]
