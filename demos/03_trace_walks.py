@@ -6,7 +6,8 @@ transposition between group letters bounds every such walk: each point
 returns within ord(g1...gk) * (k+1) block applications, which is what
 makes the whole telescope a torsion group.  A word is a tuple of signed
 codes, 0 for t and k for g_k: ``build_w`` and ``parse_word`` make one and
-``format_word`` spells it.
+``format_word`` spells it.  ``sweep_case`` evaluates one generator
+sequence on every block at once, and both verifiers read a block of it.
 
 The suite also illustrates honest machine-checking: two of the three
 documented trace facts verify exhaustively, while the third (the
@@ -15,7 +16,7 @@ surfaces rather than hides.
 """
 
 from telescope import (build_telescope, build_w, format_word, grigorchuk,
-                       parse_word, trace, verify_fundamental_general,
+                       parse_word, sweep_case, trace, verify_fundamental_general,
                        verify_trace_lemmas, WreathRecursion, Permutation)
 
 rec = grigorchuk()
@@ -33,8 +34,9 @@ for point in range(comp.extended_degree):
 
 print()
 print("return bound, swept over every point of every component:")
+case = sweep_case(tg, [parse_word("g1"), parse_word("g2")])
 for ci in range(3):
-    report = verify_fundamental_general(tg, ci, [parse_word("g1"), parse_word("g2")])
+    report = verify_fundamental_general(tg, ci, case)
     worst = report.witnesses[0]["largest_return"]
     print(f"  component {ci + 1}: bound {report.parameters['bound']}, "
           f"worst return time {worst}, pass = {report.passed}")
@@ -44,7 +46,7 @@ print("trace facts on the smallest extension (one involution on two points):")
 c2 = WreathRecursion(arity=2, names=("g1",), root_perms=(Permutation((1, 0)),),
                      sections=(((), ()),), contracting=True)
 demo = build_telescope(c2, [1])
-report = verify_trace_lemmas(demo, 0, [parse_word("g1")])
+report = verify_trace_lemmas(demo, 0, sweep_case(demo, [parse_word("g1")]))
 print("  clear/return facts hold:",
       not any(w.get("check") in ("trace_stays_clear", "basepoint_returns")
               for w in report.witnesses))

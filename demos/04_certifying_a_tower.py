@@ -38,7 +38,7 @@ print("sign vectors:", ", ".join(
     for symbol, vector in zip(symbols, vectors)))
 print("sign image size:", image_size)
 
-cutoff_report, cutoff = alt_cutoff(tg)
+cutoff_report, cutoff = alt_cutoff(tg, image_size)
 print()
 print(f"alternating cutoff m = {cutoff} "
       "(the sign kernel contains [Gamma, Gamma], so it projects onto "

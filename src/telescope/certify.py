@@ -128,7 +128,7 @@ def sign_vectors(tg):
     return vectors, image_size, report
 
 
-def alt_cutoff(tg, sign_image_size=None):
+def alt_cutoff(tg, sign_image_size):
     """Least component index m so that beyond it the kernel K of the
     componentwise sign map projects onto the full alternating groups.
 
@@ -138,7 +138,7 @@ def alt_cutoff(tg, sign_image_size=None):
     projects into Alt(n) and onto [Sym(n), Sym(n)] = Alt(n) on every block:
     the cutoff is 1.  The ``kernel_generators`` parameter counts the kernel
     elements this check built: none since format 3.  ``sign_image_size`` is
-    ``sign_vectors``' image size, computed here when not given.
+    ``sign_vectors``' image size, which the report records.
     """
     witnesses = [{"cutoff": 1}]
     for ci, comp in enumerate(tg.components, start=1):
@@ -146,8 +146,6 @@ def alt_cutoff(tg, sign_image_size=None):
         witnesses.append({"component": ci, "extended_degree": comp.extended_degree,
                           "kernel_projection_order": order, "alternating_order": order,
                           "full_alternating": True})
-    if sign_image_size is None:
-        sign_image_size = sign_vectors(tg)[1]
     return CheckReport(
         name="alt_cutoff",
         parameters={

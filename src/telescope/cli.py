@@ -106,16 +106,15 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 def parse_cycles(text, degree):
-    """Parse disjoint cycles like ``(0 1)(2 3 4)``; empty text is the identity."""
+    """Parse disjoint cycles like ``(0 1)(2 3 4)``; empty text is the identity.
+
+    A point may appear in one cycle only, one-point cycles included.
+    """
     if _CYCLES_RE.fullmatch(text) is None:
         raise ConfigError(f"malformed cycle notation {text!r}")
-    cycles = []
-    for body in _CYCLE_RE.findall(text):
-        cycle = [int(p) for p in body.split()]
-        if any(p >= degree for p in cycle):
-            raise ConfigError(f"cycle point out of range in {text!r} (degree {degree})")
-        if len(cycle) >= 2:
-            cycles.append(tuple(cycle))
+    cycles = [tuple(int(p) for p in body.split()) for body in _CYCLE_RE.findall(text)]
+    if any(p >= degree for cycle in cycles for p in cycle):
+        raise ConfigError(f"cycle point out of range in {text!r} (degree {degree})")
     try:
         return Permutation.from_cycles(degree, cycles)
     except ValueError as exc:
@@ -376,16 +375,14 @@ def _sweep_checks(tg, horizon_factor):
     trace_failures = [[] for _ in range(count)]
     general_failures = [[] for _ in range(count)]
     for gseq in sweep:
-        case = tower._sweep_case(tg, gseq)
+        case = tower.sweep_case(tg, gseq)
         orders.append({"gseq": case.names, "order": case.order, "bound": case.bound})
         for ci in range(count):
-            report = tower.verify_trace_lemmas(tg, ci, gseq, horizon_factor=horizon_factor,
-                                               case=case)
+            report = tower.verify_trace_lemmas(tg, ci, case, horizon_factor)
             if not report.passed:
                 trace_failures[ci].append(report)
             if not tower.return_bound_holds(case, ci):
-                general_failures[ci].append(tower.verify_fundamental_general(tg, ci, gseq,
-                                                                             case=case))
+                general_failures[ci].append(tower.verify_fundamental_general(tg, ci, case))
     return [_per_component("trace_lemmas", {"horizon_factor": horizon_factor}, len(sweep),
                            trace_failures),
             _per_component("fundamental_general", {"sweep": orders}, len(sweep),
@@ -467,7 +464,7 @@ def _verify_checks(config, tg):
     checks.append(certify.check_tail_injectivity(tg, config.ball_radius).as_dict())
     _, image_size, sign_report = certify.sign_vectors(tg)
     checks.append(sign_report.as_dict())
-    cutoff_report, cutoff = certify.alt_cutoff(tg, sign_image_size=image_size)
+    cutoff_report, cutoff = certify.alt_cutoff(tg, image_size)
     checks.append(cutoff_report.as_dict())
     checks.append(certify.perfectness_scan(tg).as_dict())
 

@@ -21,9 +21,10 @@ The return bound and the trace facts sweep whole components point by
 point, from one case per generator sequence whose block t g1 ... t gk is
 evaluated as one word on the union of the blocks, and whose one walk of
 the block's cycles gives every point's return time and N(k+1)-fold image;
-N is always the order of g1 ... gk in the group.  ``verify`` builds each
-case once and hands it to both sweeps of every component, and a
-standalone verifier builds the same case and reads its own block.
+N is always the order of g1 ... gk in the group.  ``sweep_case`` builds
+that case, and is the one place a generator sequence is checked; both
+sweep verifiers take the case and read one block of it.  ``verify``
+builds each case once and hands it to both sweeps of every component.
 Both sample bounds hold for an element whose longest cycle is at most the
 limit, and the orbit bound holds for no other, so ``bounds_settled``
 compares one longest cycle with the limit: a length's with its largest
@@ -246,7 +247,7 @@ class SweepCase(NamedTuple):
     longest: tuple  # each block's longest cycle, by 0-based component
 
 
-def _sweep_case(tg, gseq):
+def sweep_case(tg, gseq):
     """The ``SweepCase`` of ``gseq`` on the disjoint union of the blocks.
 
     Each entry and its inverse are composed from the union's letter table
@@ -256,7 +257,8 @@ def _sweep_case(tg, gseq):
     N(k+1)-fold map and each block's longest cycle.  The tail of each row
     of ``_first_hits`` depends only on gseq, so it is composed here, once
     for every block.  N is ``tg.rec.element_order`` of g1...gk, so gseq
-    must be nonempty and free of the transposition.
+    must be nonempty and free of the transposition, on a telescope with a
+    recursion.
     """
     gseq = list(gseq)
     if not gseq:
@@ -405,7 +407,7 @@ def _first_hits(tau, inverses, untails, p, horizon, block):
     return hits
 
 
-def verify_fundamental_general(tg, component, gseq, *, case=None):
+def verify_fundamental_general(tg, component, case):
     """Every point must return to itself within N*(k+1) block applications.
 
     For each point the least m >= 1 with  (t g1 ... t gk)^m . point = point
@@ -415,14 +417,10 @@ def verify_fundamental_general(tg, component, gseq, *, case=None):
     and its largest return time.  A failing report lists the (point, m)
     pair of each point of block ``component`` whose m exceeds the bound,
     and only those.  ``component`` is a 0-based index into
-    ``tg.components``, checked before gseq.  ``case``, when given, is the
-    ``_sweep_case`` of gseq, built once for both sweeps and every block;
-    otherwise it is built here.  Either way the block is read at
-    ``tg.block_spans[component]``.
+    ``tg.components``, and ``case`` is the ``sweep_case`` of a generator
+    sequence, whose block is read at ``tg.block_spans[component]``.
     """
     _check_component(tg, component)
-    if case is None:
-        case = _sweep_case(tg, gseq)
     start, stop = tg.block_spans[component]
     bound = case.bound
     passed = return_bound_holds(case, component)
@@ -439,7 +437,7 @@ def verify_fundamental_general(tg, component, gseq, *, case=None):
     )
 
 
-def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, *, case=None):
+def verify_trace_lemmas(tg, component, case, horizon_factor=2):
     """The three trace facts behind the return bound, swept exhaustively.
 
     With N the order of g1...gk in the group, the basepoint p and traces
@@ -452,11 +450,10 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, *, case=None):
 
     The horizon is horizon_factor * N * (k+1) block repetitions.
     ``component`` must be a 0-based index into ``tg.components`` and
-    ``horizon_factor`` an integer >= 1, checked in that order and before
-    gseq.  ``case``, when given, is the ``_sweep_case`` of gseq, built once
-    for both sweeps and every block; otherwise it is built here.  The
-    block's points are read at ``tg.block_spans[component]`` in the case's
-    domain and reported by their number in the block.
+    ``horizon_factor`` an integer >= 1, checked in that order.  ``case`` is
+    the ``sweep_case`` of a generator sequence; the block's points are read
+    at ``tg.block_spans[component]`` in the case's domain and reported by
+    their number in the block.
 
     No trace is walked letter by letter.  Read from its end, w(horizon, j)
     is a partial tail of 2j letters and then ``horizon`` periods of 2k
@@ -485,8 +482,6 @@ def verify_trace_lemmas(tg, component, gseq, horizon_factor=2, *, case=None):
     """
     _check_component(tg, component)
     _check_horizon_factor(horizon_factor)
-    if case is None:
-        case = _sweep_case(tg, gseq)
     n, bound, tau, images, block, lengths = (case.order, case.bound, case.tau, case.images,
                                              case.block, case.lengths)
     k = len(images)

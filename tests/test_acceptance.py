@@ -28,12 +28,12 @@ from pathlib import Path
 import pytest
 
 from conftest import brute_closure, level_image, schreier_sign_kernel, src_env
-from telescope.certify import alt_cutoff, check_subdirect
+from telescope.certify import alt_cutoff, check_subdirect, sign_vectors
 from telescope.cli import main, sample_words
 from telescope.perm import PermGroup, Permutation
 from telescope.selfsim import grigorchuk
 from telescope.tower import (build_telescope, divides_factorial, extend_action,
-                             TelescopeGroup, verify_fundamental_general,
+                             sweep_case, TelescopeGroup, verify_fundamental_general,
                              verify_trace_lemmas)
 from telescope.words import format_word
 
@@ -162,18 +162,20 @@ def test_criterion_1_engine_matches_brute_force_closure():
 
 def test_criterion_2_return_bound_exhaustive(grig1234):
     started = time.perf_counter()
-    for ci in range(4):
-        for gseq in gseq_sweep():
-            report = verify_fundamental_general(grig1234, ci, gseq)
+    for gseq in gseq_sweep():
+        case = sweep_case(grig1234, gseq)
+        for ci in range(4):
+            report = verify_fundamental_general(grig1234, ci, case)
             assert report.passed, (ci, [format_word(w) for w in gseq], report.witnesses)
     assert time.perf_counter() - started < 120
 
 
 def test_criterion_3_trace_suite_clear_and_return_parts(grig1234):
     started = time.perf_counter()
-    for ci in range(4):
-        for gseq in gseq_sweep():
-            report = verify_trace_lemmas(grig1234, ci, gseq, horizon_factor=2)
+    for gseq in gseq_sweep():
+        case = sweep_case(grig1234, gseq)
+        for ci in range(4):
+            report = verify_trace_lemmas(grig1234, ci, case, horizon_factor=2)
             offending = [w for w in report.witnesses
                          if w.get("check") in ("trace_stays_clear",
                                                "basepoint_returns")]
@@ -201,9 +203,10 @@ def test_criterion_3_trace_suite_pigeonhole_part_as_stated(grig, grig1234):
     criterion 2 and holds.
     """
     reported = set()
-    for ci in range(4):
-        for gseq in gseq_sweep():
-            report = verify_trace_lemmas(grig1234, ci, gseq, horizon_factor=2)
+    for gseq in gseq_sweep():
+        case = sweep_case(grig1234, gseq)
+        for ci in range(4):
+            report = verify_trace_lemmas(grig1234, ci, case, horizon_factor=2)
             reported.update(
                 (ci + 1, tuple(format_word(w) for w in gseq), w["point"], w["partial"])
                 for w in report.witnesses if w.get("check") == "pigeonhole_pair")
@@ -278,7 +281,7 @@ def test_criterion_5_subdirect_orders_exact(grig1234):
 
 def test_criterion_6_alternating_cutoff(grig1234):
     started = time.perf_counter()
-    report, cutoff = alt_cutoff(grig1234)
+    report, cutoff = alt_cutoff(grig1234, sign_vectors(grig1234)[1])
     assert report.passed and cutoff is not None
     for witness in report.witnesses[1:]:
         if witness["component"] >= cutoff:

@@ -209,24 +209,24 @@ class TestSignVectors:
         assert vectors[0] == (-1, 1, 1, 1) and vectors[-1] == (-1, -1, -1, -1)
         transversal, _ = schreier_sign_kernel(renamed)
         assert size == len(transversal) == 16
-        assert alt_cutoff(renamed)[0].parameters["sign_image_size"] == 16
+        assert alt_cutoff(renamed, size)[0].parameters["sign_image_size"] == 16
 
 
 class TestAltCutoff:
     def test_sym3_kernel_is_alt3(self):
         tg = single_component([cyc(2, (0, 1))], 0, ["g"])
-        report, cutoff = alt_cutoff(tg)
+        report, cutoff = alt_cutoff(tg, sign_vectors(tg)[1])
         assert report.passed and cutoff == 1
         assert report.witnesses[1]["kernel_projection_order"] == 3
 
     def test_sym4_kernel_is_alt4(self):
         tg = single_component([cyc(3, (0, 1, 2))], 2, ["r"])
-        report, cutoff = alt_cutoff(tg)
+        report, cutoff = alt_cutoff(tg, sign_vectors(tg)[1])
         assert cutoff == 1
         assert report.witnesses[1]["kernel_projection_order"] == 12
 
     def test_grigorchuk_cutoff_exists(self, grig1234):
-        report, cutoff = alt_cutoff(grig1234)
+        report, cutoff = alt_cutoff(grig1234, sign_vectors(grig1234)[1])
         assert report.passed
         assert cutoff is not None
         for witness in report.witnesses[1:]:
@@ -238,14 +238,15 @@ class TestAltCutoff:
     def test_kernel_generators_are_all_even(self, grig1234):
         # the kernel alt_cutoff argues about, built explicitly by the oracle
         _, gens = schreier_sign_kernel(grig1234)
-        assert alt_cutoff(grig1234)[0].parameters["kernel_generators"] == 0
+        report, _ = alt_cutoff(grig1234, sign_vectors(grig1234)[1])
+        assert report.parameters["kernel_generators"] == 0
         assert gens
         for element in gens:
             assert all(p.sign() == 1 for p in element)
 
     def test_cutoff_monotone_under_prefix(self, grig123, grig1234):
-        _, small_cut = alt_cutoff(grig123)
-        _, large_cut = alt_cutoff(grig1234)
+        _, small_cut = alt_cutoff(grig123, sign_vectors(grig123)[1])
+        _, large_cut = alt_cutoff(grig1234, sign_vectors(grig1234)[1])
         assert small_cut == large_cut == 1
 
 

@@ -57,7 +57,7 @@ class TestParseCycles:
         assert parse_cycles("(0 10)", 11) == Permutation.from_cycles(11, [(0, 10)])
 
     def test_rejects_garbage(self):
-        for bad in ("0 1", "(0 1", "(0 x)", "(0 1)(1 2)"):
+        for bad in ("0 1", "(0 1", "(0 x)", "(0 1)(1 2)", "(0 1)(1)", "(1)(0 1)", "(2)(2)"):
             with pytest.raises(ConfigError):
                 parse_cycles(bad, 3)
 

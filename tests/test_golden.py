@@ -317,8 +317,8 @@ def test_each_sweep_case_is_built_once(stem, tmp_path, monkeypatch, capsys):
         built.append(tuple(gseq))
         return sweep_case(tg, gseq, *args, **kwargs)
 
-    sweep_case = tower._sweep_case
-    monkeypatch.setattr(tower, "_sweep_case", counting)
+    sweep_case = tower.sweep_case
+    monkeypatch.setattr(tower, "sweep_case", counting)
     config_path = GOLDEN / f"{stem}.json"
     main(["verify", "--config", str(config_path),
           "--out", str(tmp_path / "certificate.json")])

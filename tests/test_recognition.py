@@ -132,7 +132,8 @@ def assert_matches_sign_kernel_oracle(tg):
     every ``full_alternating`` flag, every row's order, and the sign image
     size (also ``sign_vectors``') against the transversal's."""
     transversal, kernel_gens = schreier_sign_kernel(tg)
-    report, cutoff = alt_cutoff(tg)
+    size = sign_vectors(tg)[1]
+    report, cutoff = alt_cutoff(tg, size)
     full = []
     for comp, row, order in zip(tg.components, report.witnesses[1:],
                                 kernel_projection_orders(tg, kernel_gens)):
@@ -140,8 +141,7 @@ def assert_matches_sign_kernel_oracle(tg):
         assert row["full_alternating"] == full[-1]
         assert row["kernel_projection_order"] == order
     assert cutoff == next((i + 1 for i in range(len(full)) if all(full[i:])), None)
-    assert report.parameters["sign_image_size"] == len(transversal)
-    assert sign_vectors(tg)[1] == len(transversal)
+    assert report.parameters["sign_image_size"] == size == len(transversal)
 
 
 def refuse_chain_make(group):
@@ -167,7 +167,7 @@ class TestCertifyAgainstChain:
     @given(telescopes())
     def test_transitive_blocks_pass_with_cutoff_one(self, tg):
         assert check_subdirect(tg).passed
-        report, cutoff = alt_cutoff(tg)
+        report, cutoff = alt_cutoff(tg, sign_vectors(tg)[1])
         assert report.passed and cutoff == 1
         assert_matches_sign_kernel_oracle(tg)
 
@@ -187,7 +187,7 @@ class TestCertifyAgainstChain:
         # of order 3 there, far from Alt(5)
         monkeypatch.setattr(tower.ExtendedAction, "__post_init__", lambda self: None)
         tg = two_block_example()
-        assert alt_cutoff(tg)[0].witnesses[2]["full_alternating"]
+        assert alt_cutoff(tg, sign_vectors(tg)[1])[0].witnesses[2]["full_alternating"]
         assert kernel_projection_orders(tg, schreier_sign_kernel(tg)[1])[1] == 3
         with pytest.raises(AssertionError):
             assert_matches_sign_kernel_oracle(tg)
@@ -217,7 +217,7 @@ class TestCertifyAgainstChain:
         tg = build_telescope(load_config(str(config)).recursion, levels)
         assert transitivity_report(tg).passed
         assert check_subdirect(tg).passed
-        report, cutoff = alt_cutoff(tg)
+        report, cutoff = alt_cutoff(tg, sign_vectors(tg)[1])
         assert report.passed and cutoff == 1
         scan = perfectness_scan(tg)
         assert scan.witnesses == checks["perfectness_scan"]["witnesses"]

@@ -3,8 +3,8 @@ the sweep and sample check entries the long way, from one full verifier
 report per case (per draw, for the sample), and require the same entries.
 
 The oracle is the assembly that folded every report.  A sweep check counts
-each component's cases and failed cases, from that component's standalone
-verifiers, and ``fundamental_general`` lists each generator sequence's
+each component's cases and failed cases, from that component's full
+verifier reports, and ``fundamental_general`` lists each generator sequence's
 order, from ``rec.element_order``, and bound once.  Each failing case
 then contributes its parameters and first failures.  It runs on every
 golden config and on drawn hand-built telescopes whose stated orders and
@@ -53,20 +53,21 @@ def assemble_sweep(name, parameters, per_component):
 
 
 def oracle_sweep_entries(tg, horizon_factor):
-    """``trace_lemmas`` and ``fundamental_general`` from one full standalone
+    """``trace_lemmas`` and ``fundamental_general`` from one full verifier
     report per case, and each sequence's order and bound."""
     sweep = cli._gseq_sweep(tg.generator_count)
+    cases = [tower.sweep_case(tg, gseq) for gseq in sweep]
     trace, general = [], []
     for ci in range(len(tg.components)):
-        trace.append([tower.verify_trace_lemmas(tg, ci, gseq, horizon_factor=horizon_factor)
-                      for gseq in sweep])
-        general.append([tower.verify_fundamental_general(tg, ci, gseq) for gseq in sweep])
+        trace.append([tower.verify_trace_lemmas(tg, ci, case, horizon_factor)
+                      for case in cases])
+        general.append([tower.verify_fundamental_general(tg, ci, case) for case in cases])
     orders = []
     for gseq in sweep:
         n = tg.rec.element_order(reduce_signed([code for word in gseq for code in word]))
         orders.append({"gseq": [format_word(word) for word in gseq], "order": n,
                        "bound": n * (len(gseq) + 1)})
-    # every standalone report states the sequence's order and bound
+    # every report states the sequence's order and bound
     for reports in trace + general:
         assert [{key: report.parameters[key] for key in ("gseq", "order", "bound")}
                 for report in reports] == orders

@@ -12,9 +12,9 @@ from telescope import tower
 from telescope.perm import Permutation
 from telescope.selfsim import WreathRecursion, grigorchuk, gupta_sidki_3
 from telescope.tower import (ExtendedAction, TelescopeGroup, build_telescope,
-                             divides_factorial, extend_action, transitivity_report,
-                             verify_fundamental_general, verify_orbit_bound,
-                             verify_torsion_bound, verify_trace_lemmas)
+                             divides_factorial, extend_action, sweep_case,
+                             transitivity_report, verify_fundamental_general,
+                             verify_orbit_bound, verify_torsion_bound, verify_trace_lemmas)
 from telescope.words import compose_signed, parse_word, reduce_signed
 
 
@@ -351,7 +351,7 @@ class TestOrderInTruncation:
 
 class TestFundamentalGeneral:
     def test_c2_single_generator(self, demo):
-        report = verify_fundamental_general(demo, 0, [parse_word("g1")])
+        report = verify_fundamental_general(demo, 0, sweep_case(demo, [parse_word("g1")]))
         assert report.passed
         assert report.parameters["order"] == 2
         assert report.parameters["bound"] == 4
@@ -359,7 +359,7 @@ class TestFundamentalGeneral:
         assert report.witnesses == [{"points": 3, "largest_return": 3}]
 
     def test_identity_sequence(self, demo):
-        report = verify_fundamental_general(demo, 0, [parse_word("g1 g1")])
+        report = verify_fundamental_general(demo, 0, sweep_case(demo, [parse_word("g1 g1")]))
         assert report.passed
         assert report.parameters["order"] == 1
         assert report.parameters["bound"] == 2
@@ -369,7 +369,7 @@ class TestFundamentalGeneral:
     def test_grigorchuk_pair_with_global_order(self, grig):
         tg = build_telescope(grig, [1, 2, 3])
         gseq = [parse_word("g1"), parse_word("g2")]
-        report = verify_fundamental_general(tg, 2, gseq)
+        report = verify_fundamental_general(tg, 2, sweep_case(tg, gseq))
         assert report.passed
         assert report.parameters["order"] == 16
         assert report.parameters["bound"] == 48
@@ -381,9 +381,10 @@ class TestFundamentalGeneral:
         pairs = [parse_word("g1 g2"), parse_word("g1 g4"), parse_word("g2 g3")]
         sweep = [[w] for w in singles + pairs]
         sweep += [[u, v] for u in singles for v in pairs[:2]]
-        for ci in range(2):
-            for gseq in sweep:
-                assert verify_fundamental_general(tg, ci, gseq).passed
+        for gseq in sweep:
+            case = sweep_case(tg, gseq)
+            for ci in range(2):
+                assert verify_fundamental_general(tg, ci, case).passed
 
     def test_a_failing_case_reports_exactly_its_violating_points(self):
         # g1 = (0 1 2 3) and g2 = (0 2) on four points, the fresh point 4 and
@@ -396,33 +397,35 @@ class TestFundamentalGeneral:
         gseq = [parse_word("g1 g2")]
         block = tg.evaluate_component((0, 1, 2), 0)
         assert sorted(block.cycle_lengths()) == [2, 3]
-        report = verify_fundamental_general(tg, 0, gseq)
+        report = verify_fundamental_general(tg, 0, sweep_case(tg, gseq))
         assert not report.passed
         assert report.parameters["bound"] == 2
         assert report.witnesses == [{"point": point, "m": 3} for point in (0, 3, 4)]
         assert report == walk_fundamental_general(tg, 0, gseq)
 
     def test_gseq_with_tau_rejected(self, demo):
-        with pytest.raises(ValueError):
-            verify_fundamental_general(demo, 0, [parse_word("t g1")])
+        with pytest.raises(ValueError, match="must not contain the transposition"):
+            sweep_case(demo, [parse_word("t g1")])
 
     def test_empty_gseq_rejected(self, demo):
-        with pytest.raises(ValueError):
-            verify_fundamental_general(demo, 0, [])
+        with pytest.raises(ValueError, match="nonempty"):
+            sweep_case(demo, [])
+
+    def test_telescope_without_recursion_rejected(self, demo):
+        # N is an element order of the group, which only a recursion knows
+        tg = TelescopeGroup(demo.components, demo.gen_names, None)
+        with pytest.raises(ValueError, match="needs the telescope's recursion"):
+            sweep_case(tg, [parse_word("g1")])
 
     @pytest.mark.parametrize("component", [-1, 1, True, 0.0])
     def test_component_outside_the_telescope_rejected(self, demo, component):
         with pytest.raises(ValueError, match="outside 0..0"):
-            verify_fundamental_general(demo, component, [parse_word("g1")])
-        # also when the case is built beforehand
-        case = tower._sweep_case(demo, [parse_word("g1")])
-        with pytest.raises(ValueError, match="outside 0..0"):
-            verify_fundamental_general(demo, component, [parse_word("g1")], case=case)
+            verify_fundamental_general(demo, component, sweep_case(demo, [parse_word("g1")]))
 
 
 class TestTraceLemmas:
     def test_c2_clear_and_return_checks_hold(self, demo):
-        report = verify_trace_lemmas(demo, 0, [parse_word("g1")])
+        report = verify_trace_lemmas(demo, 0, sweep_case(demo, [parse_word("g1")]))
         kinds = {w.get("check") for w in report.witnesses}
         assert "trace_stays_clear" not in kinds
         assert "basepoint_returns" not in kinds
@@ -430,14 +433,14 @@ class TestTraceLemmas:
     def test_c2_pigeonhole_counterexample(self, demo):
         # the stated pigeonhole fact fails at points 0 and 1; the fresh point
         # q = 2 satisfies it
-        report = verify_trace_lemmas(demo, 0, [parse_word("g1")])
+        report = verify_trace_lemmas(demo, 0, sweep_case(demo, [parse_word("g1")]))
         assert not report.passed
         offending = {w["point"] for w in report.witnesses
                      if w.get("check") == "pigeonhole_pair"}
         assert offending == {0, 1}
 
     def test_identity_sequence_passes_everything(self, demo):
-        report = verify_trace_lemmas(demo, 0, [parse_word("g1 g1")])
+        report = verify_trace_lemmas(demo, 0, sweep_case(demo, [parse_word("g1 g1")]))
         kinds = {w.get("check") for w in report.witnesses}
         assert "trace_stays_clear" not in kinds
         assert "basepoint_returns" not in kinds
@@ -446,9 +449,10 @@ class TestTraceLemmas:
         tg = build_telescope(grig, [1, 2])
         singles = [(g,) for g in range(1, 5)]
         sweep = [[w] for w in singles] + [[u, v] for u in singles for v in singles]
-        for ci in range(2):
-            for gseq in sweep:
-                report = verify_trace_lemmas(tg, ci, gseq)
+        for gseq in sweep:
+            case = sweep_case(tg, gseq)
+            for ci in range(2):
+                report = verify_trace_lemmas(tg, ci, case)
                 for witness in report.witnesses:
                     assert witness.get("check") in (None, "pigeonhole_pair")
 
@@ -457,42 +461,34 @@ class TestTraceLemmas:
         tg = build_telescope(grig, [2])
         comp = tg.components[0]
         q = comp.base_degree
-        report = verify_trace_lemmas(tg, 0, [parse_word("g1")])
+        report = verify_trace_lemmas(tg, 0, sweep_case(tg, [parse_word("g1")]))
         assert report.parameters["bound"] == 4
         for witness in report.witnesses:
             if witness.get("check") == "trace_stays_clear":
                 assert witness["point"] != q
 
     def test_horizon_parameter(self, demo):
-        report = verify_trace_lemmas(demo, 0, [parse_word("g1")], horizon_factor=3)
+        report = verify_trace_lemmas(demo, 0, sweep_case(demo, [parse_word("g1")]),
+                                     horizon_factor=3)
         assert report.parameters["horizon"] == 3 * report.parameters["bound"]
 
     @pytest.mark.parametrize("component", [-1, 1, True, 0.0])
     def test_component_outside_the_telescope_rejected(self, demo, component):
         with pytest.raises(ValueError, match="outside 0..0"):
-            verify_trace_lemmas(demo, component, [parse_word("g1")])
-        # also when the case is built beforehand
-        case = tower._sweep_case(demo, [parse_word("g1")])
-        with pytest.raises(ValueError, match="outside 0..0"):
-            verify_trace_lemmas(demo, component, [parse_word("g1")], case=case)
+            verify_trace_lemmas(demo, component, sweep_case(demo, [parse_word("g1")]))
 
-    def test_checks_run_component_then_horizon_then_gseq(self, demo):
+    def test_checks_run_component_then_horizon(self, demo):
+        case = sweep_case(demo, [parse_word("g1")])
         with pytest.raises(ValueError, match="outside 0..0"):
-            verify_trace_lemmas(demo, 1, [], horizon_factor=0)
+            verify_trace_lemmas(demo, 1, case, horizon_factor=0)
         with pytest.raises(ValueError, match="horizon_factor"):
-            verify_trace_lemmas(demo, 0, [], horizon_factor=0)
-        with pytest.raises(ValueError, match="nonempty"):
-            verify_trace_lemmas(demo, 0, [])
+            verify_trace_lemmas(demo, 0, case, horizon_factor=0)
 
     @pytest.mark.parametrize("factor", [0, -1, 1.5, "2", True, None])
     def test_horizon_factor_must_be_a_positive_integer(self, demo, factor):
         with pytest.raises(ValueError, match="horizon_factor must be an integer >= 1"):
-            verify_trace_lemmas(demo, 0, [parse_word("g1")], horizon_factor=factor)
-        # also when the case is built beforehand, without the factor
-        case = tower._sweep_case(demo, [parse_word("g1")])
-        with pytest.raises(ValueError, match="horizon_factor must be an integer >= 1"):
-            verify_trace_lemmas(demo, 0, [parse_word("g1")], horizon_factor=factor,
-                                case=case)
+            verify_trace_lemmas(demo, 0, sweep_case(demo, [parse_word("g1")]),
+                                horizon_factor=factor)
 
 
 def scan_first_hits(tg, ci, gseq, horizon):
@@ -511,15 +507,13 @@ def scan_first_hits(tg, ci, gseq, horizon):
 
 
 def assert_scan_matches_walker(tg, ci, gseq, factor):
-    # the standalone verifiers, and the same verifiers handed the union
-    # case that ``verify`` builds once for every block, against the walkers
-    trace = verify_trace_lemmas(tg, ci, gseq, horizon_factor=factor)
+    # the verifiers, handed the union case that ``verify`` builds once for
+    # every block, against the walkers
+    case = sweep_case(tg, gseq)
+    trace = verify_trace_lemmas(tg, ci, case, factor)
     assert trace == walk_trace_lemmas(tg, ci, gseq, factor)
-    general = verify_fundamental_general(tg, ci, gseq)
+    general = verify_fundamental_general(tg, ci, case)
     assert general == walk_fundamental_general(tg, ci, gseq)
-    case = tower._sweep_case(tg, gseq)
-    assert verify_trace_lemmas(tg, ci, gseq, horizon_factor=factor, case=case) == trace
-    assert verify_fundamental_general(tg, ci, gseq, case=case) == general
     assert tower.return_bound_holds(case, ci) == general.passed
     _, tau, images, _ = hand_case(tg, ci, gseq)
     hits = scan_first_hits(tg, ci, gseq, trace.parameters["horizon"])
@@ -553,7 +547,7 @@ class TestScanMatchesWalker:
         hits = assert_scan_matches_walker(tg, 0, [parse_word("g1")], 1)
         assert hits == [[None, 3, 1, 2]]
         assert scan_first_hits(tg, 0, [parse_word("g1")], 3) == [[5, 3, 1, 2]]
-        report = verify_trace_lemmas(tg, 0, [parse_word("g1")], horizon_factor=1)
+        report = verify_trace_lemmas(tg, 0, sweep_case(tg, [parse_word("g1")]), horizon_factor=1)
         assert {"check": "basepoint_returns", "partial": 0, "first_hit": None} in report.witnesses
 
     @pytest.mark.parametrize("rec, levels", [(grigorchuk(), [1, 2, 3, 4]),
@@ -656,7 +650,7 @@ class TestUnion:
         assert max(times) == max(max(block.cycle_lengths(), default=1) for block in blocks)
 
         # the union sweep case's one walk against each hand-composed block
-        union = tower._sweep_case(tg, gseq)
+        union = sweep_case(tg, gseq)
         assert len(union.longest) == len(spans)
         for ci, (start, stop) in enumerate(spans):
             _, _, _, block = hand_case(tg, ci, gseq)
