@@ -10,8 +10,8 @@ bound.  The certificate packages the whole run deterministically.
 
 import json
 
-from telescope import (alt_cutoff, build_telescope, check_subdirect,
-                       check_tail_injectivity, component_table,
+from telescope import (alt_cutoff, build_telescope, certificate_bytes,
+                       check_subdirect, check_tail_injectivity, component_table,
                        emit_certificate, grigorchuk, perfectness_scan,
                        sign_vectors)
 
@@ -56,12 +56,10 @@ scan = perfectness_scan(tg)
 print("finite quotients perfect?",
       [(w["component"], w["perfect"]) for w in scan.witnesses])
 
-certificate = emit_certificate(
+certificate = certificate_bytes(emit_certificate(
     b"demo", component_table(tg),
-    [subdirect.as_dict(), sign_report.as_dict(), cutoff_report.as_dict(),
-     tail.as_dict(), scan.as_dict()],
-    cutoff, [])
-doc = json.loads(certificate.to_bytes())
+    [subdirect, sign_report, cutoff_report, tail, scan], cutoff, []))
+doc = json.loads(certificate)
 print()
 print("certificate digest:", doc["config_digest"][:16], "...")
 print("checks recorded:", [c["name"] for c in doc["checks"]])

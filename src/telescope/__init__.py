@@ -19,7 +19,7 @@ from .tower import (ExtendedAction, TelescopeGroup, build_telescope,
                     divides_factorial, extend_action, sweep_case,
                     transitivity_report, verify_fundamental_general,
                     verify_orbit_bound, verify_torsion_bound, verify_trace_lemmas)
-from .certify import (Certificate, alt_cutoff, check_perfect, check_subdirect,
+from .certify import (alt_cutoff, certificate_bytes, check_perfect, check_subdirect,
                       check_tail_injectivity, component_table,
                       emit_certificate, perfectness_scan, sign_vectors)
 
@@ -35,7 +35,7 @@ __all__ = [
     "ExtendedAction", "TelescopeGroup", "build_telescope", "divides_factorial",
     "extend_action", "sweep_case", "transitivity_report", "verify_fundamental_general",
     "verify_orbit_bound", "verify_torsion_bound", "verify_trace_lemmas",
-    "Certificate", "alt_cutoff", "check_perfect", "check_subdirect",
+    "alt_cutoff", "certificate_bytes", "check_perfect", "check_subdirect",
     "check_tail_injectivity", "component_table", "emit_certificate",
     "perfectness_scan", "sign_vectors",
     "__version__",

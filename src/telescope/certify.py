@@ -13,7 +13,9 @@ only on other telescopes does it build chains, one per group whose order
 or membership it asks; a perfectness check grows its commutator subgroup's
 one chain in place.
 
-A certificate is written by a one-pass indent-2 writer whose bytes equal
+``emit_certificate`` lays a certificate out as one document dict, each
+check report by its ``as_dict``, and ``certificate_bytes`` writes that
+document with a one-pass indent-2 writer whose bytes equal
 ``json.dumps(doc, indent=2, ensure_ascii=True)`` plus a newline.  CPython
 3.10-3.13 run the pure-Python encoder whenever ``indent`` is set; the
 writer appends to one chunk list and quotes strings with the C
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from .perm import PermGroup, Permutation
@@ -242,38 +243,18 @@ def perfectness_scan(tg):
 # -- certificates ---------------------------------------------------------------
 
 
-@dataclass
-class Certificate:
-    """Deterministic summary of one verification run."""
+def certificate_bytes(doc):
+    """``doc`` as JSON: 2-space indent, ASCII with ``\\uXXXX`` escapes and a
+    trailing newline, the same bytes as
+    ``json.dumps(doc, indent=2, ensure_ascii=True) + "\\n"``.
 
-    config_digest: str
-    components: list
-    checks: list
-    alt_cutoff: object = None
-    torsion_bound_table: list = field(default_factory=list)
-
-    def as_dict(self):
-        return {
-            "format_version": FORMAT_VERSION,
-            "config_digest": self.config_digest,
-            "components": self.components,
-            "checks": self.checks,
-            "alt_cutoff": self.alt_cutoff,
-            "torsion_bound_table": self.torsion_bound_table,
-        }
-
-    def to_bytes(self):
-        """The certificate as JSON: 2-space indent, ASCII with ``\\uXXXX``
-        escapes and a trailing newline, the same bytes as
-        ``json.dumps(self.as_dict(), indent=2, ensure_ascii=True) + "\\n"``.
-
-        An int of more than 4,300 digits raises the ValueError that
-        ``json.dumps`` raises; a float or any other type raises TypeError.
-        """
-        chunks = []
-        _write_json(self.as_dict(), chunks.append, "\n")
-        chunks.append("\n")
-        return "".join(chunks).encode("ascii")
+    An int of more than 4,300 digits raises the ValueError that
+    ``json.dumps`` raises; a float or any other type raises TypeError.
+    """
+    chunks = []
+    _write_json(doc, chunks.append, "\n")
+    chunks.append("\n")
+    return "".join(chunks).encode("ascii")
 
 
 def _write_json(value, append, newline):
@@ -340,23 +321,22 @@ def component_table(tg):
     } for index, comp in enumerate(tg.components, start=1)]
 
 
-def emit_certificate(config_bytes, components, checks, alt_cutoff_value=None,
-                     torsion_bound_table=()):
-    """Assemble a certificate; a passing check without witnesses is rejected.
+def emit_certificate(config_bytes, components, checks, alt_cutoff, torsion_bound_table):
+    """The certificate document, each check report laid out by its
+    ``as_dict``; a passing check without witnesses is rejected.
 
     Re-emitting from the same inputs reproduces the same bytes: keys are in
     fixed order, all numbers are integers, and the digest is the SHA-256 of
     the raw configuration bytes.
     """
-    checks = list(checks)
-    for check in checks:
-        if check["status"] == "pass" and not check["witnesses"]:
-            raise ValueError(f"check {check['name']!r} passed without witnesses")
-    digest = hashlib.sha256(config_bytes).hexdigest()
-    return Certificate(
-        config_digest=digest,
-        components=list(components),
-        checks=checks,
-        alt_cutoff=alt_cutoff_value,
-        torsion_bound_table=list(torsion_bound_table),
-    )
+    for report in checks:
+        if report.passed and not report.witnesses:
+            raise ValueError(f"check {report.name!r} passed without witnesses")
+    return {
+        "format_version": FORMAT_VERSION,
+        "config_digest": hashlib.sha256(config_bytes).hexdigest(),
+        "components": list(components),
+        "checks": [report.as_dict() for report in checks],
+        "alt_cutoff": alt_cutoff,
+        "torsion_bound_table": list(torsion_bound_table),
+    }

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 from . import certify, tower
 from .perm import Permutation
+from .reports import CheckReport
 from .selfsim import BudgetExceeded, WreathRecursion, grigorchuk, gupta_sidki_3
 from .words import compose_signed, format_word, parse_signed, parse_word
 
@@ -149,6 +150,8 @@ def _parse_recursion(spec, where):
     if (not isinstance(names, list) or not names
             or not all(isinstance(n, str) and n for n in names)):
         raise ConfigError("generators must be a nonempty list of names")
+    if len(set(names)) != len(names):
+        raise ConfigError("generator names must be distinct")
     for name in names:
         # a section word splits on whitespace, reads a trailing ^-1 as
         # inversion and the lone token 1 as the empty word
@@ -175,6 +178,8 @@ def _parse_recursion(spec, where):
     root_perms = []
     section_rows = []
     for name in names:
+        if not isinstance(roots[name], str):
+            raise ConfigError(f"root_perms[{name!r}] must be a cycle-notation string")
         root_perms.append(parse_cycles(roots[name], arity))
         row = sections[name]
         if (not isinstance(row, list) or len(row) != arity
@@ -320,8 +325,8 @@ def _only_pigeonhole_failures(checks):
 
 
 def _aggregate(name, parameters, cases, failures, rows=()):
-    """One certificate check entry: a count summary of ``cases`` cases, then
-    the count ``rows``, then the first failing cases.
+    """One check report: a count summary of ``cases`` cases, then the count
+    ``rows``, then the first failing cases.
 
     A passing case is only counted; only the failing cases' reports, in
     case order, are embedded.
@@ -329,14 +334,12 @@ def _aggregate(name, parameters, cases, failures, rows=()):
     failing = [{"parameters": report.parameters,
                 "failures": report.witnesses[:MAX_FAILURES]}
                for report in failures[:MAX_FAILURES]]
-    return {"name": name, "parameters": dict(parameters),
-            "status": "fail" if failures else "pass",
-            "witnesses": [{"cases": cases, "failed_cases": len(failures)},
-                          *rows, *failing]}
+    return CheckReport(name, dict(parameters), not failures,
+                       [{"cases": cases, "failed_cases": len(failures)}, *rows, *failing])
 
 
 def _per_component(name, parameters, cases, failures):
-    """A sweep check entry: ``cases`` cases on each component, whose failing
+    """A sweep check report: ``cases`` cases on each component, whose failing
     reports are ``failures[ci]``, counted per component, then the first
     failing cases, component by component."""
     rows = [{"component": ci, "cases": cases, "failed_cases": len(failed)}
@@ -356,7 +359,7 @@ def cmd_build(config, tg):
 
 
 def _sweep_checks(tg, horizon_factor):
-    """The ``trace_lemmas`` and ``fundamental_general`` check entries: one
+    """The ``trace_lemmas`` and ``fundamental_general`` check reports: one
     case per generator sequence on the disjoint union of the blocks, built
     once for both sweeps and every component.
 
@@ -390,7 +393,7 @@ def _sweep_checks(tg, horizon_factor):
 
 
 def _sample_checks(config, tg, growth):
-    """The ``orbit_bound_sample`` and ``torsion_bound_sample`` check entries
+    """The ``orbit_bound_sample`` and ``torsion_bound_sample`` check reports
     on the seeded word sample; ``growth`` maps each length to its torsion
     growth.
 
@@ -443,13 +446,13 @@ def _sample_checks(config, tg, growth):
 
 
 def _verify_checks(config, tg):
-    """Every check of ``verify`` in certificate order, and the certificate."""
+    """The certificate document of ``verify``, its checks in certificate order."""
     rec = config.recursion
     # the sample is held in memory, so its draws count against the budget
     # before anything is drawn or checked
     if config.sample_count > rec.step_budget:
         raise BudgetExceeded(f"word sample has more than {rec.step_budget} draws")
-    checks = [tower.transitivity_report(tg).as_dict()]
+    checks = [tower.transitivity_report(tg)]
     checks += _sweep_checks(tg, config.horizon_factor)
 
     growth = {n: rec.torsion_growth(n) for n in range(1, config.sample_max_length + 1)}
@@ -460,15 +463,15 @@ def _verify_checks(config, tg):
     ]
     checks += _sample_checks(config, tg, growth)
 
-    checks.append(certify.check_subdirect(tg).as_dict())
-    checks.append(certify.check_tail_injectivity(tg, config.ball_radius).as_dict())
+    checks.append(certify.check_subdirect(tg))
+    checks.append(certify.check_tail_injectivity(tg, config.ball_radius))
     _, image_size, sign_report = certify.sign_vectors(tg)
-    checks.append(sign_report.as_dict())
+    checks.append(sign_report)
     cutoff_report, cutoff = certify.alt_cutoff(tg, image_size)
-    checks.append(cutoff_report.as_dict())
-    checks.append(certify.perfectness_scan(tg).as_dict())
+    checks.append(cutoff_report)
+    checks.append(certify.perfectness_scan(tg))
 
-    return checks, certify.emit_certificate(
+    return certify.emit_certificate(
         config.raw_bytes, certify.component_table(tg), checks,
         cutoff, torsion_table)
 
@@ -509,10 +512,10 @@ def cmd_verify(config, tg, out_path, config_path):
         os.remove(temp)
     except OSError as exc:
         return _cannot_write(path, exc.strerror)
-    checks, certificate = _verify_checks(config, tg)
+    doc = _verify_checks(config, tg)
     try:
         with open(temp, "wb") as handle:
-            handle.write(certificate.to_bytes())
+            handle.write(certify.certificate_bytes(doc))
         os.replace(temp, path)
     except OSError as exc:
         _remove(temp)
@@ -520,6 +523,7 @@ def cmd_verify(config, tg, out_path, config_path):
     except BaseException:
         _remove(temp)
         raise
+    checks = doc["checks"]
     failed = [c["name"] for c in checks
               if c["status"] == "fail" and not c["parameters"].get("informational")]
     for check in checks:

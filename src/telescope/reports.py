@@ -1,4 +1,5 @@
-"""Structured check reports; certificates embed them as-is.
+"""Structured check reports; ``certify.emit_certificate`` lays each one out
+by ``as_dict``, the one layout of a certificate's check entry.
 
 A report is never a bare boolean: it carries the check name, the
 parameters the check ran with, and a witness list backing the verdict.
@@ -16,14 +17,10 @@ class CheckReport:
     passed: bool
     witnesses: list = field(default_factory=list)
 
-    @property
-    def status(self):
-        return "pass" if self.passed else "fail"
-
     def as_dict(self):
         return {
             "name": self.name,
             "parameters": self.parameters,
-            "status": self.status,
+            "status": "pass" if self.passed else "fail",
             "witnesses": self.witnesses,
         }

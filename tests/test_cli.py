@@ -187,6 +187,21 @@ class TestConfig:
         assert captured.err == ("config error: generator name '1' cannot be spelled "
                                 "in a word: '1' is the empty word\n")
 
+    @pytest.mark.parametrize("table, message", [
+        ({"generators": ["a"], "root_perms": {"a": 5}},
+         "root_perms['a'] must be a cycle-notation string"),
+        ({"generators": ["a", "a"], "root_perms": {"a": "(0 1)"}},
+         "generator names must be distinct"),
+    ])
+    def test_recursion_table_error_is_one_config_error(self, tmp_path, capsys, table,
+                                                        message):
+        path = write_config(tmp_path, {
+            "group": {"arity": 2, "sections": {"a": ["", ""]}, "contracting": True,
+                      **table},
+            "levels": [1]})
+        assert main(["build", "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
     def test_section_word_one_is_the_empty_word(self, tmp_path):
         path = write_config(tmp_path, {
             "group": {"arity": 2, "generators": ["x", "y"],
@@ -224,6 +239,9 @@ ADDING_MACHINE = {"arity": 2, "generators": ["a"],
     {"horizon_factor": True},
     {"group": dict(ADDING_MACHINE, arity=True)},
     {"group": dict(ADDING_MACHINE, sections={"a": ["", 1]})},
+    *({"group": dict(ADDING_MACHINE, root_perms={"a": value})}
+      for value in (5, None, True, [], {})),
+    {"group": dict(ADDING_MACHINE, generators=["a", "a"])},
 ])
 def test_mistyped_config_values_rejected(tmp_path, overrides):
     doc = {"group": "grigorchuk", "levels": [1, 2]}
@@ -506,10 +524,10 @@ class TestCommands:
         out_path = tmp_path / "cert.json"
         out_path.write_bytes(b"older certificate")
 
-        def fail(certificate):
+        def fail(doc):
             raise failure
 
-        monkeypatch.setattr(certify.Certificate, "to_bytes", fail)
+        monkeypatch.setattr(certify, "certificate_bytes", fail)
         assert main(["verify", "--config", str(config), "--out", str(out_path)]) == code
         if err is None:
             err = (f"error: cannot write certificate {out_path}: "

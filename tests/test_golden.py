@@ -191,7 +191,7 @@ def test_a_failing_element_is_reported_for_each_of_its_words(monkeypatch):
             for calls in recorded.values():
                 calls.clear()
             growth = dict.fromkeys(range(1, config.sample_max_length + 1), value)
-            entries = cli._sample_checks(config, tg, growth)
+            entries = [entry.as_dict() for entry in cli._sample_checks(config, tg, growth)]
             reports = [oracle_bound_reports(word, block_images(tg, word), value)
                        for word in words]
             assert entries == [
@@ -244,7 +244,7 @@ def test_only_unsettled_lengths_are_composed(stem, tmp_path, monkeypatch):
     config, tg, growth = _config(stem, tmp_path)
     assert {n for n in growth if _settled(tg, config.recursion, n)} == SETTLED_LENGTHS[stem]
     drawn, composed = spying_sample(monkeypatch)
-    entries = cli._sample_checks(config, tg, growth)
+    entries = [entry.as_dict() for entry in cli._sample_checks(config, tg, growth)]
     assert len(drawn) == 1
     assert {len(word) for word in drawn[0]} == set(growth)
     assert composed == list(dict.fromkeys(word for word in drawn[0]

@@ -136,8 +136,9 @@ def test_golden_sweeps_list_no_passing_case(stem):
 
 
 def assert_checks_match_oracle(tg, horizon_factor, sample, growth):
-    assert cli._sweep_checks(tg, horizon_factor) == oracle_sweep_entries(tg, horizon_factor)
-    assert (cli._sample_checks(sample, tg, growth)
+    assert ([check.as_dict() for check in cli._sweep_checks(tg, horizon_factor)]
+            == oracle_sweep_entries(tg, horizon_factor))
+    assert ([check.as_dict() for check in cli._sample_checks(sample, tg, growth)]
             == oracle_sample_entries(sample, tg, growth))
 
 
@@ -164,7 +165,7 @@ def test_the_edge_sample_draws_settled_and_unsettled_lengths(monkeypatch):
                          EDGE_SAMPLE.seed)
     assert {len(word) for word in words} == {1, 2, 3}
     _, composed = spying_sample(monkeypatch)
-    entries = cli._sample_checks(EDGE_SAMPLE, EDGE_TG, growth)
+    entries = [entry.as_dict() for entry in cli._sample_checks(EDGE_SAMPLE, EDGE_TG, growth)]
     assert composed == list(dict.fromkeys(word for word in words if len(word) == 2))
     assert [entry["status"] for entry in entries] == ["fail", "fail"]
     assert entries == oracle_sample_entries(EDGE_SAMPLE, EDGE_TG, growth)
@@ -197,8 +198,8 @@ def test_failing_cases_are_assembled_like_the_oracle():
     tg = tower.TelescopeGroup((tower.extend_action([g], 0),), ("g1",), FixedOrder(1))
     sample = SimpleNamespace(sample_count=60, sample_max_length=3, seed=5)
     growth = {1: 1, 2: 1, 3: 1}
-    sweeps = cli._sweep_checks(tg, 1)
-    samples = cli._sample_checks(sample, tg, growth)
+    sweeps = [check.as_dict() for check in cli._sweep_checks(tg, 1)]
+    samples = [check.as_dict() for check in cli._sample_checks(sample, tg, growth)]
     for entry in sweeps[1:] + samples:
         assert entry["status"] == "fail", entry["name"]
         assert entry["witnesses"][0]["failed_cases"] > 0, entry["name"]

@@ -4,9 +4,9 @@ The golden transcripts query a handful of hand-picked words and never go
 deeper than level 4 on Gupta-Sidki.  Here 150 seeded words of length at
 most 8 run through ``telescope word`` on Grigorchuk levels 1..10 and on
 Gupta-Sidki levels 1..6, and one SHA-256 over every query's exit code and
-stdout must equal a constant.  The constants were computed with the cycle
-formatting that read every component image off ``Permutation.cycles()``
-(the int walk), before ``cycle_string`` walked the images itself, so a
+stdout must equal a constant.  The constants were computed when each
+component image was first listed as tuples of int cycles and then printed,
+before ``Permutation.cycle_string`` walked the image tuple itself, so a
 change to how cycles are walked or printed must leave every byte alone.
 """
 
