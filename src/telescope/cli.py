@@ -22,10 +22,13 @@ certificate intact.
 
 Exit codes: 0 pass, 1 a check failed, 2 config or usage error (also
 ``verify`` and ``word`` on a recursion declared ``"contracting": false``,
-whose equality and element orders they need), 3 a computation ran out of
-its budget (a recursion declared contracting that is not, or that is not
-torsion, a level with more vertices than the step budget, or a word
-sample of more draws than it).
+whose equality and element orders they need, and a stdout whose reader
+has gone before all output was written, as in ``telescope word ... |
+head``; ``verify`` prints only once its certificate is in place, so the
+certificate stays), 3 a computation ran out of its budget (a recursion
+declared contracting that is not, or that is not torsion, a level with
+more vertices than the step budget, or a word sample of more draws than
+it).
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import contextlib
 import errno
 import functools
 import json
-import math
 import os
 import random
 import re
@@ -275,26 +277,32 @@ def load_config(path):
     )
 
 
-def sample_words(count, max_length, gen_count, seed):
+def sample_words(count, max_length, gen_count, seed, skip=()):
     """Deterministic reduced code words over the generators and the transposition.
 
     Only ``Random.random()`` is consumed (its output is stable across Python
     releases); each next letter is drawn among those that do not cancel the
     previous one, so the sampled words are reduced by construction.  The
-    letters allowed after each letter, and first, are tabled once.
+    letters allowed after each letter, and first, are tabled once.  A draw
+    whose length is in ``skip`` consumes its random numbers, so every other
+    word stays the same, but is neither built nor returned.
     """
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     alphabet = [0]
     for code in range(1, gen_count + 1):
         alphabet.extend((code, -code))
     follows = {code: [c for c in alphabet if c != -code] for code in alphabet}
     words = []
     for _ in range(count):
-        length = 1 + int(rng.random() * max_length)
+        length = 1 + int(draw() * max_length)
+        if length in skip:
+            for _ in range(length):
+                draw()
+            continue
         codes = []
         choices = alphabet
         for _ in range(length):
-            code = choices[int(rng.random() * len(choices))]
+            code = choices[int(draw() * len(choices))]
             codes.append(code)
             choices = follows[code]
         words.append(tuple(codes))
@@ -400,8 +408,8 @@ def _sample_checks(config, tg, growth):
     ``tower.bounds_settled`` decides a draw by one longest cycle against
     its limit T(n)(n+1).  A length whose limit reaches the largest block's
     degree is settled for every element, so its draws are counted and
-    nothing else.  Every word is still drawn, since the draws fix the words
-    of the other lengths.
+    nothing else: they consume their random numbers, which fix the words
+    of the other lengths, but build no word.
 
     Each distinct word of another length is composed once, from the
     telescope's letter table on the disjoint union of the blocks, so its
@@ -422,9 +430,7 @@ def _sample_checks(config, tg, growth):
     by_word = {}  # word -> its failing reports
     failures = {"orbit_bound": [], "torsion_bound": []}
     for word in sample_words(config.sample_count, config.sample_max_length,
-                             tg.generator_count, config.seed):
-        if len(word) in settled:
-            continue
+                             tg.generator_count, config.seed, settled):
         failed = by_word.get(word)
         if failed is None:
             element = compose_signed(word, letters)
@@ -547,10 +553,10 @@ def cmd_word(config, tg, text):
     images = tg.evaluate(word)
     print(f"word: {format_word(word)}  (reduced length {len(word)})")
     for ci, image in enumerate(images, start=1):
-        # the string's walk fills the cycle lengths the sizes and orders read
+        # the string's walk fills the cycle lengths the sizes and order read
         text = image.cycle_string()
         sizes = sorted(image.cycle_lengths(), reverse=True) or [1]
-        print(f"component {ci}: {text}  order {math.lcm(*sizes)}  orbit sizes {sizes}")
+        print(f"component {ci}: {text}  order {image.order()}  orbit sizes {sizes}")
     if not word:
         print("order in truncation: 1")
         print("torsion bound: empty word, order 1 divides everything -> pass")
@@ -582,16 +588,35 @@ def _parser():
     return parser
 
 
+def _stdout_closed():
+    """Exit code 2 once stdout's reader has gone: one error line, and stdout
+    pointed at the null device, so the interpreter's flush at exit cannot
+    fail a second time."""
+    with contextlib.suppress(OSError):
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    with contextlib.suppress(OSError):
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
         tg = tower.build_telescope(config.recursion, config.levels, config.basepoints)
         if args.command == "build":
-            return cmd_build(config, tg)
-        if args.command == "verify":
-            return cmd_verify(config, tg, args.out, args.config)
-        return cmd_word(config, tg, args.word)
+            code = cmd_build(config, tg)
+        elif args.command == "verify":
+            code = cmd_verify(config, tg, args.out, args.config)
+        else:
+            code = cmd_word(config, tg, args.word)
+        # output still in the buffer meets a closed stdout here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        return _stdout_closed()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

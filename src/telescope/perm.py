@@ -8,9 +8,13 @@ query, then grown in place by ``extend``.  All orders are exact Python
 integers.
 
 A ``Permutation`` reads its cycles off its image tuple in one walk,
-``cycle_string()``, which formats the decimal names as it goes, caches no
-string and fills the cycle type (``cycle_lengths()``) that the order and
-the sign are read from.
+``cycle_string()``, over a list copy of the images that it consumes: each
+point a cycle reaches past its start has its entry set to itself as the
+walk leaves it, and the scan has passed every start, so one test per
+start skips fixed and visited points alike.  Each point is written as
+one prefixed name, ``"(x"`` opening a cycle or ``" x"`` inside one, from two
+tables shared by every degree; the walk caches no string and fills the
+cycle type (``cycle_lengths()``) that the order and the sign are read from.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ class Permutation:
 
     The public constructors validate their input; ``_trusted`` skips that for
     results that are permutations by construction (products, inverses).
-    One walk reads the cycles off ``images``: ``cycle_string()`` writes each
-    point's decimal name as it goes and keeps nothing but the cycle
-    lengths, since a string is printed once.  Its first run fills the
-    cycle type that ``cycle_lengths()``, ``order()`` and ``sign()`` read,
-    so none of them walks again.
+    One walk reads the cycles off a consumed copy of ``images``:
+    ``cycle_string()`` writes each point's prefixed name as it goes and
+    keeps nothing but the cycle lengths, since a string is printed once.
+    Its first run fills the cycle type that ``cycle_lengths()``,
+    ``order()`` and ``sign()`` read, so none of them walks again.
     """
 
     __slots__ = ("images", "_lengths")
@@ -134,8 +138,8 @@ class Permutation:
         return self._lengths
 
     def order(self):
-        """Least m >= 1 with p^m = identity: the lcm of the cycle lengths."""
-        return math.lcm(*self.cycle_lengths())
+        """Least m >= 1 with p^m = identity: the lcm of the distinct cycle lengths."""
+        return math.lcm(*set(self.cycle_lengths()))
 
     def sign(self):
         """+1 for even permutations, -1 for odd; multiplicative."""
@@ -144,26 +148,27 @@ class Permutation:
 
     def cycle_string(self):
         """The nontrivial cycles, each from its smallest point and ordered by
-        it, e.g. ``(0 1)(2 3 4)``; ``()`` for the identity.  Walks ``images``
-        itself and keeps only the cycle lengths."""
-        images = self.images
-        names = _point_names(len(images))
-        seen = bytearray(len(images))
+        it, e.g. ``(0 1)(2 3 4)``; ``()`` for the identity.  Walks a list copy
+        of ``images``, setting each point's entry to the point as it leaves
+        it (a start is never read again), and keeps only the cycle
+        lengths."""
+        following = list(self.images)
+        opening, inner = _point_names(len(following))
         parts = []
         lengths = []
-        for start, point in enumerate(images):
-            if seen[start] or point == start:
+        for start in range(len(following)):
+            point = following[start]
+            if point == start:
                 continue
-            cycle = [names[start]]
-            seen[start] = 1
+            mark = len(parts)
+            parts.append(opening[start])
             while point != start:
-                cycle.append(names[point])
-                seen[point] = 1
-                point = images[point]
-            parts.append(" ".join(cycle))
-            lengths.append(len(cycle))
+                parts.append(inner[point])
+                following[point], point = point, following[point]
+            lengths.append(len(parts) - mark)
+            parts.append(")")
         self._lengths = tuple(lengths)
-        return "(" + ")(".join(parts) + ")"
+        return "".join(parts) or "()"
 
     def extended(self, degree):
         """The same permutation on a larger domain, fixing the new top points."""
@@ -181,14 +186,18 @@ class Permutation:
         return f"Permutation[{self.degree}] {self.cycle_string()}"
 
 
-_names = ()  # the decimal strings of 0, 1, ..., for the largest degree formatted so far
+# "(x" and " x" for every point x below the largest degree formatted so far
+_names = ((), ())
 
 
 def _point_names(degree):
-    """A tuple whose entry x is ``str(x)`` for every point x < ``degree``."""
+    """Two tuples whose entry x is ``"(x"`` and ``" x"``: the decimal name of
+    x opening a cycle and following a point, for every point x < ``degree``."""
     global _names
-    if len(_names) < degree:
-        _names = tuple(map(str, range(degree)))
+    if len(_names[0]) < degree:
+        decimals = tuple(map(str, range(degree)))
+        _names = (tuple("(" + name for name in decimals),
+                  tuple(" " + name for name in decimals))
     return _names
 
 

@@ -323,6 +323,15 @@ class TestSampler:
                     assert (sample_words(20, max_length, gen_count, seed)
                             == list_sample_words(20, max_length, gen_count, seed))
 
+    def test_skipped_lengths_consume_their_draws(self):
+        # a draw of a skipped length builds no word but consumes its random
+        # numbers, so every other word is the one drawn without skipping
+        for seed in range(20):
+            for skip in ({1}, {2, 3}, {1, 2, 3, 4}, set()):
+                full = sample_words(40, 4, 2, seed)
+                assert sample_words(40, 4, 2, seed, skip) == [
+                    word for word in full if len(word) not in skip]
+
     def test_count_past_the_budget_exits_3_before_drawing(self, tmp_path, capsys,
                                                          monkeypatch):
         # the whole sample is held at once, so a count above the step
@@ -655,6 +664,40 @@ def test_verify_killed_by_sigterm_leaves_no_file(tmp_path):
         child.kill()
         child.wait()
     assert sorted(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command, extra", [("build", []), ("word", ["--word", "g1 t"]),
+                                            ("verify", ["--out", "cert.json"])])
+def test_closed_stdout_exits_2_without_traceback(command, extra, unbuffered, tmp_path,
+                                                  capsys):
+    # a reader that has gone, as in `telescope word ... | head`, is a usage
+    # error: one error line, no traceback and no second error from the
+    # flush at exit, whether each print writes at once or the output waits
+    # in stdout's buffer; verify prints only once its certificate is in
+    # place, so the certificate stays
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "telescope", command, "--config", str(DEMO_CONFIG), *extra],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+            env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == "error: stdout was closed before the output was written\n"
+    if command == "verify":
+        reference = tmp_path / "reference.json"
+        assert main(["verify", "--config", str(DEMO_CONFIG), "--out", str(reference)]) in (0, 1)
+        capsys.readouterr()
+        assert (tmp_path / "cert.json").read_bytes() == reference.read_bytes()
+    else:
+        assert sorted(os.listdir(tmp_path)) == []
 
 
 class TestDeterminism:

@@ -238,17 +238,20 @@ SETTLED_LENGTHS = {
 
 @pytest.mark.parametrize("stem", SETTLED_LENGTHS)
 def test_only_unsettled_lengths_are_composed(stem, tmp_path, monkeypatch):
-    # every word is still drawn, once, but a word of a settled length is
-    # only counted: the composed words are the distinct drawn words of the
-    # other lengths, in first-draw order
+    # every draw still consumes its random numbers, once, but a draw of a
+    # settled length is only counted and builds no word: the drawn words
+    # are the full sample's words of the other lengths, and the composed
+    # words are their distinct words, in first-draw order
     config, tg, growth = _config(stem, tmp_path)
     assert {n for n in growth if _settled(tg, config.recursion, n)} == SETTLED_LENGTHS[stem]
     drawn, composed = spying_sample(monkeypatch)
     entries = [entry.as_dict() for entry in cli._sample_checks(config, tg, growth)]
+    full = sample_words(config.sample_count, config.sample_max_length,
+                        tg.generator_count, config.seed)
+    assert {len(word) for word in full} == set(growth)
     assert len(drawn) == 1
-    assert {len(word) for word in drawn[0]} == set(growth)
-    assert composed == list(dict.fromkeys(word for word in drawn[0]
-                                          if len(word) not in SETTLED_LENGTHS[stem]))
+    assert drawn[0] == [word for word in full if len(word) not in SETTLED_LENGTHS[stem]]
+    assert composed == list(dict.fromkeys(drawn[0]))
     assert [entry["witnesses"] for entry in entries] == [
         [{"cases": config.sample_count, "failed_cases": 0}]] * 2
 
@@ -289,7 +292,8 @@ def test_each_distinct_unsettled_element_is_walked_once(stem, tmp_path, monkeypa
 def test_benchmark_verify_composes_no_settled_word(tmp_path, monkeypatch, capsys):
     # Grigorchuk levels 1..5 with a 200-word sample of lengths 1..4: the
     # largest block has 33 points and the limits are 4, 48, 64 and 80, so
-    # a call draws the sample once and composes only its length-1 words
+    # a call draws the sample once, builds only its length-1 words and
+    # composes each distinct one
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "group": "grigorchuk", "levels": [1, 2, 3, 4, 5], "seed": 1,
@@ -299,10 +303,12 @@ def test_benchmark_verify_composes_no_settled_word(tmp_path, monkeypatch, capsys
     assert main(["verify", "--config", str(config),
                  "--out", str(tmp_path / "certificate.json")]) == 1
     capsys.readouterr()
+    full = sample_words(200, 4, 4, 1)
+    assert {len(word) for word in full} == {1, 2, 3, 4}
     assert len(drawn) == 1
-    assert {len(word) for word in drawn[0]} == {1, 2, 3, 4}
+    assert drawn[0] == [word for word in full if len(word) == 1]
     assert composed
-    assert composed == list(dict.fromkeys(word for word in drawn[0] if len(word) == 1))
+    assert composed == list(dict.fromkeys(drawn[0]))
 
 
 @pytest.mark.parametrize("stem", VERIFY_CASES)

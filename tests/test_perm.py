@@ -33,16 +33,42 @@ def reference_cycle_string(images):
     return "".join(parts) or "()"
 
 
+def short_cycle_images(degree, rng):
+    """Disjoint 2-, 3- and 4-cycles over about nine tenths of the points, as
+    in the images a word query prints."""
+    points = list(range(degree))
+    rng.shuffle(points)
+    images = list(range(degree))
+    start, stop = 0, degree - degree // 10
+    while True:
+        size = rng.choice((2, 3, 4))
+        if start + size > stop:
+            return images
+        cycle = points[start:start + size]
+        start += size
+        for point, image in zip(cycle, cycle[1:] + cycle[:1]):
+            images[point] = image
+
+
+# points of 5 digits; hypothesis draws one degree as rarely as it likes, so
+# the tests that take this list name it as an explicit example
+SHORT_20000 = short_cycle_images(20_000, random.Random(20_000))
+
+
 @st.composite
-def permutation_images(draw):
+def permutation_images(draw, kinds=("identity", "shuffle", "sparse", "short")):
     """Degrees 0, 1, 2, small ones and ones past 1000 (points of 4 digits);
-    the identity, a shuffle of every point, or a few points moved among
-    themselves."""
-    degree = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 40),
-                            st.integers(1000, 1100)))
-    kind = draw(st.sampled_from(["identity", "shuffle", "sparse"]))
+    the identity, a shuffle of every point, a few points moved among
+    themselves, or short cycles over most points, also at degree 20,000."""
+    kind = draw(st.sampled_from(kinds))
+    degrees = [st.sampled_from([0, 1, 2]), st.integers(3, 40), st.integers(1000, 1100)]
+    if kind == "short":
+        degrees.append(st.just(20_000))
+    degree = draw(st.one_of(degrees))
     if kind == "shuffle":
         return draw(st.permutations(range(degree)))
+    if kind == "short":
+        return short_cycle_images(degree, draw(st.randoms(use_true_random=False)))
     images = list(range(degree))
     if kind == "sparse" and degree:
         moved = draw(st.lists(st.integers(0, degree - 1), unique=True, max_size=12))
@@ -140,6 +166,7 @@ class TestPermutation:
 
     @settings(max_examples=150, deadline=None)
     @given(permutation_images())
+    @example(SHORT_20000)
     def test_formatting_order_and_sign_match_references(self, images):
         # the formatter's decimal names serve every degree, whichever was
         # formatted first, so the drawn degrees interleave large and small
@@ -156,6 +183,8 @@ class TestPermutation:
 
     @settings(max_examples=150, deadline=None)
     @given(permutation_images(), st.booleans())
+    @example(SHORT_20000, True)
+    @example(SHORT_20000, False)
     def test_either_walk_fills_one_cycle_type(self, images, string_first):
         # a fresh permutation reads the same cycle type whether the string or
         # the cycle type is asked for first, and the string prints sympy's
@@ -178,6 +207,45 @@ class TestPermutation:
         assert (fresh.cycle_lengths(), fresh.order(), fresh.sign()) == (
             lengths, p.order(), p.sign())
         assert fresh.cycle_string() == text
+
+    @settings(max_examples=50, deadline=None)
+    @given(permutation_images())
+    @example(SHORT_20000)
+    def test_cycle_string_leaves_the_images_alone(self, images):
+        # the walk consumes a copy of the images, never the tuple itself
+        p = Permutation(images)
+        before = p.images
+        text = p.cycle_string()
+        assert p.images is before and p.images == tuple(images)
+        assert p.cycle_string() == text == reference_cycle_string(images)
+
+    def test_name_tables_grow_once_and_serve_smaller_degrees(self, monkeypatch):
+        # the two tables grow to the largest degree formatted so far and
+        # are reused, unchanged, by every smaller degree after it
+        monkeypatch.setattr(perm_module, "_names", ((), ()))
+        small = cyc(3, (0, 2))
+        assert small.cycle_string() == "(0 2)"
+        assert perm_module._names == (("(0", "(1", "(2"), (" 0", " 1", " 2"))
+        images = list(range(20_000))
+        images[0], images[9_999], images[19_999] = 9_999, 19_999, 0
+        images[1], images[2] = 2, 1
+        large = Permutation(images)
+        assert large.cycle_string() == "(0 9999 19999)(1 2)" == reference_cycle_string(images)
+        opening, inner = tables = perm_module._names
+        assert len(opening) == len(inner) == 20_000
+        assert (opening[19_999], inner[19_999]) == ("(19999", " 19999")
+        assert small.cycle_string() == "(0 2)"
+        assert perm_module._names is tables
+        assert perm_module._point_names(3) is tables
+
+    @settings(max_examples=50, deadline=None)
+    @given(permutation_images(kinds=("identity", "short")))
+    @example([])
+    @example([0])
+    @example(SHORT_20000)
+    def test_order_is_the_lcm_of_the_cycle_lengths(self, images):
+        p = Permutation(images)
+        assert p.order() == math.lcm(*p.cycle_lengths()) == SympyPermutation(images).order()
 
     def test_cycle_string_is_not_cached(self):
         p = cyc(5, (0, 3), (1, 4, 2))
