@@ -24,11 +24,11 @@ Exit codes: 0 pass, 1 a check failed, 2 config or usage error (also
 ``verify`` and ``word`` on a recursion declared ``"contracting": false``,
 whose equality and element orders they need, and a stdout whose reader
 has gone before all output was written, as in ``telescope word ... |
-head``; ``verify`` prints only once its certificate is in place, so the
-certificate stays), 3 a computation ran out of its budget (a recursion
-declared contracting that is not, or that is not torsion, a level with
-more vertices than the step budget, or a word sample of more draws than
-it).
+head`` or ``--help`` into such a reader; ``verify`` prints only once its
+certificate is in place, so the certificate stays), 3 a computation ran
+out of its budget (a recursion declared contracting that is not, or that
+is not torsion, a level with more vertices than the step budget, or a
+word sample of more draws than it).
 """
 
 from __future__ import annotations
@@ -371,27 +371,30 @@ def _sweep_checks(tg, horizon_factor):
     case per generator sequence on the disjoint union of the blocks, built
     once for both sweeps and every component.
 
-    Every trace case, one per component and generator sequence, is swept
-    in full into its report, and every return-bound case is decided, its
-    report built only when it fails.  Each component's cases are counted,
+    The trace facts of every block of a case are decided by one pass over
+    the union (``tower.failing_trace_reports``), and every return-bound
+    case is decided by its longest cycle; a report is built only for a
+    failing case of one component.  Each entry's block t g is composed
+    once and kept for the sequences after it, so a pair's block is one
+    composition of two kept blocks.  Each component's cases are counted,
     and only the failing cases' reports are kept, listed component by
-    component, each component's in sweep order.  A
-    sequence's order N in the group and bound N(k+1) are the same on every
-    component, so ``fundamental_general`` lists them once per sequence, as
-    its ``sweep`` parameter.
+    component, each component's in sweep order.  A sequence's order N in
+    the group and bound N(k+1) are the same on every component, so
+    ``fundamental_general`` lists them once per sequence, as its ``sweep``
+    parameter.
     """
     sweep = _gseq_sweep(tg.generator_count)
     count = len(tg.components)
     orders = []
+    blocks = {}  # each entry's block t g on the union, composed on first use
     trace_failures = [[] for _ in range(count)]
     general_failures = [[] for _ in range(count)]
     for gseq in sweep:
-        case = tower.sweep_case(tg, gseq)
+        case = tower.sweep_case(tg, gseq, blocks)
         orders.append({"gseq": case.names, "order": case.order, "bound": case.bound})
+        for ci, report in tower.failing_trace_reports(tg, case, horizon_factor).items():
+            trace_failures[ci].append(report)
         for ci in range(count):
-            report = tower.verify_trace_lemmas(tg, ci, case, horizon_factor)
-            if not report.passed:
-                trace_failures[ci].append(report)
             if not tower.return_bound_holds(case, ci):
                 general_failures[ci].append(tower.verify_fundamental_general(tg, ci, case))
     return [_per_component("trace_lemmas", {"horizon_factor": horizon_factor}, len(sweep),
@@ -569,10 +572,24 @@ def cmd_word(config, tg, text):
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help text meets a closed stdout as every
+    other output does.  ``argparse`` drops the error of its own write, so
+    help into a reader that has gone would exit 0 with nothing written, or,
+    with the text left in stdout's buffer, fail at exit; here the text is
+    written and flushed at once, and a closed stdout raises inside
+    ``main``.  Subcommand parsers are made of this class too."""
+
+    def print_help(self, file=None):
+        file = sys.stdout if file is None else file
+        file.write(self.format_help())
+        file.flush()
+
+
 @functools.cache
 def _parser():
     """The command-line parser, built on the first call of ``main``."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="telescope",
         description="Build and certify telescopes of extended finite actions.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -602,8 +619,8 @@ def _stdout_closed():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         config = load_config(args.config)
         tg = tower.build_telescope(config.recursion, config.levels, config.basepoints)
         if args.command == "build":

@@ -34,8 +34,10 @@ it does not settle reaches the two verifiers, and each decides its own
 bound.  The return bound is decided in one place, ``return_bound_holds``,
 which its verifier and ``verify`` both call.  ``verify`` counts a passing
 return-bound or sample case and builds a verifier's report only for a
-failing one; it builds every trace case's report and keeps the failing
-ones.  Extending the truncation only ever adds checks.
+failing one.  The trace facts of every block of a case are decided by one
+pass over the union (``failing_trace_reports``), which builds a report
+only for a block with violations; ``verify_trace_lemmas`` is that pass on
+one block.  Extending the truncation only ever adds checks.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -153,6 +156,12 @@ class TelescopeGroup:
         return tuple(spans)
 
     @cached_property
+    def block_of(self):
+        """Each union point's block, as a 0-based component index."""
+        return tuple(ci for ci, (start, stop) in enumerate(self.block_spans)
+                     for _ in range(start, stop))
+
+    @cached_property
     def union_letters(self):
         """One letter table on the disjoint union of the blocks: each letter's
         image is its block images side by side, shifted to the blocks'
@@ -247,20 +256,23 @@ class SweepCase(NamedTuple):
     longest: tuple  # each block's longest cycle, by 0-based component
 
 
-def sweep_case(tg, gseq):
+def sweep_case(tg, gseq, blocks=None):
     """The ``SweepCase`` of ``gseq`` on the disjoint union of the blocks.
 
     Each entry and its inverse are composed from the union's letter table
     (``TelescopeGroup.union_letters``), so a one-letter entry is a table
-    lookup, and the block t g1 ... t gk is evaluated as one word.  One
-    walk of the block's cycles gives every point's return time, the
-    N(k+1)-fold map and each block's longest cycle.  The tail of each row
-    of ``_first_hits`` depends only on gseq, so it is composed here, once
-    for every block.  N is ``tg.rec.element_order`` of g1...gk, so gseq
-    must be nonempty and free of the transposition, on a telescope with a
-    recursion.
+    lookup.  The block t g1 ... t gk is composed from its entries' blocks
+    t g, one ``_compose`` per entry after the first; ``blocks`` maps each
+    entry met so far to its block, is read and extended here, and lets a
+    sweep compose each entry's block once, so a pair's block is one
+    ``_compose`` of the two one-entry blocks.  One walk of the block's
+    cycles gives every point's return time, the N(k+1)-fold map and each
+    block's longest cycle.  The tail of each row of ``_first_hits``
+    depends only on gseq, so it is composed here, once for every block.
+    N is ``tg.rec.element_order`` of g1...gk, so gseq must be nonempty and
+    free of the transposition, on a telescope with a recursion.
     """
-    gseq = list(gseq)
+    gseq = [tuple(word) for word in gseq]
     if not gseq:
         raise ValueError("the generator sequence must be nonempty")
     if tg.rec is None:
@@ -273,7 +285,14 @@ def sweep_case(tg, gseq):
     tau = letters[0]
     images = tuple(compose_signed(word, letters) for word in gseq)
     inverses = tuple(compose_signed(invert_signed(word), letters) for word in gseq)
-    block = compose_signed([code for word in gseq for code in (0, *word)], letters)
+    if blocks is None:
+        blocks = {}
+    block = None
+    for word in gseq:
+        part = blocks.get(word)
+        if part is None:
+            part = blocks[word] = compose_signed((0, *word), letters)
+        block = part if block is None else _compose(block, part)
     lengths, full_return = _cycle_walk(block, bound)
     untails = []
     untail = tuple(range(letters.degree))
@@ -338,43 +357,50 @@ def _cycle_walk(images, power=None):
             times[point] = size
         if powers is not None:
             shift = power % size
-            for point, target in zip(cycle, cycle[shift:] + cycle[:shift]):
-                powers[point] = target
+            if shift:  # a whole number of turns leaves the identity images
+                for point, target in zip(cycle, cycle[shift:] + cycle[:shift]):
+                    powers[point] = target
     return times, powers
 
 
-def _first_hits(tau, inverses, untails, p, horizon, block):
+def _first_hits(tau, inverses, untails, basepoints, horizon, block):
     """Row j maps each point x that some terminal subword of w(horizon, j)
-    sends to p to the least i >= 1 such that the last i letters do; a
-    point that no terminal subword sends to p is absent from the row.
+    sends to its block's basepoint p to the least i >= 1 such that the
+    last i letters do; a point that no terminal subword sends to p is
+    absent from the row.
 
-    All maps are image tuples on one domain: ``block`` is the block
-    t g1 ... t gk, ``inverses`` are g1^-1, ..., gk^-1, and ``untails[j-1]``
-    is the inverse of row j's tail t g1 ... t gj.  Read from the word's
-    end, w(horizon, j) is the partial tail g_j, t, ..., g_1, t, then
-    ``horizon`` periods g_k, t, ..., g_1, t, each of which acts as the
-    block.  Let y_r be the point that the first r atoms of a period send to
-    p.  A point x that leaves the tail clear of p meets p at 2k*m + r
-    exactly when block^m(x) = y_r, and that m is x's distance to y_r along
-    its block cycle.  Since r <= 2k, the least hit comes from the nearest
-    y ahead of x on its cycle, with the least r for that y, provided
-    m < horizon; so only the block cycles through some y_r are walked, once
-    each, backwards from a y.  In row j a point that the tail sends to a
-    hitting point y hits at 2j plus y's hit, and the at most 2j points that
-    some prefix of the tail sends to p are patched with the least such
-    prefix length.  A row costs its hitting points, whatever the horizon
-    and the degree.
+    All maps are image tuples on one domain, the union of the blocks, and
+    map each block onto itself: ``block`` is the block t g1 ... t gk,
+    ``inverses`` are g1^-1, ..., gk^-1, and ``untails[j-1]`` is the
+    inverse of row j's tail t g1 ... t gj.  ``basepoints`` holds one p per
+    block swept, as a union point.  Every point a walk below meets lies in
+    the block of the p it started from, so the blocks share one dict of
+    y_r points, one of first hits and one dict per row, and one pass
+    decides them all.  Read from the word's end, w(horizon, j) is the
+    partial tail g_j, t, ..., g_1, t, then ``horizon`` periods g_k, t, ...,
+    g_1, t, each of which acts as the block.  Let y_r be the point that
+    the first r atoms of a period send to p.  A point x that leaves the
+    tail clear of p meets p at 2k*m + r exactly when block^m(x) = y_r, and
+    that m is x's distance to y_r along its block cycle.  Since r <= 2k,
+    the least hit comes from the nearest y ahead of x on its cycle, with
+    the least r for that y, provided m < horizon; so only the block cycles
+    through some y_r are walked, once each, backwards from a y.  In row j
+    a point that the tail sends to a hitting point y hits at 2j plus y's
+    hit, and the at most 2j points that some prefix of the tail sends to
+    each p are patched with the least such prefix length.  A row costs its
+    hitting points, whatever the horizon and the degree.
     """
     k = len(inverses)
     undo = []  # inverses of a period's atoms, in acting order g_k, t, ..., g_1, t
     for inverse in reversed(inverses):
         undo += [inverse, tau]
     least = {}  # y_r -> its least r, r = 1..2k
-    for r in range(1, 2 * k + 1):
-        point = p
-        for inverse in reversed(undo[:r]):
-            point = inverse[point]
-        least.setdefault(point, r)
+    for p in basepoints:
+        for r in range(1, 2 * k + 1):
+            point = p
+            for inverse in reversed(undo[:r]):
+                point = inverse[point]
+            least.setdefault(point, r)
 
     periodic = {}  # the first hit of each point entering the periodic part
     for y in least:
@@ -398,11 +424,12 @@ def _first_hits(tau, inverses, untails, p, horizon, block):
     for j, untail in enumerate(untails, start=1):
         row = {untail[y]: 2 * j + hit for y, hit in periodic.items()}
         tail_undo = undo[2 * (k - j):]  # inverses of the tail atoms g_j, t, ..., g_1, t
-        for i in range(2 * j, 0, -1):  # the least prefix length is written last
-            point = p
-            for inverse in reversed(tail_undo[:i]):
-                point = inverse[point]
-            row[point] = i
+        for p in basepoints:
+            for i in range(2 * j, 0, -1):  # the least prefix length is written last
+                point = p
+                for inverse in reversed(tail_undo[:i]):
+                    point = inverse[point]
+                row[point] = i
         hits.append(row)
     return hits
 
@@ -437,6 +464,96 @@ def verify_fundamental_general(tg, component, case):
     )
 
 
+def _trace_pass(tg, components, case, horizon):
+    """Every violation of the trace facts on the blocks ``components``
+    (0-based) of ``case``, from one pass over the union of the blocks.
+
+    Returns ``(found, hits)``: ``found`` lists ``(component, partial,
+    point, violation)``, sorted by component, partial and union point;
+    the sort is stable, so one point's violations keep the order in which
+    they were found.  ``hits`` counts the row entries of all the blocks.
+    See ``verify_trace_lemmas`` for the facts and the method.  A block maps
+    onto itself under every image, so every set and dict here holds the
+    points of all the blocks at once, and a violation is tagged with the
+    block of its point by ``TelescopeGroup.block_of``.
+    """
+    n, bound, tau, images, block, lengths = (case.order, case.bound, case.tau, case.images,
+                                             case.block, case.lengths)
+    k = len(images)
+    spans = tg.block_spans
+    basepoints = [spans[ci][0] + tg.components[ci].basepoint for ci in components]
+
+    # Values that occur twice in some row w(m, j').p, m < bound, 0 <= j' < k
+    # (j' = 0 means no partial block).  Row j' starts at the point s that
+    # t g1 ... t gj' sends p to, walked atom by atom from gj' back, and
+    # walks s's block cycle, of length L, so the value d steps from s
+    # occurs at m = d, d + L, ... and twice exactly when d + L < bound.
+    repeated = set()
+    for p in basepoints:
+        for j in range(k):
+            current = p
+            for image in reversed(images[:j]):
+                current = tau[image[current]]
+            for _ in range(min(lengths[current], bound - lengths[current])):
+                repeated.add(current)
+                current = block[current]
+    full_return = case.full_return
+    block_of = tg.block_of
+    is_basepoint = set(basepoints)
+
+    # Only a hitting point, and p, can break a fact, so only they are visited.
+    found = []
+    hits = 0
+    for j, row in enumerate(_first_hits(tau, case.inverses, case.untails, basepoints,
+                                        horizon, block)):
+        coarse = 2 * (n * k + j)
+        hits += len(row)
+        for ci, p in zip(components, basepoints):
+            if p not in row:
+                found.append((ci, j, p, {"check": "basepoint_returns", "partial": j,
+                                         "first_hit": None}))
+        for point, hit in row.items():
+            target = full_return[point]
+            if hit <= coarse and target in repeated:
+                continue
+            ci = block_of[point]
+            start = spans[ci][0]
+            if hit > coarse:
+                found.append((ci, j, point, {
+                    "check": "trace_stays_clear",
+                    "point": point - start,
+                    "partial": j,
+                    "first_hit": hit,
+                    "allowed_prefix": coarse,
+                }))
+                if point in is_basepoint:
+                    found.append((ci, j, point, {
+                        "check": "basepoint_returns",
+                        "partial": j,
+                        "first_hit": hit,
+                    }))
+            if target not in repeated:
+                found.append((ci, j, point, {
+                    "check": "pigeonhole_pair",
+                    "point": point - start,
+                    "partial": j,
+                    "target": target - start,
+                }))
+    found.sort(key=itemgetter(0, 1, 2))
+    return found, hits
+
+
+def _trace_report(component, case, horizon, witnesses, passed):
+    parameters = sweep_parameters(component, case)
+    parameters["horizon"] = horizon
+    return CheckReport(
+        name="trace_lemmas",
+        parameters=parameters,
+        passed=passed,
+        witnesses=witnesses,
+    )
+
+
 def verify_trace_lemmas(tg, component, case, horizon_factor=2):
     """The three trace facts behind the return bound, swept exhaustively.
 
@@ -453,7 +570,8 @@ def verify_trace_lemmas(tg, component, case, horizon_factor=2):
     ``horizon_factor`` an integer >= 1, checked in that order.  ``case`` is
     the ``sweep_case`` of a generator sequence; the block's points are read
     at ``tg.block_spans[component]`` in the case's domain and reported by
-    their number in the block.
+    their number in the block.  The report is the one-block run of the
+    pass that ``failing_trace_reports`` makes over every block at once.
 
     No trace is walked letter by letter.  Read from its end, w(horizon, j)
     is a partial tail of 2j letters and then ``horizon`` periods of 2k
@@ -469,7 +587,8 @@ def verify_trace_lemmas(tg, component, case, horizon_factor=2):
     along the cycle, of length L, has d + L < N(k+1).  Only a hitting
     point, and p, can break a fact, so only they are visited and the
     case's N(k+1)-fold return map is read only at them.  A sweep costs,
-    per row, its hitting points, whatever the horizon.
+    per row, its hitting points, whatever the horizon.  Violations are
+    reported by row, then point.
 
     Fact 3 is checked as stated, and as stated it is false in general.  On
     the one-involution action on {0, 1} extended by the fresh point 2 with
@@ -482,79 +601,29 @@ def verify_trace_lemmas(tg, component, case, horizon_factor=2):
     """
     _check_component(tg, component)
     _check_horizon_factor(horizon_factor)
-    n, bound, tau, images, block, lengths = (case.order, case.bound, case.tau, case.images,
-                                             case.block, case.lengths)
-    k = len(images)
-    horizon = horizon_factor * bound
+    horizon = horizon_factor * case.bound
+    found, hits = _trace_pass(tg, [component], case, horizon)
+    if found:
+        return _trace_report(component, case, horizon,
+                             [violation for *_, violation in found], False)
     start, stop = tg.block_spans[component]
-    p = start + tg.components[component].basepoint
-
-    # Values that occur twice in some row w(m, j').p, m < bound, 0 <= j' < k
-    # (j' = 0 means no partial block).  Row j' starts at the point s that
-    # t g1 ... t gj' sends p to, walked atom by atom from gj' back, and
-    # walks s's block cycle, of length L, so the value d steps from s
-    # occurs at m = d, d + L, ... and twice exactly when d + L < bound.
-    repeated = set()
-    for j in range(k):
-        current = p
-        for image in reversed(images[:j]):
-            current = tau[image[current]]
-        for _ in range(min(lengths[current], bound - lengths[current])):
-            repeated.add(current)
-            current = block[current]
-    full_return = case.full_return
-
-    # Only a hitting point, and p, can break a fact.  Violations are found
-    # in each row's hit order and reported by row and point; the sort is
-    # stable, so one point's violations keep their order.
-    found = []  # (partial, point, violation)
-    hits = 0
-    for j, row in enumerate(_first_hits(tau, case.inverses, case.untails, p, horizon,
-                                        block)):
-        coarse = 2 * (n * k + j)
-        hits += len(row)
-        if p not in row:
-            found.append((j, p, {"check": "basepoint_returns", "partial": j,
-                                 "first_hit": None}))
-        for point, hit in row.items():
-            if hit > coarse:
-                found.append((j, point, {
-                    "check": "trace_stays_clear",
-                    "point": point - start,
-                    "partial": j,
-                    "first_hit": hit,
-                    "allowed_prefix": coarse,
-                }))
-                if point == p:
-                    found.append((j, point, {
-                        "check": "basepoint_returns",
-                        "partial": j,
-                        "first_hit": hit,
-                    }))
-            target = full_return[point]
-            if target not in repeated:
-                found.append((j, point, {
-                    "check": "pigeonhole_pair",
-                    "point": point - start,
-                    "partial": j,
-                    "target": target - start,
-                }))
-    found.sort(key=itemgetter(0, 1))
-    violations = [violation for _, _, violation in found]
-    passed = not violations
-    witnesses = violations if violations else [{
+    return _trace_report(component, case, horizon, [{
         "points": stop - start,
-        "partials": k,
+        "partials": len(case.images),
         "traces_hitting_basepoint": hits,
-    }]
-    parameters = sweep_parameters(component, case)
-    parameters["horizon"] = horizon
-    return CheckReport(
-        name="trace_lemmas",
-        parameters=parameters,
-        passed=passed,
-        witnesses=witnesses,
-    )
+    }], True)
+
+
+def failing_trace_reports(tg, case, horizon_factor=2):
+    """The ``verify_trace_lemmas`` reports of ``case`` on the blocks that
+    break a trace fact, by 0-based component in component order, from one
+    pass over the union of all the blocks; a block that keeps every fact
+    gets no report.  ``horizon_factor`` is checked as there."""
+    _check_horizon_factor(horizon_factor)
+    horizon = horizon_factor * case.bound
+    found, _ = _trace_pass(tg, range(len(tg.components)), case, horizon)
+    return {ci: _trace_report(ci, case, horizon, [violation for *_, violation in rows], False)
+            for ci, rows in groupby(found, itemgetter(0))}
 
 
 def bounds_settled(longest, limit):

@@ -666,6 +666,26 @@ def test_verify_killed_by_sigterm_leaves_no_file(tmp_path):
     assert sorted(tmp_path.iterdir()) == [config]
 
 
+def run_into_closed_stdout(argv, unbuffered, cwd):
+    """Run ``telescope argv`` with stdout a pipe whose reader has gone,
+    with ``PYTHONUNBUFFERED`` set or unset, and require exit 2 and the one
+    error line on stderr."""
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "telescope", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, cwd=cwd, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == "error: stdout was closed before the output was written\n"
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("command, extra", [("build", []), ("word", ["--word", "g1 t"]),
                                             ("verify", ["--out", "cert.json"])])
@@ -676,21 +696,8 @@ def test_closed_stdout_exits_2_without_traceback(command, extra, unbuffered, tmp
     # flush at exit, whether each print writes at once or the output waits
     # in stdout's buffer; verify prints only once its certificate is in
     # place, so the certificate stays
-    env = src_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = subprocess.run(
-            [sys.executable, "-m", "telescope", command, "--config", str(DEMO_CONFIG), *extra],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
-            env=env, timeout=60)
-    finally:
-        os.close(write_end)
-    assert done.returncode == 2
-    assert done.stderr == "error: stdout was closed before the output was written\n"
+    run_into_closed_stdout([command, "--config", str(DEMO_CONFIG), *extra], unbuffered,
+                           tmp_path)
     if command == "verify":
         reference = tmp_path / "reference.json"
         assert main(["verify", "--config", str(DEMO_CONFIG), "--out", str(reference)]) in (0, 1)
@@ -698,6 +705,15 @@ def test_closed_stdout_exits_2_without_traceback(command, extra, unbuffered, tmp
         assert (tmp_path / "cert.json").read_bytes() == reference.read_bytes()
     else:
         assert sorted(os.listdir(tmp_path)) == []
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("args", [["--help"], ["word", "--help"], ["verify", "--help"]])
+def test_help_into_a_closed_stdout_exits_2(args, unbuffered, tmp_path):
+    # help text meets a reader that has gone like every other output: one
+    # error line, and neither a traceback nor an error from the flush at
+    # exit, whether the text is written at once or waits in the buffer
+    run_into_closed_stdout(args, unbuffered, tmp_path)
 
 
 class TestDeterminism:

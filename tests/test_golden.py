@@ -338,8 +338,9 @@ def test_each_sweep_case_is_built_once(stem, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("stem", VERIFY_CASES)
 def test_tail_maps_are_composed_once_per_sequence(stem, tmp_path, monkeypatch, capsys):
     # the tail of each trace row depends only on the generator sequence, so
-    # the sweeps compose 2(k - 1) maps per sequence of k entries, whatever
-    # the number of components: the goldens have one to five
+    # the sweeps compose 2(k - 1) maps per sequence of k entries, and its
+    # block from the kept one-entry blocks, k - 1 more, whatever the number
+    # of components: the goldens have one to five
     composed = [0]
 
     def counting(p, q):
@@ -354,7 +355,7 @@ def test_tail_maps_are_composed_once_per_sequence(stem, tmp_path, monkeypatch, c
     capsys.readouterr()
     gens = load_config(config_path).recursion.generator_count
     # gens sequences of one entry, gens ** 2 of two
-    assert composed[0] == 2 * gens ** 2
+    assert composed[0] == 3 * gens ** 2
 
 
 @pytest.mark.parametrize("stem", VERIFY_CASES + ("grigorchuk_1-6",))

@@ -173,6 +173,8 @@ def test_the_parser_built_once_prints_what_a_fresh_one_does(argv, code, err, cap
     assert outputs[0][0] == code
     if err is not None:
         assert outputs[0] == (code, "", err)
+    if argv[-1:] == ["--help"]:
+        assert outputs[0][1].startswith(f"usage: telescope {' '.join(argv[:-1])}".rstrip())
 
 
 # -- telescope components, kept per (level, basepoint) by the recursion -------

@@ -9,9 +9,16 @@ order, from ``rec.element_order``, and bound once.  Each failing case
 then contributes its parameters and first failures.  It runs on every
 golden config and on drawn hand-built telescopes whose stated orders and
 torsion growth are small enough that return-bound and sample cases fail.
+The trace facts of every block are decided by one pass over the union of
+the blocks; it is checked against each block's own one-block pass on
+preset telescopes whose basepoints are all nonzero, so the blocks' rows
+start at different points, on sequences of three entries, and on a
+hand-built pair of blocks that both fail.
 """
 
+import itertools
 import json
+import random
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,6 +29,7 @@ from conftest import FixedOrder, assemble_check, scan_cases, spying_sample
 from telescope import cli, tower
 from telescope.cli import load_config, main, sample_words
 from telescope.perm import Permutation
+from telescope.selfsim import grigorchuk, gupta_sidki_3
 from telescope.words import format_word, reduce_signed
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -204,3 +212,74 @@ def test_failing_cases_are_assembled_like_the_oracle():
         assert entry["status"] == "fail", entry["name"]
         assert entry["witnesses"][0]["failed_cases"] > 0, entry["name"]
     assert_checks_match_oracle(tg, 1, sample, growth)
+
+
+def assert_union_pass_matches_blocks(tg, case, horizon_factor):
+    # the one pass over every block against each block's own report
+    own = [tower.verify_trace_lemmas(tg, ci, case, horizon_factor)
+           for ci in range(len(tg.components))]
+    assert tower.failing_trace_reports(tg, case, horizon_factor) == {
+        ci: report for ci, report in enumerate(own) if not report.passed}
+
+
+PRESET_TOWERS = [(grigorchuk(), [1, 2, 3, 4]), (gupta_sidki_3(), [1, 2, 3])]
+
+
+def nonzero_basepoints(rec, levels, rng):
+    return [rng.randrange(1, rec.arity ** level) for level in levels]
+
+
+@pytest.mark.parametrize("rec, levels", PRESET_TOWERS)
+def test_sweeps_with_nonzero_basepoints(rec, levels):
+    # every block's basepoint is drawn nonzero, so no two blocks start
+    # their rows at the same block point
+    rng = random.Random(35)
+    for _ in range(3):
+        tg = tower.build_telescope(rec, levels, nonzero_basepoints(rec, levels, rng))
+        for horizon_factor in (1, 2, 3):
+            assert ([check.as_dict() for check in cli._sweep_checks(tg, horizon_factor)]
+                    == oracle_sweep_entries(tg, horizon_factor))
+
+
+@pytest.mark.parametrize("rec, levels", PRESET_TOWERS)
+def test_three_entry_sequences_with_nonzero_basepoints(rec, levels):
+    # k = 3 gives each block two tailed rows, each patched at its own
+    # basepoint's tail prefixes
+    tg = tower.build_telescope(rec, levels, nonzero_basepoints(rec, levels, random.Random(3)))
+    singles = [(g,) for g in range(1, rec.generator_count + 1)]
+    for gseq in itertools.product(singles, repeat=3):
+        case = tower.sweep_case(tg, list(gseq))
+        for horizon_factor in (1, 2, 3):
+            assert_union_pass_matches_blocks(tg, case, horizon_factor)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_cases())
+def test_hand_built_union_pass(case):
+    tg, _, gseq, horizon_factor = case
+    assert_union_pass_matches_blocks(tg, tower.sweep_case(tg, gseq), horizon_factor)
+
+
+# blocks of 4 and 5 points with basepoints 1 and 2: g1 is the 3-cycle
+# (0 1 2) on the first base and the 4-cycle (0 1 2 3) on the second, and
+# its stated order is 1, so every case of both blocks breaks all three
+# trace facts
+TWO_FAILING_TG = tower.TelescopeGroup(
+    (tower.extend_action([Permutation.from_cycles(3, [(0, 1, 2)])], 1),
+     tower.extend_action([Permutation.from_cycles(4, [(0, 1, 2, 3)])], 2)),
+    ("g1",), FixedOrder(1))
+
+
+@pytest.mark.parametrize("horizon_factor", [1, 2, 3])
+def test_two_failing_blocks(horizon_factor):
+    entry = cli._sweep_checks(TWO_FAILING_TG, horizon_factor)[0].as_dict()
+    assert entry["witnesses"][:3] == [{"cases": 4, "failed_cases": 4},
+                                      {"component": 1, "cases": 2, "failed_cases": 2},
+                                      {"component": 2, "cases": 2, "failed_cases": 2}]
+    for case in entry["witnesses"][3:]:
+        assert {row["check"] for row in case["failures"]} == {
+            "basepoint_returns", "trace_stays_clear", "pigeonhole_pair"}
+    assert entry == oracle_sweep_entries(TWO_FAILING_TG, horizon_factor)[0]
+    for gseq in ([(1,)], [(1,), (1,)], [(1,), (-1,), (1,)]):
+        assert_union_pass_matches_blocks(
+            TWO_FAILING_TG, tower.sweep_case(TWO_FAILING_TG, gseq), horizon_factor)

@@ -502,7 +502,7 @@ def scan_first_hits(tg, ci, gseq, horizon):
         tail = tail * tau * image
         untails.append(tail.inverse().images)
     rows = tower._first_hits(tau.images, [image.inverse().images for image in images],
-                             untails, tg.components[ci].basepoint, horizon, block.images)
+                             untails, [tg.components[ci].basepoint], horizon, block.images)
     return [[row.get(point) for point in range(tau.degree)] for row in rows]
 
 
@@ -613,6 +613,16 @@ class TestPowerImages:
         for m in (0, 1, 2, 7):
             assert tower._cycle_walk((0,), m) == ([1], [0])
 
+    def test_whole_turns_on_some_cycles_only(self):
+        # cycles of lengths 2, 3 and 4 and a fixed point: each power turns
+        # some cycles a whole number of times, which leaves them fixed, and
+        # not the others
+        perm = Permutation.from_cycles(10, [(0, 1), (2, 3, 4), (5, 6, 7, 8)])
+        for m in (2, 3, 4, 6, 8, 12, 13):
+            times, powers = tower._cycle_walk(perm.images, m)
+            assert tuple(powers) == (perm ** m).images, m
+            assert times == [2, 2, 3, 3, 3, 4, 4, 4, 4, 1]
+
 
 class TestUnion:
     """The letter table on the disjoint union of the blocks, and the sweep
@@ -660,6 +670,25 @@ class TestUnion:
             assert union.longest[ci] == max(block.cycle_lengths(), default=1)
             assert [x - start for x in union.full_return[start:stop]] == list(
                 (block ** union.bound).images)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan_cases(), st.data())
+    def test_block_is_the_whole_word(self, case, data):
+        # each entry's block t g is composed once into the shared table of
+        # a sweep, and every sequence's block is that of its whole word
+        tg, _, gseq, _ = case
+        letters = tg.union_letters
+        blocks = {}
+        more = data.draw(st.lists(st.sampled_from(gseq), min_size=1, max_size=3))
+        for seq in (gseq, more, gseq[::-1]):
+            block = sweep_case(tg, seq, blocks).block
+            assert block == compose_signed([c for word in seq for c in (0, *word)], letters)
+            assert block == sweep_case(tg, seq).block
+        assert blocks == {word: compose_signed((0, *word), letters) for word in gseq}
+
+    def test_block_of(self, grig):
+        tg = build_telescope(grig, [1, 2, 3])
+        assert tg.block_of == (0,) * 3 + (1,) * 5 + (2,) * 9
 
     def test_union_table_is_built_on_first_use(self, grig):
         tg = build_telescope(grig, [1, 2, 3])
