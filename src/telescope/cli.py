@@ -20,14 +20,16 @@ temporary file and rename it over the target: a failed call, or one
 killed during the checks, leaves no partial file and any older
 certificate intact.
 
-Exit codes: 0 pass, 1 a check failed, 2 config or usage error (also
-``verify`` and ``word`` on a recursion declared ``"contracting": false``,
-whose equality and element orders they need, and a stdout whose reader
-has gone before all output was written, as in ``telescope word ... |
-head`` or ``--help`` into such a reader; ``verify`` prints only once its
-certificate is in place, so the certificate stays), 3 a computation ran
-out of its budget (a recursion declared contracting that is not, or that
-is not torsion, a level with more vertices than the step budget, or a
+Exit codes: 0 pass, 1 a check failed, 2 config or usage error (also a
+config nested too deeply for the JSON decoder, ``verify`` and ``word``
+on a recursion declared ``"contracting": false``, whose equality and
+element orders they need, and a stdout whose reader has gone before all
+output was written, as in ``telescope word ... | head`` or ``--help``
+into such a reader; ``verify`` prints only once its certificate is in
+place, so the certificate stays), 3 a computation ran out of its budget
+(a recursion declared contracting that is not, or that is not torsion, a
+level with more vertices than the step budget, an inline table whose
+arity is above it, refused before any root permutation is parsed, or a
 word sample of more draws than it).
 """
 
@@ -47,7 +49,8 @@ from dataclasses import dataclass
 from . import certify, tower
 from .perm import Permutation
 from .reports import CheckReport
-from .selfsim import BudgetExceeded, WreathRecursion, grigorchuk, gupta_sidki_3
+from .selfsim import (STEP_BUDGET, BudgetExceeded, WreathRecursion, grigorchuk,
+                      gupta_sidki_3)
 from .words import compose_signed, format_word, parse_signed, parse_word
 
 SAMPLER_NAME = "mt19937-reduced-words-v1"
@@ -149,6 +152,9 @@ def _parse_recursion(spec, where):
     names = spec["generators"]
     if not _natural(arity, 2):
         raise ConfigError("arity must be an integer >= 2")
+    if arity > STEP_BUDGET:
+        # refused before any arity-sized root permutation is built
+        raise BudgetExceeded(f"level 1 has more than {STEP_BUDGET} vertices")
     if (not isinstance(names, list) or not names
             or not all(isinstance(n, str) and n for n in names)):
         raise ConfigError("generators must be a nonempty list of names")
@@ -209,6 +215,8 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     _expect_keys(doc, ["group", "levels"],

@@ -48,6 +48,10 @@ class BudgetExceeded(RuntimeError):
     """
 
 
+# the default step budget: level vertices, closure states, ball candidates
+STEP_BUDGET = 10**6
+
+
 class WreathRecursion:
     """A self-similar action: per generator a root permutation and d sections.
 
@@ -57,7 +61,7 @@ class WreathRecursion:
     """
 
     def __init__(self, arity, names, root_perms, sections, contracting,
-                 step_budget=10**6):
+                 step_budget=STEP_BUDGET):
         if arity < 2:
             raise ValueError("tree arity must be at least 2")
         names = tuple(names)

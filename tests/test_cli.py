@@ -141,6 +141,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r":3:"):
             load_config(path)
 
+    def test_json_nested_too_deeply_is_a_config_error(self, tmp_path, capsys):
+        # json.loads raises RecursionError here, which is no budget overrun
+        path = tmp_path / "deep.json"
+        path.write_text('{"group": "grigorchuk", "levels": [1], "seed": '
+                        + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["build", "--config", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: {path}: invalid JSON: nested too deeply\n")
+
     def test_unknown_preset(self, tmp_path):
         path = write_config(tmp_path, {"group": "nosuch", "levels": [1]})
         with pytest.raises(ConfigError, match="nosuch"):
@@ -288,18 +297,25 @@ def test_non_contracting_recursion_exits_2_without_traceback(tmp_path, capsys, a
     assert sorted(tmp_path.iterdir()) == [path]
 
 
-@pytest.mark.parametrize("levels", [[1, 40], [1, 10**30]])
-def test_level_past_the_budget_exits_3(tmp_path, levels):
+@pytest.mark.parametrize("group, levels", [
+    pytest.param("grigorchuk", [1, 40], id="levels0"),
+    pytest.param("grigorchuk", [1, 10**30], id="levels1"),
+    # root permutations of 10^8 or 10^20 points, if built, end in a
+    # MemoryError or an OverflowError
+    pytest.param(dict(C2_INVOLUTION, arity=10**8), [1], id="arity-10^8"),
+    pytest.param(dict(C2_INVOLUTION, arity=10**20), [1], id="arity-10^20"),
+])
+def test_level_past_the_budget_exits_3(tmp_path, group, levels):
     # run under a 1.5 GB address-space cap: a level of 2^40 vertices must be
     # refused by the step budget, not end in a MemoryError
-    path = write_config(tmp_path, {"group": "grigorchuk", "levels": levels})
+    path = write_config(tmp_path, {"group": group, "levels": levels})
     cap = 1536 * 2**20
     done = subprocess.run(
         [sys.executable, "-m", "telescope", "build", "--config", str(path)],
         capture_output=True, text=True, cwd=REPO, env=src_env(), timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert done.returncode == 3
-    assert done.stderr == (f"error: computation budget exceeded: level {levels[1]} "
+    assert done.stderr == (f"error: computation budget exceeded: level {levels[-1]} "
                            f"has more than 1000000 vertices\n")
 
 
