@@ -7,13 +7,13 @@ tau * g is a 3-cycle, so the extended group mixes the new point into
 every orbit.
 """
 
-from telescope import (PermGroup, Permutation, extend_action, orbit,
+from telescope import (ExtendedAction, PermGroup, Permutation, orbit,
                        parse_word, TelescopeGroup)
 
 base = Permutation((1, 0))
 print("base action: g =", base.cycle_string(), "on {0, 1}")
 
-ext = extend_action([base], 0)
+ext = ExtendedAction([base], 0)
 print("extended degree:", ext.extended_degree)
 print("tau =", ext.tau.cycle_string())
 print("g extends to", ext.gen_images[0].cycle_string(), "fixing the fresh point")

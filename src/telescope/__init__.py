@@ -16,9 +16,9 @@ from .selfsim import (BudgetExceeded, NotContracting, WreathRecursion, grigorchu
                       gupta_sidki_3)
 from .reports import CheckReport
 from .tower import (ExtendedAction, TelescopeGroup, build_telescope,
-                    divides_factorial, extend_action, sweep_case,
-                    transitivity_report, verify_fundamental_general,
-                    verify_orbit_bound, verify_torsion_bound, verify_trace_lemmas)
+                    divides_factorial, sweep_case, transitivity_report,
+                    verify_fundamental_general, verify_orbit_bound,
+                    verify_torsion_bound, verify_trace_lemmas)
 from .certify import (alt_cutoff, certificate_bytes, check_perfect, check_subdirect,
                       check_tail_injectivity, component_table,
                       emit_certificate, perfectness_scan, sign_vectors)
@@ -33,7 +33,7 @@ __all__ = [
     "gupta_sidki_3",
     "CheckReport",
     "ExtendedAction", "TelescopeGroup", "build_telescope", "divides_factorial",
-    "extend_action", "sweep_case", "transitivity_report", "verify_fundamental_general",
+    "sweep_case", "transitivity_report", "verify_fundamental_general",
     "verify_orbit_bound", "verify_torsion_bound", "verify_trace_lemmas",
     "alt_cutoff", "certificate_bytes", "check_perfect", "check_subdirect",
     "check_tail_injectivity", "component_table", "emit_certificate",

@@ -193,9 +193,7 @@ def _polycyclic_orders(tg):
         return None
     levels = []
     for comp in tg.components:
-        if comp.level is None or (
-                tuple(p.images[:comp.base_degree] for p in comp.gen_images)
-                != tuple(p.images for p in rec.level_action(comp.level))):
+        if comp.level is None or comp.base != rec.level_action(comp.level):
             return None
         levels.append(comp.level)
     orders = rec.quotient_orders(max(levels))
@@ -213,8 +211,7 @@ def perfectness_scan(tg):
     (``WreathRecursion.quotient_orders``), with no stabilizer chain.  Any
     other telescope (another root group, no recursion, or a component that
     is not a tree level of it) gets its orders from a stabilizer chain per
-    component, made from its generator images: they fix the fresh point, so
-    the group's order and perfectness are the base quotient's.
+    component, made from its base action.
     ``check_perfect`` runs only when the root group is perfect or there is
     no recursion.
     """
@@ -226,7 +223,7 @@ def perfectness_scan(tg):
         root_perfect = tg.rec is None or check_perfect(PermGroup(tg.rec.root_perms))
         witnesses = []
         for ci, comp in enumerate(tg.components, start=1):
-            group = PermGroup(comp.gen_images)
+            group = PermGroup(comp.base)
             witnesses.append({
                 "component": ci,
                 "quotient_order": group.order(),

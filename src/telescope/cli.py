@@ -21,7 +21,9 @@ killed during the checks, leaves no partial file and any older
 certificate intact.
 
 Exit codes: 0 pass, 1 a check failed, 2 config or usage error (also a
-config nested too deeply for the JSON decoder, ``verify`` and ``word``
+config nested too deeply for the JSON decoder or holding an integer of
+more digits than the interpreter converts, a ``word`` token whose index
+has such digits, which exceeds the generators, ``verify`` and ``word``
 on a recursion declared ``"contracting": false``, whose equality and
 element orders they need, and a stdout whose reader has gone before all
 output was written, as in ``telescope word ... | head`` or ``--help``
@@ -217,6 +219,11 @@ def load_config(path):
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     except RecursionError as exc:
         raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc
+    except ConfigError:
+        raise
+    except ValueError as exc:  # the interpreter's limit on int() digits
+        raise ConfigError(f"{path}: invalid JSON: an integer has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     _expect_keys(doc, ["group", "levels"],

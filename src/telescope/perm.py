@@ -63,7 +63,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree):
-        return cls(range(degree))
+        return cls._trusted(tuple(range(degree)))
 
     @classmethod
     def transposition(cls, degree, a, b):
@@ -85,8 +85,7 @@ class Permutation:
         touched = set()
         for cycle in cycles:
             for point in cycle:
-                if (isinstance(point, bool) or not isinstance(point, int)
-                        or not 0 <= point < degree):
+                if type(point) is not int or not 0 <= point < degree:
                     raise ValueError(f"cycle point {point!r} is not a point of "
                                      f"0..{degree - 1}")
                 if point in touched:
@@ -96,7 +95,7 @@ class Permutation:
                 images[a] = b
             if cycle:
                 images[cycle[-1]] = cycle[0]
-        return cls(images)
+        return cls._trusted(tuple(images))
 
     @property
     def degree(self):

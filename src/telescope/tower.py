@@ -59,41 +59,47 @@ from .words import LetterTable, compose_signed, format_word, invert_signed, redu
 
 @dataclass(frozen=True)
 class ExtendedAction:
-    """One component: a transitive base action plus the fresh point, numbered
-    ``base_degree``, and its transposition.
+    """One component: a transitive base action, by its generator images
+    ``base``, plus the fresh point, numbered ``base_degree``, and the
+    transposition tau = (basepoint, fresh point).
 
     Construction rejects a base action that is not transitive, by the
-    orbit of 0; the generator images fix the fresh point, so that orbit
-    stays in the base, and with no generator images only a one-point base
-    is transitive.  Tau is checked by one comparison with the
-    transposition's image tuple.  ``letters`` is the component's letter
-    table (tau, each generator, and each inverse once it is first used),
-    made once and shared by every word evaluated on the component, in
-    every telescope that ``build_telescope`` makes from the same recursion.
+    orbit of 0, and then makes ``gen_images``, the base images fixing the
+    fresh point, and ``tau`` from ``base`` and ``basepoint``.  ``letters``
+    is the component's letter table (tau, each generator, and each inverse
+    once it is first used), made once and shared by every word evaluated
+    on the component, in every telescope that ``build_telescope`` makes
+    from the same recursion; ``level`` is the tree level the base acts on,
+    if any.
     """
 
+    base: tuple
     basepoint: int
-    gen_images: tuple
-    tau: Permutation
     level: object = None
+    gen_images: tuple = field(init=False, repr=False, compare=False)
+    tau: Permutation = field(init=False, repr=False, compare=False)
     letters: LetterTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        degree = self.tau.degree
-        extra = degree - 1
-        if not 0 <= self.basepoint < extra:
-            raise ValueError("basepoint must lie in the base domain")
-        if self.tau != Permutation.transposition(degree, self.basepoint, extra):
-            raise ValueError("tau must swap exactly the basepoint and the fresh point")
-        for p in self.gen_images:
-            if p.degree != degree or p(extra) != extra:
-                raise ValueError("generator images must fix the fresh point")
-        reached = len(orbit(self.gen_images, 0)) if self.gen_images else 1
-        if reached != extra:
+        base = tuple(self.base)  # the same object when it is a tuple already
+        if not base:
+            raise ValueError("an action needs at least one generator image")
+        degree = base[0].degree
+        if any(p.degree != degree for p in base):
+            raise ValueError("generator images must share one degree")
+        if not 0 <= self.basepoint < degree:
+            raise ValueError(f"basepoint {self.basepoint} outside 0..{degree - 1}")
+        reached = len(orbit(base, 0))
+        if reached != degree:
             what = "base action" if self.level is None else f"level {self.level} action"
             raise ValueError(f"{what} is not transitive: the orbit of 0 has "
-                             f"{reached} of {extra} points")
-        object.__setattr__(self, "letters", LetterTable(self.gen_images, self.tau))
+                             f"{reached} of {degree} points")
+        gen_images = tuple(p.extended(degree + 1) for p in base)
+        tau = Permutation.transposition(degree + 1, self.basepoint, degree)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "gen_images", gen_images)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "letters", LetterTable(gen_images, tau))
 
     @property
     def extended_degree(self):
@@ -102,26 +108,6 @@ class ExtendedAction:
     @property
     def base_degree(self):
         return self.tau.degree - 1
-
-
-def extend_action(perms, basepoint, level=None):
-    """Append one fresh point to an action and adjoin tau = (basepoint, fresh).
-
-    ``perms`` are the generator images of the action, which must be
-    transitive (``ExtendedAction`` raises ValueError otherwise, from the
-    orbit of 0); ``level`` is the tree level they act on, if any.
-    """
-    perms = tuple(perms)
-    if not perms:
-        raise ValueError("an action needs at least one generator image")
-    degree = perms[0].degree
-    if any(p.degree != degree for p in perms):
-        raise ValueError("generator images must share one degree")
-    if not 0 <= basepoint < degree:
-        raise ValueError(f"basepoint {basepoint} outside 0..{degree - 1}")
-    extended = tuple(p.extended(degree + 1) for p in perms)
-    tau = Permutation.transposition(degree + 1, basepoint, degree)
-    return ExtendedAction(basepoint=basepoint, gen_images=extended, tau=tau, level=level)
 
 
 @dataclass(frozen=True)
@@ -137,7 +123,7 @@ class TelescopeGroup:
             raise ValueError("a telescope needs at least one component")
         k = len(self.gen_names)
         for comp in self.components:
-            if len(comp.gen_images) != k:
+            if len(comp.base) != k:
                 raise ValueError("every component needs one image per generator")
 
     @property
@@ -205,7 +191,7 @@ def build_telescope(rec, levels, basepoints=None):
     """Components from strictly increasing tree levels of one recursion.
 
     Quotient sizes must strictly grow, hence the strict monotonicity.
-    A level whose action is not transitive makes ``extend_action`` raise,
+    A level whose action is not transitive makes ``ExtendedAction`` raise,
     as its orbit of 0 finds.
 
     Each component is made, and its orbit computed, on the first call that
@@ -229,7 +215,7 @@ def build_telescope(rec, levels, basepoints=None):
         comp = made.get(key)
         if comp is None:
             level, basepoint = key
-            comp = made[key] = extend_action(rec.level_action(level), basepoint, level)
+            comp = made[key] = ExtendedAction(rec.level_action(level), basepoint, level)
         components.append(comp)
     return TelescopeGroup(tuple(components), rec.names, rec)
 

@@ -162,9 +162,12 @@ def parse_word(text, gen_count=None):
         match = re.fullmatch(r"g([1-9][0-9]*)", name)
         if match is None:
             return None
-        index = int(match.group(1))
-        if gen_count is not None and index > gen_count:
+        # a longer decimal is a larger index, so a count is decided before
+        # int(), which refuses more digits than the interpreter's limit
+        digits = match.group(1)
+        if gen_count is not None and (len(digits) > len(str(gen_count))
+                                      or int(digits) > gen_count):
             raise ValueError(f"token {name!r} exceeds the {gen_count} available generators")
-        return index
+        return int(digits)
 
     return parse_signed(text, code_of)

@@ -19,8 +19,13 @@ orders, so their return bounds may fail.  The ``count_orbits`` fixture
 counts the orbits construction computes, so a test can pin that each
 component is checked by one orbit when it is made, and by none when it
 is reused.
+The helpers several modules share live here once: ``cyc`` (a permutation
+from its cycles), ``write_config`` (a JSON config in a test's directory),
+and the ``grig`` and ``grig1234`` fixtures, the Grigorchuk recursion and
+its telescope on levels 1..4, made once per test module.
 """
 
+import json
 import math
 import os
 import random
@@ -33,7 +38,7 @@ from hypothesis import assume, strategies as st
 from telescope import cli, tower
 from telescope.perm import Permutation, orbit
 from telescope.reports import CheckReport
-from telescope.selfsim import WreathRecursion
+from telescope.selfsim import WreathRecursion, grigorchuk
 from telescope.words import format_word, reduce_signed
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -45,6 +50,26 @@ def src_env():
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return env
+
+
+def cyc(degree, *cycles):
+    return Permutation.from_cycles(degree, cycles)
+
+
+def write_config(tmp_path, doc, name="config.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.fixture(scope="module")
+def grig():
+    return grigorchuk()
+
+
+@pytest.fixture(scope="module")
+def grig1234(grig):
+    return tower.build_telescope(grig, [1, 2, 3, 4])
 
 
 @pytest.fixture
@@ -139,7 +164,7 @@ def scan_cases(draw):
         perms = [Permutation(draw(st.permutations(range(degree))))
                  for _ in range(gen_count)]
         perms[cycle_at] = Permutation.from_cycles(degree, [relabel])
-        components.append(tower.extend_action(perms, draw(st.integers(0, degree - 1))))
+        components.append(tower.ExtendedAction(perms, draw(st.integers(0, degree - 1))))
     letters = st.integers(1, gen_count).flatmap(lambda g: st.sampled_from((g, -g)))
     gseq = [reduce_signed(draw(st.lists(letters, min_size=1, max_size=3)))
             for _ in range(draw(st.integers(1, 3)))]

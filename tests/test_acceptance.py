@@ -25,30 +25,18 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from conftest import brute_closure, level_image, schreier_sign_kernel, src_env
 from telescope.certify import alt_cutoff, check_subdirect, sign_vectors
 from telescope.cli import main, sample_words
 from telescope.perm import PermGroup, Permutation
 from telescope.selfsim import grigorchuk
-from telescope.tower import (build_telescope, divides_factorial, extend_action,
-                             sweep_case, TelescopeGroup, verify_fundamental_general,
+from telescope.tower import (ExtendedAction, divides_factorial, sweep_case,
+                             TelescopeGroup, verify_fundamental_general,
                              verify_trace_lemmas)
 from telescope.words import format_word
 
 REPO = Path(__file__).resolve().parents[1]
 DEMO_CONFIG = REPO / "configs" / "demo_c2.json"
-
-
-@pytest.fixture(scope="module")
-def grig():
-    return grigorchuk()
-
-
-@pytest.fixture(scope="module")
-def grig1234(grig):
-    return build_telescope(grig, [1, 2, 3, 4])
 
 
 def gseq_sweep():
@@ -269,7 +257,7 @@ def test_criterion_5_subdirect_orders_exact(grig1234):
     assert orders == [math.factorial(3), math.factorial(5),
                       math.factorial(9), math.factorial(17)]
     # the three-cycle extension witness: <(0 1 2), (2 3)> is all of Sym(4)
-    c3 = TelescopeGroup((extend_action([Permutation.from_cycles(3, [(0, 1, 2)])], 2),),
+    c3 = TelescopeGroup((ExtendedAction([Permutation.from_cycles(3, [(0, 1, 2)])], 2),),
                         ("r",))
     witness = check_subdirect(c3)
     assert witness.passed and witness.witnesses[0]["order"] == 24

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
-from conftest import brute_closure, schreier_sign_kernel
+from conftest import brute_closure, cyc, schreier_sign_kernel
 from telescope.cli import load_config
 from telescope.certify import (alt_cutoff, certificate_bytes, check_perfect,
                                check_subdirect, check_tail_injectivity,
@@ -16,14 +16,10 @@ from telescope.certify import (alt_cutoff, certificate_bytes, check_perfect,
 from telescope.perm import PermGroup, Permutation
 from telescope.reports import CheckReport
 from telescope.selfsim import grigorchuk, gupta_sidki_3
-from telescope.tower import TelescopeGroup, build_telescope, extend_action
+from telescope.tower import ExtendedAction, TelescopeGroup, build_telescope
 from telescope.words import format_word
 
 GGS5 = Path(__file__).resolve().parent / "golden" / "ggs5_1-4.json"
-
-
-def cyc(degree, *cycles):
-    return Permutation.from_cycles(degree, cycles)
 
 
 def json_dumps_bytes(doc):
@@ -51,22 +47,12 @@ json_docs = st.recursive(
 
 
 def single_component(perms, basepoint, names):
-    return TelescopeGroup((extend_action(perms, basepoint),), tuple(names))
-
-
-@pytest.fixture(scope="module")
-def grig():
-    return grigorchuk()
+    return TelescopeGroup((ExtendedAction(perms, basepoint),), tuple(names))
 
 
 @pytest.fixture(scope="module")
 def grig123(grig):
     return build_telescope(grig, [1, 2, 3])
-
-
-@pytest.fixture(scope="module")
-def grig1234(grig):
-    return build_telescope(grig, [1, 2, 3, 4])
 
 
 class TestSubdirect:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import list_sample_words, src_env
+from conftest import list_sample_words, src_env, write_config
 from telescope import certify, cli
 from telescope.cli import (ConfigError, load_config, main, parse_cycles,
                            sample_words)
@@ -20,12 +20,6 @@ from telescope.words import reduce_signed
 
 REPO = Path(__file__).resolve().parents[1]
 DEMO_CONFIG = REPO / "configs" / "demo_c2.json"
-
-
-def write_config(tmp_path, doc, name="config.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    return path
 
 
 def grig_config(tmp_path, **overrides):
@@ -142,13 +136,17 @@ class TestConfig:
             load_config(path)
 
     def test_json_nested_too_deeply_is_a_config_error(self, tmp_path, capsys):
-        # json.loads raises RecursionError here, which is no budget overrun
         path = tmp_path / "deep.json"
-        path.write_text('{"group": "grigorchuk", "levels": [1], "seed": '
-                        + "[" * 100_000 + "]" * 100_000 + "}")
-        assert main(["build", "--config", str(path)]) == 2
-        assert capsys.readouterr() == (
-            "", f"config error: {path}: invalid JSON: nested too deeply\n")
+        for seed, reason in [
+                # json.loads raises RecursionError here, which is no budget overrun
+                ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+                # and ValueError here, from int() past the interpreter's digit limit
+                ("9" * 5000,
+                 f"an integer has more than {sys.get_int_max_str_digits()} digits")]:
+            path.write_text('{"group": "grigorchuk", "levels": [1], "seed": ' + seed + "}")
+            assert main(["build", "--config", str(path)]) == 2
+            assert capsys.readouterr() == (
+                "", f"config error: {path}: invalid JSON: {reason}\n")
 
     def test_unknown_preset(self, tmp_path):
         path = write_config(tmp_path, {"group": "nosuch", "levels": [1]})
@@ -201,6 +199,8 @@ class TestConfig:
          "root_perms['a'] must be a cycle-notation string"),
         ({"generators": ["a", "a"], "root_perms": {"a": "(0 1)"}},
          "generator names must be distinct"),
+        ({"generators": ["a"], "root_perms": {"a": "(0 1)(1)"}},
+         "bad cycles '(0 1)(1)': cycles are not disjoint at point 1"),
     ])
     def test_recursion_table_error_is_one_config_error(self, tmp_path, capsys, table,
                                                         message):
@@ -410,8 +410,11 @@ class TestCommands:
         assert one.out.startswith("word: 1  (reduced length 0)\n")
 
     def test_word_parse_failure_names_token(self, capsys):
-        assert main(["word", "--config", str(DEMO_CONFIG), "--word", "g9"]) == 2
-        assert "g9" in capsys.readouterr().err
+        # a 5,000-digit index is refused before int() meets the interpreter's
+        # digit limit
+        for token in ("g9", "g" + "1" * 5000):
+            assert main(["word", "--config", str(DEMO_CONFIG), "--word", token]) == 2
+            assert token in capsys.readouterr().err
 
     def test_word_leading_zero_names_token(self, capsys):
         # 'g01' is not read as g1: the transcript would not echo the input
@@ -508,6 +511,7 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == (f"error: cannot write certificate {out_path}: "
                                 f"{os.strerror(errno.ENOENT)}\n")
+        assert not out_path.parent.exists()
 
     def test_verify_empty_out_exits_2(self, tmp_path, capsys, monkeypatch):
         # an empty --out does not fall back to the config's output path

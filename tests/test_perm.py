@@ -8,13 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
-from conftest import brute_closure
+from conftest import brute_closure, cyc
 from telescope import perm as perm_module
 from telescope.perm import PermGroup, Permutation, _compose, orbit
-
-
-def cyc(degree, *cycles):
-    return Permutation.from_cycles(degree, cycles)
 
 
 def reference_cycle_string(images):

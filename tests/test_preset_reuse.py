@@ -12,11 +12,11 @@ go with it.
 """
 
 import gc
-import json
 import weakref
 
 import pytest
 
+from conftest import write_config
 from telescope import cli
 from telescope.cli import load_config, main, sample_words
 from telescope.words import format_word
@@ -24,12 +24,6 @@ from telescope.words import format_word
 WORD_LEVELS = {"grigorchuk": [1, 2, 3, 4, 5, 6], "gupta-sidki-3": [1, 2, 3, 4]}
 VERIFY_LEVELS = {"grigorchuk": [1, 2, 3, 4], "gupta-sidki-3": [1, 2, 3]}
 GENERATORS = {"grigorchuk": 4, "gupta-sidki-3": 2}
-
-
-def write_config(tmp_path, name, doc):
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
 
 
 def run(argv, capsys, out_path=None):
@@ -52,8 +46,8 @@ def seeded_queries(tmp_path):
     """Word queries on both presets, seeded: (length, argv) pairs."""
     queries = []
     for seed, preset in enumerate(sorted(WORD_LEVELS), start=11):
-        config = write_config(tmp_path, f"words-{preset}",
-                              {"group": preset, "levels": WORD_LEVELS[preset]})
+        config = str(write_config(tmp_path, {"group": preset, "levels": WORD_LEVELS[preset]},
+                                  f"words-{preset}.json"))
         for word in sample_words(16, 8, GENERATORS[preset], seed):
             queries.append((len(word),
                             ["word", "--config", config, "--word", format_word(word)]))
@@ -64,9 +58,9 @@ def test_warm_calls_match_fresh_recursions(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
     verifies = {
         preset: ["verify", "--config",
-                 write_config(tmp_path, f"verify-{preset}",
-                              {"group": preset, "levels": levels,
-                               "word_sample": {"count": 40, "max_length": 5}}),
+                 str(write_config(tmp_path, {"group": preset, "levels": levels,
+                                             "word_sample": {"count": 40, "max_length": 5}},
+                                  f"verify-{preset}.json")),
                  "--out", str(out_path)]
         for preset, levels in VERIFY_LEVELS.items()}
     queries = seeded_queries(tmp_path)
@@ -91,10 +85,12 @@ def test_warm_calls_match_fresh_recursions(tmp_path, capsys):
 
 def test_exhausted_level_budget_leaves_the_next_query_unchanged(tmp_path, capsys):
     query = ["word", "--config",
-             write_config(tmp_path, "small", {"group": "grigorchuk", "levels": [1, 2, 3]}),
+             str(write_config(tmp_path, {"group": "grigorchuk", "levels": [1, 2, 3]},
+                              "small.json")),
              "--word", "g1 g2 t g3"]
     too_deep = ["word", "--config",
-                write_config(tmp_path, "deep", {"group": "grigorchuk", "levels": [1, 20]}),
+                str(write_config(tmp_path, {"group": "grigorchuk", "levels": [1, 20]},
+                                 "deep.json")),
                 "--word", "g1 g2 t g3"]
     expected = run_cold(query, capsys)
     assert expected[0] == 0
@@ -116,7 +112,7 @@ def test_exhausted_ball_budget_leaves_the_next_query_unchanged(tmp_path, capsys,
         return rec
 
     monkeypatch.setitem(cli.PRESETS, "gupta-sidki-3", small_budget)
-    config = write_config(tmp_path, "gs", {"group": "gupta-sidki-3", "levels": [1, 2]})
+    config = str(write_config(tmp_path, {"group": "gupta-sidki-3", "levels": [1, 2]}, "gs.json"))
     fits = ["word", "--config", config, "--word", "g1 g2"]
     too_long = ["word", "--config", config, "--word", "g1 g2 " * 5]
     expected = run_cold(fits, capsys)
@@ -130,17 +126,17 @@ def test_exhausted_ball_budget_leaves_the_next_query_unchanged(tmp_path, capsys,
 
 
 def test_load_config_shares_a_preset_recursion_only(tmp_path):
-    first = write_config(tmp_path, "a", {"group": "grigorchuk", "levels": [1, 2]})
-    second = write_config(tmp_path, "b", {"group": "grigorchuk", "levels": [3]})
+    first = write_config(tmp_path, {"group": "grigorchuk", "levels": [1, 2]}, "a.json")
+    second = write_config(tmp_path, {"group": "grigorchuk", "levels": [3]}, "b.json")
     assert load_config(first).recursion is load_config(second).recursion
-    custom = write_config(tmp_path, "c", {"group": {
+    custom = write_config(tmp_path, {"group": {
         "arity": 2, "generators": ["g1"], "root_perms": {"g1": "(0 1)"},
-        "sections": {"g1": ["", "g1"]}, "contracting": True}, "levels": [1]})
+        "sections": {"g1": ["", "g1"]}, "contracting": True}, "levels": [1]}, "c.json")
     assert load_config(custom).recursion is not load_config(custom).recursion
 
 
 def test_a_swapped_in_factory_gets_its_own_recursion(tmp_path, monkeypatch):
-    config = write_config(tmp_path, "gs", {"group": "gupta-sidki-3", "levels": [1]})
+    config = write_config(tmp_path, {"group": "gupta-sidki-3", "levels": [1]}, "gs.json")
     shipped = load_config(config).recursion
     monkeypatch.setitem(cli.PRESETS, "gupta-sidki-3", lambda: cli.gupta_sidki_3())
     swapped = load_config(config).recursion
@@ -181,7 +177,8 @@ def test_the_parser_built_once_prints_what_a_fresh_one_does(argv, code, err, cap
 
 
 def word_argv(tmp_path, name, doc, word):
-    return ["word", "--config", write_config(tmp_path, name, doc), "--word", word]
+    return ["word", "--config", str(write_config(tmp_path, doc, f"{name}.json")),
+            "--word", word]
 
 
 def test_warm_word_on_other_basepoints_matches_a_cold_one(tmp_path, capsys):
@@ -208,9 +205,9 @@ def test_warm_word_on_other_basepoints_matches_a_cold_one(tmp_path, capsys):
 def test_verify_after_words_on_overlapping_levels_matches_a_cold_one(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
     verify = ["verify", "--config",
-              write_config(tmp_path, "verify", {"group": "gupta-sidki-3", "levels": [2, 3, 4],
-                                                "word_sample": {"count": 20,
-                                                                "max_length": 4}}),
+              str(write_config(tmp_path, {"group": "gupta-sidki-3", "levels": [2, 3, 4],
+                                          "word_sample": {"count": 20, "max_length": 4}},
+                               "verify.json")),
               "--out", str(out_path)]
     words = [word_argv(tmp_path, f"words{i}", {"group": "gupta-sidki-3", "levels": levels},
                        "g1 t g2^-1 t")
@@ -240,8 +237,9 @@ CUSTOM_TABLES = {
 
 
 def test_custom_tables_with_the_same_levels_keep_their_own_components(tmp_path, capsys):
-    argvs = {name: ["build", "--config", write_config(tmp_path, name,
-                                                       {"group": table, "levels": [1, 2, 3]})]
+    argvs = {name: ["build", "--config",
+                    str(write_config(tmp_path, {"group": table, "levels": [1, 2, 3]},
+                                     f"{name}.json"))]
              for name, table in CUSTOM_TABLES.items()}
     argvs.update({f"{name} word": word_argv(tmp_path, f"{name}-word",
                                             {"group": table, "levels": [1, 2, 3]},

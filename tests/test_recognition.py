@@ -31,21 +31,17 @@ from sympy.combinatorics import PermutationGroup as SympyGroup
 import telescope.certify as certify
 import telescope.perm as perm
 import telescope.tower as tower
-from conftest import (custom_arity_3, cyclic_root_recursions, schreier_sign_kernel,
+from conftest import (custom_arity_3, cyc, cyclic_root_recursions, schreier_sign_kernel,
                       transitivity_oracle)
 from telescope.certify import alt_cutoff, check_subdirect, perfectness_scan, sign_vectors
 from telescope.cli import PRESETS, load_config, main
 from telescope.perm import PermGroup, Permutation
 from telescope.selfsim import WreathRecursion, grigorchuk, gupta_sidki_3
-from telescope.tower import (TelescopeGroup, build_telescope, extend_action,
+from telescope.tower import (ExtendedAction, TelescopeGroup, build_telescope,
                              transitivity_report)
 
 PROPERTY = settings(max_examples=150, deadline=None)
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo_c2.json"
-
-
-def cyc(degree, *cycles):
-    return Permutation.from_cycles(degree, cycles)
 
 
 def sympy_order(generators):
@@ -73,9 +69,9 @@ class TestSymmetricRecognition:
         perms, basepoint = drawn
         if not transitivity_oracle(perms)["transitive"]:
             with pytest.raises(ValueError, match="not transitive"):
-                extend_action(perms, basepoint)
+                ExtendedAction(perms, basepoint)
             return
-        comp = extend_action(perms, basepoint)
+        comp = ExtendedAction(perms, basepoint)
         tg = TelescopeGroup((comp,), tuple(f"g{i + 1}" for i in range(len(perms))))
         report = check_subdirect(tg)
         gens = list(comp.gen_images) + [comp.tau]
@@ -85,10 +81,10 @@ class TestSymmetricRecognition:
     def test_intransitive_base_is_rejected(self):
         # (0 1) on 4 points: the orbit of 0 is {0, 1}
         with pytest.raises(ValueError, match="orbit of 0 has 2 of 4 points"):
-            extend_action([cyc(4, (0, 1))], 0)
+            ExtendedAction([cyc(4, (0, 1))], 0)
 
     def test_one_point_base_gives_sym_two(self):
-        comp = extend_action([Permutation.identity(1)], 0)
+        comp = ExtendedAction([Permutation.identity(1)], 0)
         tg = TelescopeGroup((comp,), ("e",))
         assert check_subdirect(tg).witnesses[0]["order"] == 2
         assert PermGroup([comp.tau]).order() == 2
@@ -105,7 +101,7 @@ def telescopes(draw):
                                        unique=True))):
         perms = [draw(permutations(degree)) for _ in range(k)]
         perms[0] = Permutation([(x + 1) % degree for x in range(degree)])
-        components.append(extend_action(perms, draw(st.integers(0, degree - 1))))
+        components.append(ExtendedAction(perms, draw(st.integers(0, degree - 1))))
     return TelescopeGroup(tuple(components), tuple(f"g{i + 1}" for i in range(k)))
 
 
@@ -113,8 +109,8 @@ def two_block_example():
     """Sym(3), then a block whose base (0 1) on 4 points is not transitive,
     so its group would be Sym({0, 1, 4}), not Sym(5).  Construction rejects
     it unless the check is patched away."""
-    return TelescopeGroup((extend_action([cyc(2, (0, 1))], 0),
-                           extend_action([cyc(4, (0, 1))], 0)), ("g",))
+    return TelescopeGroup((ExtendedAction([cyc(2, (0, 1))], 0),
+                           ExtendedAction([cyc(4, (0, 1))], 0)), ("g",))
 
 
 def kernel_projection_orders(tg, kernel_gens):
@@ -185,7 +181,7 @@ class TestCertifyAgainstChain:
         # without the construction check the intransitive second block gets
         # the theorem's rows, but the oracle's kernel projects onto a group
         # of order 3 there, far from Alt(5)
-        monkeypatch.setattr(tower.ExtendedAction, "__post_init__", lambda self: None)
+        monkeypatch.setattr(tower, "orbit", lambda gens, point: range(gens[0].degree))
         tg = two_block_example()
         assert alt_cutoff(tg, sign_vectors(tg)[1])[0].witnesses[2]["full_alternating"]
         assert kernel_projection_orders(tg, schreier_sign_kernel(tg)[1])[1] == 3
@@ -308,7 +304,7 @@ def unleveled_grigorchuk():
     """Grigorchuk's level-3 action as a plain permutation list, so its
     component records no level, on a telescope that carries the recursion."""
     rec = grigorchuk()
-    return TelescopeGroup((extend_action(list(rec.level_action(3)), 0),),
+    return TelescopeGroup((ExtendedAction(list(rec.level_action(3)), 0),),
                           rec.names, rec)
 
 
@@ -350,8 +346,8 @@ class TestPolycyclicScope:
         # root group A5, which is perfect: A5, then C5 wr A5 of order 5^5 * 60
         (build_telescope(a5_root(), [1, 2]), [(60, True), (187500, False)]),
         # no recursion: Sym(3), then Alt(5)
-        (TelescopeGroup((extend_action([cyc(3, (0, 1, 2)), cyc(3, (0, 1))], 0),
-                         extend_action([cyc(5, (0, 1, 2, 3, 4)), cyc(5, (0, 1, 2))], 1)),
+        (TelescopeGroup((ExtendedAction([cyc(3, (0, 1, 2)), cyc(3, (0, 1))], 0),
+                         ExtendedAction([cyc(5, (0, 1, 2, 3, 4)), cyc(5, (0, 1, 2))], 1)),
                         ("g1", "g2")),
          [(6, False), (60, True)]),
         # Grigorchuk's recursion, but a component that records no level

@@ -157,8 +157,8 @@ def assert_checks_match_oracle(tg, horizon_factor, sample, growth):
 # length 2's limit, 3, reaches only the smaller block, and t g1, the
 # 4-cycle (0 1 2 3) on the first block, fails both bounds there
 EDGE_TG = tower.TelescopeGroup(
-    (tower.extend_action([Permutation.from_cycles(3, [(0, 1, 2)])], 0),
-     tower.extend_action([Permutation.from_cycles(2, [(0, 1)])], 0)),
+    (tower.ExtendedAction([Permutation.from_cycles(3, [(0, 1, 2)])], 0),
+     tower.ExtendedAction([Permutation.from_cycles(2, [(0, 1)])], 0)),
     ("g1",), FixedOrder(1))
 EDGE_SAMPLE = SimpleNamespace(sample_count=40, sample_max_length=3, seed=5)
 EDGE_GROWTH = [2, 1, 1, 1]
@@ -203,7 +203,7 @@ def test_failing_cases_are_assembled_like_the_oracle():
     # (0 1 2 3), so return-bound cases fail; a torsion growth of 1 makes
     # sample draws fail as well
     g = Permutation.from_cycles(3, [(0, 1, 2)])
-    tg = tower.TelescopeGroup((tower.extend_action([g], 0),), ("g1",), FixedOrder(1))
+    tg = tower.TelescopeGroup((tower.ExtendedAction([g], 0),), ("g1",), FixedOrder(1))
     sample = SimpleNamespace(sample_count=60, sample_max_length=3, seed=5)
     growth = {1: 1, 2: 1, 3: 1}
     sweeps = [check.as_dict() for check in cli._sweep_checks(tg, 1)]
@@ -265,8 +265,8 @@ def test_hand_built_union_pass(case):
 # its stated order is 1, so every case of both blocks breaks all three
 # trace facts
 TWO_FAILING_TG = tower.TelescopeGroup(
-    (tower.extend_action([Permutation.from_cycles(3, [(0, 1, 2)])], 1),
-     tower.extend_action([Permutation.from_cycles(4, [(0, 1, 2, 3)])], 2)),
+    (tower.ExtendedAction([Permutation.from_cycles(3, [(0, 1, 2)])], 1),
+     tower.ExtendedAction([Permutation.from_cycles(4, [(0, 1, 2, 3)])], 2)),
     ("g1",), FixedOrder(1))
 
 

@@ -13,11 +13,6 @@ from telescope.selfsim import (BudgetExceeded, NotContracting, WreathRecursion,
 
 
 @pytest.fixture(scope="module")
-def grig():
-    return grigorchuk()
-
-
-@pytest.fixture(scope="module")
 def gs3():
     return gupta_sidki_3()
 
