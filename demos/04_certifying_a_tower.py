@@ -30,15 +30,15 @@ for witness in subdirect.witnesses:
     print(f"  component {witness['component']}: order {witness['order']} "
           f"= {witness['extended_degree']}!")
 
-vectors, image_size, sign_report = sign_vectors(tg)
+sign_report = sign_vectors(tg)
+*vectors, image = sign_report.witnesses
 print()
-symbols = sign_report.parameters["symbols"]
 print("sign vectors:", ", ".join(
-    f"{symbol}: " + "".join("+" if s > 0 else "-" for s in vector)
-    for symbol, vector in zip(symbols, vectors)))
-print("sign image size:", image_size)
+    f"{w['symbol']}: " + "".join("+" if s > 0 else "-" for s in w["signs"])
+    for w in vectors))
+print("sign image size:", image["image_size"])
 
-cutoff_report, cutoff = alt_cutoff(tg, image_size)
+cutoff_report, cutoff = alt_cutoff(tg)
 print()
 print(f"alternating cutoff m = {cutoff} "
       "(the sign kernel contains [Gamma, Gamma], so it projects onto "

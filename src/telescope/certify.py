@@ -96,18 +96,11 @@ def check_tail_injectivity(tg, radius):
     )
 
 
-def sign_vectors(tg):
-    """Componentwise signs of every generator tuple and the size they generate.
-
-    ``vectors`` is a tuple aligned with the report's ``symbols``: one vector
-    per generator, then tau's (named "t").  The image group sits inside
-    {+1, -1}^t, so its size is a power of two, computed by rank over GF(2).
-    """
-    symbols = list(tg.gen_names) + ["t"]
+def _sign_image(tg):
+    """Componentwise signs of every generator tuple, then tau's, and the size
+    of the group they generate in {+1, -1}^t: a power of two, by rank over GF(2)."""
     tuples = [*zip(*(c.gen_images for c in tg.components)), [c.tau for c in tg.components]]
     vectors = tuple(tuple(p.sign() for p in perms) for perms in tuples)
-    witnesses = [{"symbol": symbol, "signs": list(vector)}
-                 for symbol, vector in zip(symbols, vectors)]
     basis = []
     for vector in vectors:
         bits = 0
@@ -118,18 +111,26 @@ def sign_vectors(tg):
             bits = min(bits, bits ^ b)
         if bits:
             basis.append(bits)
-    image_size = 2 ** len(basis)
+    return vectors, 2 ** len(basis)
+
+
+def sign_vectors(tg):
+    """One witness per symbol, the generators' then tau's (named "t"), with
+    its componentwise signs, then the image size (``_sign_image``)."""
+    symbols = list(tg.gen_names) + ["t"]
+    vectors, image_size = _sign_image(tg)
+    witnesses = [{"symbol": symbol, "signs": list(vector)}
+                 for symbol, vector in zip(symbols, vectors)]
     witnesses.append({"image_size": image_size})
-    report = CheckReport(
+    return CheckReport(
         name="sign_vectors",
         parameters={"symbols": symbols},
         passed=True,
         witnesses=witnesses,
     )
-    return vectors, image_size, report
 
 
-def alt_cutoff(tg, sign_image_size):
+def alt_cutoff(tg):
     """Least component index m so that beyond it the kernel K of the
     componentwise sign map projects onto the full alternating groups.
 
@@ -138,8 +139,8 @@ def alt_cutoff(tg, sign_image_size):
     block, and every block group is Sym(n) (``check_subdirect``), so K
     projects into Alt(n) and onto [Sym(n), Sym(n)] = Alt(n) on every block:
     the cutoff is 1.  The ``kernel_generators`` parameter counts the kernel
-    elements this check built: none since format 3.  ``sign_image_size`` is
-    ``sign_vectors``' image size, which the report records.
+    elements this check built: none since format 3.  The report records
+    the sign image size, as ``sign_vectors`` reports it.
     """
     witnesses = [{"cutoff": 1}]
     for ci, comp in enumerate(tg.components, start=1):
@@ -152,7 +153,7 @@ def alt_cutoff(tg, sign_image_size):
         parameters={
             "components": len(tg.components),
             "kernel_generators": 0,
-            "sign_image_size": sign_image_size,
+            "sign_image_size": _sign_image(tg)[1],
         },
         passed=True,
         witnesses=witnesses,

@@ -23,16 +23,18 @@ certificate intact.
 Exit codes: 0 pass, 1 a check failed, 2 config or usage error (also a
 config nested too deeply for the JSON decoder or holding an integer of
 more digits than the interpreter converts, a ``word`` token whose index
-has such digits, which exceeds the generators, ``verify`` and ``word``
-on a recursion declared ``"contracting": false``, whose equality and
-element orders they need, and a stdout whose reader has gone before all
-output was written, as in ``telescope word ... | head`` or ``--help``
-into such a reader; ``verify`` prints only once its certificate is in
-place, so the certificate stays), 3 a computation ran out of its budget
-(a recursion declared contracting that is not, or that is not torsion, a
-level with more vertices than the step budget, an inline table whose
-arity is above it, refused before any root permutation is parsed, or a
-word sample of more draws than it).
+has such digits, which exceeds the generators, ``verify`` on a telescope
+with a component of n points whose n! has such digits, refused before
+any check runs, ``verify`` and ``word`` on a recursion declared
+``"contracting": false``, whose equality and element orders they need,
+and a stdout whose reader has gone before all output was written, as in
+``telescope word ... | head`` or ``--help`` into such a reader;
+``verify`` prints only once its certificate is in place, so the
+certificate stays), 3 a computation ran out of its budget (a recursion
+declared contracting that is not, or that is not torsion, a level with
+more vertices than the step budget, an inline table whose arity is above
+it, refused before any root permutation is parsed, or a word sample of
+more draws than it).
 """
 
 from __future__ import annotations
@@ -42,17 +44,17 @@ import contextlib
 import errno
 import functools
 import json
+import math
 import os
 import random
 import re
 import sys
 from dataclasses import dataclass
 
-from . import certify, tower
+from . import certify, selfsim, tower
 from .perm import Permutation
 from .reports import CheckReport
-from .selfsim import (STEP_BUDGET, BudgetExceeded, WreathRecursion, grigorchuk,
-                      gupta_sidki_3)
+from .selfsim import BudgetExceeded, WreathRecursion, grigorchuk, gupta_sidki_3
 from .words import compose_signed, format_word, parse_signed, parse_word
 
 SAMPLER_NAME = "mt19937-reduced-words-v1"
@@ -154,9 +156,9 @@ def _parse_recursion(spec, where):
     names = spec["generators"]
     if not _natural(arity, 2):
         raise ConfigError("arity must be an integer >= 2")
-    if arity > STEP_BUDGET:
+    if arity > selfsim.STEP_BUDGET:
         # refused before any arity-sized root permutation is built
-        raise BudgetExceeded(f"level 1 has more than {STEP_BUDGET} vertices")
+        raise BudgetExceeded(f"level 1 has more than {selfsim.STEP_BUDGET} vertices")
     if (not isinstance(names, list) or not names
             or not all(isinstance(n, str) and n for n in names)):
         raise ConfigError("generators must be a nonempty list of names")
@@ -389,9 +391,7 @@ def _sweep_checks(tg, horizon_factor):
     The trace facts of every block of a case are decided by one pass over
     the union (``tower.failing_trace_reports``), and every return-bound
     case is decided by its longest cycle; a report is built only for a
-    failing case of one component.  Each entry's block t g is composed
-    once and kept for the sequences after it, so a pair's block is one
-    composition of two kept blocks.  Each component's cases are counted,
+    failing case of one component.  Each component's cases are counted,
     and only the failing cases' reports are kept, listed component by
     component, each component's in sweep order.  A sequence's order N in
     the group and bound N(k+1) are the same on every component, so
@@ -401,11 +401,10 @@ def _sweep_checks(tg, horizon_factor):
     sweep = _gseq_sweep(tg.generator_count)
     count = len(tg.components)
     orders = []
-    blocks = {}  # each entry's block t g on the union, composed on first use
     trace_failures = [[] for _ in range(count)]
     general_failures = [[] for _ in range(count)]
     for gseq in sweep:
-        case = tower.sweep_case(tg, gseq, blocks)
+        case = tower.sweep_case(tg, gseq)
         orders.append({"gseq": case.names, "order": case.order, "bound": case.bound})
         for ci, report in tower.failing_trace_reports(tg, case, horizon_factor).items():
             trace_failures[ci].append(report)
@@ -474,8 +473,16 @@ def _verify_checks(config, tg):
     rec = config.recursion
     # the sample is held in memory, so its draws count against the budget
     # before anything is drawn or checked
-    if config.sample_count > rec.step_budget:
-        raise BudgetExceeded(f"word sample has more than {rec.step_budget} draws")
+    if config.sample_count > selfsim.STEP_BUDGET:
+        raise BudgetExceeded(f"word sample has more than {selfsim.STEP_BUDGET} draws")
+    for ci, comp in enumerate(tg.components, start=1):
+        n = comp.extended_degree
+        try:
+            str(math.factorial(n))  # the certificate writes n!
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"component {ci} acts on {n} points, and {n}! has more "
+                             f"digits than the interpreter's limit of {limit}") from None
     checks = [tower.transitivity_report(tg)]
     checks += _sweep_checks(tg, config.horizon_factor)
 
@@ -489,9 +496,8 @@ def _verify_checks(config, tg):
 
     checks.append(certify.check_subdirect(tg))
     checks.append(certify.check_tail_injectivity(tg, config.ball_radius))
-    _, image_size, sign_report = certify.sign_vectors(tg)
-    checks.append(sign_report)
-    cutoff_report, cutoff = certify.alt_cutoff(tg, image_size)
+    checks.append(certify.sign_vectors(tg))
+    cutoff_report, cutoff = certify.alt_cutoff(tg)
     checks.append(cutoff_report)
     checks.append(certify.perfectness_scan(tg))
 

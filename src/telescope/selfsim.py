@@ -48,7 +48,7 @@ class BudgetExceeded(RuntimeError):
     """
 
 
-# the default step budget: level vertices, closure states, ball candidates
+# the one step budget, read by every check of it when the check runs
 STEP_BUDGET = 10**6
 
 
@@ -60,8 +60,7 @@ class WreathRecursion:
     shipped presets are contracting torsion groups.
     """
 
-    def __init__(self, arity, names, root_perms, sections, contracting,
-                 step_budget=STEP_BUDGET):
+    def __init__(self, arity, names, root_perms, sections, contracting):
         if arity < 2:
             raise ValueError("tree arity must be at least 2")
         names = tuple(names)
@@ -87,7 +86,6 @@ class WreathRecursion:
         self.root_perms = root_perms
         self.sections = sections
         self.contracting = bool(contracting)
-        self.step_budget = step_budget
         # letter code -> its image tuple on the root's children
         self._root = LetterTable(root_perms)
         # letter code -> its section at each child; g^-1 at x is (g at g^-1(x))^-1
@@ -167,15 +165,15 @@ class WreathRecursion:
         from the level below by the recursion: a generator sends vertex
         ``x*d^(level-1) + v`` to ``root(x)*d^(level-1) + s(v)``, where ``s`` is
         the level-(level-1) image of its section at child ``x``.  A level of
-        more than ``step_budget`` vertices raises BudgetExceeded.
+        more than ``STEP_BUDGET`` vertices raises BudgetExceeded.
         """
         if level < 1:
             raise ValueError("levels start at 1")
         # arity >= 2, so a level past the budget's bit length is over budget
         # and its vertex count is never formed
-        if level > self.step_budget.bit_length() or self.arity ** level > self.step_budget:
+        if level > STEP_BUDGET.bit_length() or self.arity ** level > STEP_BUDGET:
             raise BudgetExceeded(
-                f"level {level} has more than {self.step_budget} vertices")
+                f"level {level} has more than {STEP_BUDGET} vertices")
         cached = self._levels.get(level)
         if cached is not None:
             return cached
@@ -314,7 +312,7 @@ class WreathRecursion:
         sections and inspect the root actions.  The closure may revisit a
         word through a cycle of sections; such cycles are trivial exactly
         when nothing in the closure moves the first level, which is what the
-        sweep decides.  A closure of more than ``step_budget`` states raises
+        sweep decides.  A closure of more than ``STEP_BUDGET`` states raises
         BudgetExceeded.
         """
         if not self.contracting:
@@ -330,8 +328,8 @@ class WreathRecursion:
         while stack:
             current = stack.pop()
             steps += 1
-            if steps > self.step_budget:
-                raise BudgetExceeded(f"triviality closure exceeded {self.step_budget} states")
+            if steps > STEP_BUDGET:
+                raise BudgetExceeded(f"triviality closure exceeded {STEP_BUDGET} states")
             top, sections = self.split(current)
             if top != identity:
                 self._trivial[current] = False
@@ -396,9 +394,9 @@ class WreathRecursion:
                 raise BudgetExceeded(
                     "order recursion feeds back on itself; the element looks non-torsion")
             counter[0] += 1
-            if counter[0] > self.step_budget:
+            if counter[0] > STEP_BUDGET:
                 raise BudgetExceeded(
-                    f"order recursion exceeded {self.step_budget} states")
+                    f"order recursion exceeded {STEP_BUDGET} states")
             depth = len(multipliers)
             depth_of[w] = depth
             multipliers.append(1)
@@ -456,7 +454,7 @@ class WreathRecursion:
         them too.  The representatives and their order are unchanged.
 
         Every letter tried after a kept word counts as one step; a search past
-        ``step_budget`` steps raises BudgetExceeded.
+        ``STEP_BUDGET`` steps raises BudgetExceeded.
         """
         if radius < 0:
             raise ValueError("ball radius must be non-negative")
@@ -483,9 +481,9 @@ class WreathRecursion:
                 base = images[word]
                 for letter in letters:
                     steps += 1
-                    if steps > self.step_budget:
+                    if steps > STEP_BUDGET:
                         raise BudgetExceeded(
-                            f"ball exceeded {self.step_budget} candidate words")
+                            f"ball exceeded {STEP_BUDGET} candidate words")
                     if word:
                         pair = (word[-1], letter)
                         cancels = undoes.get(pair)

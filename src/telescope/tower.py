@@ -164,6 +164,11 @@ class TelescopeGroup:
         return LetterTable([union(code) for code in range(1, self.generator_count + 1)],
                            union(0))
 
+    @cached_property
+    def _entry_blocks(self):
+        """Each entry ``sweep_case`` met, mapped to its block t g on the union."""
+        return {}
+
     def evaluate_component(self, codes, ci):
         """Image of a signed code word on block ``ci`` (rightmost letter acting first)."""
         return Permutation._trusted(compose_signed(codes, self.components[ci].letters))
@@ -242,15 +247,15 @@ class SweepCase(NamedTuple):
     longest: tuple  # each block's longest cycle, by 0-based component
 
 
-def sweep_case(tg, gseq, blocks=None):
+def sweep_case(tg, gseq):
     """The ``SweepCase`` of ``gseq`` on the disjoint union of the blocks.
 
     Each entry and its inverse are composed from the union's letter table
     (``TelescopeGroup.union_letters``), so a one-letter entry is a table
     lookup.  The block t g1 ... t gk is composed from its entries' blocks
-    t g, one ``_compose`` per entry after the first; ``blocks`` maps each
-    entry met so far to its block, is read and extended here, and lets a
-    sweep compose each entry's block once, so a pair's block is one
+    t g, one ``_compose`` per entry after the first.  Each entry's block is
+    composed on its first use and kept on the telescope, as its letter
+    table is, so a sweep composes it once and a pair's block is one
     ``_compose`` of the two one-entry blocks.  One walk of the block's
     cycles gives every point's return time, the N(k+1)-fold map and each
     block's longest cycle.  The tail of each row of ``_first_hits``
@@ -271,8 +276,7 @@ def sweep_case(tg, gseq, blocks=None):
     tau = letters[0]
     images = tuple(compose_signed(word, letters) for word in gseq)
     inverses = tuple(compose_signed(invert_signed(word), letters) for word in gseq)
-    if blocks is None:
-        blocks = {}
+    blocks = tg._entry_blocks
     block = None
     for word in gseq:
         part = blocks.get(word)

@@ -16,6 +16,7 @@ letters' image tuples and their one degree.
 from __future__ import annotations
 
 import re
+import sys
 
 from .perm import _compose, _inverse
 
@@ -168,6 +169,10 @@ def parse_word(text, gen_count=None):
         if gen_count is not None and (len(digits) > len(str(gen_count))
                                       or int(digits) > gen_count):
             raise ValueError(f"token {name!r} exceeds the {gen_count} available generators")
-        return int(digits)
+        try:
+            return int(digits)
+        except ValueError:
+            raise ValueError(f"token {name!r} has more digits than the interpreter's "
+                             f"limit of {sys.get_int_max_str_digits()}") from None
 
     return parse_signed(text, code_of)

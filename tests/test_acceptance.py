@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 
 from conftest import brute_closure, level_image, schreier_sign_kernel, src_env
-from telescope.certify import alt_cutoff, check_subdirect, sign_vectors
+from telescope.certify import alt_cutoff, check_subdirect
 from telescope.cli import main, sample_words
 from telescope.perm import PermGroup, Permutation
 from telescope.selfsim import grigorchuk
@@ -269,7 +269,7 @@ def test_criterion_5_subdirect_orders_exact(grig1234):
 
 def test_criterion_6_alternating_cutoff(grig1234):
     started = time.perf_counter()
-    report, cutoff = alt_cutoff(grig1234, sign_vectors(grig1234)[1])
+    report, cutoff = alt_cutoff(grig1234)
     assert report.passed and cutoff is not None
     for witness in report.witnesses[1:]:
         if witness["component"] >= cutoff:

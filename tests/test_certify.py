@@ -149,65 +149,71 @@ def test_tail_injectivity_keys_like_the_components(make, levels, radius):
             == per_component_tail_injectivity(tg, radius))
 
 
+def signs_and_size(report):
+    """The sign vectors of a ``sign_vectors`` report, as tuples in symbol
+    order, and its image size."""
+    *rows, last = report.witnesses
+    return [tuple(row["signs"]) for row in rows], last["image_size"]
+
+
 class TestSignVectors:
     def test_tau_is_all_odd(self, grig123):
-        vectors, _, report = sign_vectors(grig123)
+        report = sign_vectors(grig123)
         assert report.parameters["symbols"][-1] == "t"
-        assert vectors[-1] == (-1, -1, -1)
+        assert report.witnesses[-2] == {"symbol": "t", "signs": [-1, -1, -1]}
 
     def test_grigorchuk_level_pair(self, grig):
-        tg = build_telescope(grig, [1, 2])
-        vectors, size, report = sign_vectors(tg)
-        assert vectors[0] == (-1, 1)
+        report = sign_vectors(build_telescope(grig, [1, 2]))
+        assert signs_and_size(report)[0][0] == (-1, 1)
         assert report.passed
 
     def test_even_generator_is_all_plus(self, grig123):
-        vectors, _, _ = sign_vectors(grig123)
+        vectors, _ = signs_and_size(sign_vectors(grig123))
         assert vectors[3][0] == 1  # d acts trivially on the first block
 
     def test_image_size_is_power_of_two(self, grig1234):
-        _, size, _ = sign_vectors(grig1234)
-        assert size == 16
+        assert signs_and_size(sign_vectors(grig1234))[1] == 16
 
     def test_full_vector_table(self, grig1234):
-        vectors, _, report = sign_vectors(grig1234)
+        report = sign_vectors(grig1234)
         assert report.parameters["symbols"] == ["a", "b", "c", "d", "t"]
-        assert vectors == (
+        assert signs_and_size(report)[0] == [
             (-1, 1, 1, 1),
             (1, -1, -1, 1),
             (1, -1, 1, -1),
             (1, 1, -1, -1),
             (-1, -1, -1, -1),
-        )
+        ]
 
     def test_generator_named_t_keeps_its_vector(self, grig1234):
         # Grigorchuk with a renamed t: the generator's vector and tau's are
         # both counted, as in the Schreier transversal of the sign image
         renamed = TelescopeGroup(grig1234.components, ("t", "b", "c", "d"),
                                  grig1234.rec)
-        vectors, size, report = sign_vectors(renamed)
+        report = sign_vectors(renamed)
+        vectors, size = signs_and_size(report)
         assert report.parameters["symbols"] == ["t", "b", "c", "d", "t"]
         assert vectors[0] == (-1, 1, 1, 1) and vectors[-1] == (-1, -1, -1, -1)
         transversal, _ = schreier_sign_kernel(renamed)
         assert size == len(transversal) == 16
-        assert alt_cutoff(renamed, size)[0].parameters["sign_image_size"] == 16
+        assert alt_cutoff(renamed)[0].parameters["sign_image_size"] == 16
 
 
 class TestAltCutoff:
     def test_sym3_kernel_is_alt3(self):
         tg = single_component([cyc(2, (0, 1))], 0, ["g"])
-        report, cutoff = alt_cutoff(tg, sign_vectors(tg)[1])
+        report, cutoff = alt_cutoff(tg)
         assert report.passed and cutoff == 1
         assert report.witnesses[1]["kernel_projection_order"] == 3
 
     def test_sym4_kernel_is_alt4(self):
         tg = single_component([cyc(3, (0, 1, 2))], 2, ["r"])
-        report, cutoff = alt_cutoff(tg, sign_vectors(tg)[1])
+        report, cutoff = alt_cutoff(tg)
         assert cutoff == 1
         assert report.witnesses[1]["kernel_projection_order"] == 12
 
     def test_grigorchuk_cutoff_exists(self, grig1234):
-        report, cutoff = alt_cutoff(grig1234, sign_vectors(grig1234)[1])
+        report, cutoff = alt_cutoff(grig1234)
         assert report.passed
         assert cutoff is not None
         for witness in report.witnesses[1:]:
@@ -219,15 +225,15 @@ class TestAltCutoff:
     def test_kernel_generators_are_all_even(self, grig1234):
         # the kernel alt_cutoff argues about, built explicitly by the oracle
         _, gens = schreier_sign_kernel(grig1234)
-        report, _ = alt_cutoff(grig1234, sign_vectors(grig1234)[1])
+        report, _ = alt_cutoff(grig1234)
         assert report.parameters["kernel_generators"] == 0
         assert gens
         for element in gens:
             assert all(p.sign() == 1 for p in element)
 
     def test_cutoff_monotone_under_prefix(self, grig123, grig1234):
-        _, small_cut = alt_cutoff(grig123, sign_vectors(grig123)[1])
-        _, large_cut = alt_cutoff(grig1234, sign_vectors(grig1234)[1])
+        _, small_cut = alt_cutoff(grig123)
+        _, large_cut = alt_cutoff(grig1234)
         assert small_cut == large_cut == 1
 
 

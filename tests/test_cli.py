@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import list_sample_words, src_env, write_config
-from telescope import certify, cli
+from telescope import certify, cli, selfsim, tower
 from telescope.cli import (ConfigError, load_config, main, parse_cycles,
                            sample_words)
 from telescope.perm import Permutation
@@ -319,6 +319,65 @@ def test_level_past_the_budget_exits_3(tmp_path, group, levels):
                            f"has more than 1000000 vertices\n")
 
 
+def cycle_table(arity):
+    """An inline table of one generator, the arity-cycle at the root, with
+    empty sections: transitive at level 1."""
+    return dict(C2_INVOLUTION, arity=arity,
+                root_perms={"g1": "(" + " ".join(map(str, range(arity))) + ")"},
+                sections={"g1": [""] * arity})
+
+
+# 1558! has 4,300 digits and 1559! has 4,301; 2050! has 5,895
+@pytest.mark.parametrize("arity, refused", [(1557, False), (1558, True), (2049, True)])
+def test_verify_refuses_a_factorial_past_the_digit_limit(tmp_path, capsys, monkeypatch,
+                                                         arity, refused):
+    # the certificate writes n! for each component of n points, so verify
+    # refuses one whose n! has more digits than the interpreter converts
+    # before any check runs; build still runs
+    path = write_config(tmp_path, {"group": cycle_table(arity), "levels": [1]})
+    out = tmp_path / "cert.json"
+    if refused:
+        monkeypatch.setattr(tower, "transitivity_report", None)
+    code = main(["verify", "--config", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    if refused:
+        n, limit = arity + 1, sys.get_int_max_str_digits()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (f"error: component 1 acts on {n} points, and {n}! has "
+                                f"more digits than the interpreter's limit of {limit}\n")
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+    else:
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert len(str(checks["subdirect"]["witnesses"][0]["order"])) == 4300
+    assert main(["build", "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    pytest.param("verify", {"group": dict(C2_INVOLUTION, arity=1001), "levels": [1]},
+                 "level 1 has more than 1000 vertices", id="arity"),
+    pytest.param("verify", {"group": "grigorchuk", "levels": [1, 2],
+                            "word_sample": {"count": 1001, "max_length": 4}},
+                 "word sample has more than 1000 draws", id="sample"),
+    pytest.param("word", {"group": "gupta-sidki-3", "levels": [1, 2]},
+                 "ball exceeded 1000 candidate words", id="ball"),
+])
+def test_one_patch_of_the_budget_reaches_the_cli(tmp_path, capsys, monkeypatch, command,
+                                                  doc, message):
+    # the CLI's refusals and the recursion's checks read the one module
+    # constant when they run; a fresh Gupta-Sidki recursion has no ball cached
+    monkeypatch.setattr(selfsim, "STEP_BUDGET", 1000)
+    monkeypatch.setitem(cli.PRESETS, "gupta-sidki-3", lambda: gupta_sidki_3())
+    path = write_config(tmp_path, doc)
+    tail = (["--out", str(tmp_path / "cert.json")] if command == "verify"
+            else ["--word", "g1 g2 " * 5])
+    assert main([command, "--config", str(path), *tail]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: computation budget exceeded: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
 class TestSampler:
     def test_deterministic(self):
         a = sample_words(50, 4, 2, seed=9)
@@ -354,7 +413,7 @@ class TestSampler:
         # budget is refused before the first draw and before any check
         drawn = []
         monkeypatch.setattr(cli, "sample_words", lambda *args: drawn.append(args))
-        budget = load_config(grig_config(tmp_path)).recursion.step_budget
+        budget = selfsim.STEP_BUDGET
         out_path = tmp_path / "cert.json"
         path = grig_config(tmp_path, word_sample={"count": budget + 1, "max_length": 4})
         assert main(["verify", "--config", str(path), "--out", str(out_path)]) == 3
@@ -455,13 +514,10 @@ class TestCommands:
 
     def test_word_past_the_ball_budget_exits_3(self, tmp_path, capsys, monkeypatch):
         # T(10) needs a ball of 4,061 representatives, more than 1,000
-        # candidate words; nothing is printed before the budget runs out
-        def small_budget():
-            rec = gupta_sidki_3()
-            rec.step_budget = 1000
-            return rec
-
-        monkeypatch.setitem(cli.PRESETS, "gupta-sidki-3", small_budget)
+        # candidate words; nothing is printed before the budget runs out.
+        # A factory of its own gives a recursion whose ball is not cached.
+        monkeypatch.setattr(selfsim, "STEP_BUDGET", 1000)
+        monkeypatch.setitem(cli.PRESETS, "gupta-sidki-3", lambda: gupta_sidki_3())
         path = write_config(tmp_path, {"group": "gupta-sidki-3", "levels": [1, 2]})
         assert main(["word", "--config", str(path), "--word", "g1 g2 " * 5]) == 3
         captured = capsys.readouterr()

@@ -12,13 +12,14 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import (assemble_check, block_images, oracle_bound_reports, return_time,
-                      spying_sample)
+                      spying_sample, src_env)
 from telescope import cli, tower
 from telescope.cli import load_config, main, sample_words
 from telescope.words import format_word
@@ -135,6 +136,30 @@ def _settled(tg, rec, length):
     degree, from the components' own degrees."""
     largest = max(comp.extended_degree for comp in tg.components)
     return rec.torsion_growth(length) * (length + 1) >= largest
+
+
+# sympy, hypothesis and pytest are test-only: with their sys.modules entries
+# set to None even a lazy import of one fails
+RUNTIME_ONLY = """import sys
+for name in ("sympy", "hypothesis", "pytest"):
+    sys.modules[name] = None
+from telescope.cli import main
+code = main(["verify", "--config", sys.argv[1], "--out", sys.argv[2]])
+sys.exit(0 if code == 1 else f"verify returned {code}, expected 1")
+"""
+
+
+@pytest.mark.parametrize("stem", ("a5_root_1-2", "grigorchuk_1-4"))
+def test_runtime_needs_no_test_only_package(stem, tmp_path):
+    # verify still returns 1 and writes the golden certificate byte for
+    # byte, on a telescope whose perfectness scan builds stabilizer chains
+    # (a5_root_1-2) and on a preset (grigorchuk_1-4)
+    out = tmp_path / "certificate.json"
+    done = subprocess.run(
+        [sys.executable, "-c", RUNTIME_ONLY, str(GOLDEN / f"{stem}.json"), str(out)],
+        capture_output=True, text=True, env=src_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes() == (GOLDEN / f"{stem}.certificate.json").read_bytes()
 
 
 @pytest.mark.parametrize("stem", ("grigorchuk_1-4", "gupta_sidki_1-3"))
@@ -318,10 +343,9 @@ def test_each_sweep_case_is_built_once(stem, tmp_path, monkeypatch, capsys):
     # builds one case per sequence, whatever the number of components
     built = []
 
-    def counting(tg, gseq, *args, **kwargs):
-        assert kwargs.get("component") is None
+    def counting(tg, gseq):
         built.append(tuple(gseq))
-        return sweep_case(tg, gseq, *args, **kwargs)
+        return sweep_case(tg, gseq)
 
     sweep_case = tower.sweep_case
     monkeypatch.setattr(tower, "sweep_case", counting)

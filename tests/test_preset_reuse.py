@@ -17,7 +17,7 @@ import weakref
 import pytest
 
 from conftest import write_config
-from telescope import cli
+from telescope import cli, selfsim
 from telescope.cli import load_config, main, sample_words
 from telescope.words import format_word
 
@@ -104,14 +104,10 @@ def test_exhausted_level_budget_leaves_the_next_query_unchanged(tmp_path, capsys
 
 def test_exhausted_ball_budget_leaves_the_next_query_unchanged(tmp_path, capsys,
                                                                monkeypatch):
-    # the factory of test_cli's ball-budget test: T(10) needs more than
+    # the budget of test_cli's ball-budget test: T(10) needs more than
     # 1,000 candidate words, T(2) does not
-    def small_budget():
-        rec = cli.gupta_sidki_3()
-        rec.step_budget = 1000
-        return rec
-
-    monkeypatch.setitem(cli.PRESETS, "gupta-sidki-3", small_budget)
+    monkeypatch.setattr(selfsim, "STEP_BUDGET", 1000)
+    monkeypatch.setitem(cli.PRESETS, "gupta-sidki-3", lambda: cli.gupta_sidki_3())
     config = str(write_config(tmp_path, {"group": "gupta-sidki-3", "levels": [1, 2]}, "gs.json"))
     fits = ["word", "--config", config, "--word", "g1 g2"]
     too_long = ["word", "--config", config, "--word", "g1 g2 " * 5]

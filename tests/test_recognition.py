@@ -126,10 +126,11 @@ def kernel_projection_orders(tg, kernel_gens):
 def assert_matches_sign_kernel_oracle(tg):
     """``alt_cutoff`` against the explicit Schreier sign kernel: the cutoff,
     every ``full_alternating`` flag, every row's order, and the sign image
-    size (also ``sign_vectors``') against the transversal's."""
+    size it records, and the one ``sign_vectors`` reports, against the
+    transversal's."""
     transversal, kernel_gens = schreier_sign_kernel(tg)
-    size = sign_vectors(tg)[1]
-    report, cutoff = alt_cutoff(tg, size)
+    size = sign_vectors(tg).witnesses[-1]["image_size"]
+    report, cutoff = alt_cutoff(tg)
     full = []
     for comp, row, order in zip(tg.components, report.witnesses[1:],
                                 kernel_projection_orders(tg, kernel_gens)):
@@ -163,7 +164,7 @@ class TestCertifyAgainstChain:
     @given(telescopes())
     def test_transitive_blocks_pass_with_cutoff_one(self, tg):
         assert check_subdirect(tg).passed
-        report, cutoff = alt_cutoff(tg, sign_vectors(tg)[1])
+        report, cutoff = alt_cutoff(tg)
         assert report.passed and cutoff == 1
         assert_matches_sign_kernel_oracle(tg)
 
@@ -183,7 +184,7 @@ class TestCertifyAgainstChain:
         # of order 3 there, far from Alt(5)
         monkeypatch.setattr(tower, "orbit", lambda gens, point: range(gens[0].degree))
         tg = two_block_example()
-        assert alt_cutoff(tg, sign_vectors(tg)[1])[0].witnesses[2]["full_alternating"]
+        assert alt_cutoff(tg)[0].witnesses[2]["full_alternating"]
         assert kernel_projection_orders(tg, schreier_sign_kernel(tg)[1])[1] == 3
         with pytest.raises(AssertionError):
             assert_matches_sign_kernel_oracle(tg)
@@ -213,7 +214,7 @@ class TestCertifyAgainstChain:
         tg = build_telescope(load_config(str(config)).recursion, levels)
         assert transitivity_report(tg).passed
         assert check_subdirect(tg).passed
-        report, cutoff = alt_cutoff(tg, sign_vectors(tg)[1])
+        report, cutoff = alt_cutoff(tg)
         assert report.passed and cutoff == 1
         scan = perfectness_scan(tg)
         assert scan.witnesses == checks["perfectness_scan"]["witnesses"]

@@ -6,6 +6,7 @@ from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
 from conftest import custom_arity_3, cyclic_root_recursions, level_image
+from telescope import selfsim
 from telescope.perm import PermGroup, Permutation
 from telescope.selfsim import (BudgetExceeded, NotContracting, WreathRecursion,
                                grigorchuk, gupta_sidki_3, invert_signed,
@@ -87,10 +88,11 @@ class TestLevelActions:
         with pytest.raises(ValueError):
             grig.level_action(0)
 
-    def test_level_past_the_step_budget_raises(self):
+    def test_level_past_the_step_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(selfsim, "STEP_BUDGET", 100)
         rec = WreathRecursion(
             arity=2, names=("g",), root_perms=(Permutation((1, 0)),),
-            sections=(((), ()),), contracting=True, step_budget=100)
+            sections=(((), ()),), contracting=True)
         assert rec.level_action(6)[0].degree == 64
         with pytest.raises(BudgetExceeded, match="level 7"):
             rec.level_action(7)
@@ -273,11 +275,11 @@ class TestBall:
     def test_gupta_sidki_sizes(self, gs3):
         assert [len(gs3.ball(r)) for r in range(4)] == [1, 5, 13, 29]
 
-    def test_past_the_step_budget_raises(self, gs3):
+    def test_past_the_step_budget_raises(self, gs3, monkeypatch):
         # every letter tried after a kept word is a step: ball(5) tries 244
         # candidates, ball(10) (4,061 representatives) 8,164
         rec = gupta_sidki_3()
-        rec.step_budget = 1000
+        monkeypatch.setattr(selfsim, "STEP_BUDGET", 1000)
         assert rec.ball(5) == gs3.ball(5)
         with pytest.raises(BudgetExceeded, match="ball exceeded 1000 candidate words"):
             rec.ball(10)
@@ -312,10 +314,10 @@ class TestTorsionGrowth:
         assert [rec.torsion_growth(r) for r in (3, 1, 3, 2, 1)] == [16, 2, 16, 16, 2]
         assert rec._growth == {1: 2, 2: 16, 3: 16}
 
-    def test_exhausted_budget_raises_again(self):
+    def test_exhausted_budget_raises_again(self, monkeypatch):
         # the radius-10 ball needs more than 1,000 candidate words
         rec = gupta_sidki_3()
-        rec.step_budget = 1000
+        monkeypatch.setattr(selfsim, "STEP_BUDGET", 1000)
         for _ in range(2):
             with pytest.raises(BudgetExceeded, match="ball exceeded 1000"):
                 rec.torsion_growth(10)

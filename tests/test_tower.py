@@ -8,7 +8,7 @@ from sympy.combinatorics import Permutation as SympyPermutation
 
 from conftest import (FixedOrder, hand_case, return_time, scan_cases, transitivity_oracle,
                       walk_first_hits, walk_fundamental_general, walk_trace_lemmas)
-from telescope import tower
+from telescope import selfsim, tower
 from telescope.perm import Permutation
 from telescope.selfsim import WreathRecursion, grigorchuk, gupta_sidki_3
 from telescope.tower import (ExtendedAction, TelescopeGroup, build_telescope,
@@ -65,11 +65,11 @@ def recursion_tables(draw):
 def declared_contracting_recursions(draw):
     """A random recursion (arity 2 or 3, 1 to 3 generators, sections of up
     to 2 letters, single letters drawn as often as empty and two-letter
-    sections) declared contracting with a small step budget.  The first
-    root permutation is often a full cycle, so the first level is
-    transitive, and single-letter sections often keep deeper levels
-    transitive too.  Some of these are not contracting in truth;
-    construction decides no equality, so that changes nothing."""
+    sections) declared contracting.  The first root permutation is often a
+    full cycle, so the first level is transitive, and single-letter
+    sections often keep deeper levels transitive too.  Some of these are
+    not contracting in truth; construction decides no equality, so that
+    changes nothing."""
     arity = draw(st.integers(2, 3))
     k = draw(st.integers(1, 3))
     letters = st.sampled_from([code for i in range(1, k + 1) for code in (i, -i)])
@@ -79,7 +79,7 @@ def declared_contracting_recursions(draw):
     section = st.one_of(st.just(()), st.tuples(letters), st.tuples(letters, letters))
     sections = [[draw(section) for _ in range(arity)] for _ in range(k)]
     return WreathRecursion(arity, [f"g{i}" for i in range(1, k + 1)], roots, sections,
-                           contracting=True, step_budget=400)
+                           contracting=True)
 
 
 def grigorchuk_inverse_section():
@@ -212,17 +212,23 @@ class TestLevelTransitivityTheorem:
     @given(declared_contracting_recursions())
     def test_construction_agrees_with_oracle(self, rec):
         # construction rejects the first intransitive level by its orbit and
-        # otherwise makes a component on every level
-        rows = [transitivity_oracle(rec.level_action(level)) for level in range(1, 5)]
-        first = next((level for level, row in enumerate(rows, start=1)
-                      if not row["transitive"]), None)
-        event(f"first intransitive level: {first}")
-        if first is not None:
-            with pytest.raises(ValueError, match=f"^level {first} action is not transitive"):
-                build_telescope(rec, [1, 2, 3, 4])
-        else:
-            tg = build_telescope(rec, [1, 2, 3, 4])
-            assert [comp.base_degree for comp in tg.components] == [row["degree"] for row in rows]
+        # otherwise makes a component on every level, under a small step
+        # budget (patched here, as a function-scoped fixture would fail
+        # Hypothesis's health check)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(selfsim, "STEP_BUDGET", 400)
+            rows = [transitivity_oracle(rec.level_action(level)) for level in range(1, 5)]
+            first = next((level for level, row in enumerate(rows, start=1)
+                          if not row["transitive"]), None)
+            event(f"first intransitive level: {first}")
+            if first is not None:
+                with pytest.raises(ValueError,
+                                   match=f"^level {first} action is not transitive"):
+                    build_telescope(rec, [1, 2, 3, 4])
+            else:
+                tg = build_telescope(rec, [1, 2, 3, 4])
+                assert ([comp.base_degree for comp in tg.components]
+                        == [row["degree"] for row in rows])
 
     def test_non_contracting_recursion_builds_by_orbits(self, count_orbits):
         # construction decides no equality, so the contracting flag does
@@ -667,17 +673,16 @@ class TestUnion:
     @settings(max_examples=200, deadline=None)
     @given(scan_cases(), st.data())
     def test_block_is_the_whole_word(self, case, data):
-        # each entry's block t g is composed once into the shared table of
-        # a sweep, and every sequence's block is that of its whole word
+        # each entry's block t g is composed once into the telescope's
+        # table, and every sequence's block is that of its whole word
         tg, _, gseq, _ = case
         letters = tg.union_letters
-        blocks = {}
         more = data.draw(st.lists(st.sampled_from(gseq), min_size=1, max_size=3))
-        for seq in (gseq, more, gseq[::-1]):
-            block = sweep_case(tg, seq, blocks).block
+        for seq in (gseq, more, gseq[::-1], gseq):
+            block = sweep_case(tg, seq).block
             assert block == compose_signed([c for word in seq for c in (0, *word)], letters)
-            assert block == sweep_case(tg, seq).block
-        assert blocks == {word: compose_signed((0, *word), letters) for word in gseq}
+        assert tg._entry_blocks == {word: compose_signed((0, *word), letters)
+                                    for word in gseq}
 
     def test_block_of(self, grig):
         tg = build_telescope(grig, [1, 2, 3])

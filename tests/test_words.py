@@ -1,4 +1,5 @@
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -267,6 +268,16 @@ class TestParsing:
         # int() would read 'g01' as g1
         with pytest.raises(ValueError, match=re.escape(f"unknown word token {token!r}")):
             parse_word(f"t {token}", gen_count=9)
+
+    def test_index_past_the_digit_limit_names_token(self):
+        # without a generator count, the digits are held against the
+        # interpreter's limit before int() would refuse them
+        limit = sys.get_int_max_str_digits()
+        token = "g" + "1" * (limit + 1)
+        with pytest.raises(ValueError, match=f"^token '{token}' has more digits than the "
+                                             f"interpreter's limit of {limit}$"):
+            parse_word(f"t {token}^-1")
+        assert parse_word("g" + "1" * limit) == (int("1" * limit),)
 
     def test_generator_bound(self):
         with pytest.raises(ValueError):
