@@ -8,7 +8,7 @@ group identities become visible through the recursion itself.
 Every decision goes through one wreath decomposition,
 ``split(w) = (top, sections)``, psi(w) = (w|0, ..., w|d-1) pi (Nekrashevych,
 *Self-Similar Groups*, 2005, 1.3), memoized per recursion next to the
-triviality, order, level and torsion-growth caches and the telescope
+triviality, order, level, ball and torsion-growth caches and the telescope
 components that ``tower.build_telescope`` extends the levels to.  A level
 action is the tuple of the generators' permutations of that level's
 vertices.  Caches live as long as their recursion; nothing is shared
@@ -21,8 +21,8 @@ Equality and element orders are exact.  Both rely on the recursion being
 contracting (sections of long words eventually shrink), which the caller
 asserts when building a recursion; a step budget makes a bad recursion
 fail loudly instead of spinning.  Orders are cached by a conjugacy key
-(conjugates and inverses have equal orders), and balls skip letters that
-can only give duplicates; both are explained where they are used.
+(conjugates and inverses have equal orders), and balls skip candidates
+that can only give duplicates; both are explained where they are used.
 """
 
 from __future__ import annotations
@@ -100,6 +100,7 @@ class WreathRecursion:
         # (level, basepoint) -> its tower.ExtendedAction, kept by build_telescope
         self._components = {}
         self._quotient_orders = ()
+        self._balls = {}  # radius -> its ball's representatives, a tuple
         self._growth = {}  # radius -> torsion growth
 
     @property
@@ -360,8 +361,8 @@ class WreathRecursion:
         keyed on it, so ab and ba, or a word and its inverse, are worked out
         once.  The order of a top-level word is also kept under the reduced
         word itself, which is looked up first, so asking again for the same
-        word builds no key; an order is exact for every word of the element,
-        so neither entry can go stale.
+        word builds neither a key nor the order recursion; an order is exact
+        for every word of the element, so neither entry can go stale.
 
         Section chains may revisit a pending key (Grigorchuk's b, c, d do).
         A revisit reached only through length-1 cycles adds no constraint
@@ -375,6 +376,10 @@ class WreathRecursion:
         """
         if not self.contracting:
             raise NotContracting("element orders need a contracting recursion")
+        word = reduce_signed(word)
+        value = self._orders.get(word)
+        if value is not None:
+            return value
         counter = [0]
         depth_of = {}
         multipliers = []  # multipliers[d]: cycle length frame d is descending with
@@ -426,11 +431,8 @@ class WreathRecursion:
                 return result, math.inf
             return result, lowest_link
 
-        word = reduce_signed(word)
-        value = self._orders.get(word)
-        if value is None:
-            # the top frame has no pending frame above it, so its value is final
-            value = self._orders[word] = rec(word)[0]
+        # the top frame has no pending frame above it, so its value is final
+        value = self._orders[word] = rec(word)[0]
         return value
 
     # -- balls and torsion growth ---------------------------------------------
@@ -441,23 +443,31 @@ class WreathRecursion:
         Breadth-first over the Cayley graph with exact deduplication: words
         are bucketed by their action on the first level with at least 64
         vertices and bucket collisions are settled by ``equal``, so the result
-        does not depend on that level.
+        does not depend on that level.  The search stops early once a sphere
+        is empty, since every later sphere is empty too.  Each radius's
+        representatives are kept once found; a call returns a new list.
 
-        Two kinds of candidates are skipped without a bucket lookup, because
-        each is equal to a word already kept and would be rejected anyway:
-        a letter equal in the group to an earlier letter (Grigorchuk's a^-1
-        = a), since the word with the earlier letter was tried first; and a
-        letter whose product with the word's last letter is trivial, since
-        the word then equals its own prefix.  Both facts are decided from the
-        bucketing images first, and by ``equal``/``is_trivial`` only when the
-        images agree, which is exactly when the full search would compare
+        Three kinds of candidates are skipped without a bucket lookup,
+        because each is equal to a word already kept and would be rejected
+        anyway: a letter equal in the group to an earlier letter
+        (Grigorchuk's a^-1 = a), since the word with the earlier letter was
+        tried first; a letter whose product with the word's last letter is
+        trivial, since the word then equals its own prefix; and a letter
+        whose product with the word's last letter is one letter in the group
+        (Grigorchuk's b c = d), since the word then equals a word of the
+        previous radius.  Each fact is decided once per letter or pair, from
+        the bucketing images first and by ``equal``/``is_trivial`` only when
+        the images agree, which is exactly when the full search would compare
         them too.  The representatives and their order are unchanged.
 
         Every letter tried after a kept word counts as one step; a search past
-        ``STEP_BUDGET`` steps raises BudgetExceeded.
+        ``STEP_BUDGET`` steps raises BudgetExceeded and keeps nothing.
         """
         if radius < 0:
             raise ValueError("ball radius must be non-negative")
+        kept = self._balls.get(radius)
+        if kept is not None:
+            return list(kept)
         letters = [code for g in range(1, self.generator_count + 1) for code in (g, -g)]
         hash_level = 1
         while self.arity ** hash_level < 64:
@@ -469,13 +479,15 @@ class WreathRecursion:
                        if not any(images_of[letter] == images_of[earlier]
                                   and self.equal((letter,), (earlier,))
                                   for earlier in letters[:i])]
-        undoes = {}  # (last letter, letter) -> whether the pair cancels in the group
+        shortens = {}  # (last letter, letter) -> whether the pair is trivial or one letter
         reps = [()]
         images = {(): identity}
         buckets = {identity: [()]}
         frontier = [()]
         steps = 0
         for _ in range(radius):
+            if not frontier:
+                break
             new_frontier = []
             for word in frontier:
                 base = images[word]
@@ -486,13 +498,15 @@ class WreathRecursion:
                             f"ball exceeded {STEP_BUDGET} candidate words")
                     if word:
                         pair = (word[-1], letter)
-                        cancels = undoes.get(pair)
-                        if cancels is None:
-                            cancels = undoes[pair] = (
+                        short = shortens.get(pair)
+                        if short is None:
+                            product = _compose(images_of[pair[0]], images_of[letter])
+                            short = shortens[pair] = (
                                 pair[0] == -letter
-                                or (_compose(images_of[pair[0]], images_of[letter]) == identity
-                                    and self.is_trivial(pair)))
-                        if cancels:
+                                or (product == identity and self.is_trivial(pair))
+                                or any(product == images_of[one] and self.equal(pair, (one,))
+                                       for one in letters))
+                        if short:
                             continue
                     grown = word + (letter,)
                     image = _compose(base, images_of[letter])
@@ -507,6 +521,7 @@ class WreathRecursion:
                     images[grown] = image
                     new_frontier.append(grown)
             frontier = new_frontier
+        self._balls[radius] = tuple(reps)
         return reps
 
     def torsion_growth(self, radius):

@@ -10,7 +10,8 @@ generators, and the trace and return-bound sweeps compose tau, the
 entries and the block by hand (``hand_case``), take N from
 ``element_order``, and walk every point one letter at a time, and
 ``list_sample_words`` draws the seeded word sample by filtering the
-alphabet afresh for every letter.
+alphabet afresh for every letter, and ``oracle_ball`` searches a ball
+afresh on every call, trying every letter after every word.
 ``cyclic_root_recursions`` draws the recursions that
 ``WreathRecursion.quotient_orders`` accepts, for the tests that check it
 against these oracles, and ``scan_cases`` draws small hand-built
@@ -38,8 +39,8 @@ from hypothesis import assume, strategies as st
 from telescope import cli, tower
 from telescope.perm import Permutation, orbit
 from telescope.reports import CheckReport
-from telescope.selfsim import WreathRecursion, grigorchuk
-from telescope.words import format_word, reduce_signed
+from telescope.selfsim import BudgetExceeded, WreathRecursion, grigorchuk
+from telescope.words import LetterTable, format_word, reduce_signed
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -193,6 +194,53 @@ def level_image(rec, word, level):
             perm = perm.inverse()
         result = result * perm
     return result
+
+
+def oracle_ball(rec, radius, budget=None):
+    """The ball as a breadth-first search that tries every letter after every
+    word (formal cancellation aside) and settles every bucket collision by
+    ``equal``.
+
+    With a ``budget``, the search first drops each letter equal in the group
+    to an earlier letter, and counts every letter tried after a kept word as
+    one step, raising BudgetExceeded past ``budget`` steps; neither changes
+    the representatives.
+    """
+    letters = [s for g in range(1, rec.generator_count + 1) for s in (g, -g)]
+    hash_level = 1
+    while rec.arity ** hash_level < 64:
+        hash_level += 1
+    images_of = LetterTable(rec.level_action(hash_level))
+    identity = tuple(range(images_of.degree))
+    if budget is not None and radius:
+        letters = [letter for i, letter in enumerate(letters)
+                   if not any(rec.equal((letter,), (earlier,)) for earlier in letters[:i])]
+    reps, images, buckets, frontier = [()], {(): identity}, {identity: [()]}, [()]
+    steps = 0
+    for _ in range(radius):
+        new_frontier = []
+        for word in frontier:
+            base = images[word]
+            for letter in letters:
+                steps += 1
+                if budget is not None and steps > budget:
+                    raise BudgetExceeded(f"ball exceeded {budget} candidate words")
+                if word and word[-1] == -letter:
+                    continue
+                grown = word + (letter,)
+                image = tuple(base[x] for x in images_of[letter])
+                bucket = buckets.get(image)
+                if bucket is not None:
+                    if any(rec.equal(grown, rep) for rep in bucket):
+                        continue
+                    bucket.append(grown)
+                else:
+                    buckets[image] = [grown]
+                reps.append(grown)
+                images[grown] = image
+                new_frontier.append(grown)
+        frontier = new_frontier
+    return reps
 
 
 def list_sample_words(count, max_length, gen_count, seed):

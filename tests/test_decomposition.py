@@ -1,52 +1,20 @@
-"""The memoized wreath split, the ball's letter skips and the conjugacy-keyed
-orders, each pinned against a test-local oracle that takes none of those
-shortcuts."""
+"""The memoized wreath split, the ball's letter skips and kept balls, and
+the conjugacy-keyed orders, each pinned against an oracle that takes none of
+those shortcuts."""
 
+import gc
 import random
+from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import custom_arity_3, level_image
-from telescope import selfsim
+from conftest import custom_arity_3, level_image, oracle_ball
+from telescope import cli, selfsim
 from telescope.perm import Permutation
-from telescope.selfsim import (NotContracting, WreathRecursion, grigorchuk,
-                               gupta_sidki_3, invert_signed, reduce_signed)
-from telescope.words import LetterTable
-
-
-def oracle_ball(rec, radius):
-    """The ball as a breadth-first search that tries every letter after every
-    word (formal cancellation aside) and settles every bucket collision by
-    ``equal``."""
-    letters = [s for g in range(1, rec.generator_count + 1) for s in (g, -g)]
-    hash_level = 1
-    while rec.arity ** hash_level < 64:
-        hash_level += 1
-    images_of = LetterTable(rec.level_action(hash_level))
-    identity = tuple(range(images_of.degree))
-    reps, images, buckets, frontier = [()], {(): identity}, {identity: [()]}, [()]
-    for _ in range(radius):
-        new_frontier = []
-        for word in frontier:
-            base = images[word]
-            for letter in letters:
-                if word and word[-1] == -letter:
-                    continue
-                grown = word + (letter,)
-                image = tuple(base[x] for x in images_of[letter])
-                bucket = buckets.get(image)
-                if bucket is not None:
-                    if any(rec.equal(grown, rep) for rep in bucket):
-                        continue
-                    bucket.append(grown)
-                else:
-                    buckets[image] = [grown]
-                reps.append(grown)
-                images[grown] = image
-                new_frontier.append(grown)
-        frontier = new_frontier
-    return reps
+from telescope.selfsim import (BudgetExceeded, NotContracting, WreathRecursion,
+                               grigorchuk, gupta_sidki_3, invert_signed, reduce_signed)
 
 
 def walk_split(rec, word):
@@ -105,6 +73,19 @@ def hidden_below_hash_level():
         contracting=True)
 
 
+def commuting_swaps():
+    """Five disjoint transpositions of the root's 64 children with trivial
+    sections: a group of order 2^5, whose spheres are empty from radius 6
+    on."""
+    def swap(i):
+        images = list(range(64))
+        images[2 * i], images[2 * i + 1] = 2 * i + 1, 2 * i
+        return Permutation(tuple(images))
+    return WreathRecursion(
+        arity=64, names=tuple("vwxyz"), root_perms=tuple(swap(i) for i in range(5)),
+        sections=(((),) * 64,) * 5, contracting=True)
+
+
 def adding_machine():
     """a = (1, a) sigma, an infinite-order element, declared non-contracting."""
     return WreathRecursion(
@@ -128,6 +109,101 @@ class TestBallAgainstOracle:
         assert reps == [(), (1,), (-1,), (1, 1), (-1, -1), (1, 1, 1), (-1, -1, -1)]
         with pytest.raises(NotContracting):
             rec.equal((1,), (1,))
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def golden_table(stem):
+    """A factory of fresh recursions for a golden config's inline table."""
+    return lambda: cli.load_config(GOLDEN / f"{stem}.json").recursion
+
+
+KEPT_RADIUS = 8
+# (call, radius) in the order they are made; torsion growth starts at radius 1
+CALL_ORDERS = {
+    "ascending": [(call, r) for r in range(KEPT_RADIUS + 1) for call in ("ball", "growth")],
+    "descending": [(call, r) for r in range(KEPT_RADIUS, -1, -1)
+                   for call in ("growth", "ball")],
+    "interleaved": [("growth", 3), ("ball", 5), ("ball", 0), ("growth", 7), ("ball", 2),
+                    ("ball", 8), ("growth", 1), ("ball", 7), ("ball", 1), ("growth", 8),
+                    ("ball", 3), ("ball", 6), ("growth", 4), ("ball", 4), ("growth", 2)],
+}
+
+
+@pytest.fixture(scope="module", params=[
+    grigorchuk, gupta_sidki_3, golden_table("ggs5_1-4"), golden_table("a5_root_1-2")],
+    ids=["grigorchuk", "gupta-sidki-3", "ggs5_1-4", "a5_root_1-2"])
+def oracle_balls(request):
+    """A recursion factory, each radius's ball searched afresh by the oracle
+    on one recursion of it, and the largest order in each of those balls."""
+    rec = request.param()
+    balls = [oracle_ball(rec, r) for r in range(KEPT_RADIUS + 1)]
+    growth = [max(map(rec.element_order, ball)) for ball in balls]
+    return request.param, balls, growth
+
+
+def outcome(call, radius):
+    """What ``call(radius)`` returns, or the message of the budget it exceeds."""
+    try:
+        return call(radius)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+class TestKeptBalls:
+    @pytest.mark.parametrize("order", CALL_ORDERS)
+    def test_every_call_order_reads_the_oracle(self, oracle_balls, order):
+        make, balls, growth = oracle_balls
+        rec = make()
+        for call, r in CALL_ORDERS[order]:
+            if call == "ball":
+                assert rec.ball(r) == balls[r], r
+            elif r:
+                assert rec.torsion_growth(r) == growth[r], r
+
+    @pytest.mark.parametrize("make", [grigorchuk, gupta_sidki_3])
+    def test_a_returned_list_is_the_callers_own(self, make):
+        rec = make()
+        for r in (4, 0, 6):
+            reps = rec.ball(r)
+            reps.append((1,))
+            reps[0] = (2,)
+            del reps[1]
+        oracle = make()
+        for r in (0, 4, 5, 6):
+            assert rec.ball(r) == oracle_ball(oracle, r), r
+
+    @pytest.mark.parametrize("make", [grigorchuk, gupta_sidki_3, commuting_swaps])
+    def test_budget_raises_as_the_oracle(self, make, monkeypatch):
+        # the search to radius r tries each letter with no earlier equal
+        # letter after every word within radius r - 1; none of these
+        # recursions has a trivial letter, so those letters make the sphere
+        # of radius 1
+        oracle = make()
+        sizes = [len(oracle_ball(oracle, r)) for r in range(KEPT_RADIUS + 1)]
+        counts = [0] + [(sizes[1] - 1) * size for size in sizes[:-1]]
+        raised = 0
+        for budget in sorted({max(count + d, 0) for count in counts for d in (-1, 0)}):
+            monkeypatch.setattr(selfsim, "STEP_BUDGET", budget)
+            for r in range(KEPT_RADIUS + 1):
+                expected = outcome(partial(oracle_ball, oracle, budget=budget), r)
+                rec = make()
+                assert outcome(rec.ball, r) == expected, (budget, r)
+                if isinstance(expected, str):
+                    raised += 1
+                    assert rec._balls == {}
+                    assert outcome(rec.ball, r) == expected, (budget, r)
+        assert raised > 0
+
+    def test_a_finite_group_stops_at_its_last_sphere(self):
+        # every sphere past the group's diameter is empty, so the search
+        # stops there and keeps one ball for the radius asked for
+        rec = commuting_swaps()
+        reps = rec.ball(10 ** 8)
+        assert reps == oracle_ball(commuting_swaps(), KEPT_RADIUS) and len(reps) == 32
+        assert list(rec._balls) == [10 ** 8]
+        assert rec.torsion_growth(10 ** 8) == max(map(rec.element_order, reps))
 
 
 class TestSplit:
@@ -214,6 +290,19 @@ class TestOrders:
             assert [rec.element_order(word) for _ in range(5)] == [order] * 5
             assert rec.element_order(word + (2, -2)) == order
             assert len(keys) == built
+
+    def test_cached_orders_leave_no_reference_cycle(self):
+        # a cached order is read before the order recursion's closure is made
+        rec = grigorchuk()
+        words = rec.ball(3)
+        orders = [rec.element_order(w) for w in words]
+        gc.collect()
+        gc.disable()
+        try:
+            assert [rec.element_order(w) for w in words] == orders
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("make, levels, radius, level, size", [
         (grigorchuk, LEVEL_GRIG, 8, 10, 271), (gupta_sidki_3, LEVEL_GS, 6, 6, 253)])

@@ -139,6 +139,14 @@ def no_failed_sample(cases=None):
     return no_failed_sample
 
 
+def growth_column(*values):
+    """The torsion_bound_table lists T(n) = ``values[n - 1]`` for n = 1, 2, ..."""
+    def growth_column(run):
+        table = run.doc["torsion_bound_table"]
+        assert [row["torsion_growth"] for row in table] == list(values)
+    return growth_column
+
+
 def pigeonhole_only(run):
     """Only trace_lemmas fails, and only with pigeonhole_pair rows."""
     doc = run.doc
@@ -212,6 +220,13 @@ GGS5 = {"arity": 5, "generators": ["a", "b"], "root_perms": {"a": "(0 1 2 3 4)",
     pytest.param("verify", levels("gupta-sidki-3", 4,
                                   word_sample={"count": 2000, "max_length": 4}), 60, 1,
                  [no_failed_sample(2000), unsettled_same_bytes], id="gs4-sample"),
+    # T(1..12), each from its own ball search, the cold path of a verify
+    # with long sample words
+    pytest.param("verify", levels("gupta-sidki-3", 4,
+                                  word_sample={"count": 200, "max_length": 12}), 60, 1,
+                 [pigeonhole_note,
+                  growth_column(3, 9, 9, 27, 27, 27, 27, 27, 27, 81, 81, 81)],
+                 id="gs4-growth12"),
     # the GGS group with p = 5 and e = (1, 2, 3, 4) as an inline table
     pytest.param("verify", levels(GGS5, 4), 60, 1,
                  [pigeonhole_note, own_encoding, same_under_hash_seeds, pigeonhole_only,
@@ -256,6 +271,12 @@ def sample_failed(run):
     return replace(run, raw=encode(doc))
 
 
+def growth_doubled(run):
+    doc = run.doc
+    doc["torsion_bound_table"][-1]["torsion_growth"] *= 2
+    return replace(run, raw=encode(doc))
+
+
 def row_stays_clear(run):
     doc = run.doc
     case = next(w for w in entry(doc, "trace_lemmas")["witnesses"] if "failures" in w)
@@ -279,6 +300,8 @@ def failing_case_dropped(run):
     (quotient_orders, "gupta_sidki_1-3", order_times_p),
     (no_failed_sample(100), "grigorchuk_1-4", sample_failed),
     (no_failed_sample(), "ggs5_1-4", sample_failed),
+    (growth_column(2, 16, 16, 16), "grigorchuk_1-4", growth_doubled),
+    (growth_column(5, 25, 25, 125), "ggs5_1-4", growth_doubled),
     (pigeonhole_only, "ggs5_1-4", row_stays_clear),
     (sweeps_match_the_walkers, "grigorchuk_1-4", failing_case_dropped),
 ])
